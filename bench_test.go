@@ -26,11 +26,11 @@ const benchLatency = 200 * time.Microsecond
 
 func benchRT(b *testing.B, latency time.Duration) *hope.Runtime {
 	b.Helper()
-	opts := []hope.Option{hope.WithOutput(io.Discard)}
+	pol := hope.Policy{Output: io.Discard}
 	if latency > 0 {
-		opts = append(opts, hope.WithLatency(func(from, to string) time.Duration { return latency }))
+		pol.Latency = func(from, to string) time.Duration { return latency }
 	}
-	rt := hope.New(opts...)
+	rt := hope.New(hope.WithPolicy(pol))
 	b.Cleanup(rt.Shutdown)
 	return rt
 }
@@ -43,10 +43,10 @@ func BenchmarkE1_CallStreaming(b *testing.B) {
 	for _, mode := range []string{"sync", "streamed"} {
 		b.Run(mode, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rt := hope.New(
-					hope.WithOutput(io.Discard),
-					hope.WithLatency(func(from, to string) time.Duration { return benchLatency }),
-				)
+				rt := hope.New(hope.WithPolicy(hope.Policy{
+					Output:  io.Discard,
+					Latency: func(from, to string) time.Duration { return benchLatency },
+				}))
 				err := rpc.ServeStateful(rt, "printer", func() rpc.Handler {
 					line := 0
 					return func(req any) any {
@@ -130,7 +130,7 @@ func BenchmarkE3_Primitives(b *testing.B) {
 					n = chunk
 				}
 				remaining -= n
-				rt := hope.New(hope.WithOutput(io.Discard))
+				rt := hope.New(hope.WithPolicy(hope.Policy{Output: io.Discard}))
 				if err := rpc.Serve(rt, "svc", func(req any) any { return req }); err != nil {
 					b.Fatal(err)
 				}
@@ -173,7 +173,7 @@ func BenchmarkE3_Primitives(b *testing.B) {
 // of dependent intervals (depth 16), the E4 table's core row.
 func BenchmarkE4_RollbackCascade(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rt := hope.New(hope.WithOutput(io.Discard))
+		rt := hope.New(hope.WithPolicy(hope.Policy{Output: io.Discard}))
 		aidCh := make(chan hope.AID, 1)
 		if err := rt.Spawn("head", func(p *hope.Proc) error {
 			var first hope.AID
@@ -279,7 +279,7 @@ func BenchmarkE6_TimeWarp(b *testing.B) {
 	})
 	b.Run("hope-parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := timewarp.Parallel(cfg, hope.WithOutput(io.Discard)); err != nil {
+			if _, err := timewarp.Parallel(cfg, hope.WithPolicy(hope.Policy{Output: io.Discard})); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -300,10 +300,10 @@ func BenchmarkE7_Replication(b *testing.B) {
 					n = chunk
 				}
 				remaining -= n
-				rt := hope.New(
-					hope.WithOutput(io.Discard),
-					hope.WithLatency(func(from, to string) time.Duration { return benchLatency }),
-				)
+				rt := hope.New(hope.WithPolicy(hope.Policy{
+					Output:  io.Discard,
+					Latency: func(from, to string) time.Duration { return benchLatency },
+				}))
 				if err := occ.ServePrimary(rt, "primary", map[string]any{"k": 0}); err != nil {
 					b.Fatal(err)
 				}
@@ -353,7 +353,7 @@ func BenchmarkE8_Recovery(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			cfg := recovery.Config{Workers: 2, Rounds: 6, CheckpointEvery: 1, Sync: mode == "sync"}
 			for i := 0; i < b.N; i++ {
-				if _, err := recovery.Run(cfg, hope.WithOutput(io.Discard), hope.WithLatency(lat)); err != nil {
+				if _, err := recovery.Run(cfg, hope.WithPolicy(hope.Policy{Output: io.Discard, Latency: lat})); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -457,10 +457,10 @@ func BenchmarkE10_VerifierPool(b *testing.B) {
 					n = chunk
 				}
 				remaining -= n
-				rt := hope.New(
-					hope.WithOutput(io.Discard),
-					hope.WithLatency(func(from, to string) time.Duration { return benchLatency }),
-				)
+				rt := hope.New(hope.WithPolicy(hope.Policy{
+					Output:  io.Discard,
+					Latency: func(from, to string) time.Duration { return benchLatency },
+				}))
 				if err := rpc.Serve(rt, "svc", func(req any) any { return req }); err != nil {
 					b.Fatal(err)
 				}

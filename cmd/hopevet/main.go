@@ -1,7 +1,7 @@
-// Command hopevet is the flow-sensitive second stage of HOPE's static
-// verification tier: dataflow analyzers over per-function control-flow
-// graphs (internal/vet) that run alongside the syntactic hopelint and
-// close its documented holes.
+// Command hopevet statically checks HOPE process bodies against the
+// engine's piecewise-determinism contract and exports the
+// speculation-site inventory (see internal/vet and the "Static
+// analysis" section of DESIGN.md).
 //
 // Usage:
 //
@@ -10,19 +10,32 @@
 // Each argument is a directory ("./examples/pipeline") or a recursive
 // pattern ("./..."); with no arguments, ./... is analyzed. Directories
 // named testdata or vendor, and hidden or underscore-prefixed
-// directories, are skipped by recursive patterns. With -tests, each
-// package's own _test.go files are analyzed too.
+// directories, are skipped by recursive patterns, matching the go
+// tool's convention. With -tests, each package's own _test.go files
+// (same-package tests) are analyzed too.
 //
-// Two rules:
+// Diagnostics are printed one per line as
 //
-//	escape    stores from a process body into memory declared outside
-//	          it — captured pointers, fields, slice elements, map
-//	          entries, sync/atomic mutators, raw channel sends, and the
-//	          same stores reached through helper calls
-//	specleak  a Guess of a locally minted, non-escaping AID that some
-//	          non-panicking path leaves unresolved, a guessed AID that
-//	          is discarded outright, or irrevocable I/O issued while a
-//	          speculation is pending
+//	file:line:col: [rule] message
+//
+// where rule is one of:
+//
+//	nondeterminism  wall-clock, randomness, environment and obs-state
+//	                reads, map iteration, multi-way select, raw channel
+//	                receives and go statements inside a body
+//	rawio           output or filesystem writes that bypass
+//	                p.Printf / p.Effect
+//	conflict        a body that unconditionally both Affirms and Denies
+//	                the same assumption
+//	escape          stores from a process body into memory declared
+//	                outside it — captured variables, pointers, fields,
+//	                slice elements, map entries, sync/atomic mutators,
+//	                raw channel sends, and the same stores reached
+//	                through helper calls
+//	specleak        a Guess of a locally minted, non-escaping AID that
+//	                some non-panicking path leaves unresolved, a guessed
+//	                AID that is discarded outright, or irrevocable I/O
+//	                issued while a speculation is pending
 //
 // -inventory writes the speculation-site inventory (every Guess site
 // with its static shape; schema hope.siteinventory/v1) as JSON;
@@ -38,7 +51,7 @@
 //
 //	0  no findings
 //	1  at least one finding
-//	2  usage or load error
+//	2  usage or load error (unparseable package, unresolvable imports)
 package main
 
 import (
@@ -47,7 +60,6 @@ import (
 	"fmt"
 	"os"
 
-	"hope/internal/lint"
 	"hope/internal/vet"
 )
 
@@ -66,8 +78,8 @@ func main() {
 	diagPath := flag.String("diag", "", "write diagnostics JSON to this file")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: hopevet [-tests] [-inventory file] [-diag file] [packages ...]\n\n"+
-			"Flow-sensitive escape/specleak analysis of HOPE process bodies, plus the\n"+
-			"speculation-site inventory. Packages default to ./... ; see\n"+
+			"Checks HOPE process bodies against the piecewise-determinism contract and\n"+
+			"writes the speculation-site inventory. Packages default to ./... ; see\n"+
 			"cmd/hopevet/main.go for details.\n\n")
 		flag.PrintDefaults()
 	}
@@ -77,14 +89,14 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	dirs, err := lint.ExpandPatterns(patterns)
+	dirs, err := vet.ExpandPatterns(patterns)
 	if err != nil {
 		fatal(err)
 	}
 	if len(dirs) == 0 {
 		fatal(fmt.Errorf("no packages matched"))
 	}
-	loader, err := lint.NewLoader(dirs[0])
+	loader, err := vet.NewLoader(dirs[0])
 	if err != nil {
 		fatal(err)
 	}
@@ -95,7 +107,7 @@ func main() {
 	// roots reach it.
 	seenDiag := make(map[string]bool)
 	seenSite := make(map[string]bool)
-	var diags []lint.Diagnostic
+	var diags []vet.Diagnostic
 	var sites []vet.Site
 	for _, dir := range dirs {
 		pkg, err := loader.LoadDir(dir, *tests)
@@ -120,7 +132,7 @@ func main() {
 			}
 		}
 	}
-	lint.SortDiagnostics(diags)
+	vet.SortDiagnostics(diags)
 
 	if *invPath != "" {
 		f, err := os.Create(*invPath)

@@ -58,7 +58,7 @@ func main() {
 	var o *hope.Observer
 	if *obsFlag || *traceOut != "" {
 		o = hope.NewObserver()
-		streamOpts = append(streamOpts, hope.WithObserver(o))
+		streamOpts = append(streamOpts, hope.WithPolicy(hope.Policy{Observer: o}))
 	}
 	streamT, err := run(pageJobs, *latency, true, streamOpts...)
 	if err != nil {
@@ -94,10 +94,10 @@ func main() {
 
 // run executes the print workload and returns the worker's makespan.
 func run(jobs []workload.PrintJob, latency time.Duration, streamed bool, opts ...hope.Option) (time.Duration, error) {
-	rt := hope.New(append([]hope.Option{
-		hope.WithOutput(io.Discard),
-		hope.WithLatency(func(from, to string) time.Duration { return latency }),
-	}, opts...)...)
+	rt := hope.New(append([]hope.Option{hope.WithPolicy(hope.Policy{
+		Output:  io.Discard,
+		Latency: func(from, to string) time.Duration { return latency },
+	})}, opts...)...)
 	defer rt.Shutdown()
 
 	// The print server models Figure 1's print calls: a total print

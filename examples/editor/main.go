@@ -42,10 +42,10 @@ func main() {
 func lineKey(i int) string { return fmt.Sprintf("line%d", i) }
 
 func run(editors, edits int, latency time.Duration, seed int64) error {
-	rt := hope.New(
-		hope.WithOutput(os.Stdout),
-		hope.WithLatency(func(from, to string) time.Duration { return latency }),
-	)
+	rt := hope.New(hope.WithPolicy(hope.Policy{
+		Output:  os.Stdout,
+		Latency: func(from, to string) time.Duration { return latency },
+	}))
 	defer rt.Shutdown()
 
 	initial := make(map[string]any, lines)

@@ -45,10 +45,10 @@ func work(k, v int) int { return v*2 + k }
 
 func run(stages int, latency time.Duration, mispredict int) error {
 	rec := trace.NewRecorder()
-	rt := hope.New(
-		hope.WithOutput(io.Discard),
-		hope.WithLatency(func(from, to string) time.Duration { return latency }),
-	)
+	rt := hope.New(hope.WithPolicy(hope.Policy{
+		Output:  io.Discard,
+		Latency: func(from, to string) time.Duration { return latency },
+	}))
 	defer rt.Shutdown()
 
 	stageName := func(k int) string { return fmt.Sprintf("stage%d", k) }

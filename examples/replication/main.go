@@ -34,10 +34,10 @@ func main() {
 }
 
 func run(rounds int, latency time.Duration, shared float64, seed int64) error {
-	rt := hope.New(
-		hope.WithOutput(os.Stdout),
-		hope.WithLatency(func(from, to string) time.Duration { return latency }),
-	)
+	rt := hope.New(hope.WithPolicy(hope.Policy{
+		Output:  os.Stdout,
+		Latency: func(from, to string) time.Duration { return latency },
+	}))
 	defer rt.Shutdown()
 
 	initial := map[string]any{"counter": 0, "a": 0, "b": 0}

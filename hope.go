@@ -46,7 +46,7 @@
 //
 // # Fault injection
 //
-// A FaultPlan (NewFaultPlan or ParseFaults, attached with WithFaults)
+// A FaultPlan (NewFaultPlan or ParseFaults, attached as Policy.Faults)
 // deterministically injects process crashes, message drops, duplicates,
 // extra delays, and resolution stalls, every decision a pure function of
 // the plan's seed. Crashed processes restart by replay, duplicates are
@@ -60,7 +60,7 @@
 // replaying its whole retained log. Proc.Checkpoint(state) records a
 // recovery point inside the log: recovery restores from the newest
 // checkpoint before the rollback target and replays only the suffix.
-// WithCheckpointEvery(k) does this automatically for Loop processes.
+// Policy.CheckpointEvery does this automatically for Loop processes.
 // The state passed to Checkpoint must be a self-contained, deep-copied
 // snapshot — it is handed back verbatim by Proc.Restored on the next
 // attempt, so state that aliases memory mutated later would corrupt the
@@ -155,31 +155,47 @@ func New(opts ...Option) *Runtime { return engine.New(opts...) }
 // Policy bundles a runtime's configuration into one declarative value:
 // the preferred way to configure a Runtime. Zero fields keep their
 // defaults, so policies compose — New(WithPolicy(base), WithPolicy(p))
-// applies base first, then p's non-zero fields on top. The single-field
-// With* options remain as shims over the corresponding Policy field.
+// applies base first, then p's non-zero fields on top.
 type Policy struct {
 	// Output receives committed Printf output (default os.Stdout).
 	Output io.Writer
 	// Latency models one-way message delay between named processes
 	// (default: synchronous delivery).
 	Latency func(from, to string) time.Duration
-	// Shards sets the dependency-tracker and delivery-scheduler shard
-	// count (default: next power of two >= GOMAXPROCS).
+	// Shards sets the shard count of the dependency tracker and the
+	// delivery-scheduler pool. The default (<= 0) is the next power of
+	// two >= GOMAXPROCS; values round up to a power of two and cap at
+	// 64. Shard count changes scaling, never behavior: one shard
+	// reproduces the single-lock configuration verdict-for-verdict.
 	Shards int
-	// Faults arms deterministic fault injection.
+	// Faults arms fault injection: processes crash and restart by
+	// replay, messages are dropped (surfacing as ErrDelivery),
+	// duplicated, and delayed, and resolutions stall — all
+	// deterministically from the plan's seed. Committed output is
+	// unaffected for correct programs.
 	Faults *FaultPlan
-	// Observer attaches an observability sink.
+	// Observer attaches an observability sink. Observation is strictly
+	// runtime-side and cannot perturb replay; nil keeps the built-in
+	// no-op sink.
 	Observer *Observer
-	// CheckpointEvery arms automatic checkpointing for Loop processes.
+	// CheckpointEvery arms automatic checkpointing for Loop processes:
+	// once k logged events accumulate past a process's last checkpoint
+	// while speculation keeps its log alive, the next step boundary
+	// checkpoints the loop state, so a deep rollback or crash recovery
+	// restores a recent step and replays at most ~k events instead of
+	// the whole window. k <= 0 (the default) disables automatic
+	// checkpoints; explicit Proc.Checkpoint calls work either way.
+	// Checkpoints never change committed output — only recovery cost.
+	// See the Checkpointing section of the package documentation for
+	// the state-capture contract.
 	CheckpointEvery int
 	// Speculation selects how eagerly Guess speculates (default
 	// AlwaysOn — the paper's unconditional optimism).
 	Speculation SpeculationPolicy
 }
 
-// WithPolicy applies every non-zero field of pol. It is an ordinary
-// Option, so it mixes freely with the single-field shims; later options
-// win where they overlap.
+// WithPolicy applies every non-zero field of pol. Later options win
+// where they overlap.
 func WithPolicy(pol Policy) Option {
 	return func(r *Runtime) {
 		if pol.Output != nil {
@@ -315,7 +331,7 @@ var ErrStopLoop = engine.ErrStopLoop
 // body is structured as repeated steps over explicit state, and whenever
 // the process is definite at a step boundary the engine snapshots the
 // state and discards the settled log prefix, so rollback replays only the
-// speculation window since the last snapshot. With WithCheckpointEvery,
+// speculation window since the last snapshot. With Policy.CheckpointEvery,
 // long speculation windows are additionally checkpointed on a cadence,
 // bounding recovery cost in the window length too. init builds the
 // initial state, clone must deep-copy it, and step follows the usual
@@ -323,28 +339,6 @@ var ErrStopLoop = engine.ErrStopLoop
 func Loop[S any](rt *Runtime, name string, init func() S, clone func(S) S, step func(*Proc, S) error) error {
 	return engine.Loop(rt, name, init, clone, step)
 }
-
-// WithOutput directs committed Printf output to w.
-//
-// Deprecated: shim over Policy.Output — prefer WithPolicy.
-func WithOutput(w io.Writer) Option { return WithPolicy(Policy{Output: w}) }
-
-// WithLatency installs a message latency model: f returns the one-way
-// delay for a message between two named processes.
-//
-// Deprecated: shim over Policy.Latency — prefer WithPolicy.
-func WithLatency(f func(from, to string) time.Duration) Option {
-	return WithPolicy(Policy{Latency: f})
-}
-
-// WithShards sets the shard count of the dependency tracker and the
-// delivery-scheduler pool. The default (n <= 0) is the next power of
-// two >= GOMAXPROCS; values round up to a power of two and cap at 64.
-// Shard count changes scaling, never behavior: one shard reproduces the
-// single-lock configuration verdict-for-verdict.
-//
-// Deprecated: shim over Policy.Shards — prefer WithPolicy.
-func WithShards(n int) Option { return WithPolicy(Policy{Shards: n}) }
 
 // Observer is a runtime observability sink: metrics plus a ring-buffered
 // speculation-lifecycle event stream. See internal/obs.
@@ -356,8 +350,8 @@ type ObsEvent = obs.Event
 // ObserverOption configures an Observer at construction.
 type ObserverOption = obs.Option
 
-// NewObserver creates an observability sink. Pass it to the runtime with
-// WithObserver, then read it at any time: Snapshot/WriteJSON for metrics,
+// NewObserver creates an observability sink. Pass it to the runtime as
+// Policy.Observer, then read it at any time: Snapshot/WriteJSON for metrics,
 // Events for the lifecycle stream, WriteChromeTrace for a Perfetto
 // timeline, Dump for a terminal summary.
 func NewObserver(opts ...ObserverOption) *Observer { return obs.New(opts...) }
@@ -365,19 +359,6 @@ func NewObserver(opts ...ObserverOption) *Observer { return obs.New(opts...) }
 // WithEventCapacity sets the observer's event-ring capacity (default
 // 8192; 0 keeps metrics only).
 func WithEventCapacity(n int) ObserverOption { return obs.WithEventCapacity(n) }
-
-// WithObserver attaches an observability sink to the runtime. Observation
-// is strictly runtime-side and cannot perturb replay; a nil observer is
-// the built-in no-op sink.
-//
-// Deprecated: shim over Policy.Observer — prefer WithPolicy.
-func WithObserver(o *Observer) Option {
-	return func(r *Runtime) {
-		if o != nil {
-			WithPolicy(Policy{Observer: o})(r)
-		}
-	}
-}
 
 // FaultPlan is a deterministic, seed-driven fault-injection plan. Every
 // injection decision is a pure function of (seed, site, occurrence), so
@@ -397,27 +378,6 @@ func NewFaultPlan(cfg FaultConfig) *FaultPlan { return fault.New(cfg) }
 // "seed=7,crash=0.01,drop=0.1,dup=0.05,delay=0.2,stall=0.1" — the same
 // syntax cmd/hopetop's -faults flag accepts.
 func ParseFaults(spec string) (*FaultPlan, error) { return fault.Parse(spec) }
-
-// WithFaults arms fault injection: processes crash and restart by
-// replay, messages are dropped (surfacing as ErrDelivery), duplicated,
-// and delayed, and resolutions stall — all deterministically from the
-// plan's seed. Committed output is unaffected for correct programs.
-//
-// Deprecated: shim over Policy.Faults — prefer WithPolicy.
-func WithFaults(p *FaultPlan) Option { return WithPolicy(Policy{Faults: p}) }
-
-// WithCheckpointEvery arms automatic checkpointing for Loop processes:
-// once k logged events accumulate past a process's last checkpoint while
-// speculation keeps its log alive, the next step boundary checkpoints
-// the loop state, so a deep rollback or crash recovery restores a
-// recent step and replays at most ~k events instead of the whole
-// window. k <= 0 (the default) disables automatic checkpoints; explicit
-// Proc.Checkpoint calls work either way. Checkpoints never change
-// committed output — only recovery cost. See the Checkpointing section
-// of the package documentation for the state-capture contract.
-//
-// Deprecated: shim over Policy.CheckpointEvery — prefer WithPolicy.
-func WithCheckpointEvery(k int) Option { return WithPolicy(Policy{CheckpointEvery: k}) }
 
 // RetryPolicy bounds Proc.SendRetry: up to Attempts tries with linear
 // backoff (i×Backoff before try i).

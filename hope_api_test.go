@@ -104,7 +104,7 @@ func TestExportedAPIHidesInternalTypes(t *testing.T) {
 // surface through the façade and stay errors.Is-composable even when
 // wrapped by caller code.
 func TestErrorsComposeAcrossFacade(t *testing.T) {
-	rt := hope.New(hope.WithOutput(io.Discard))
+	rt := hope.New(hope.WithPolicy(hope.Policy{Output: io.Discard}))
 	defer rt.Shutdown()
 	errCh := make(chan error, 1)
 	if err := rt.Spawn("poller", func(p *hope.Proc) error {
@@ -119,7 +119,7 @@ func TestErrorsComposeAcrossFacade(t *testing.T) {
 	}
 
 	plan := hope.NewFaultPlan(hope.FaultConfig{Drop: 1})
-	rt2 := hope.New(hope.WithOutput(io.Discard), hope.WithFaults(plan))
+	rt2 := hope.New(hope.WithPolicy(hope.Policy{Output: io.Discard, Faults: plan}))
 	defer rt2.Shutdown()
 	if err := rt2.Spawn("sink", func(p *hope.Proc) error { return nil }); err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestWireErrorsComposeAcrossFacade(t *testing.T) {
 	}
 	procs := map[string]uint32{"tx": 0, "rx": 1}
 
-	rtA := hope.New(hope.WithOutput(io.Discard))
+	rtA := hope.New(hope.WithPolicy(hope.Policy{Output: io.Discard}))
 	defer rtA.Shutdown()
 	nodeA, err := wire.NewNode(rtA, wire.Config{
 		ID: 0, Listener: lnA, Peers: map[uint32]string{1: lnB.Addr().String()}, Procs: procs,
@@ -161,7 +161,7 @@ func TestWireErrorsComposeAcrossFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nodeA.Close()
-	rtB := hope.New(hope.WithOutput(io.Discard))
+	rtB := hope.New(hope.WithPolicy(hope.Policy{Output: io.Discard}))
 	defer rtB.Shutdown()
 	nodeB, err := wire.NewNode(rtB, wire.Config{
 		ID: 1, Listener: lnB, Peers: map[uint32]string{0: lnA.Addr().String()}, Procs: procs,

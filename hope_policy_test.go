@@ -88,16 +88,20 @@ func TestSpeculationPoliciesAgreeOnCommittedOutput(t *testing.T) {
 }
 
 // TestWithPolicyComposes checks the layering contract: zero fields keep
-// defaults, later policies override only what they set, and the
-// deprecated single-field shims mix with WithPolicy freely.
+// defaults and later policies override only what they set — a nil
+// Observer in particular leaves the attached sink alone.
 func TestWithPolicyComposes(t *testing.T) {
-	base := hope.Policy{Shards: 1, Speculation: hope.AlwaysOff()}
+	o := hope.NewObserver()
+	base := hope.Policy{Shards: 1, Speculation: hope.AlwaysOff(), Observer: o}
 	buf := &testutil.SyncBuffer{}
-	// Output comes from the shim, shards and speculation from the policy.
-	rt := hope.New(hope.WithPolicy(base), hope.WithOutput(buf))
+	// Output comes from the second policy, the rest from the base.
+	rt := hope.New(hope.WithPolicy(base), hope.WithPolicy(hope.Policy{Output: buf, Observer: nil}))
 	defer rt.Shutdown()
 	if got := rt.Shards(); got != 1 {
 		t.Fatalf("Shards() = %d, want 1 from base policy", got)
+	}
+	if rt.Observer() != o {
+		t.Fatal("a nil Policy.Observer replaced the base policy's observer; nil must be a no-op")
 	}
 	if err := rt.Spawn("w", func(p *hope.Proc) error {
 		x := p.NewAID()
@@ -115,7 +119,7 @@ func TestWithPolicyComposes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if buf.String() != "ok\n" {
-		t.Fatalf("output = %q, want %q (shim output writer ignored?)", buf.String(), "ok\n")
+		t.Fatalf("output = %q, want %q (second policy's output writer ignored?)", buf.String(), "ok\n")
 	}
 	// The AlwaysOff policy from base stayed in effect: the guess was
 	// admission-checked, so the observer has a site row.

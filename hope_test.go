@@ -15,7 +15,7 @@ import (
 // TestPublicAPIQuickstart is the README quickstart, as a test.
 func TestPublicAPIQuickstart(t *testing.T) {
 	var buf testutil.SyncBuffer
-	rt := hope.New(hope.WithOutput(&buf))
+	rt := hope.New(hope.WithPolicy(hope.Policy{Output: &buf}))
 	defer rt.Shutdown()
 
 	if err := rt.Spawn("worker", func(p *hope.Proc) error {
@@ -50,7 +50,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 }
 
 func TestPublicAPIDenyPath(t *testing.T) {
-	rt := hope.New(hope.WithOutput(io.Discard))
+	rt := hope.New(hope.WithPolicy(hope.Policy{Output: io.Discard}))
 	defer rt.Shutdown()
 	var got atomic.Int64
 
@@ -86,7 +86,7 @@ func TestPublicAPIDenyPath(t *testing.T) {
 }
 
 func TestPublicErrors(t *testing.T) {
-	rt := hope.New(hope.WithOutput(io.Discard))
+	rt := hope.New(hope.WithPolicy(hope.Policy{Output: io.Discard}))
 	defer rt.Shutdown()
 	if err := rt.Spawn("p", func(p *hope.Proc) error { return nil }); err != nil {
 		t.Fatal(err)
@@ -97,10 +97,10 @@ func TestPublicErrors(t *testing.T) {
 }
 
 func TestWithLatencyOption(t *testing.T) {
-	rt := hope.New(
-		hope.WithOutput(io.Discard),
-		hope.WithLatency(func(from, to string) time.Duration { return time.Millisecond }),
-	)
+	rt := hope.New(hope.WithPolicy(hope.Policy{
+		Output:  io.Discard,
+		Latency: func(from, to string) time.Duration { return time.Millisecond },
+	}))
 	defer rt.Shutdown()
 	start := time.Now()
 	done := make(chan struct{})
@@ -124,7 +124,7 @@ func TestWithLatencyOption(t *testing.T) {
 // Example demonstrates the guess/affirm flow with buffered output.
 func Example() {
 	var buf testutil.SyncBuffer
-	rt := hope.New(hope.WithOutput(&buf))
+	rt := hope.New(hope.WithPolicy(hope.Policy{Output: &buf}))
 	defer rt.Shutdown()
 
 	rt.Spawn("worker", func(p *hope.Proc) error {
@@ -149,7 +149,7 @@ func Example() {
 // ExampleLoop demonstrates a long-running accumulator with bounded replay
 // memory.
 func ExampleLoop() {
-	rt := hope.New(hope.WithOutput(io.Discard))
+	rt := hope.New(hope.WithPolicy(hope.Policy{Output: io.Discard}))
 	defer rt.Shutdown()
 
 	type state struct{ sum int }

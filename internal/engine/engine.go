@@ -33,6 +33,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -478,7 +479,9 @@ func (r *Runtime) deliverNow(d *delivery) {
 
 // Wait blocks until every spawned process has finished (body returned and
 // all of its speculation settled). It returns the processes' errors, if
-// any. Programs whose processes never halt should use Quiesce instead.
+// any, sorted by process name so the same failure reads the same from
+// run to run. Programs whose processes never halt should use Quiesce
+// instead.
 func (r *Runtime) Wait() []error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -491,11 +494,16 @@ func (r *Runtime) Wait() []error {
 			}
 		}
 		if alldone {
-			var errs []error
-			for _, p := range r.procs {
-				if err := p.Err(); err != nil {
-					errs = append(errs, fmt.Errorf("%s: %w", p.name, err))
+			var failed []string
+			for name, p := range r.procs {
+				if p.Err() != nil {
+					failed = append(failed, name)
 				}
+			}
+			sort.Strings(failed)
+			var errs []error
+			for _, name := range failed {
+				errs = append(errs, fmt.Errorf("%s: %w", name, r.procs[name].Err()))
 			}
 			return errs
 		}

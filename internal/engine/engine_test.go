@@ -562,6 +562,27 @@ func TestSendUnknownDestFails(t *testing.T) {
 	}
 }
 
+// Wait reports errors sorted by process name, so a failure reads the
+// same from run to run instead of following map iteration order.
+func TestWaitErrorOrderIsStable(t *testing.T) {
+	for run := 0; run < 50; run++ {
+		rt, _ := newRT(t)
+		for _, name := range []string{"zed", "alpha", "mid"} {
+			spawn(t, rt, name, func(p *Proc) error {
+				if p.Name() == "mid" {
+					return nil
+				}
+				return p.Send("nobody", 1)
+			})
+		}
+		errs := rt.Wait()
+		if len(errs) != 2 ||
+			!strings.HasPrefix(errs[0].Error(), "alpha: ") || !strings.HasPrefix(errs[1].Error(), "zed: ") {
+			t.Fatalf("run %d: errs = %v, want alpha's then zed's", run, errs)
+		}
+	}
+}
+
 func TestQuiesceOnSpeculativePark(t *testing.T) {
 	// A process that halts speculatively parks; Quiesce must return.
 	rt, _ := newRT(t)

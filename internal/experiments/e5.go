@@ -26,7 +26,7 @@ func E5TrackerOverhead(w io.Writer) error {
 		const ops = 5_000
 		done := make(chan time.Duration, 1)
 		if err := rt.Spawn("p", func(p *engine.Proc) error {
-			//hopelint:ignore nondeterminism -- timing harness; self-affirmed body never replays
+			//hopevet:ignore nondeterminism -- timing harness; self-affirmed body never replays
 			start := time.Now()
 			for i := 0; i < ops; i++ {
 				x := p.NewAID()
@@ -36,7 +36,7 @@ func E5TrackerOverhead(w io.Writer) error {
 					}
 				}
 			}
-			//hopelint:ignore nondeterminism -- timing harness; self-affirmed body never replays
+			//hopevet:ignore nondeterminism -- timing harness; self-affirmed body never replays
 			done <- time.Since(start) //hopevet:ignore escape -- timing-harness handoff; the body never replays past this send
 			return nil
 		}); err != nil {
@@ -59,12 +59,12 @@ func E5TrackerOverhead(w io.Writer) error {
 			for i := 0; i < depth; i++ {
 				p.Guess(p.NewAID()) //hopevet:ignore specleak -- chain-depth harness; the unresolved chain is the workload
 			}
-			//hopelint:ignore nondeterminism -- timing harness; guesses stay unresolved, no replay
+			//hopevet:ignore nondeterminism -- timing harness; guesses stay unresolved, no replay
 			start := time.Now()
 			for i := 0; i < ops; i++ {
 				p.Guess(p.NewAID()) //hopevet:ignore specleak -- chain-depth harness; the unresolved chain is the workload
 			}
-			//hopelint:ignore nondeterminism -- timing harness; guesses stay unresolved, no replay
+			//hopevet:ignore nondeterminism -- timing harness; guesses stay unresolved, no replay
 			done <- time.Since(start) //hopevet:ignore escape -- timing-harness handoff; the body never replays past this send
 			return nil
 		}); err != nil {
@@ -94,14 +94,14 @@ func E5TrackerOverhead(w io.Writer) error {
 			for i := 0; i < depth; i++ {
 				p.Guess(p.NewAID()) //hopevet:ignore specleak -- chain-depth harness; the unresolved chain is the workload
 			}
-			//hopelint:ignore nondeterminism -- timing harness; guesses stay unresolved, no replay
+			//hopevet:ignore nondeterminism -- timing harness; guesses stay unresolved, no replay
 			start := time.Now()
 			for i := 0; i < ops; i++ {
 				if err := p.Send("sink", i); err != nil {
 					return err
 				}
 			}
-			//hopelint:ignore nondeterminism -- timing harness; guesses stay unresolved, no replay
+			//hopevet:ignore nondeterminism -- timing harness; guesses stay unresolved, no replay
 			done <- time.Since(start) //hopevet:ignore escape -- timing-harness handoff; the body never replays past this send
 			return nil
 		}); err != nil {
@@ -124,7 +124,7 @@ func E5TrackerOverhead(w io.Writer) error {
 			if err := rt.Spawn(name, func(p *engine.Proc) error {
 				for {
 					select {
-					//hopelint:ignore nondeterminism -- shutdown poll in a churn body that never replays
+					//hopevet:ignore nondeterminism -- shutdown poll in a churn body that never replays
 					case <-stop:
 						return nil
 					default:
@@ -142,7 +142,7 @@ func E5TrackerOverhead(w io.Writer) error {
 		}
 		done := make(chan time.Duration, 1)
 		if err := rt.Spawn("p", func(p *engine.Proc) error {
-			//hopelint:ignore nondeterminism -- timing harness; self-affirmed body never replays
+			//hopevet:ignore nondeterminism -- timing harness; self-affirmed body never replays
 			start := time.Now()
 			for i := 0; i < ops; i++ {
 				x := p.NewAID()
@@ -152,7 +152,7 @@ func E5TrackerOverhead(w io.Writer) error {
 					}
 				}
 			}
-			//hopelint:ignore nondeterminism -- timing harness; self-affirmed body never replays
+			//hopevet:ignore nondeterminism -- timing harness; self-affirmed body never replays
 			done <- time.Since(start) //hopevet:ignore escape -- timing-harness handoff; the body never replays past this send
 			return nil
 		}); err != nil {

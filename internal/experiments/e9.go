@@ -41,7 +41,7 @@ func runAccumulator(n int, useLoop bool) (peakLog int, elapsed time.Duration, er
 	peak := 0
 	observe := func(p *engine.Proc) {
 		if l := p.LogLen(); l > peak {
-			//hopelint:ignore capture -- measurement watermark; a monotonic max tolerates replay
+			//hopevet:ignore escape -- measurement watermark; a monotonic max tolerates replay
 			peak = l
 		}
 	}

@@ -141,7 +141,7 @@ func TestConflictForcesPessimisticPath(t *testing.T) {
 	var bConflicts, finalVal atomic.Int64
 
 	if err := rt.Spawn("a", func(p *engine.Proc) error {
-		//hopelint:ignore nondeterminism -- close-only test barrier; a re-receive never blocks
+		//hopevet:ignore nondeterminism -- close-only test barrier; a re-receive never blocks
 		<-bStarted // B has cached version 1
 		s := NewSession(p, "primary")
 		if err := s.WriteSync("k", 100); err != nil { // bumps version
@@ -158,7 +158,7 @@ func TestConflictForcesPessimisticPath(t *testing.T) {
 			return err
 		}
 		bOnce.Do(func() { close(bStarted) })
-		//hopelint:ignore nondeterminism -- close-only test barrier; a re-receive never blocks
+		//hopevet:ignore nondeterminism -- close-only test barrier; a re-receive never blocks
 		<-aDone // now the cache is stale
 		ok, err := s.WriteOptimistic("k", 200)
 		if err != nil {
@@ -214,7 +214,7 @@ func TestSpeculativeReadOfOptimisticWriteRollsBack(t *testing.T) {
 		if _, err := s.Read("k"); err != nil { // version 1 (value 0)
 			return err
 		}
-		//hopelint:ignore nondeterminism -- close-only test barrier; a re-receive never blocks
+		//hopevet:ignore nondeterminism -- close-only test barrier; a re-receive never blocks
 		<-ready // primary now at version 2
 		if _, err := s.WriteOptimistic("k", 9); err != nil {
 			return err

@@ -183,7 +183,7 @@ func handleTxn(data map[string]Versioned, req txnReq) (txnResp, bool) {
 
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
-	//hopelint:ignore nondeterminism -- this is the "sort the keys first" idiom itself
+	//hopevet:ignore nondeterminism -- this is the "sort the keys first" idiom itself
 	for k := range m {
 		keys = append(keys, k)
 	}

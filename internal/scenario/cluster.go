@@ -141,12 +141,10 @@ func StormNode(cfg StormNodeConfig) (Result, error) {
 	defer node.Close()
 
 	// Local processes exist before the mesh comes up, so nothing a peer
-	// sends can ever race a spawn.
-	for w := 0; w < stormWorkers; w++ {
-		if placement[fmt.Sprintf("worker%d", w)] != me {
-			continue
-		}
-		if err := spawnStormWorker(rt, w, cfg.Jobs); err != nil {
+	// sends can ever race a spawn — and receivers before senders, so
+	// nothing a local worker sends can either.
+	if placement["sink"] == me {
+		if err := spawnStormSink(rt, total); err != nil {
 			return Result{}, err
 		}
 	}
@@ -155,8 +153,11 @@ func StormNode(cfg StormNodeConfig) (Result, error) {
 			return Result{}, err
 		}
 	}
-	if placement["sink"] == me {
-		if err := spawnStormSink(rt, total); err != nil {
+	for w := 0; w < stormWorkers; w++ {
+		if placement[fmt.Sprintf("worker%d", w)] != me {
+			continue
+		}
+		if err := spawnStormWorker(rt, w, cfg.Jobs); err != nil {
 			return Result{}, err
 		}
 	}
@@ -266,11 +267,9 @@ func stormWire(jobs int, seed int64, out io.Writer, opts ...engine.Option) (Resu
 		}
 		wnodes[i] = node
 
-		for w := 0; w < stormWorkers; w++ {
-			if placement[fmt.Sprintf("worker%d", w)] != uint32(i) {
-				continue
-			}
-			if err := spawnStormWorker(rt, w, jobs); err != nil {
+		// Receivers before senders, as in StormNode.
+		if placement["sink"] == uint32(i) {
+			if err := spawnStormSink(rt, total); err != nil {
 				return Result{}, err
 			}
 		}
@@ -279,8 +278,11 @@ func stormWire(jobs int, seed int64, out io.Writer, opts ...engine.Option) (Resu
 				return Result{}, err
 			}
 		}
-		if placement["sink"] == uint32(i) {
-			if err := spawnStormSink(rt, total); err != nil {
+		for w := 0; w < stormWorkers; w++ {
+			if placement[fmt.Sprintf("worker%d", w)] != uint32(i) {
+				continue
+			}
+			if err := spawnStormWorker(rt, w, jobs); err != nil {
 				return Result{}, err
 			}
 		}

@@ -54,6 +54,27 @@ func Journal(windows int, opts ...engine.Option) (Result, error) {
 	rt := engine.New(append([]engine.Option{engine.WithOutput(io.Discard)}, opts...)...)
 	defer rt.Shutdown()
 
+	// The sink before the workers: a journal worker's first record must
+	// find it registered (ErrUnknownDest is not retried).
+	if err := rt.Spawn("sink", func(p *engine.Proc) error {
+		results := make([]string, 0, total)
+		for i := 0; i < total; i++ {
+			m, err := p.RecvSettled()
+			if err != nil {
+				return err
+			}
+			results = append(results, m.Payload.(string))
+		}
+		sort.Strings(results)
+		for _, r := range results {
+			p.Printf("%s\n", r)
+		}
+		return nil
+	}); err != nil {
+		return Result{}, err
+	}
+
+	start := time.Now()
 	for w := 0; w < workers; w++ {
 		w := w
 		name := fmt.Sprintf("journal%d", w)
@@ -117,25 +138,6 @@ func Journal(windows int, opts ...engine.Option) (Result, error) {
 			}); err != nil {
 			return Result{}, err
 		}
-	}
-
-	start := time.Now()
-	if err := rt.Spawn("sink", func(p *engine.Proc) error {
-		results := make([]string, 0, total)
-		for i := 0; i < total; i++ {
-			m, err := p.RecvSettled()
-			if err != nil {
-				return err
-			}
-			results = append(results, m.Payload.(string))
-		}
-		sort.Strings(results)
-		for _, r := range results {
-			p.Printf("%s\n", r)
-		}
-		return nil
-	}); err != nil {
-		return Result{}, err
 	}
 
 	rt.Quiesce()

@@ -143,10 +143,10 @@ func Storm(jobs int, opts ...engine.Option) (Result, error) {
 	rt := engine.New(append([]engine.Option{engine.WithOutput(io.Discard)}, opts...)...)
 	defer rt.Shutdown()
 
-	for w := 0; w < stormWorkers; w++ {
-		if err := spawnStormWorker(rt, w, jobs); err != nil {
-			return Result{}, err
-		}
+	// Receivers before senders: a worker's first claim must find the
+	// judge and the sink registered (ErrUnknownDest is not retried).
+	if err := spawnStormSink(rt, total); err != nil {
+		return Result{}, err
 	}
 	if err := spawnStormJudge(rt, total); err != nil {
 		return Result{}, err
@@ -154,8 +154,10 @@ func Storm(jobs int, opts ...engine.Option) (Result, error) {
 
 	denies := jobs // per j, exactly one of the 4 workers has (w+j)%4 == 0
 	start := time.Now()
-	if err := spawnStormSink(rt, total); err != nil {
-		return Result{}, err
+	for w := 0; w < stormWorkers; w++ {
+		if err := spawnStormWorker(rt, w, jobs); err != nil {
+			return Result{}, err
+		}
 	}
 
 	rt.Quiesce()

@@ -1,4 +1,4 @@
-package lint
+package vet
 
 import (
 	"go/ast"
@@ -33,14 +33,14 @@ func (w *walker) recordResolution(call *ast.CallExpr, callee *types.Func) {
 	if !affirm && callee.Name() != "Deny" {
 		return
 	}
-	if !IsEngineFunc(callee, callee.Name()) {
+	if !isEngineFunc(callee, callee.Name()) {
 		return
 	}
 	id, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
 	if !ok {
 		return
 	}
-	obj, ok := w.pkg.Info.Uses[id].(*types.Var)
+	obj, ok := w.f.pkg.Info.Uses[id].(*types.Var)
 	if !ok {
 		return
 	}

@@ -1,22 +1,21 @@
 package vet
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
 	"strings"
-
-	"hope/internal/lint"
 )
 
-// The escape pass. hopelint's capture rule flags `x = v` where x is
-// declared outside the body; everything else — `*p = v`, `x.f = v`,
-// `s[i] = v`, `m[k] = v`, `delete(m, k)`, `outer.Store(k, v)`, and the
-// same stores reached through a helper call — slips through a purely
-// syntactic check because the question is aliasing, not spelling. This
-// pass answers it with a may-alias dataflow per function:
+// The escape pass. Rollback restores nothing but the log position, so a
+// body that stores into memory declared outside it leaks state across
+// re-executions and races with whatever else reads it. `x = v` on a
+// captured x is visible in the syntax; `*p = v`, `x.f = v`, `s[i] = v`,
+// `m[k] = v`, `delete(m, k)`, `outer.Store(k, v)`, and the same stores
+// reached through a helper call are not, because the question is
+// aliasing, not spelling. This pass answers it with a may-alias
+// dataflow per function:
 //
 //  1. Seed: every variable referenced in the function but declared
 //     outside it (captured locals, package-level vars) is outer; for
@@ -31,20 +30,22 @@ import (
 //  3. Flag: any store whose base chain is rooted in an outer variable,
 //     any mutating builtin (delete/clear/copy) or sync/atomic mutator
 //     applied to outer memory, and any raw channel send on an outer
-//     channel. Calls into same-module helpers are analyzed under the
-//     caller's outer mask, so a body cannot launder a shared pointer
-//     through a helper; the diagnostic lands on the store.
+//     channel. Calls follow the body graph's edges: a same-module helper
+//     is analyzed under the caller's outer mask, so a body cannot
+//     launder a shared pointer through a helper, and a closure called
+//     through a variable is analyzed against its own capture boundary;
+//     the diagnostic lands on the store.
 //
 // Known false negatives, deliberately accepted and documented in
 // DESIGN.md: aliases smuggled through struct-valued copies, pointers
 // arriving in message payloads (p.Recv returns are treated as fresh),
-// results of function calls, and calls through function-typed values.
-// Effect callbacks are exempt wholesale — commit/abort time is the
-// sanctioned way to touch shared memory — and so is any function
-// literal passed as a call argument: its stores belong to whatever
-// context eventually invokes it (p.Effect, in the sanctioned
-// commit-callback idiom), and higher-order invocation is already in
-// the function-typed-value false-negative class above.
+// results of function calls, and calls through function-typed values
+// not bound to a single literal. Effect callbacks are exempt wholesale
+// — commit/abort time is the sanctioned way to touch shared memory —
+// and so is any function literal passed as a call argument: its stores
+// belong to whatever context eventually invokes it (p.Effect, in the
+// sanctioned commit-callback idiom), and higher-order invocation is
+// already in the function-typed-value false-negative class above.
 
 // mutatorMethods are method names on sync.Map / sync/atomic types that
 // store through their receiver.
@@ -56,41 +57,29 @@ var mutatorMethods = map[string]bool{
 }
 
 type escapePass struct {
-	a      *analyzer
-	pkg    *lint.Package
-	fn     ast.Node
-	body   *ast.BlockStmt
-	exempt map[*ast.FuncLit]bool
+	a *analyzer
+	f *bodyFunc
 
 	outer map[*types.Var]bool // propagated outer-aliasing locals
-	root  bool                // fn is a body root (its own closure boundary)
+	root  bool                // f is a body root, not a helper reached from one
 }
 
-// escapeFunc analyzes one function with the given set of outer-aliased
-// parameters (nil for a body root, whose outer set is everything
-// declared outside the literal). Each (function, mask) pair is analyzed
-// once.
-func (a *analyzer) escapeFunc(pkg *lint.Package, fn ast.Node, outerParams map[*types.Var]bool, isHelper bool) {
+// escapeFunc analyzes one function of the body graph with the given set
+// of outer-aliased parameters (nil for a body root or a closure, whose
+// outer set is everything declared outside the literal). Each
+// (function, mask) pair is analyzed once.
+func (a *analyzer) escapeFunc(f *bodyFunc, outerParams map[*types.Var]bool, root bool) {
 	var mask []string
 	for v := range outerParams {
 		mask = append(mask, v.Name())
 	}
 	sort.Strings(mask)
-	key := escapeKey{fn: fn.Pos(), mask: strings.Join(mask, ",")}
+	key := escapeKey{fn: f.fn.Pos(), mask: strings.Join(mask, ",")}
 	if a.escapeVisited[key] {
 		return
 	}
 	a.escapeVisited[key] = true
-	body := lint.FuncBody(fn)
-	if body == nil {
-		return
-	}
-	e := &escapePass{
-		a: a, pkg: pkg, fn: fn, body: body,
-		exempt: lint.EffectCallbacks(pkg, body),
-		outer:  make(map[*types.Var]bool),
-		root:   !isHelper,
-	}
+	e := &escapePass{a: a, f: f, outer: make(map[*types.Var]bool), root: root}
 	for v := range outerParams {
 		e.outer[v] = true
 	}
@@ -104,10 +93,7 @@ func (e *escapePass) seedOuter(v *types.Var) bool {
 	if v == nil || v.IsField() || v.Name() == "_" {
 		return false
 	}
-	if e.outer[v] {
-		return true
-	}
-	return v.Pos() < e.fn.Pos() || v.Pos() >= e.fn.End()
+	return e.outer[v] || !e.f.contains(v.Pos())
 }
 
 // refShaped reports whether a value of type t carries aliasing across a
@@ -129,7 +115,7 @@ func refShaped(t types.Type) bool {
 func (e *escapePass) exprOuter(x ast.Expr) bool {
 	switch x := ast.Unparen(x).(type) {
 	case *ast.Ident:
-		v, _ := e.pkg.Info.Uses[x].(*types.Var)
+		v, _ := e.f.pkg.Info.Uses[x].(*types.Var)
 		return e.seedOuter(v)
 	case *ast.UnaryExpr:
 		if x.Op == token.AND {
@@ -139,7 +125,7 @@ func (e *escapePass) exprOuter(x ast.Expr) bool {
 		return e.exprOuter(x.X)
 	case *ast.SelectorExpr:
 		// A package-qualified variable (os.Stdout) resolves through Sel.
-		if v, ok := e.pkg.Info.Uses[x.Sel].(*types.Var); ok && !v.IsField() {
+		if v, ok := e.f.pkg.Info.Uses[x.Sel].(*types.Var); ok && !v.IsField() {
 			return e.seedOuter(v)
 		}
 		return e.exprOuter(x.X)
@@ -164,7 +150,7 @@ func (e *escapePass) exprOuter(x ast.Expr) bool {
 		// Call results are fresh, except append, which returns (a
 		// possible regrowth of) its first argument's backing array.
 		if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
-			if b, ok := e.pkg.Info.Uses[id].(*types.Builtin); ok && b.Name() == "append" && len(x.Args) > 0 {
+			if b, ok := e.f.pkg.Info.Uses[id].(*types.Builtin); ok && b.Name() == "append" && len(x.Args) > 0 {
 				return e.exprOuter(x.Args[0])
 			}
 		}
@@ -181,16 +167,16 @@ func (e *escapePass) propagate() {
 	}
 	var assigns []assign
 	bind := func(id *ast.Ident, rhs ast.Expr) {
-		obj := e.pkg.Info.Defs[id]
+		obj := e.f.pkg.Info.Defs[id]
 		if obj == nil {
-			obj = e.pkg.Info.Uses[id]
+			obj = e.f.pkg.Info.Uses[id]
 		}
 		if v, ok := obj.(*types.Var); ok && !v.IsField() && v.Name() != "_" {
 			assigns = append(assigns, assign{v, rhs})
 		}
 	}
-	ast.Inspect(e.body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok && e.exempt[lit] {
+	ast.Inspect(e.f.body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok && e.f.exempt[lit] {
 			return false
 		}
 		switch s := n.(type) {
@@ -242,13 +228,13 @@ func (e *escapePass) storeRoot(x ast.Expr) *types.Var {
 	for {
 		switch t := ast.Unparen(x).(type) {
 		case *ast.Ident:
-			v, _ := e.pkg.Info.Uses[t].(*types.Var)
+			v, _ := e.f.pkg.Info.Uses[t].(*types.Var)
 			return v
 		case *ast.SelectorExpr:
 			// Stop at a package-qualified variable.
-			if v, ok := e.pkg.Info.Uses[t.Sel].(*types.Var); ok && !v.IsField() {
+			if v, ok := e.f.pkg.Info.Uses[t.Sel].(*types.Var); ok && !v.IsField() {
 				if id, isPkg := ast.Unparen(t.X).(*ast.Ident); isPkg {
-					if _, ok := e.pkg.Info.Uses[id].(*types.PkgName); ok {
+					if _, ok := e.f.pkg.Info.Uses[id].(*types.PkgName); ok {
 						return v
 					}
 				}
@@ -298,11 +284,10 @@ func (e *escapePass) flagStores() {
 			// (A parameter holding an outer pointer is a callee-local
 			// cell; reassigning it is harmless — writing through it is
 			// the StarExpr case below.)
-			v, _ := e.pkg.Info.Uses[id].(*types.Var)
-			if v != nil && !v.IsField() && v.Name() != "_" &&
-				(v.Pos() < e.fn.Pos() || v.Pos() >= e.fn.End()) {
-				e.a.errorf(id.Pos(), RuleEscape, fmt.Sprintf(
-					"assignment to %q, declared outside %s: rollback cannot undo the write and re-execution repeats it; keep mutable state local or move the write into p.Effect", id.Name, where))
+			v, _ := e.f.pkg.Info.Uses[id].(*types.Var)
+			if v != nil && !v.IsField() && v.Name() != "_" && !e.f.contains(v.Pos()) {
+				e.a.errorf(id.Pos(), RuleEscape,
+					"assignment to %q, declared outside %s: rollback cannot undo the write and re-execution repeats it; keep mutable state local or move the write into p.Effect", id.Name, where)
 			}
 			return
 		}
@@ -310,8 +295,8 @@ func (e *escapePass) flagStores() {
 		if root == nil || !e.seedOuter(root) {
 			return
 		}
-		e.a.errorf(lhs.Pos(), RuleEscape, fmt.Sprintf(
-			"store through %s (rooted in %q, which aliases memory declared outside %s): rollback cannot undo the write and a replay repeats it against already-mutated state; keep the structure body-local or move the write into p.Effect", describeStore(lhs), root.Name(), where))
+		e.a.errorf(lhs.Pos(), RuleEscape,
+			"store through %s (rooted in %q, which aliases memory declared outside %s): rollback cannot undo the write and a replay repeats it against already-mutated state; keep the structure body-local or move the write into p.Effect", describeStore(lhs), root.Name(), where)
 	}
 
 	// A literal passed as a call argument is a callback: it runs in the
@@ -320,7 +305,7 @@ func (e *escapePass) flagStores() {
 	// not charged here. A nested Spawn body is likewise analyzed as its
 	// own root, with its own closure boundary, not against this frame.
 	deferredLits := make(map[*ast.FuncLit]bool)
-	ast.Inspect(e.body, func(n ast.Node) bool {
+	ast.Inspect(e.f.body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
 			for _, arg := range call.Args {
 				if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
@@ -331,8 +316,8 @@ func (e *escapePass) flagStores() {
 		return true
 	})
 
-	ast.Inspect(e.body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok && (e.exempt[lit] || deferredLits[lit]) {
+	ast.Inspect(e.f.body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok && (e.f.exempt[lit] || deferredLits[lit]) {
 			return false
 		}
 		switch n := n.(type) {
@@ -347,8 +332,8 @@ func (e *escapePass) flagStores() {
 			flagTarget(n.X)
 		case *ast.SendStmt:
 			if e.exprOuter(n.Chan) {
-				e.a.errorf(n.Pos(), RuleEscape, fmt.Sprintf(
-					"send on a channel declared outside %s: the value is visible to its receiver before the speculation settles and the send is not in the replay log; use p.Send, or move the handoff into p.Effect", where))
+				e.a.errorf(n.Pos(), RuleEscape,
+					"send on a channel declared outside %s: the value is visible to its receiver before the speculation settles and the send is not in the replay log; use p.Send, or move the handoff into p.Effect", where)
 			}
 		case *ast.CallExpr:
 			e.flagCall(n)
@@ -362,12 +347,12 @@ func (e *escapePass) flagStores() {
 func (e *escapePass) flagCall(call *ast.CallExpr) {
 	// Mutating builtins.
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := e.pkg.Info.Uses[id].(*types.Builtin); ok {
+		if b, ok := e.f.pkg.Info.Uses[id].(*types.Builtin); ok {
 			switch b.Name() {
 			case "delete", "clear":
 				if len(call.Args) > 0 && e.exprOuter(call.Args[0]) {
-					e.a.errorf(call.Pos(), RuleEscape, fmt.Sprintf(
-						"%s on a captured collection: rollback cannot restore the removed entries; keep the collection body-local or mutate it in p.Effect", b.Name()))
+					e.a.errorf(call.Pos(), RuleEscape,
+						"%s on a captured collection: rollback cannot restore the removed entries; keep the collection body-local or mutate it in p.Effect", b.Name())
 				}
 			case "copy":
 				if len(call.Args) > 0 && e.exprOuter(call.Args[0]) {
@@ -378,8 +363,14 @@ func (e *escapePass) flagCall(call *ast.CallExpr) {
 			return
 		}
 	}
-	callee := lint.Callee(e.pkg, call)
+	target := e.f.calls[call]
+	callee := calleeOf(e.f.pkg, call)
 	if callee == nil || callee.Pkg() == nil {
+		if target != nil {
+			// A closure called through a variable: no parameters to
+			// mask, its own capture boundary.
+			e.a.escapeFunc(target, nil, false)
+		}
 		return
 	}
 	path := callee.Pkg().Path()
@@ -389,54 +380,46 @@ func (e *escapePass) flagCall(call *ast.CallExpr) {
 		if sig, ok := callee.Type().(*types.Signature); ok {
 			if sig.Recv() != nil && mutatorMethods[callee.Name()] {
 				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && e.exprOuter(sel.X) {
-					e.a.errorf(call.Pos(), RuleEscape, fmt.Sprintf(
-						"%s.%s on captured state: the mutation is visible to other goroutines immediately and rollback cannot undo it; keep it body-local or move it into p.Effect", path, callee.Name()))
+					e.a.errorf(call.Pos(), RuleEscape,
+						"%s.%s on captured state: the mutation is visible to other goroutines immediately and rollback cannot undo it; keep it body-local or move it into p.Effect", path, callee.Name())
 				}
 			} else if sig.Recv() == nil && path == "sync/atomic" &&
 				(strings.HasPrefix(callee.Name(), "Store") || strings.HasPrefix(callee.Name(), "Add") ||
 					strings.HasPrefix(callee.Name(), "Swap") || strings.HasPrefix(callee.Name(), "CompareAndSwap")) {
 				if len(call.Args) > 0 && e.exprOuter(call.Args[0]) {
-					e.a.errorf(call.Pos(), RuleEscape, fmt.Sprintf(
-						"atomic.%s on captured state: the mutation is visible to other goroutines immediately and rollback cannot undo it; keep it body-local or move it into p.Effect", callee.Name()))
+					e.a.errorf(call.Pos(), RuleEscape,
+						"atomic.%s on captured state: the mutation is visible to other goroutines immediately and rollback cannot undo it; keep it body-local or move it into p.Effect", callee.Name())
 				}
 			}
 		}
 		return
 	}
 
-	// Interprocedural descent: analyze same-module helpers under the
-	// call site's outer mask.
-	if name, _ := engineCallee(e.pkg, call); name != "" {
-		if name == "Checkpoint" {
-			// Checkpointed state is handed back verbatim on restore: if it
-			// aliases memory outside the body, writes through the shared
-			// structure after the checkpoint corrupt the recovery point.
-			// Value-shaped arguments are copied into the interface and are
-			// safe.
-			for _, arg := range call.Args {
-				if e.exprOuter(arg) && refShaped(e.pkg.Info.Types[arg].Type) {
-					e.a.errorf(arg.Pos(), RuleEscape,
-						"checkpointed state aliases memory declared outside the body: the snapshot is restored by reference, so later writes through the shared structure corrupt the recovery point; checkpoint a body-local deep copy")
-				}
+	if isEngineFunc(callee, "Checkpoint") {
+		// Checkpointed state is handed back verbatim on restore: if it
+		// aliases memory outside the body, writes through the shared
+		// structure after the checkpoint corrupt the recovery point.
+		// Value-shaped arguments are copied into the interface and are
+		// safe.
+		for _, arg := range call.Args {
+			if e.exprOuter(arg) && refShaped(e.f.pkg.Info.Types[arg].Type) {
+				e.a.errorf(arg.Pos(), RuleEscape,
+					"checkpointed state aliases memory declared outside the body: the snapshot is restored by reference, so later writes through the shared structure corrupt the recovery point; checkpoint a body-local deep copy")
 			}
 		}
-		return // engine primitives are the sanctioned interface
-	}
-	cpkg, decl := e.a.resolver.Decl(callee)
-	if decl == nil {
 		return
 	}
-	fd, ok := decl.(*ast.FuncDecl)
-	if !ok {
-		return
+
+	// Interprocedural descent: analyze a same-module helper under the
+	// call site's outer mask.
+	if target != nil {
+		e.a.escapeFunc(target, e.callMask(call, callee, target), false)
 	}
-	mask := e.callMask(call, callee, fd, cpkg)
-	e.a.escapeFunc(cpkg, fd, mask, true)
 }
 
 // callMask maps outer-aliased argument expressions (and the receiver)
 // to the callee's parameter variables.
-func (e *escapePass) callMask(call *ast.CallExpr, callee *types.Func, fd *ast.FuncDecl, cpkg *lint.Package) map[*types.Var]bool {
+func (e *escapePass) callMask(call *ast.CallExpr, callee *types.Func, target *bodyFunc) map[*types.Var]bool {
 	mask := make(map[*types.Var]bool)
 	sig, _ := callee.Type().(*types.Signature)
 	if sig == nil {
@@ -453,9 +436,10 @@ func (e *escapePass) callMask(call *ast.CallExpr, callee *types.Func, fd *ast.Fu
 	}
 	// Method receiver.
 	if sig.Recv() != nil {
+		fd := target.fn.(*ast.FuncDecl) // a callee object always resolves to a declaration
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && e.exprOuter(sel.X) {
 			if fd.Recv != nil && len(fd.Recv.List) == 1 && len(fd.Recv.List[0].Names) == 1 {
-				if rv, ok := cpkg.Info.Defs[fd.Recv.List[0].Names[0]].(*types.Var); ok {
+				if rv, ok := target.pkg.Info.Defs[fd.Recv.List[0].Names[0]].(*types.Var); ok {
 					mask[rv] = true
 				}
 			}
@@ -465,7 +449,7 @@ func (e *escapePass) callMask(call *ast.CallExpr, callee *types.Func, fd *ast.Fu
 		if !e.exprOuter(arg) {
 			continue
 		}
-		if !refShaped(e.pkg.Info.Types[arg].Type) {
+		if !refShaped(e.f.pkg.Info.Types[arg].Type) {
 			continue // a value copy severs the alias
 		}
 		if pv := paramVar(i); pv != nil {

@@ -1,4 +1,4 @@
-package lint
+package vet
 
 import (
 	"fmt"
@@ -73,11 +73,11 @@ func findModule(dir string) (root, module string, err error) {
 					return d, strings.TrimSpace(rest), nil
 				}
 			}
-			return "", "", fmt.Errorf("lint: no module line in %s/go.mod", d)
+			return "", "", fmt.Errorf("vet: no module line in %s/go.mod", d)
 		}
 		parent := filepath.Dir(d)
 		if parent == d {
-			return "", "", fmt.Errorf("lint: no go.mod found above %s", dir)
+			return "", "", fmt.Errorf("vet: no go.mod found above %s", dir)
 		}
 		d = parent
 	}
@@ -107,7 +107,7 @@ func (l *Loader) pathFor(dir string) (string, error) {
 		return l.Module, nil
 	}
 	if strings.HasPrefix(rel, "..") {
-		return "", fmt.Errorf("lint: %s is outside module %s", dir, l.Module)
+		return "", fmt.Errorf("vet: %s is outside module %s", dir, l.Module)
 	}
 	return l.Module + "/" + filepath.ToSlash(rel), nil
 }
@@ -133,7 +133,7 @@ func (l *Loader) load(path string) (*Package, error) {
 		return p, nil
 	}
 	if l.building[path] {
-		return nil, fmt.Errorf("lint: import cycle through %s", path)
+		return nil, fmt.Errorf("vet: import cycle through %s", path)
 	}
 	l.building[path] = true
 	defer delete(l.building, path)
@@ -141,7 +141,7 @@ func (l *Loader) load(path string) (*Package, error) {
 	dir := l.dirFor(path)
 	bp, err := build.Default.ImportDir(dir, 0)
 	if err != nil {
-		return nil, fmt.Errorf("lint: %s: %w", path, err)
+		return nil, fmt.Errorf("vet: %s: %w", path, err)
 	}
 	p, err := l.check(path, dir, bp.GoFiles)
 	if err != nil {
@@ -156,7 +156,7 @@ func (l *Loader) load(path string) (*Package, error) {
 // the resulting Package is NOT cached for import resolution, so importers
 // always see the production shape of the package. External test packages
 // (package foo_test) are not loaded; their bodies exercise the public API
-// from outside and are out of scope for this linter.
+// from outside and are out of scope for this analyzer.
 func (l *Loader) LoadDir(dir string, includeTests bool) (*Package, error) {
 	path, err := l.pathFor(dir)
 	if err != nil {
@@ -167,7 +167,7 @@ func (l *Loader) LoadDir(dir string, includeTests bool) (*Package, error) {
 	}
 	bp, err := build.Default.ImportDir(dir, 0)
 	if err != nil {
-		return nil, fmt.Errorf("lint: %s: %w", dir, err)
+		return nil, fmt.Errorf("vet: %s: %w", dir, err)
 	}
 	return l.check(path, dir, append(append([]string{}, bp.GoFiles...), bp.TestGoFiles...))
 }
@@ -184,7 +184,7 @@ func (l *Loader) check(path, dir string, names []string) (*Package, error) {
 		files = append(files, f)
 	}
 	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
+		return nil, fmt.Errorf("vet: no Go files in %s", dir)
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -197,7 +197,7 @@ func (l *Loader) check(path, dir string, names []string) (*Package, error) {
 	conf := types.Config{Importer: l}
 	pkg, err := conf.Check(path, l.Fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
+		return nil, fmt.Errorf("vet: type-checking %s: %w", path, err)
 	}
 	return &Package{Path: path, Dir: dir, Files: files, Pkg: pkg, Info: info}, nil
 }
@@ -207,7 +207,7 @@ func (l *Loader) check(path, dir string, names []string) (*Package, error) {
 // pattern ending in "/..." which walks the tree, skipping testdata,
 // vendor, and hidden or underscore-prefixed directories — the same
 // convention as the go tool, so fixture packages under testdata are
-// never linted by accident.
+// never analyzed by accident.
 func ExpandPatterns(patterns []string) ([]string, error) {
 	var dirs []string
 	seen := make(map[string]bool)

@@ -1,10 +1,32 @@
-package lint
+package vet
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
 )
+
+// writeOnlyObsHooks are the obs.Observer (and obs.Histogram) methods a
+// process body may call: hooks that record an observation and return
+// nothing the body could read back, so they cannot feed scheduling- or
+// clock-dependent values into replayed control flow. Everything else in
+// internal/obs — Snapshot, Metrics, Events, Now, ProcName, the Dump and
+// Write exporters — hands observation state back to the caller and is
+// flagged. TestObsAllowlistIsWriteOnly checks this list against the obs
+// API: every allowlisted method must have no results.
+var writeOnlyObsHooks = map[string]bool{
+	"Emit":             true,
+	"Annotate":         true,
+	"MsgEnqueued":      true,
+	"ClassifyScan":     true,
+	"SchedHeap":        true,
+	"RegisterProc":     true,
+	"Observe":          true,
+	"ShardAssumptions": true,
+	"ShardEpoch":       true,
+	"ShardHeap":        true,
+	"ShardContention":  true,
+}
 
 // checkNondetCall flags calls that read a nondeterministic source
 // directly instead of going through the *Proc handle.
@@ -29,20 +51,21 @@ func (w *walker) checkNondetCall(call *ast.CallExpr, callee *types.Func) {
 			w.a.errorf(call.Pos(), RuleNondeterminism,
 				"call to os.%s inside a process body: environment reads are not replayed; read configuration before spawning and close over the value", name)
 		}
+	case obsPath:
+		// Observation hooks are legal only while they stay write-only:
+		// a body that reads metric or event state back gets values that
+		// depend on global scheduling, which diverge under replay.
+		if !writeOnlyObsHooks[name] {
+			w.a.errorf(call.Pos(), RuleNondeterminism,
+				"call to obs %s.%s inside a process body reads observation state back into the computation: metric and event values depend on scheduling and diverge under replay; observation from a body must stay write-only (Emit/Annotate/... hooks)", recvName(callee), name)
+		}
 	}
 }
 
 // checkRange flags iteration whose order or content is nondeterministic:
 // map ranges (unordered) and channel ranges (unlogged receives).
 func (w *walker) checkRange(n *ast.RangeStmt) {
-	if n.Tok == token.ASSIGN {
-		// for k, v = range ...: writes to existing variables.
-		w.checkCapturedWrite(n.Key)
-		if n.Value != nil {
-			w.checkCapturedWrite(n.Value)
-		}
-	}
-	tv, ok := w.pkg.Info.Types[n.X]
+	tv, ok := w.f.pkg.Info.Types[n.X]
 	if !ok || tv.Type == nil {
 		return
 	}
@@ -95,4 +118,22 @@ func markSelectRecv(w *walker, comm ast.Stmt) {
 			record(r)
 		}
 	}
+}
+
+// recvName names a method's receiver type ("Observer") or, for a plain
+// function, its package ("obs").
+func recvName(fn *types.Func) string {
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		t := sig.Recv().Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if named, ok := t.(*types.Named); ok {
+			return named.Obj().Name()
+		}
+	}
+	if fn.Pkg() != nil {
+		return fn.Pkg().Name()
+	}
+	return "?"
 }

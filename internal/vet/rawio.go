@@ -1,4 +1,4 @@
-package lint
+package vet
 
 import (
 	"fmt"
@@ -7,21 +7,14 @@ import (
 	"strings"
 )
 
-// checkRawIOCall flags output that bypasses the effect machinery: text a
-// body prints directly is visible even if the execution rolls back,
-// while p.Printf buffers it until the surrounding window settles.
-func (w *walker) checkRawIOCall(call *ast.CallExpr, callee *types.Func) {
-	if msg := RawIOMessage(w.pkg, call, callee); msg != "" {
-		w.a.errorf(call.Pos(), RuleRawIO, "%s", msg)
-	}
-}
-
-// RawIOMessage classifies a call as raw I/O that bypasses the effect
-// machinery, returning a non-empty diagnostic message when it does. The
-// classifier is shared: hopelint reports every such call in a body, and
-// internal/vet's specleak pass reuses it to flag the strictly worse
-// case of irrevocable I/O issued while a speculation is unresolved.
-func RawIOMessage(pkg *Package, call *ast.CallExpr, callee *types.Func) string {
+// rawIOMessage classifies a call as raw I/O that bypasses the effect
+// machinery — text a body prints directly is visible even if the
+// execution rolls back, while p.Printf buffers it until the surrounding
+// window settles — returning a non-empty diagnostic message when it
+// does. The rawio rule reports every such call in a body; the specleak
+// pass reuses the classifier to flag the strictly worse case of
+// irrevocable I/O issued while a speculation is unresolved.
+func rawIOMessage(pkg *Package, call *ast.CallExpr, callee *types.Func) string {
 	// Builtin print/println write straight to stderr.
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := pkg.Info.Uses[id].(*types.Builtin); ok && (b.Name() == "print" || b.Name() == "println") {

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 
-	"hope/internal/lint"
 	sitepkg "hope/internal/site"
 )
 
@@ -31,7 +30,7 @@ import (
 // intersection, so a defer on one branch does not excuse the other.
 //
 // Piggybacking on the same state, the pass flags irrevocable raw I/O
-// (hopelint's rawio classifier) issued while the unresolved set is
+// (the rawio rule's classifier) issued while the unresolved set is
 // non-empty, and records every Guess site into the inventory.
 
 // specState is the dataflow state at one program point.
@@ -116,11 +115,8 @@ type siteInfo struct {
 }
 
 type specPass struct {
-	a      *analyzer
-	pkg    *lint.Package
-	fn     ast.Node
-	body   *ast.BlockStmt
-	exempt map[*ast.FuncLit]bool
+	a *analyzer
+	f *bodyFunc
 
 	minted  map[*types.Var]bool // defined here from p.NewAID()
 	escaped map[*types.Var]bool // value leaves the function's hands
@@ -132,46 +128,17 @@ type specPass struct {
 	resolve map[*block]map[*types.Var]bool // blocks containing Affirm/Deny of var
 }
 
-// specFunc analyzes one function and descends into its same-module
-// callees, mirroring hopelint's transitive walk.
-func (a *analyzer) specFunc(pkg *lint.Package, fn ast.Node) {
-	if a.specVisited[fn.Pos()] {
-		return
-	}
-	a.specVisited[fn.Pos()] = true
-	body := lint.FuncBody(fn)
-	if body == nil {
-		return
-	}
-	exempt := lint.EffectCallbacks(pkg, body)
-
-	// Descend first so diagnostics in helpers surface even when the
-	// caller itself is clean.
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok && exempt[lit] {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if name, callee := engineCallee(pkg, call); name == "" && callee != nil {
-			if cp, decl := a.resolver.Decl(callee); decl != nil {
-				a.specFunc(cp, decl)
-			}
-		}
-		return true
-	})
-
+// specFunc analyzes one function of the body graph.
+func (a *analyzer) specFunc(f *bodyFunc) {
 	s := &specPass{
-		a: a, pkg: pkg, fn: fn, body: body, exempt: exempt,
+		a: a, f: f,
 		minted:  make(map[*types.Var]bool),
 		escaped: make(map[*types.Var]bool),
 		sites:   make(map[token.Pos]*siteInfo),
 		resolve: make(map[*block]map[*types.Var]bool),
 	}
 	s.classifyAIDs()
-	s.g = buildCFG(body, pkg.Info)
+	s.g = buildCFG(f.body, f.pkg.Info)
 	s.run()
 }
 
@@ -183,7 +150,7 @@ func (a *analyzer) specFunc(pkg *lint.Package, fn ast.Node) {
 // every handed-off AID would bury the real leaks).
 func (s *specPass) classifyAIDs() {
 	// Pass 1: minted variables.
-	ast.Inspect(s.body, func(n ast.Node) bool {
+	ast.Inspect(s.f.body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.AssignStmt:
 			if st.Tok != token.DEFINE || len(st.Lhs) != len(st.Rhs) {
@@ -195,8 +162,8 @@ func (s *specPass) classifyAIDs() {
 					continue
 				}
 				if call, ok := ast.Unparen(st.Rhs[i]).(*ast.CallExpr); ok {
-					if name, _ := engineCallee(s.pkg, call); name == "NewAID" {
-						if v, ok := s.pkg.Info.Defs[id].(*types.Var); ok {
+					if name, _ := engineCallee(s.f.pkg, call); name == "NewAID" {
+						if v, ok := s.f.pkg.Info.Defs[id].(*types.Var); ok {
 							s.minted[v] = true
 						}
 					}
@@ -207,7 +174,7 @@ func (s *specPass) classifyAIDs() {
 	})
 	// Pass 2: escape classification by use context.
 	var stack []ast.Node
-	ast.Inspect(s.body, func(n ast.Node) bool {
+	ast.Inspect(s.f.body, func(n ast.Node) bool {
 		if n == nil {
 			stack = stack[:len(stack)-1]
 			return true
@@ -217,7 +184,7 @@ func (s *specPass) classifyAIDs() {
 		if !ok {
 			return true
 		}
-		v, ok := s.pkg.Info.Uses[id].(*types.Var)
+		v, ok := s.f.pkg.Info.Uses[id].(*types.Var)
 		if !ok || !s.minted[v] {
 			return true
 		}
@@ -244,7 +211,7 @@ func (s *specPass) useEscapes(id *ast.Ident, v *types.Var, stack []ast.Node) boo
 	switch parent := stack[len(stack)-2].(type) {
 	case *ast.CallExpr:
 		// Direct argument of a resolution-reading engine call is fine.
-		name, _ := engineCallee(s.pkg, parent)
+		name, _ := engineCallee(s.f.pkg, parent)
 		switch name {
 		case "Guess", "Affirm", "Deny", "FreeOf", "Outcome":
 			for _, arg := range parent.Args {
@@ -264,7 +231,7 @@ func (s *specPass) useEscapes(id *ast.Ident, v *types.Var, stack []ast.Node) boo
 				// any other right-hand side aliases the unknown.
 				if i < len(parent.Rhs) {
 					if call, ok := ast.Unparen(parent.Rhs[i]).(*ast.CallExpr); ok {
-						if name, _ := engineCallee(s.pkg, call); name == "NewAID" {
+						if name, _ := engineCallee(s.f.pkg, call); name == "NewAID" {
 							return false
 						}
 					}
@@ -325,9 +292,9 @@ func (s *specPass) run() {
 				continue
 			}
 			for pos := range poses {
-				s.a.errorf(pos, RuleSpecLeak, fmt.Sprintf(
+				s.a.errorf(pos, RuleSpecLeak,
 					"assumption %q may reach the end of the body unresolved: some non-panicking path from this guess has no Affirm/Deny, and the AID never leaves the body, so no other process can resolve it; resolve it on every path (the else-arm of `if p.Guess(%s)` is already resolved) or send it to a resolver",
-					v.Name(), v.Name()))
+					v.Name(), v.Name())
 			}
 		}
 	}
@@ -344,7 +311,7 @@ func (s *specPass) transferNode(st *specState, n ast.Node) {
 	case *ast.DeferStmt:
 		// `defer p.Affirm(x)` / `defer p.Deny(x)` resolves at every
 		// exit reachable from the registration.
-		if name, _ := engineCallee(s.pkg, n.Call); name == "Affirm" || name == "Deny" {
+		if name, _ := engineCallee(s.f.pkg, n.Call); name == "Affirm" || name == "Deny" {
 			if len(n.Call.Args) == 1 {
 				if v := s.identVar(n.Call.Args[0]); s.tracked(v) {
 					st.deferred[v] = true
@@ -375,7 +342,7 @@ func (s *specPass) transferExpr(st *specState, n ast.Node) {
 		if !ok {
 			return true
 		}
-		name, callee := engineCallee(s.pkg, call)
+		name, callee := engineCallee(s.f.pkg, call)
 		switch name {
 		case "Guess":
 			s.applyGuess(st, call)
@@ -387,10 +354,10 @@ func (s *specPass) transferExpr(st *specState, n ast.Node) {
 				}
 			}
 		case "":
-			if msg := lint.RawIOMessage(s.pkg, call, callee); msg != "" && st.pending() > 0 {
-				s.a.errorf(call.Pos(), RuleSpecLeak, fmt.Sprintf(
+			if msg := rawIOMessage(s.f.pkg, call, callee); msg != "" && st.pending() > 0 {
+				s.a.errorf(call.Pos(), RuleSpecLeak,
 					"irrevocable I/O while assumption(s) %s are unresolved: the output is visible even if the speculation is denied; resolve the guess first or route the write through p.Printf/p.Effect",
-					s.pendingNames(st)))
+					s.pendingNames(st))
 			}
 		}
 		return true
@@ -408,7 +375,7 @@ func (s *specPass) applyGuess(st *specState, call *ast.CallExpr) {
 		site = &siteInfo{pos: pos, blk: s.curBlk}
 		site.obj = s.identVar(call.Args[0])
 		if inner, ok := ast.Unparen(call.Args[0]).(*ast.CallExpr); ok {
-			if n, _ := engineCallee(s.pkg, inner); n == "NewAID" {
+			if n, _ := engineCallee(s.f.pkg, inner); n == "NewAID" {
 				site.anonFresh = true
 			}
 		}
@@ -441,7 +408,7 @@ func (s *specPass) refine(st *specState, cond ast.Expr, branchTrue bool) {
 	if !ok {
 		return
 	}
-	if name, _ := engineCallee(s.pkg, call); name != "Guess" || len(call.Args) != 1 {
+	if name, _ := engineCallee(s.f.pkg, call); name != "Guess" || len(call.Args) != 1 {
 		return
 	}
 	if v := s.identVar(call.Args[0]); s.tracked(v) && !branchTrue {
@@ -454,7 +421,7 @@ func (s *specPass) identVar(e ast.Expr) *types.Var {
 	if !ok {
 		return nil
 	}
-	v, _ := s.pkg.Info.Uses[id].(*types.Var)
+	v, _ := s.f.pkg.Info.Uses[id].(*types.Var)
 	return v
 }
 
@@ -482,14 +449,14 @@ func (s *specPass) pendingNames(st *specState) string {
 func (s *specPass) emitSites() {
 	for _, pos := range s.order {
 		site := s.sites[pos]
-		p := s.a.fset.Position(pos)
+		p := s.a.loader.Fset.Position(pos)
 		key := sitepkg.Key(p.Filename, p.Line)
 		entry := Site{
 			File:                  p.Filename,
 			Line:                  p.Line,
 			Col:                   p.Column,
-			Package:               s.pkg.Path,
-			Func:                  enclosingFuncName(s.pkg, pos),
+			Package:               s.f.pkg.Path,
+			Func:                  enclosingFuncName(s.f.pkg, pos),
 			SiteKey:               key,
 			SiteHash:              sitepkg.Hash(key),
 			Arity:                 1,
@@ -519,12 +486,12 @@ func (s *specPass) emitSites() {
 // in the function, for the inventory.
 func (s *specPass) lexicalResolutions(v *types.Var) []string {
 	kinds := make(map[string]bool)
-	ast.Inspect(s.body, func(n ast.Node) bool {
+	ast.Inspect(s.f.body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		name, _ := engineCallee(s.pkg, call)
+		name, _ := engineCallee(s.f.pkg, call)
 		switch name {
 		case "Affirm", "Deny", "FreeOf":
 			if len(call.Args) == 1 && s.identVar(call.Args[0]) == v {

@@ -1,4 +1,4 @@
-// Package capture exercises the capture rule.
+// Package capture exercises escape's bare-identifier case: `x = v` on a captured x.
 package capture
 
 import "hope/internal/engine"
@@ -9,15 +9,15 @@ func Run(rt *engine.Runtime) error {
 	counter := 0
 	total := 0
 	return rt.Spawn("p", func(p *engine.Proc) error {
-		counter++ // want `assignment to "counter"`
-		total = 7 // want `assignment to "total"`
-		hits++    // want `assignment to "hits"`
+		counter++ // want `\[escape\] assignment to "counter"`
+		total = 7 // want `\[escape\] assignment to "total"`
+		hits++    // want `\[escape\] assignment to "hits"`
 
 		local := 0
 		local++ // legal: body-local state
 		func() {
 			local = 2   // legal: still local to the body
-			counter = 3 // want `assignment to "counter"`
+			counter = 3 // want `\[escape\] assignment to "counter"`
 		}()
 
 		p.Effect(func() { total = local }, nil) // legal: commit-time effect

@@ -22,7 +22,7 @@ func Run(rt *engine.Runtime) error {
 		}
 
 		c := p.NewAID()
-		p.Guess(c)
+		p.Guess(c) // want `\[specleak\] assumption "c" may reach the end of the body unresolved`
 		for i := 0; i < 2; i++ {
 			if i == 0 {
 				_ = p.Affirm(c) // legal: conditional inside the loop

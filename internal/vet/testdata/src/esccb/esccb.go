@@ -3,8 +3,7 @@
 // defining body — the literal runs in the callee's context, under
 // p.Effect in the sanctioned commit-callback idiom. No diagnostics are
 // expected in this file. (Higher-order invocation is a documented
-// false-negative class; hopelint's syntactic capture rule still flags
-// bare assignments inside such literals.)
+// false-negative class.)
 package esccb
 
 import "hope/internal/engine"

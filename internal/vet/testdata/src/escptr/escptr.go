@@ -1,7 +1,7 @@
 // Package escptr exercises the escape rule on pointer and field stores
-// — the aliasing class hopelint's syntactic capture rule cannot see.
-// The differential test asserts hopelint reports nothing in this file
-// while the escape pass flags every marked line.
+// — the aliasing class a purely syntactic check cannot see: the store
+// never names the captured variable on its left-hand side, so only the
+// may-alias propagation connects it to memory outside the body.
 package escptr
 
 import "hope/internal/engine"

@@ -27,8 +27,8 @@ func Run(rt *engine.Runtime) error {
 		_ = n.Load()
 
 		local := make(chan int, 1)
-		local <- 1 // legal: body-local channel
-		<-local
+		local <- 1            // legal: body-local channel
+		<-local               // want `\[nondeterminism\] raw channel receive`
 		return p.Send("q", 1) // legal: the engine's logged send
 	})
 }

@@ -41,9 +41,9 @@ func Run(rt *engine.Runtime, tick chan int) error {
 
 		go func() { sum++ }() // want `go statement`
 
-		//hopelint:ignore nondeterminism -- fixture: suppression on the line above
+		//hopevet:ignore nondeterminism -- fixture: suppression on the line above
 		_ = time.Now()
-		_ = time.Now() //hopelint:ignore -- fixture: same-line, all rules
+		_ = time.Now() //hopevet:ignore -- fixture: same-line, all rules
 
 		p.Printf("sum=%d\n", sum)
 		return nil

@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh — the full verification tier, in dependency order:
-# compile, vet, contract-lint every process body, dataflow-analyze the
-# bodies with hopevet, then the race-enabled test suite. Run from
-# anywhere; it cds to the repo root.
+# compile, vet, check every process body against the replay contract
+# with hopevet, then the race-enabled test suite. Run from anywhere; it
+# cds to the repo root.
 #
 #   ./scripts/check.sh
 #
@@ -16,9 +16,6 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
-
-echo "== hopelint ./..."
-go run ./cmd/hopelint ./...
 
 echo "== hopevet ./..."
 go run ./cmd/hopevet ./...
