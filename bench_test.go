@@ -16,10 +16,9 @@ import (
 	"hope/internal/netsim"
 	"hope/internal/occ"
 	"hope/internal/recovery"
-	"hope/internal/rpc"
+	"hope/internal/scenario"
 	"hope/internal/semantics"
 	"hope/internal/timewarp"
-	"hope/internal/workload"
 )
 
 const benchLatency = 200 * time.Microsecond
@@ -35,59 +34,20 @@ func benchRT(b *testing.B, latency time.Duration) *hope.Runtime {
 	return rt
 }
 
-// BenchmarkE1_CallStreaming regenerates the E1 table's two columns: the
-// Figure-1 synchronous print workload and its Figure-2 streamed
-// transformation (accurate predictions).
+// BenchmarkE1_CallStreaming regenerates the E1 table's three columns:
+// the Figure-1 synchronous print workload and its Figure-2 streamed
+// transformation under both server disciplines (accurate predictions).
 func BenchmarkE1_CallStreaming(b *testing.B) {
-	jobs := workload.PrintJobs(8, 50, 0, 7)
-	for _, mode := range []string{"sync", "streamed"} {
-		b.Run(mode, func(b *testing.B) {
+	jobs := scenario.PrintJobs(8, scenario.PageSize, 0, 7)
+	for _, m := range []struct {
+		name string
+		mode scenario.Mode
+	}{{"sync", scenario.Sync}, {"optimistic", scenario.Optimistic}, {"ordered", scenario.Ordered}} {
+		b.Run(m.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rt := hope.New(hope.WithPolicy(hope.Policy{
-					Output:  io.Discard,
-					Latency: func(from, to string) time.Duration { return benchLatency },
-				}))
-				err := rpc.ServeStateful(rt, "printer", func() rpc.Handler {
-					line := 0
-					return func(req any) any {
-						lines := req.(int)
-						line = (line + lines) % 50
-						return line
-					}
-				})
-				if err != nil {
+				if _, err := scenario.Print(jobs, benchLatency, m.mode); err != nil {
 					b.Fatal(err)
 				}
-				client, err := rpc.NewClient(rt, "worker")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := rt.Spawn("worker", func(p *hope.Proc) error {
-					s := client.Session(p)
-					local := 0
-					for _, job := range jobs {
-						if mode == "sync" {
-							got, err := s.Call("printer", job.Lines)
-							if err != nil {
-								return err
-							}
-							local = got.(int)
-						} else {
-							predicted := (local + job.Lines) % 50
-							got, _, err := s.StreamCall("printer", job.Lines, predicted)
-							if err != nil {
-								return err
-							}
-							local = got.(int)
-						}
-					}
-					return nil
-				}); err != nil {
-					b.Fatal(err)
-				}
-				rt.Quiesce()
-				rt.Shutdown()
-				rt.Wait()
 			}
 		})
 	}
@@ -113,60 +73,29 @@ func BenchmarkE2_Netsim(b *testing.B) {
 	})
 }
 
-// BenchmarkE3_Primitives measures the per-call cost of a streamed RPC at
-// both prediction outcomes — the E3 table's two endpoints. Calls run in
-// bounded chunks on fresh runtimes: a misprediction replays the caller's
-// log since its session start, so one unbounded session would make the
-// benchmark quadratic in b.N.
-func BenchmarkE3_Primitives(b *testing.B) {
+// benchEcho issues b.N streamed echo calls at the optimistic server,
+// in bounded chunks on fresh runtimes: a misprediction replays the
+// caller's log since its session start, so one unbounded session would
+// make the benchmark quadratic in b.N.
+func benchEcho(b *testing.B, accuracy float64, latency time.Duration, verifiers int) {
 	const chunk = 50
-	for _, accurate := range []bool{true, false} {
-		name := map[bool]string{true: "accurate", false: "mispredicted"}[accurate]
-		b.Run(name, func(b *testing.B) {
-			remaining := b.N
-			for remaining > 0 {
-				n := remaining
-				if n > chunk {
-					n = chunk
-				}
-				remaining -= n
-				rt := hope.New(hope.WithPolicy(hope.Policy{Output: io.Discard}))
-				if err := rpc.Serve(rt, "svc", func(req any) any { return req }); err != nil {
-					b.Fatal(err)
-				}
-				client, err := rpc.NewClient(rt, "caller")
-				if err != nil {
-					b.Fatal(err)
-				}
-				done := make(chan error, 1)
-				if err := rt.Spawn("caller", func(p *hope.Proc) error {
-					s := client.Session(p)
-					for i := 0; i < n; i++ {
-						predicted := i
-						if !accurate {
-							predicted = -1
-						}
-						if _, _, err := s.StreamCall("svc", i, predicted); err != nil {
-							return err
-						}
-					}
-					select {
-					case done <- nil:
-					default: // rollback re-execution: already signaled
-					}
-					return nil
-				}); err != nil {
-					b.Fatal(err)
-				}
-				if err := <-done; err != nil {
-					b.Fatal(err)
-				}
-				rt.Quiesce()
-				rt.Shutdown()
-				rt.Wait()
-			}
-		})
+	for remaining := b.N; remaining > 0; remaining -= chunk {
+		n := remaining
+		if n > chunk {
+			n = chunk
+		}
+		trace := scenario.AccuracyTrace(n, accuracy, 1)
+		if _, err := scenario.Echo(trace, latency, scenario.Optimistic, verifiers); err != nil {
+			b.Fatal(err)
+		}
 	}
+}
+
+// BenchmarkE3_Primitives measures the per-call cost of a streamed RPC at
+// both prediction outcomes — the E3 table's two endpoints.
+func BenchmarkE3_Primitives(b *testing.B) {
+	b.Run("accurate", func(b *testing.B) { benchEcho(b, 1, 0, 0) })
+	b.Run("mispredicted", func(b *testing.B) { benchEcho(b, 0, 0, 0) })
 }
 
 // BenchmarkE4_RollbackCascade measures a deny cascading through a chain
@@ -444,53 +373,9 @@ func BenchmarkE9_LoopCompaction(b *testing.B) {
 	}
 }
 
-// BenchmarkE10_VerifierPool regenerates the E10 ablation endpoints, in
-// bounded chunks on fresh runtimes.
+// BenchmarkE10_VerifierPool regenerates the E10 ablation endpoints.
 func BenchmarkE10_VerifierPool(b *testing.B) {
-	const chunk = 50
 	for _, pool := range []int{1, 8} {
-		b.Run(fmt.Sprintf("pool-%d", pool), func(b *testing.B) {
-			remaining := b.N
-			for remaining > 0 {
-				n := remaining
-				if n > chunk {
-					n = chunk
-				}
-				remaining -= n
-				rt := hope.New(hope.WithPolicy(hope.Policy{
-					Output:  io.Discard,
-					Latency: func(from, to string) time.Duration { return benchLatency },
-				}))
-				if err := rpc.Serve(rt, "svc", func(req any) any { return req }); err != nil {
-					b.Fatal(err)
-				}
-				client, err := rpc.NewClient(rt, "caller", rpc.WithVerifiers(pool))
-				if err != nil {
-					b.Fatal(err)
-				}
-				done := make(chan error, 1)
-				if err := rt.Spawn("caller", func(p *hope.Proc) error {
-					s := client.Session(p)
-					for i := 0; i < n; i++ {
-						if _, _, err := s.StreamCall("svc", i, i); err != nil {
-							return err
-						}
-					}
-					select {
-					case done <- nil:
-					default:
-					}
-					return nil
-				}); err != nil {
-					b.Fatal(err)
-				}
-				if err := <-done; err != nil {
-					b.Fatal(err)
-				}
-				rt.Quiesce()
-				rt.Shutdown()
-				rt.Wait()
-			}
-		})
+		b.Run(fmt.Sprintf("pool-%d", pool), func(b *testing.B) { benchEcho(b, 1, benchLatency, pool) })
 	}
 }

@@ -1,6 +1,6 @@
 // Command hopebench regenerates the experiment tables recorded in
 // EXPERIMENTS.md: the paper's quantitative claims (E1–E3) and the
-// characterization of every substrate the library ships (E4–E12).
+// characterization of every substrate the library ships (E4–E15).
 //
 //	hopebench              # run everything
 //	hopebench -exp E1,E3   # run a subset
@@ -82,7 +82,7 @@ type report struct {
 }
 
 func main() {
-	expFlag := flag.String("exp", "all", "comma-separated experiment IDs (E1..E12) or 'all'")
+	expFlag := flag.String("exp", "all", "comma-separated experiment IDs (E1..E15) or 'all'")
 	list := flag.Bool("list", false, "list experiments and exit")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON results on stdout")
 	flag.Parse()

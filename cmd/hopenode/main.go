@@ -32,6 +32,7 @@ import (
 	"strings"
 	"time"
 
+	"hope/internal/engine"
 	"hope/internal/fault"
 	"hope/internal/obs"
 	"hope/internal/scenario"
@@ -77,14 +78,12 @@ func run(node, nodes, jobs int, seed int64, listen string, listenFD int, peersSt
 		engPlan, wirePlan = scenario.StormPlans(seed, node)
 	}
 	o := obs.New()
-	res, err := scenario.StormNode(scenario.StormNodeConfig{
-		Node: node, Nodes: nodes, Jobs: jobs,
-		Listen: listen, Listener: ln, Peers: peers,
-		Engine: engPlan, Wire: wirePlan,
-		Out: os.Stdout, Obs: o,
-		DialTimeout:     dialTO,
-		CheckpointEvery: 8,
-	})
+	res, err := scenario.StormNode(scenario.NodeConfig{
+		Node: node, Listen: listen, Listener: ln, Peers: peers,
+		Wire: wirePlan, DialTimeout: dialTO,
+	}, nodes, jobs,
+		engine.WithOutput(os.Stdout), engine.WithObserver(o),
+		engine.WithFaults(engPlan), engine.WithCheckpointEvery(8))
 	if err != nil {
 		return err
 	}

@@ -7,7 +7,6 @@
 //	hopetop -w timewarp -interval 1s # live metrics while it runs
 //	hopetop -w callstreaming -trace trace.json   # Perfetto timeline
 //	hopetop -w fanout -json obs.json             # machine-readable snapshot
-//	hopetop -exp E12                             # run an experiment by ID
 //	hopetop -w storm -shards                     # per-shard tracker table
 //	hopetop -w stormwire -peers                  # wire transport per-link table
 //	hopetop -w storm -policy adaptive -sites     # per-site admission table
@@ -34,7 +33,6 @@ import (
 	"time"
 
 	"hope/internal/engine"
-	"hope/internal/experiments"
 	"hope/internal/fault"
 	"hope/internal/obs"
 	"hope/internal/policy"
@@ -45,7 +43,6 @@ func main() {
 	var (
 		wname    = flag.String("w", "callstreaming", "workload to run (see -list)")
 		scale    = flag.Int("scale", 0, "workload scale knob (0 = workload default)")
-		expID    = flag.String("exp", "", "run an experiment by ID (E1..) instead of a workload")
 		interval = flag.Duration("interval", 0, "live metrics refresh period (0 = final only)")
 		events   = flag.Int("events", 8192, "event ring capacity (0 = metrics only)")
 		traceOut = flag.String("trace", "", "write a Chrome trace-event file (load in Perfetto)")
@@ -55,7 +52,7 @@ func main() {
 		showPe   = flag.Bool("peers", false, "print the wire peers table (frames, bytes, redeliveries per link)")
 		showSi   = flag.Bool("sites", false, "print the per-site admission table (accuracy, admits, denies, controller state)")
 		polName  = flag.String("policy", "on", "speculation policy: on, off, or adaptive")
-		list     = flag.Bool("list", false, "list workloads and experiments")
+		list     = flag.Bool("list", false, "list workloads")
 		faultStr = flag.String("faults", "", "chaos mode: fault spec, e.g. seed=7,crash=0.02,drop=0.1,dup=0.05,delay=0.2,stall=0.1")
 		cpEvery  = flag.Int("cpevery", 0, "checkpoint Loop processes every K logged events (0 = off); rollbacks resume from the newest checkpoint")
 	)
@@ -66,24 +63,7 @@ func main() {
 		for _, s := range scenario.All() {
 			fmt.Printf("  %-14s %s (default scale %d)\n", s.Name, s.Desc, s.DefaultScale)
 		}
-		fmt.Println("experiments (-exp):")
-		for _, e := range experiments.All() {
-			fmt.Printf("  %-4s %s\n", e.ID, e.Title)
-		}
 		return
-	}
-
-	if *expID != "" {
-		for _, e := range experiments.All() {
-			if e.ID == *expID {
-				fmt.Printf("%s: %s\n\n", e.ID, e.Title)
-				if err := e.Run(os.Stdout); err != nil {
-					fatal(err)
-				}
-				return
-			}
-		}
-		fatal(fmt.Errorf("unknown experiment %q (try -list)", *expID))
 	}
 
 	spec, ok := scenario.Find(*wname)

@@ -17,22 +17,9 @@ func guessChain(t *testing.T, pol hope.SpeculationPolicy, n int) string {
 	buf := &testutil.SyncBuffer{}
 	rt := hope.New(hope.WithPolicy(hope.Policy{Output: buf, Speculation: pol}))
 	defer rt.Shutdown()
-	if err := rt.Spawn("worker", func(p *hope.Proc) error {
-		for i := 0; i < n; i++ {
-			x := p.NewAID()
-			if err := p.Send("judge", x); err != nil {
-				return err
-			}
-			if p.Guess(x) {
-				p.Printf("fast %d\n", i)
-			} else {
-				p.Printf("slow %d\n", i)
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	// The judge before the worker: the worker's first Send must find it
+	// registered (ErrUnknownDest is not retried, and the judge would
+	// then wait forever).
 	if err := rt.Spawn("judge", func(p *hope.Proc) error {
 		for i := 0; i < n; i++ {
 			m, err := p.Recv()
@@ -47,6 +34,22 @@ func guessChain(t *testing.T, pol hope.SpeculationPolicy, n int) string {
 			}
 			if err != nil {
 				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Spawn("worker", func(p *hope.Proc) error {
+		for i := 0; i < n; i++ {
+			x := p.NewAID()
+			if err := p.Send("judge", x); err != nil {
+				return err
+			}
+			if p.Guess(x) {
+				p.Printf("fast %d\n", i)
+			} else {
+				p.Printf("slow %d\n", i)
 			}
 		}
 		return nil

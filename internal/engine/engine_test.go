@@ -608,16 +608,16 @@ func TestRandStableAcrossReplay(t *testing.T) {
 
 	spawn(t, rt, "p", func(p *Proc) error {
 		x := p.NewAID()
-		select {
-		case aidCh <- x:
-		default:
-		}
 		v := p.Rand() // drawn before the guess: must replay identically
 		idx := runs.Add(1) - 1
 		if int(idx) < len(vals) {
 			vals[idx] = v
 		}
-		p.Guess(x)
+		// Publish only once the guess stands: a verifier that denied
+		// first would make Guess return false with nothing to roll back.
+		if p.Guess(x) {
+			aidCh <- x
+		}
 		return nil
 	})
 	spawn(t, rt, "verifier", func(p *Proc) error {
@@ -640,15 +640,15 @@ func TestDeterministicReplayViolationDetected(t *testing.T) {
 
 	spawn(t, rt, "p", func(p *Proc) error {
 		x := p.NewAID()
-		select {
-		case aidCh <- x:
-		default:
-		}
 		if first.CompareAndSwap(true, false) {
 			p.Rand() // present in original run…
 		}
 		// …absent under replay: the next op's log entry mismatches.
-		p.Guess(x)
+		// Published only once the guess stands, so the deny always
+		// finds a speculation to roll back.
+		if p.Guess(x) {
+			aidCh <- x
+		}
 		_ = p.Send("p2", 1)
 		return nil
 	})

@@ -5,133 +5,43 @@ import (
 	"io"
 	"time"
 
-	"hope/internal/bench"
-	"hope/internal/engine"
-	"hope/internal/rpc"
-	"hope/internal/workload"
+	"hope/internal/scenario"
 )
 
-// printReq is the Figure-1 print protocol shared by E1 and E3: a total
-// print starts a job's page (wrapping server-side on overflow), a summary
-// print advances one line.
-type printReq struct {
-	Total bool
-	Lines int
-}
-
-const pageSize = 50
-
-// printServer returns the stateful Figure-1 print handler.
-func printServer() rpc.Handler {
-	line := 0
-	return func(req any) any {
-		r := req.(printReq)
-		if r.Total {
-			line = r.Lines
-			for line >= pageSize {
-				line -= pageSize // newpage()
-			}
-		} else {
-			line++
-		}
-		return line
-	}
-}
-
-// runPrintWorkload executes the Figure-1/Figure-2 print job stream and
-// returns the settled makespan. streamed selects Call Streaming.
-func runPrintWorkload(jobs []workload.PrintJob, latency time.Duration, streamed, ordered bool) (time.Duration, error) {
-	rt := engine.New(
-		engine.WithOutput(io.Discard),
-		engine.WithLatency(func(from, to string) time.Duration { return latency }),
-	)
-	defer rt.Shutdown()
-
-	serve := rpc.ServeStateful
-	if ordered {
-		serve = rpc.ServeOrderedStateful
-	}
-	if err := serve(rt, "printer", printServer); err != nil {
-		return 0, err
-	}
-	client, err := rpc.NewClient(rt, "worker")
-	if err != nil {
-		return 0, err
-	}
-
-	start := time.Now()
-	if err := rt.Spawn("worker", func(p *engine.Proc) error {
-		s := client.Session(p)
-		local := 0
-		call := func(req printReq, predicted int) error {
-			if !streamed {
-				got, err := s.Call("printer", req)
-				if err != nil {
-					return err
-				}
-				local = got.(int)
-				return nil
-			}
-			got, _, err := s.StreamCall("printer", req, predicted)
-			if err != nil {
-				return err
-			}
-			local = got.(int)
-			return nil
-		}
-		for _, job := range jobs {
-			// S1: the PartPage assumption — the total stays on the page.
-			if err := call(printReq{Total: true, Lines: job.Lines}, job.Lines); err != nil {
-				return err
-			}
-			// S3: the summary line, predicted exactly.
-			if err := call(printReq{}, local+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return 0, err
-	}
-
-	rt.Quiesce()
-	elapsed := time.Since(start)
-	rt.Shutdown()
-	for _, err := range rt.Wait() {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return elapsed, nil
+// printMakespan runs scenario.Print once and returns its settled
+// makespan.
+func printMakespan(jobs []scenario.PrintJob, latency time.Duration, mode scenario.Mode) (time.Duration, error) {
+	res, err := scenario.Print(jobs, latency, mode)
+	return res.Elapsed, err
 }
 
 // E1CallStreaming regenerates the paper's headline performance claim:
 // Call Streaming (Figure 2) against synchronous RPC (Figure 1) over a
-// latency × overflow-probability sweep. The §7 claim is "performance
-// gains of up to 80%": the gain should approach (and at high latency
-// exceed) that as predictions become accurate, and shrink as the PartPage
-// assumption fails more often.
+// latency × overflow-probability sweep, under both server disciplines.
+// The §7 claim is "performance gains of up to 80%": the gain should
+// approach that as predictions become accurate, and shrink as the
+// PartPage assumption fails more often.
 func E1CallStreaming(w io.Writer) error {
-	t := bench.NewTable("E1: Call Streaming vs synchronous RPC (20 jobs)",
-		"latency", "overflow", "sync", "streamed", "speedup", "gain%")
+	t := newTable("E1: Call Streaming vs synchronous RPC (20 jobs)",
+		"latency", "overflow", "sync", "optimistic", "speedup", "ordered", "speedup")
 	for _, latency := range []time.Duration{1 * time.Millisecond, 4 * time.Millisecond} {
 		for _, overflow := range []float64{0, 0.1, 0.3} {
-			jobs := workload.PrintJobs(20, pageSize, overflow, 7)
-			syncT, err := runPrintWorkload(jobs, latency, false, false)
+			jobs := scenario.PrintJobs(20, scenario.PageSize, overflow, 7)
+			syncT, err := printMakespan(jobs, latency, scenario.Sync)
 			if err != nil {
 				return err
 			}
-			// Pick the better verification discipline per cell, as a
-			// deployment would: optimistic server at high accuracy,
-			// ordered server when mispredictions are common (E3 details
-			// the ablation).
-			ordered := overflow > 0
-			streamT, err := runPrintWorkload(jobs, latency, true, ordered)
+			optT, err := printMakespan(jobs, latency, scenario.Optimistic)
 			if err != nil {
 				return err
 			}
-			t.AddRow(latency, fmt.Sprintf("%.0f%%", overflow*100),
-				ms(syncT), ms(streamT), bench.Speedup(syncT, streamT), gain(syncT, streamT))
+			ordT, err := printMakespan(jobs, latency, scenario.Ordered)
+			if err != nil {
+				return err
+			}
+			t.AddRow(latency, fmt.Sprintf("%.0f%%", overflow*100), ms(syncT),
+				ms(optT), speedup(syncT, optT),
+				ms(ordT), speedup(syncT, ordT))
 		}
 	}
 	return render(w, t)

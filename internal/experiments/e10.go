@@ -4,10 +4,7 @@ import (
 	"io"
 	"time"
 
-	"hope/internal/bench"
-	"hope/internal/engine"
-	"hope/internal/rpc"
-	"hope/internal/workload"
+	"hope/internal/scenario"
 )
 
 // E10VerifierPool ablates the WorryWart pool size (DESIGN.md finding 1):
@@ -17,53 +14,16 @@ import (
 func E10VerifierPool(w io.Writer) error {
 	const calls = 24
 	const latency = 2 * time.Millisecond
-	trace := workload.AccuracyTrace(calls, 1.0, 5)
+	trace := scenario.AccuracyTrace(calls, 1.0, 5)
 
-	t := bench.NewTable("E10 (ablation): WorryWart pool size, 24 accurate streamed calls",
+	t := newTable("E10 (ablation): WorryWart pool size, 24 accurate streamed calls",
 		"verifiers", "settled makespan")
 	for _, pool := range []int{1, 2, 8, 24} {
-		elapsed, err := runPoolWorkload(trace, latency, pool)
+		elapsed, err := echoMakespan(trace, latency, scenario.Optimistic, pool)
 		if err != nil {
 			return err
 		}
 		t.AddRow(pool, ms(elapsed))
 	}
 	return render(w, t)
-}
-
-func runPoolWorkload(trace []bool, latency time.Duration, pool int) (time.Duration, error) {
-	rt := engine.New(
-		engine.WithOutput(io.Discard),
-		engine.WithLatency(func(from, to string) time.Duration { return latency }),
-	)
-	defer rt.Shutdown()
-
-	if err := rpc.Serve(rt, "svc", func(req any) any { return req }); err != nil {
-		return 0, err
-	}
-	client, err := rpc.NewClient(rt, "caller", rpc.WithVerifiers(pool))
-	if err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	if err := rt.Spawn("caller", func(p *engine.Proc) error {
-		s := client.Session(p)
-		for i, accurate := range trace {
-			predicted := i
-			if !accurate {
-				predicted = -1
-			}
-			if _, _, err := s.StreamCall("svc", i, predicted); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return 0, err
-	}
-	rt.Quiesce()
-	elapsed := time.Since(start)
-	rt.Shutdown()
-	rt.Wait()
-	return elapsed, nil
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"hope/internal/bench"
 	"hope/internal/ids"
 	"hope/internal/tracker"
 )
@@ -20,7 +19,7 @@ import (
 // DESIGN.md.
 func E11TrackerScaling(w io.Writer) error {
 	const qlen = 16
-	t := bench.NewTable("E11: tracker classification scaling, queue rescans (16 msgs/proc)",
+	t := newTable("E11: tracker classification scaling, queue rescans (16 msgs/proc)",
 		"procs", "fresh Mops/s", "epoch-cached Mops/s", "speedup")
 	for _, procs := range []int{1, 8, 64} {
 		fresh, cached := trackerScanRates(procs, qlen)
@@ -49,7 +48,7 @@ func E11TrackerScaling(w io.Writer) error {
 // escalations counts settle footprints that crossed out of their home
 // shards (zero here: single-assumption resolutions stay home).
 func e11ShardAblation(w io.Writer) error {
-	t := bench.NewTable("E11b: queue rescans with one resolution per sweep (4 msgs/proc)",
+	t := newTable("E11b: queue rescans with one resolution per sweep (4 msgs/proc)",
 		"procs", "shards", "cached Mops/s", "vs 1 shard", "escalations", "imbalance")
 	for _, procs := range []int{1_000, 10_000, 100_000} {
 		base := 0.0

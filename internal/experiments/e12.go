@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"hope/internal/bench"
 	"hope/internal/engine"
 	"hope/internal/obs"
 	"hope/internal/scenario"
@@ -20,7 +19,7 @@ import (
 // Wiklicky, PAPERS.md) argues policy should be driven by — now
 // observable at runtime rather than reconstructed post hoc.
 func E12SpeculationObservability(w io.Writer) error {
-	t := bench.NewTable("E12: speculation lifecycle via obs (affirm/deny ratio, replay depth)",
+	t := newTable("E12: speculation lifecycle via obs (affirm/deny ratio, replay depth)",
 		"workload", "guesses", "affirm", "deny", "affirm:deny",
 		"rollbacks", "replay mean/max", "lifetime mean")
 	runs := []struct {

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"hope/internal/bench"
 	"hope/internal/engine"
 	"hope/internal/fault"
 	"hope/internal/obs"
@@ -45,7 +44,7 @@ func E13FaultStorm(w io.Writer) error {
 		return err
 	}
 
-	t := bench.NewTable("E13: fault-storm transparency (committed output vs fault-free run)",
+	t := newTable("E13: fault-storm transparency (committed output vs fault-free run)",
 		"seed", "crash", "drop", "dup", "delay", "stall", "rollbacks", "output", "elapsed")
 	t.AddRow("none", 0, 0, 0, 0, 0, 0, "baseline", ms(base))
 	for seed := int64(0); seed < seeds; seed++ {

@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"time"
 
-	"hope/internal/bench"
 	"hope/internal/engine"
-	"hope/internal/wire"
+	"hope/internal/scenario"
 )
 
 // E14WireLatency measures what the wire transport costs: a message ring
@@ -24,7 +21,7 @@ import (
 func E14WireLatency(w io.Writer) error {
 	const rounds = 256
 
-	t := bench.NewTable("E14: wire transport hop latency (loopback TCP vs in-process)",
+	t := newTable("E14: wire transport hop latency (loopback TCP vs in-process)",
 		"topology", "procs", "hops", "elapsed", "per-hop", "vs in-proc")
 	base := make(map[int]time.Duration) // ring size → in-proc per-hop
 	for _, cfg := range []struct {
@@ -55,7 +52,9 @@ func E14WireLatency(w io.Writer) error {
 }
 
 // runRing times `rounds` circuits of a token around a ring of procs —
-// all in one runtime, or one runtime per proc joined by loopback TCP.
+// all in one runtime, or one runtime per proc joined by loopback TCP
+// (scenario.RunNode per member: its clock starts once the member's
+// links are up, so listener setup and dialing stay outside the window).
 func runRing(procs, rounds int, wired bool) (time.Duration, error) {
 	names := make([]string, procs)
 	placement := make(map[string]uint32, procs)
@@ -88,7 +87,10 @@ func runRing(procs, rounds int, wired bool) (time.Duration, error) {
 	if !wired {
 		rt := engine.New(engine.WithOutput(io.Discard))
 		defer rt.Shutdown()
-		for i := range names {
+		// r0, the only process that sends before it receives, goes
+		// last: its first token must find r1 registered
+		// (ErrUnknownDest is not retried, and the ring would hang).
+		for i := procs - 1; i >= 0; i-- {
 			if err := rt.Spawn(names[i], body(i)); err != nil {
 				return 0, err
 			}
@@ -102,77 +104,10 @@ func runRing(procs, rounds int, wired bool) (time.Duration, error) {
 		return time.Since(start), nil
 	}
 
-	listeners := make([]net.Listener, procs)
-	addrs := make(map[uint32]string, procs)
-	for i := range listeners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return 0, err
-		}
-		defer ln.Close()
-		listeners[i] = ln
-		addrs[uint32(i)] = ln.Addr().String()
-	}
-	rts := make([]*engine.Runtime, procs)
-	nodes := make([]*wire.Node, procs)
-	defer func() {
-		for _, n := range nodes {
-			if n != nil {
-				n.Close()
-			}
-		}
-		for _, rt := range rts {
-			if rt != nil {
-				rt.Shutdown()
-			}
-		}
-	}()
-	for i := 0; i < procs; i++ {
-		rt := engine.New(engine.WithOutput(io.Discard), engine.WithAIDBase(uint64(i)<<48))
-		rts[i] = rt
-		peers := make(map[uint32]string, procs-1)
-		for j := uint32(0); j < uint32(procs); j++ {
-			if j != uint32(i) {
-				peers[j] = addrs[j]
-			}
-		}
-		node, err := wire.NewNode(rt, wire.Config{
-			ID: uint32(i), Listener: listeners[i], Peers: peers, Procs: placement,
+	return scenario.Loopback(procs, func(mesh scenario.NodeConfig) (time.Duration, error) {
+		mesh.Procs = placement
+		return scenario.RunNode(mesh, func(rt *engine.Runtime) error {
+			return rt.Spawn(names[mesh.Node], body(mesh.Node))
 		})
-		if err != nil {
-			return 0, err
-		}
-		nodes[i] = node
-		if err := rt.Spawn(names[i], body(i)); err != nil {
-			return 0, err
-		}
-	}
-	for i, node := range nodes {
-		if err := node.Start(); err != nil {
-			return 0, fmt.Errorf("node %d start: %w", i, err)
-		}
-	}
-	start := time.Now()
-	errCh := make(chan error, procs)
-	for i := range rts {
-		go func(i int) {
-			for _, err := range rts[i].Wait() {
-				if err != nil {
-					errCh <- fmt.Errorf("node %d: %w", i, err)
-					return
-				}
-			}
-			errCh <- nodes[i].Barrier(time.Minute)
-		}(i)
-	}
-	var errs []error
-	for range rts {
-		if err := <-errCh; err != nil {
-			errs = append(errs, err)
-		}
-	}
-	if err := errors.Join(errs...); err != nil {
-		return 0, err
-	}
-	return time.Since(start), nil
+	})
 }

@@ -5,10 +5,9 @@ import (
 	"io"
 	"time"
 
-	"hope/internal/bench"
 	"hope/internal/engine"
 	"hope/internal/policy"
-	"hope/internal/rpc"
+	"hope/internal/scenario"
 )
 
 // e15Trace builds the adversarial accuracy-shifting trace: phases of
@@ -30,54 +29,11 @@ func e15Trace(phases []float64, perPhase int) []bool {
 	return trace
 }
 
-// runE15 replays the trace through streamed echo RPCs under one
-// speculation controller (nil = always-on), returning the settled
-// makespan of the committed run.
+// runE15 replays the trace through streamed echo calls at the
+// optimistic server under one speculation controller (nil = always-on),
+// returning the settled makespan of the committed run.
 func runE15(trace []bool, latency time.Duration, ctl *policy.Controller) (time.Duration, error) {
-	opts := []engine.Option{
-		engine.WithOutput(io.Discard),
-		engine.WithLatency(func(from, to string) time.Duration { return latency }),
-	}
-	if ctl != nil {
-		opts = append(opts, engine.WithSpeculation(ctl))
-	}
-	rt := engine.New(opts...)
-	defer rt.Shutdown()
-
-	if err := rpc.Serve(rt, "svc", func(req any) any { return req }); err != nil {
-		return 0, err
-	}
-	client, err := rpc.NewClient(rt, "caller")
-	if err != nil {
-		return 0, err
-	}
-
-	start := time.Now()
-	if err := rt.Spawn("caller", func(p *engine.Proc) error {
-		s := client.Session(p)
-		for i, accurate := range trace {
-			predicted := i
-			if !accurate {
-				predicted = -1 // deliberately wrong
-			}
-			if _, _, err := s.StreamCall("svc", i, predicted); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return 0, err
-	}
-
-	rt.Quiesce()
-	elapsed := time.Since(start)
-	rt.Shutdown()
-	for _, err := range rt.Wait() {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return elapsed, nil
+	return echoMakespan(trace, latency, scenario.Optimistic, 0, engine.WithSpeculation(ctl))
 }
 
 // e15Adaptive is the controller configuration under test: a short
@@ -133,13 +89,13 @@ func E15AdaptiveAdmission(w io.Writer) error {
 		bestStatic = offT
 	}
 
-	t := bench.NewTable(
+	t := newTable(
 		fmt.Sprintf("E15: adaptive admission under shifting accuracy (%d calls, %d-call phases alternating 100%%/0%%, %v one-way latency)",
 			calls, perPhase, latency),
 		"policy", "makespan", "committed throughput", "vs always-on", "vs always-off")
-	t.AddRow("always-on", ms(onT), throughput(onT), "1.00x", bench.Speedup(offT, onT))
-	t.AddRow("always-off", ms(offT), throughput(offT), bench.Speedup(onT, offT), "1.00x")
-	t.AddRow("adaptive", ms(adT), throughput(adT), bench.Speedup(onT, adT), bench.Speedup(offT, adT))
-	t.AddRow("adaptive vs best static", "", "", bench.Speedup(bestStatic, adT), "")
+	t.AddRow("always-on", ms(onT), throughput(onT), "1.00x", speedup(offT, onT))
+	t.AddRow("always-off", ms(offT), throughput(offT), speedup(onT, offT), "1.00x")
+	t.AddRow("adaptive", ms(adT), throughput(adT), speedup(onT, adT), speedup(offT, adT))
+	t.AddRow("adaptive vs best static", "", "", speedup(bestStatic, adT), "")
 	return render(w, t)
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"hope/internal/bench"
 	"hope/internal/netsim"
 )
 
@@ -21,7 +20,7 @@ func E2LatencyArithmetic(w io.Writer) error {
 		bw  = 100_000_000 // 100 Mb/s
 		pkt = 100         // bytes
 	)
-	t := bench.NewTable("E2: §3.1 arithmetic — 100-byte packets on a 100 Mb/s channel",
+	t := newTable("E2: §3.1 arithmetic — 100-byte packets on a 100 Mb/s channel",
 		"RTT", "sync calls/s", "streamed pkts/s", "ratio")
 	for _, rtt := range []time.Duration{
 		100 * time.Microsecond,
@@ -46,7 +45,7 @@ func E2LatencyArithmetic(w io.Writer) error {
 
 	// Pipelined request/response — the Call Streaming traffic pattern —
 	// against synchronous, at the paper's transcontinental RTT.
-	t2 := bench.NewTable("E2b: pipelined vs synchronous request/response at 30 ms RTT",
+	t2 := newTable("E2b: pipelined vs synchronous request/response at 30 ms RTT",
 		"calls", "sync", "pipelined", "speedup")
 	for _, n := range []int{10, 100, 1000} {
 		s1 := netsim.NewSim(1)
@@ -56,7 +55,7 @@ func E2LatencyArithmetic(w io.Writer) error {
 		d2 := netsim.NewDuplex(s2, 15*time.Millisecond, bw)
 		piped := netsim.PipelinedRPC(s2, d2, pkt, pkt, n)
 		t2.AddRow(n, sync.Elapsed.Round(time.Millisecond), piped.Elapsed.Round(time.Millisecond),
-			bench.Speedup(sync.Elapsed, piped.Elapsed))
+			speedup(sync.Elapsed, piped.Elapsed))
 	}
 	return render(w, t2)
 }

@@ -5,66 +5,15 @@ import (
 	"io"
 	"time"
 
-	"hope/internal/bench"
 	"hope/internal/engine"
-	"hope/internal/rpc"
-	"hope/internal/workload"
+	"hope/internal/scenario"
 )
 
-// runAccuracyWorkload issues n streamed (or sync) echo calls where each
-// prediction is right per the accuracy trace, returning the settled
+// echoMakespan runs scenario.Echo once and returns its settled
 // makespan.
-func runAccuracyWorkload(trace []bool, latency time.Duration, streamed, ordered bool) (time.Duration, error) {
-	rt := engine.New(
-		engine.WithOutput(io.Discard),
-		engine.WithLatency(func(from, to string) time.Duration { return latency }),
-	)
-	defer rt.Shutdown()
-
-	serve := rpc.Serve
-	if ordered {
-		serve = rpc.ServeOrdered
-	}
-	if err := serve(rt, "svc", func(req any) any { return req }); err != nil {
-		return 0, err
-	}
-	client, err := rpc.NewClient(rt, "caller")
-	if err != nil {
-		return 0, err
-	}
-
-	start := time.Now()
-	if err := rt.Spawn("caller", func(p *engine.Proc) error {
-		s := client.Session(p)
-		for i, accurate := range trace {
-			if !streamed {
-				if _, err := s.Call("svc", i); err != nil {
-					return err
-				}
-				continue
-			}
-			predicted := i
-			if !accurate {
-				predicted = -1 // deliberately wrong
-			}
-			if _, _, err := s.StreamCall("svc", i, predicted); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return 0, err
-	}
-
-	rt.Quiesce()
-	elapsed := time.Since(start)
-	rt.Shutdown()
-	for _, err := range rt.Wait() {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return elapsed, nil
+func echoMakespan(trace []bool, latency time.Duration, mode scenario.Mode, verifiers int, opts ...engine.Option) (time.Duration, error) {
+	res, err := scenario.Echo(trace, latency, mode, verifiers, opts...)
+	return res.Elapsed, err
 }
 
 // E3AccuracySweep measures the optimism trade-off at the core of §1: the
@@ -76,26 +25,26 @@ func runAccuracyWorkload(trace []bool, latency time.Duration, streamed, ordered 
 func E3AccuracySweep(w io.Writer) error {
 	const calls = 24
 	const latency = 2 * time.Millisecond
-	t := bench.NewTable(
+	t := newTable(
 		fmt.Sprintf("E3: accuracy sweep (%d calls, %v one-way latency)", calls, latency),
 		"accuracy", "sync", "optimistic server", "speedup", "ordered server", "speedup")
 	for _, acc := range []float64{1.0, 0.9, 0.75, 0.5, 0.25, 0.0} {
-		trace := workload.AccuracyTrace(calls, acc, 11)
-		syncT, err := runAccuracyWorkload(trace, latency, false, false)
+		trace := scenario.AccuracyTrace(calls, acc, 11)
+		syncT, err := echoMakespan(trace, latency, scenario.Sync, 0)
 		if err != nil {
 			return err
 		}
-		optT, err := runAccuracyWorkload(trace, latency, true, false)
+		optT, err := echoMakespan(trace, latency, scenario.Optimistic, 0)
 		if err != nil {
 			return err
 		}
-		ordT, err := runAccuracyWorkload(trace, latency, true, true)
+		ordT, err := echoMakespan(trace, latency, scenario.Ordered, 0)
 		if err != nil {
 			return err
 		}
 		t.AddRow(fmt.Sprintf("%.2f", acc), ms(syncT),
-			ms(optT), bench.Speedup(syncT, optT),
-			ms(ordT), bench.Speedup(syncT, ordT))
+			ms(optT), speedup(syncT, optT),
+			ms(ordT), speedup(syncT, ordT))
 	}
 	return render(w, t)
 }

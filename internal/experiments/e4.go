@@ -6,9 +6,9 @@ import (
 	"io"
 	"time"
 
-	"hope/internal/bench"
 	"hope/internal/engine"
 	"hope/internal/obs"
+	"hope/internal/scenario"
 	"hope/internal/tracker"
 )
 
@@ -23,6 +23,27 @@ func cascade(depth, procs int, denyOutermost bool) (time.Duration, tracker.Stats
 
 	aidCh := make(chan []engine.AID, 1)
 	relayName := func(i int) string { return fmt.Sprintf("relay%d", i) }
+
+	// Receivers before senders, down the chain: each forward must find
+	// its destination registered (ErrUnknownDest is not retried).
+	for i := procs - 1; i >= 0; i-- {
+		i := i
+		if err := rt.Spawn(relayName(i), func(p *engine.Proc) error {
+			m, err := p.Recv()
+			if err != nil {
+				if errors.Is(err, engine.ErrShutdown) {
+					return nil
+				}
+				return err
+			}
+			if i+1 < procs {
+				return p.Send(relayName(i+1), m.Payload)
+			}
+			return nil
+		}); err != nil {
+			return 0, stats{}, err
+		}
+	}
 
 	// Head: nest `depth` guesses, then send through the relay chain.
 	if err := rt.Spawn("head", func(p *engine.Proc) error {
@@ -49,24 +70,6 @@ func cascade(depth, procs int, denyOutermost bool) (time.Duration, tracker.Stats
 	}); err != nil {
 		return 0, stats{}, err
 	}
-	for i := 0; i < procs; i++ {
-		i := i
-		if err := rt.Spawn(relayName(i), func(p *engine.Proc) error {
-			m, err := p.Recv()
-			if err != nil {
-				if errors.Is(err, engine.ErrShutdown) {
-					return nil
-				}
-				return err
-			}
-			if i+1 < procs {
-				return p.Send(relayName(i+1), m.Payload)
-			}
-			return nil
-		}); err != nil {
-			return 0, stats{}, err
-		}
-	}
 
 	// Let the speculation spread fully, then deny and time settlement.
 	rt.Quiesce()
@@ -90,12 +93,8 @@ func cascade(depth, procs int, denyOutermost bool) (time.Duration, tracker.Stats
 	}); err != nil {
 		return 0, stats{}, err
 	}
-	rt.Quiesce()
-	elapsed := time.Since(start)
-	st := rt.TrackerStats()
-	rt.Shutdown()
-	rt.Wait()
-	return elapsed, st, nil
+	elapsed, err := scenario.Settle(rt, start)
+	return elapsed, rt.TrackerStats(), err
 }
 
 // E4RollbackDepth characterizes Equation 24 + Theorem 5.1 operationally:
@@ -105,7 +104,7 @@ func cascade(depth, procs int, denyOutermost bool) (time.Duration, tracker.Stats
 // truncates the whole chain; denying the innermost truncates one
 // interval.
 func E4RollbackDepth(w io.Writer) error {
-	t := bench.NewTable("E4: rollback cascade cost",
+	t := newTable("E4: rollback cascade cost",
 		"depth", "relays", "deny", "settle", "intervals rolled back")
 	for _, depth := range []int{1, 4, 16, 64} {
 		for _, relays := range []int{0, 4, 15} {
@@ -205,11 +204,8 @@ func historyRecovery(h, cpEvery int) (time.Duration, int64, error) {
 	}); err != nil {
 		return 0, 0, err
 	}
-	rt.Quiesce()
-	elapsed := time.Since(start)
-	rt.Shutdown()
-	rt.Wait()
-	return elapsed, o.Metrics().Snapshot().ReplayedEnts, nil
+	elapsed, err := scenario.Settle(rt, start)
+	return elapsed, o.Metrics().Snapshot().ReplayedEnts, err
 }
 
 // e4bHistoryRecovery is the incremental-checkpointing ablation (§7's
@@ -227,7 +223,7 @@ func e4bHistoryRecovery(w io.Writer) error {
 	// always replays a genuine 16-step suffix rather than landing on a
 	// checkpoint taken at the very end of the window.
 	buckets := []int{80, 272, 1040}
-	t := bench.NewTable("E4b: recovery cost vs history depth (checkpoint every 32)",
+	t := newTable("E4b: recovery cost vs history depth (checkpoint every 32)",
 		"history", "checkpoints", "recovery", "replayed entries")
 	recovery := map[[2]int]time.Duration{}
 	for _, h := range buckets {
@@ -254,7 +250,7 @@ func e4bHistoryRecovery(w io.Writer) error {
 		return err
 	}
 
-	s := bench.NewTable("E4b summary", "metric", "value")
+	s := newTable("E4b summary", "metric", "value")
 	deep, shallow := buckets[len(buckets)-1], buckets[0]
 	flat := float64(recovery[[2]int{deep, cpInterval}]) / float64(recovery[[2]int{shallow, cpInterval}])
 	grow := float64(recovery[[2]int{deep, 0}]) / float64(recovery[[2]int{shallow, 0}])

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"hope/internal/bench"
 	"hope/internal/engine"
 )
 
@@ -17,7 +16,7 @@ import (
 // user process wait for another process's progress — so primitive cost
 // should be microseconds and independent of what other processes do.
 func E5TrackerOverhead(w io.Writer) error {
-	t := bench.NewTable("E5: dependency-tracking primitive cost",
+	t := newTable("E5: dependency-tracking primitive cost",
 		"operation", "chain depth", "ops", "ns/op")
 
 	// (a) guess+self-affirm cycles from a single process.

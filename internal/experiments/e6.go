@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"hope/internal/bench"
 	"hope/internal/engine"
 	"hope/internal/timewarp"
 )
@@ -23,7 +22,7 @@ import (
 // tracking algorithms … broadening the applicability of HOPE to
 // finer-grained problems").
 func E6TimeWarp(w io.Writer) error {
-	t := bench.NewTable("E6: Time Warp on HOPE (PHOLD, population 6, horizon 150)",
+	t := newTable("E6: Time Warp on HOPE (PHOLD, population 6, horizon 150)",
 		"LPs", "events", "matches seq", "rollbacks", "stragglers", "wall time")
 	for _, lps := range []int{1, 2, 4} {
 		cfg := timewarp.Config{

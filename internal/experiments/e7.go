@@ -3,13 +3,25 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"time"
 
-	"hope/internal/bench"
 	"hope/internal/engine"
 	"hope/internal/occ"
-	"hope/internal/workload"
+	"hope/internal/scenario"
 )
+
+// conflictSchedule returns n booleans marking which writes of a client
+// collide with a concurrent writer (probability conflictRate) — a pure
+// function of the seed.
+func conflictSchedule(n int, conflictRate float64, seed int64) []bool {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = rng.Float64() < conflictRate
+	}
+	return out
+}
 
 // runReplication drives one client through `writes` read-modify-write
 // updates against a primary `latency` away, with a saboteur client
@@ -84,11 +96,8 @@ func runReplication(writes int, conflicts []bool, latency time.Duration, optimis
 		return 0, 0, 0, err
 	}
 
-	rt.Quiesce()
-	elapsed := time.Since(start)
-	rt.Shutdown()
-	rt.Wait()
-	return elapsed, optCommits, conflictCount, nil
+	elapsed, err := scenario.Settle(rt, start)
+	return elapsed, optCommits, conflictCount, err
 }
 
 // E7Replication evaluates the paper's §7 future-work application:
@@ -99,11 +108,11 @@ func runReplication(writes int, conflicts []bool, latency time.Duration, optimis
 func E7Replication(w io.Writer) error {
 	const writes = 16
 	const latency = 2 * time.Millisecond
-	t := bench.NewTable(
+	t := newTable(
 		fmt.Sprintf("E7: optimistic replication (%d writes, %v latency)", writes, latency),
 		"conflict rate", "sync", "optimistic", "speedup", "opt commits", "conflicts")
 	for _, rate := range []float64{0, 0.25, 0.5, 1.0} {
-		conflicts := workload.ConflictSchedule(writes, rate, 5)
+		conflicts := conflictSchedule(writes, rate, 5)
 		syncT, _, _, err := runReplication(writes, conflicts, latency, false)
 		if err != nil {
 			return err
@@ -113,7 +122,7 @@ func E7Replication(w io.Writer) error {
 			return err
 		}
 		t.AddRow(fmt.Sprintf("%.0f%%", rate*100), ms(syncT), ms(optT),
-			bench.Speedup(syncT, optT), commits, confl)
+			speedup(syncT, optT), commits, confl)
 	}
 	return render(w, t)
 }

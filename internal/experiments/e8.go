@@ -4,7 +4,6 @@ import (
 	"io"
 	"time"
 
-	"hope/internal/bench"
 	"hope/internal/engine"
 	"hope/internal/recovery"
 )
@@ -31,7 +30,7 @@ func stableLatency(d time.Duration) engine.LatencyFunc {
 //     with the checkpoint interval (more rounds to re-execute), the
 //     classic recovery trade-off.
 func E8Recovery(w io.Writer) error {
-	t := bench.NewTable("E8a: checkpointing overhead, crash-free (2 workers, 12 rounds, interval 1)",
+	t := newTable("E8a: checkpointing overhead, crash-free (2 workers, 12 rounds, interval 1)",
 		"stable latency", "sync ckpt", "optimistic ckpt", "speedup")
 	for _, lat := range []time.Duration{500 * time.Microsecond, 2 * time.Millisecond, 8 * time.Millisecond} {
 		cfg := recovery.Config{Workers: 2, Rounds: 12, CheckpointEvery: 1}
@@ -47,11 +46,11 @@ func E8Recovery(w io.Writer) error {
 			return err
 		}
 		syncT := time.Since(st)
-		t.AddRow(lat, ms(syncT), ms(opt), bench.Speedup(syncT, opt))
+		t.AddRow(lat, ms(syncT), ms(opt), speedup(syncT, opt))
 	}
 	t.Render(w)
 
-	t2 := bench.NewTable("E8b: recovery cost vs checkpoint interval (3 workers, 16 rounds, 1 crash)",
+	t2 := newTable("E8b: recovery cost vs checkpoint interval (3 workers, 16 rounds, 1 crash)",
 		"interval", "elapsed", "recoveries", "restarts", "checksums ok")
 	for _, interval := range []int{1, 2, 4, 8} {
 		cfg := recovery.Config{

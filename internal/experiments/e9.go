@@ -5,8 +5,8 @@ import (
 	"io"
 	"time"
 
-	"hope/internal/bench"
 	"hope/internal/engine"
+	"hope/internal/scenario"
 )
 
 // E9LoopCompaction ablates the engine.Loop checkpointing extension (the
@@ -16,7 +16,7 @@ import (
 // snapshots at settled boundaries and keeps the log constant. The table
 // reports the peak replay-log length and the wall time for the stream.
 func E9LoopCompaction(w io.Writer) error {
-	t := bench.NewTable("E9 (ablation): replay-log growth, plain Spawn vs Loop",
+	t := newTable("E9 (ablation): replay-log growth, plain Spawn vs Loop",
 		"messages", "mode", "peak log entries", "elapsed")
 	for _, n := range []int{1_000, 10_000} {
 		for _, mode := range []string{"spawn", "loop"} {
@@ -90,9 +90,6 @@ func runAccumulator(n int, useLoop bool) (peakLog int, elapsed time.Duration, er
 	}); err != nil {
 		return 0, 0, err
 	}
-	rt.Quiesce()
-	elapsed = time.Since(start)
-	rt.Shutdown()
-	rt.Wait()
-	return peak, elapsed, nil
+	elapsed, err = scenario.Settle(rt, start)
+	return peak, elapsed, err
 }

@@ -1,7 +1,17 @@
 // Package experiments implements the reproduction harness: one runner per
-// experiment in EXPERIMENTS.md (E1–E12), each regenerating a table whose
-// shape is compared against the paper's claims. The hopebench command and
-// the top-level benchmark suite are thin wrappers over these runners.
+// experiment in EXPERIMENTS.md (E1–E15), each regenerating a table whose
+// shape is compared against the paper's claims. The hopebench command
+// renders these tables; the top-level benchmark suite times the same
+// workloads at testing.B scale.
+//
+// The runners define no RPC or wire workload of their own. E1, E3, E10
+// and E15 are parameter sweeps over internal/scenario's print and echo
+// workloads, E12 and E13 observe its registered scenarios, and E14's
+// wired ring is a client of its per-node runner — so what an experiment
+// times is what that package's byte-identical oracles check. The rest
+// build their subject directly: netsim (E2), rollback chains and
+// history windows (E4, E4b), tracker and delivery probes (E5, E11),
+// timewarp (E6), occ (E7), recovery (E8), Loop compaction (E9).
 //
 // The paper (PODC 1995) has no numbered result tables — its quantitative
 // artifacts are the §3.1 latency arithmetic, the Figures 1–2 program
@@ -10,14 +20,13 @@
 // via the hopecheck command). E4–E8 evaluate the systems the paper
 // motivates (rollback, tracking overhead, Time Warp, replication,
 // recovery) so the library's behavior is characterized the way the
-// HPDC-4 companion paper would have.
+// HPDC-4 companion paper would have; E9–E15 ablate and characterize
+// what this repository added on top.
 package experiments
 
 import (
 	"io"
 	"time"
-
-	"hope/internal/bench"
 )
 
 // Experiment is one runnable experiment.
@@ -49,19 +58,11 @@ func All() []Experiment {
 	}
 }
 
-// render is a small helper: build and write a table.
-func render(w io.Writer, t *bench.Table) error {
+// render writes a finished table.
+func render(w io.Writer, t *table) error {
 	t.Render(w)
 	return nil
 }
 
 // ms rounds a duration for table display.
 func ms(d time.Duration) time.Duration { return d.Round(10 * time.Microsecond) }
-
-// gain returns the percentage improvement of variant over baseline.
-func gain(baseline, variant time.Duration) float64 {
-	if baseline <= 0 {
-		return 0
-	}
-	return 100 * (1 - float64(variant)/float64(baseline))
-}

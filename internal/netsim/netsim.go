@@ -89,12 +89,9 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) Peek() *event       { return h[0] }
-func (s *Sim) Pending() int            { return len(s.events) }
-func (s *Sim) PeekTime() time.Duration { return s.events.Peek().at }
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
+func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
 // Link models a unidirectional channel with propagation delay and finite
 // bandwidth. Serialization occupies the link: back-to-back sends queue

@@ -25,6 +25,8 @@ func smallScale(name string) int {
 	switch name {
 	case "callstreaming":
 		return 40
+	case "echo":
+		return 32
 	case "fanout":
 		return 16
 	case "timewarp":
@@ -35,6 +37,16 @@ func smallScale(name string) int {
 		return 3
 	}
 	return 0
+}
+
+// requireBaseline keeps the all-scenario differentials from comparing
+// "" with "": every workload that prints must have committed something.
+// Fanout and Time Warp exercise delivery and rollback without printing.
+func requireBaseline(t *testing.T, name, baseline string) {
+	t.Helper()
+	if baseline == "" && name != "fanout" && name != "timewarp" {
+		t.Fatalf("%s committed no output: the differential has nothing to compare", name)
+	}
 }
 
 // TestScenarioCheckpointDifferential is the checkpoint/replay
@@ -49,6 +61,7 @@ func TestScenarioCheckpointDifferential(t *testing.T) {
 			t.Parallel()
 			scale := smallScale(spec.Name)
 			want := runSpec(t, spec, scale)
+			requireBaseline(t, spec.Name, want)
 			for _, every := range []int{1, 8} {
 				got := runSpec(t, spec, scale, engine.WithCheckpointEvery(every))
 				if got != want {

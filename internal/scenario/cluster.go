@@ -9,16 +9,16 @@ import (
 
 	"hope/internal/engine"
 	"hope/internal/fault"
-	"hope/internal/obs"
 	"hope/internal/wire"
 )
 
-// This file distributes the storm across engine.Runtimes joined by
-// internal/wire — either several runtimes inside one test process
-// (StormWire) or one runtime per OS process (StormNode, driven by
-// cmd/hopenode and the multi-process soak). The committed output is the
-// same sorted result lines Storm prints from a single runtime: the
-// headline oracle compares them byte for byte.
+// This file joins engine.Runtimes by internal/wire: RunNode is the one
+// per-node runner, Loopback runs several of them inside one process
+// over loopback TCP, and the distributed storm is their first client —
+// one runtime per OS process (StormNode, driven by cmd/hopenode and the
+// multi-process soak) or three in this process (StormWire). The storm's
+// committed output is the same sorted result lines Storm prints from a
+// single runtime: the headline oracle compares them byte for byte.
 
 // StormPlacement assigns the storm's processes to nodes: workers round-
 // robin, the judge and sink on distinct nodes when the cluster is big
@@ -61,126 +61,177 @@ func StormPlans(seed int64, node int) (eng, wirePlan *fault.Plan) {
 	return eng, wirePlan
 }
 
-// StormNodeConfig configures one member of a distributed storm.
-type StormNodeConfig struct {
-	// Node is this member's index in [0, Nodes); Nodes is the cluster
-	// size. The node runs exactly the storm processes StormPlacement
-	// assigns it.
-	Node, Nodes int
-	// Jobs is the per-worker job count (the storm's scale knob).
-	Jobs int
-	// Listen / Listener / Peers configure the wire mesh (wire.Config).
+// NodeConfig places one runtime in a wire cluster.
+type NodeConfig struct {
+	// Node is this member's index: its wire ID and its AID namespace.
+	Node int
+	// Listen / Listener / Peers / Procs configure the mesh (wire.Config):
+	// where to listen (or a pre-bound listener), every other node's dial
+	// address, and the cluster-wide process placement.
 	Listen   string
 	Listener net.Listener
 	Peers    map[uint32]string
-	// Engine optionally injects crash/stall faults into this runtime;
-	// Wire optionally injects drop/dup/delay at the socket layer. See
-	// StormPlans.
-	Engine, Wire *fault.Plan
-	// Out receives the committed output. Only the sink's node writes;
-	// default io.Discard.
-	Out io.Writer
-	// Obs optionally observes the runtime and the wire peers.
-	Obs *obs.Observer
+	Procs    map[string]uint32
+	// Wire optionally injects drop/dup/delay at the socket layer (see
+	// StormPlans); crash/stall plans are engine options.
+	Wire *fault.Plan
 	// DialTimeout bounds peer dialing (default 10s; raise for slow
 	// process launches).
 	DialTimeout time.Duration
-	// CheckpointEvery enables periodic checkpoints (engine
-	// WithCheckpointEvery) so injected crashes recover incrementally.
-	CheckpointEvery int
 }
 
-// StormNode runs one node's share of the distributed storm to
-// completion: spawn the locally-placed processes, join the mesh, drain
-// the runtime, and hold the termination barrier until every peer
-// drained too (verdicts flush before the barrier's Done on each FIFO
-// link). It returns once the whole cluster is finished.
-func StormNode(cfg StormNodeConfig) (Result, error) {
-	if cfg.Jobs <= 0 {
-		cfg.Jobs = 8
-	}
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 1
-	}
-	out := cfg.Out
-	if out == nil {
-		out = io.Discard
-	}
-	total := stormWorkers * cfg.Jobs
-	placement := StormPlacement(cfg.Nodes)
-	me := uint32(cfg.Node)
-	wire.RegisterPayload(stormClaim{})
-
-	rtOpts := []engine.Option{
-		engine.WithOutput(out),
+// RunNode runs one member of a wire cluster to completion: build the
+// runtime (opts apply on top of a discarded output and the node's AID
+// base; an attached observer also receives the wire peers table), let
+// spawn create the locally-placed processes, join the mesh, drain the
+// runtime, and hold the termination barrier until every peer drained
+// too (verdicts flush before the barrier's Done on each FIFO link). The
+// returned makespan starts once this node's links are up — listener
+// setup and dialing are excluded — and ends when the barrier releases.
+func RunNode(cfg NodeConfig, spawn func(rt *engine.Runtime) error, opts ...engine.Option) (time.Duration, error) {
+	rt := engine.New(append([]engine.Option{
+		engine.WithOutput(io.Discard),
 		engine.WithAIDBase(uint64(cfg.Node) << 48),
-		engine.WithObserver(cfg.Obs),
-	}
-	if cfg.Engine != nil {
-		rtOpts = append(rtOpts, engine.WithFaults(cfg.Engine))
-	}
-	if cfg.CheckpointEvery > 0 {
-		rtOpts = append(rtOpts, engine.WithCheckpointEvery(cfg.CheckpointEvery))
-	}
-	rt := engine.New(rtOpts...)
+	}, opts...)...)
 	defer rt.Shutdown()
 
 	node, err := wire.NewNode(rt, wire.Config{
-		ID:          me,
+		ID:          uint32(cfg.Node),
 		Listen:      cfg.Listen,
 		Listener:    cfg.Listener,
 		Peers:       cfg.Peers,
-		Procs:       placement,
+		Procs:       cfg.Procs,
 		Faults:      cfg.Wire,
-		Obs:         cfg.Obs,
+		Obs:         rt.Observer(),
 		DialTimeout: cfg.DialTimeout,
 	})
 	if err != nil {
-		return Result{}, err
+		return 0, err
 	}
 	defer node.Close()
 
 	// Local processes exist before the mesh comes up, so nothing a peer
-	// sends can ever race a spawn — and receivers before senders, so
-	// nothing a local worker sends can either.
-	if placement["sink"] == me {
-		if err := spawnStormSink(rt, total); err != nil {
-			return Result{}, err
-		}
+	// sends can ever race a spawn; their own remote sends park in the
+	// router until Start returns.
+	if err := spawn(rt); err != nil {
+		return 0, err
 	}
-	if placement["judge"] == me {
-		if err := spawnStormJudge(rt, total); err != nil {
-			return Result{}, err
-		}
-	}
-	for w := 0; w < stormWorkers; w++ {
-		if placement[fmt.Sprintf("worker%d", w)] != me {
-			continue
-		}
-		if err := spawnStormWorker(rt, w, cfg.Jobs); err != nil {
-			return Result{}, err
-		}
-	}
-
-	start := time.Now()
 	if err := node.Start(); err != nil {
-		return Result{}, err
+		return 0, fmt.Errorf("node %d start: %w", cfg.Node, err)
 	}
+	start := time.Now()
 	for _, werr := range rt.Wait() {
 		if werr != nil {
-			return Result{}, fmt.Errorf("node %d: %w", cfg.Node, werr)
+			return 0, fmt.Errorf("node %d: %w", cfg.Node, werr)
 		}
 	}
 	if err := node.Barrier(time.Minute); err != nil {
-		return Result{}, err
+		return 0, err
 	}
 	elapsed := time.Since(start)
 	if err := node.Close(); err != nil {
-		return Result{}, fmt.Errorf("node %d transport: %w", cfg.Node, err)
+		return 0, fmt.Errorf("node %d transport: %w", cfg.Node, err)
+	}
+	return elapsed, nil
+}
+
+// Loopback runs an n-node cluster inside this process: it binds n
+// loopback-TCP listeners, hands member i its place in the mesh (Node,
+// Listener, Peers — the member fills in the rest and calls RunNode),
+// and runs the members concurrently, since each barrier releases only
+// when every node announced Done. The mesh tolerates any start order:
+// a listener accepts from the moment its node's Start runs, and dials
+// retry until then. Returns the slowest member's makespan.
+func Loopback(n int, member func(mesh NodeConfig) (time.Duration, error)) (time.Duration, error) {
+	listeners := make([]net.Listener, n)
+	addrs := make(map[uint32]string, n)
+	for i := range listeners {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return 0, err
+		}
+		defer ln.Close()
+		listeners[i] = ln
+		addrs[uint32(i)] = ln.Addr().String()
+	}
+
+	type outcome struct {
+		elapsed time.Duration
+		err     error
+	}
+	done := make(chan outcome, n)
+	for i := 0; i < n; i++ {
+		peers := make(map[uint32]string, n-1)
+		for j, addr := range addrs {
+			if j != uint32(i) {
+				peers[j] = addr
+			}
+		}
+		go func(mesh NodeConfig) {
+			elapsed, err := member(mesh)
+			done <- outcome{elapsed, err}
+		}(NodeConfig{Node: i, Listener: listeners[i], Peers: peers})
+	}
+	var slowest time.Duration
+	var errs []error
+	for i := 0; i < n; i++ {
+		o := <-done
+		if o.err != nil {
+			errs = append(errs, o.err)
+		}
+		if o.elapsed > slowest {
+			slowest = o.elapsed
+		}
+	}
+	return slowest, errors.Join(errs...)
+}
+
+// StormNode runs one node's share of the distributed storm — exactly
+// the processes StormPlacement(nodes) assigns to mesh.Node, `jobs` jobs
+// per worker — and returns once the whole cluster is finished. Only the
+// sink's node writes committed output (to the engine.WithOutput in
+// opts); mesh.Procs is filled in here.
+func StormNode(mesh NodeConfig, nodes, jobs int, opts ...engine.Option) (Result, error) {
+	if jobs <= 0 {
+		jobs = 8
+	}
+	if nodes <= 0 {
+		nodes = 1
+	}
+	total := stormWorkers * jobs
+	me := uint32(mesh.Node)
+	mesh.Procs = StormPlacement(nodes)
+	wire.RegisterPayload(stormClaim{})
+
+	elapsed, err := RunNode(mesh, func(rt *engine.Runtime) error {
+		// Receivers before senders, so nothing a local worker sends can
+		// race a local spawn either.
+		if mesh.Procs["sink"] == me {
+			if err := spawnStormSink(rt, total); err != nil {
+				return err
+			}
+		}
+		if mesh.Procs["judge"] == me {
+			if err := spawnStormJudge(rt, total); err != nil {
+				return err
+			}
+		}
+		for w := 0; w < stormWorkers; w++ {
+			if mesh.Procs[fmt.Sprintf("worker%d", w)] != me {
+				continue
+			}
+			if err := spawnStormWorker(rt, w, jobs); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, opts...)
+	if err != nil {
+		return Result{}, err
 	}
 	return Result{
 		Elapsed: elapsed,
-		Note:    fmt.Sprintf("node %d/%d: %d jobs settled cluster-wide", cfg.Node, cfg.Nodes, total),
+		Note:    fmt.Sprintf("node %d/%d: %d jobs settled cluster-wide", mesh.Node, nodes, total),
 	}, nil
 }
 
@@ -188,143 +239,37 @@ func StormNode(cfg StormNodeConfig) (Result, error) {
 // TCP inside this process — the wire transport exercised end to end
 // without the multi-process harness. Options apply to every runtime
 // (an attached observer sees all three, including the wire peers
-// table).
+// table; an output writer receives the sink node's lines).
 func StormWire(jobs int, opts ...engine.Option) (Result, error) {
-	return stormWire(jobs, 0, io.Discard, opts...)
+	return stormWire(jobs, 0, opts...)
 }
 
 // stormWire is StormWire with a fault seed (0 = fault-free; otherwise
-// StormPlans per node) and a committed-output writer for the sink's
-// node — the in-process byte-identical oracle uses both.
-func stormWire(jobs int, seed int64, out io.Writer, opts ...engine.Option) (Result, error) {
+// StormPlans per node, checkpointing every 8 so injected crashes
+// recover incrementally) — the in-process byte-identical oracle.
+func stormWire(jobs int, seed int64, opts ...engine.Option) (Result, error) {
 	if jobs <= 0 {
 		jobs = 8
 	}
 	const nodes = 3
-	total := stormWorkers * jobs
-	placement := StormPlacement(nodes)
-	wire.RegisterPayload(stormClaim{})
-
-	listeners := make([]net.Listener, nodes)
-	addrs := make(map[uint32]string, nodes)
-	for i := range listeners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return Result{}, err
-		}
-		defer ln.Close()
-		listeners[i] = ln
-		addrs[uint32(i)] = ln.Addr().String()
-	}
-
-	rts := make([]*engine.Runtime, nodes)
-	wnodes := make([]*wire.Node, nodes)
-	defer func() {
-		for _, n := range wnodes {
-			if n != nil {
-				n.Close()
-			}
-		}
-		for _, rt := range rts {
-			if rt != nil {
-				rt.Shutdown()
-			}
-		}
-	}()
-	for i := 0; i < nodes; i++ {
-		nodeOut := io.Writer(io.Discard)
-		if placement["sink"] == uint32(i) {
-			nodeOut = out
-		}
-		var engPlan, wirePlan *fault.Plan
+	elapsed, err := Loopback(nodes, func(mesh NodeConfig) (time.Duration, error) {
+		nodeOpts := opts
 		if seed != 0 {
-			engPlan, wirePlan = StormPlans(seed, i)
+			var engPlan *fault.Plan
+			engPlan, mesh.Wire = StormPlans(seed, mesh.Node)
+			// Capacity-capped: members run concurrently and must not
+			// append into one shared backing array.
+			nodeOpts = append(opts[:len(opts):len(opts)],
+				engine.WithFaults(engPlan), engine.WithCheckpointEvery(8))
 		}
-		rtOpts := append([]engine.Option{engine.WithAIDBase(uint64(i) << 48)}, opts...)
-		rtOpts = append(rtOpts, engine.WithOutput(nodeOut))
-		if engPlan != nil {
-			rtOpts = append(rtOpts, engine.WithFaults(engPlan), engine.WithCheckpointEvery(8))
-		}
-		rt := engine.New(rtOpts...)
-		rts[i] = rt
-
-		peers := make(map[uint32]string, nodes-1)
-		for j := uint32(0); j < nodes; j++ {
-			if j != uint32(i) {
-				peers[j] = addrs[j]
-			}
-		}
-		node, err := wire.NewNode(rt, wire.Config{
-			ID:       uint32(i),
-			Listener: listeners[i],
-			Peers:    peers,
-			Procs:    placement,
-			Faults:   wirePlan,
-			Obs:      rt.Observer(),
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		wnodes[i] = node
-
-		// Receivers before senders, as in StormNode.
-		if placement["sink"] == uint32(i) {
-			if err := spawnStormSink(rt, total); err != nil {
-				return Result{}, err
-			}
-		}
-		if placement["judge"] == uint32(i) {
-			if err := spawnStormJudge(rt, total); err != nil {
-				return Result{}, err
-			}
-		}
-		for w := 0; w < stormWorkers; w++ {
-			if placement[fmt.Sprintf("worker%d", w)] != uint32(i) {
-				continue
-			}
-			if err := spawnStormWorker(rt, w, jobs); err != nil {
-				return Result{}, err
-			}
-		}
-	}
-
-	start := time.Now()
-	for i, node := range wnodes {
-		if err := node.Start(); err != nil {
-			return Result{}, fmt.Errorf("node %d start: %w", i, err)
-		}
-	}
-	// Drain and barrier concurrently: each barrier releases only when
-	// every node announced Done, so sequential waiting would deadlock.
-	errCh := make(chan error, nodes)
-	for i := range rts {
-		go func(i int) {
-			for _, err := range rts[i].Wait() {
-				if err != nil {
-					errCh <- fmt.Errorf("node %d: %w", i, err)
-					return
-				}
-			}
-			errCh <- wnodes[i].Barrier(time.Minute)
-		}(i)
-	}
-	var errs []error
-	for range rts {
-		if err := <-errCh; err != nil {
-			errs = append(errs, err)
-		}
-	}
-	if err := errors.Join(errs...); err != nil {
+		res, err := StormNode(mesh, nodes, jobs, nodeOpts...)
+		return res.Elapsed, err
+	})
+	if err != nil {
 		return Result{}, err
-	}
-	elapsed := time.Since(start)
-	for i, node := range wnodes {
-		if err := node.Close(); err != nil {
-			return Result{}, fmt.Errorf("node %d transport: %w", i, err)
-		}
 	}
 	return Result{
 		Elapsed: elapsed,
-		Note:    fmt.Sprintf("%d jobs settled across %d nodes (%d denied)", total, nodes, jobs),
+		Note:    fmt.Sprintf("%d jobs settled across %d nodes (%d denied)", stormWorkers*jobs, nodes, jobs),
 	}, nil
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"hope/internal/engine"
 	"hope/internal/fault"
 	"hope/internal/obs"
 	"hope/internal/testutil"
@@ -79,14 +80,12 @@ func stormNodeMain() int {
 		engPlan, wirePlan = StormPlans(seed, node)
 	}
 	o := obs.New()
-	if _, err := StormNode(StormNodeConfig{
-		Node: node, Nodes: nodes, Jobs: jobs,
-		Listener: ln, Peers: peers,
-		Engine: engPlan, Wire: wirePlan,
-		Out: os.Stdout, Obs: o,
-		DialTimeout:     30 * time.Second,
-		CheckpointEvery: 8,
-	}); err != nil {
+	if _, err := StormNode(NodeConfig{
+		Node: node, Listener: ln, Peers: peers,
+		Wire: wirePlan, DialTimeout: 30 * time.Second,
+	}, nodes, jobs,
+		engine.WithOutput(os.Stdout), engine.WithObserver(o),
+		engine.WithFaults(engPlan), engine.WithCheckpointEvery(8)); err != nil {
 		return fail(err)
 	}
 	fmt.Fprintf(os.Stderr, "injected=%d\n", engPlan.Total()+wirePlan.Total())
@@ -123,7 +122,7 @@ func TestStormWireMatchesSingleProcess(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		buf := &testutil.SyncBuffer{}
-		if _, err := stormWire(jobs, seed, buf); err != nil {
+		if _, err := stormWire(jobs, seed, engine.WithOutput(buf)); err != nil {
 			t.Fatalf("stormWire seed %d: %v", seed, err)
 		}
 		if got := buf.String(); got != want {

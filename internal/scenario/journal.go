@@ -140,13 +140,9 @@ func Journal(windows int, opts ...engine.Option) (Result, error) {
 		}
 	}
 
-	rt.Quiesce()
-	elapsed := time.Since(start)
-	rt.Shutdown()
-	for _, err := range rt.Wait() {
-		if err != nil {
-			return Result{}, err
-		}
+	elapsed, err := Settle(rt, start)
+	if err != nil {
+		return Result{}, err
 	}
 	denied := workers * windows / 2 // (w+b)%2 == 0 for exactly half the windows
 	return Result{

@@ -37,6 +37,7 @@ func aggressiveAdaptive() *policy.Controller {
 func TestScenarioPolicyDifferential(t *testing.T) {
 	scales := map[string]int{
 		"callstreaming": 60,
+		"echo":          48,
 		"fanout":        12,
 		// Time Warp resolves assumptions only as virtual time advances,
 		// so denied admissions ride their wait budget often — keep the
@@ -62,6 +63,7 @@ func TestScenarioPolicyDifferential(t *testing.T) {
 				return buf.String()
 			}
 			want := run()
+			requireBaseline(t, spec.Name, want)
 			if again := run(); again != want {
 				t.Skipf("%s output is not run-deterministic; policy differential needs a fixed baseline", spec.Name)
 			}

@@ -1,8 +1,25 @@
-// Package scenario provides small, self-contained HOPE workloads shared
-// by cmd/hopetop, cmd/hopebench, the experiments, and the examples. Each
-// workload accepts engine options so callers can attach an observability
-// sink (engine.WithObserver) or a latency model without the workload
-// knowing; the workloads themselves only exercise the primitives.
+// Package scenario is the one place this repository defines workloads:
+// every runtime that hopetop, hopebench, hopenode, the experiments, the
+// top-level benchmarks and examples/callstreaming run for the print,
+// echo and wire-cluster families is built here, so the byte-identical
+// oracles in this package's tests run the code the experiments time.
+// (The frozen benchmark/ directory keeps its own bodies.)
+//
+//   - print.go — the paper's Figure 1 → Figure 2 print worker (Print,
+//     PrintJobs); registered as "callstreaming", swept by E1, called by
+//     E12, BenchmarkE1 and examples/callstreaming.
+//   - echo.go — accuracy-trace echo calls (Echo, AccuracyTrace);
+//     registered as "echo", swept by E3, E10, E15 and BenchmarkE3/E10.
+//   - cluster.go — RunNode, one runtime joined to a wire mesh, and
+//     Loopback, n of them in this process; StormNode (cmd/hopenode),
+//     StormWire and E14's wired ring are their clients.
+//   - storm.go, journal.go, and Fanout/TimeWarp below — the fault,
+//     checkpoint, delivery and Time Warp workloads.
+//
+// Each workload accepts engine options so callers can attach an
+// observer, a fault plan, a checkpoint cadence or a speculation policy
+// without the workload knowing; the workloads themselves only exercise
+// the primitives.
 package scenario
 
 import (
@@ -11,9 +28,7 @@ import (
 	"time"
 
 	"hope/internal/engine"
-	"hope/internal/rpc"
 	"hope/internal/timewarp"
-	"hope/internal/workload"
 )
 
 // Result summarizes one workload run.
@@ -41,6 +56,12 @@ func All() []Spec {
 			Desc:         "Figure-2 streamed print calls; scale = jobs, 25% overflow forces rollbacks",
 			DefaultScale: 200,
 			Run:          CallStreaming,
+		},
+		{
+			Name:         "echo",
+			Desc:         "streamed echo calls, 75% predicted right, ordered server; scale = calls",
+			DefaultScale: 96,
+			Run:          EchoStream,
 		},
 		{
 			Name:         "fanout",
@@ -85,97 +106,20 @@ func Find(name string) (Spec, bool) {
 	return Spec{}, false
 }
 
-// CallStreaming runs the paper's Figure-2 workload: a worker streams
-// print calls at a stateful print server, predicting the reply under the
-// PartPage assumption. A quarter of the jobs overflow the page, so the
-// WorryWart denies those assumptions and the worker replays onto the
-// pessimistic path — a steady mix of affirms, denies, and rollbacks.
-func CallStreaming(jobs int, opts ...engine.Option) (Result, error) {
-	if jobs <= 0 {
-		jobs = 200
-	}
-	const (
-		pageSize = 50
-		overflow = 0.25
-	)
-	pageJobs := workload.PrintJobs(jobs, pageSize, overflow, 1)
-
-	rt := engine.New(append([]engine.Option{
-		engine.WithOutput(io.Discard),
-		engine.WithLatency(func(from, to string) time.Duration { return 200 * time.Microsecond }),
-	}, opts...)...)
-	defer rt.Shutdown()
-
-	type printReq struct {
-		Total bool
-		Lines int
-	}
-	if err := rpc.ServeStateful(rt, "printer", func() rpc.Handler {
-		line := 0
-		return func(req any) any {
-			r := req.(printReq)
-			if r.Total {
-				line = r.Lines
-				for line >= pageSize {
-					line -= pageSize
-				}
-			} else {
-				line++
-			}
-			return line
-		}
-	}); err != nil {
-		return Result{}, err
-	}
-	client, err := rpc.NewClient(rt, "worker")
-	if err != nil {
-		return Result{}, err
-	}
-
-	wrong := 0
-	start := time.Now()
-	if err := rt.Spawn("worker", func(p *engine.Proc) error {
-		s := client.Session(p)
-		local := 0
-		miss := 0
-		call := func(req printReq, predicted int) error {
-			got, accurate, err := s.StreamCall("printer", req, predicted)
-			if err != nil {
-				return err
-			}
-			if !accurate {
-				miss++
-			}
-			local = got.(int)
-			return nil
-		}
-		for _, job := range pageJobs {
-			if err := call(printReq{Total: true, Lines: job.Lines}, job.Lines); err != nil {
-				return err
-			}
-			if err := call(printReq{}, local+1); err != nil {
-				return err
-			}
-		}
-		// Committed effect, not a body write: rollback could not undo
-		// an escape write, and replay would repeat it.
-		p.Effect(func() { wrong = miss }, nil)
-		return nil
-	}); err != nil {
-		return Result{}, err
-	}
+// Settle is the tail every single-runtime workload ends with: wait for
+// the runtime to quiesce, stamp the makespan since start (settlement
+// included — all assumptions verified, all effects released), shut
+// down, and report the first process error.
+func Settle(rt *engine.Runtime, start time.Time) (time.Duration, error) {
 	rt.Quiesce()
 	elapsed := time.Since(start)
 	rt.Shutdown()
 	for _, err := range rt.Wait() {
 		if err != nil {
-			return Result{}, err
+			return elapsed, err
 		}
 	}
-	return Result{
-		Elapsed: elapsed,
-		Note:    fmt.Sprintf("%d streamed calls, %d mispredicted", 2*jobs, wrong),
-	}, nil
+	return elapsed, nil
 }
 
 // Fanout broadcasts rounds of messages from one sender to 16 receivers

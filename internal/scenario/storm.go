@@ -160,13 +160,9 @@ func Storm(jobs int, opts ...engine.Option) (Result, error) {
 		}
 	}
 
-	rt.Quiesce()
-	elapsed := time.Since(start)
-	rt.Shutdown()
-	for _, err := range rt.Wait() {
-		if err != nil {
-			return Result{}, err
-		}
+	elapsed, err := Settle(rt, start)
+	if err != nil {
+		return Result{}, err
 	}
 	return Result{
 		Elapsed: elapsed,

@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh — the full verification tier, in dependency order:
 # compile, vet, check every process body against the replay contract
-# with hopevet, then the race-enabled test suite. Run from anywhere; it
-# cds to the repo root.
+# with hopevet, check that workloads are defined once, then the
+# race-enabled test suite. Run from anywhere; it cds to the repo root.
 #
 #   ./scripts/check.sh
 #
@@ -20,14 +20,25 @@ go vet ./...
 echo "== hopevet ./..."
 go run ./cmd/hopevet ./...
 
+# internal/scenario is the only package that builds an RPC workload or
+# joins a runtime to the wire (benchmark/ keeps its own frozen bodies;
+# hope_api_test.go checks the façade against a raw node): experiments,
+# examples, benchmarks and commands call it, so its oracles cover what
+# they run. A hit here is a second copy.
+echo "== one workload definition"
+copies=$( {
+	grep -rlE 'rpc\.(Serve|NewClient)' --include=*.go . |
+		grep -vE '^\./(internal/rpc|internal/scenario|benchmark)/' || true
+	grep -rl 'wire\.NewNode' --include=*.go . |
+		grep -vE '^\./(internal/wire|internal/scenario|benchmark)/|hope_api_test\.go' || true
+} )
+if [ -n "$copies" ]; then
+	echo "workload built outside internal/scenario:" >&2
+	echo "$copies" >&2
+	exit 1
+fi
+
 echo "== go test -race ./..."
 go test -race ./...
-
-# The checkpoint oracle, by name: the race suite above already ran
-# these, but a dedicated stage keeps the recovery invariant legible —
-# committed output byte-identical with checkpoints off / every event /
-# coarse, and under 32 crash-storm seeds with checkpointed recovery.
-echo "== checkpoint oracle (differential + crash-storm soak)"
-go test ./internal/scenario/ -run 'TestScenarioCheckpointDifferential|TestJournalCheckpoint|TestStormCheckpointFaultSoak' -count=1
 
 echo "check.sh: all stages passed"
