@@ -39,9 +39,9 @@ func E1CallStreaming(w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			t.AddRow(latency, fmt.Sprintf("%.0f%%", overflow*100), ms(syncT),
-				ms(optT), speedup(syncT, optT),
-				ms(ordT), speedup(syncT, ordT))
+			t.AddRow(latency, fmt.Sprintf("%.0f%%", overflow*100), syncT,
+				optT, speedup(syncT, optT),
+				ordT, speedup(syncT, ordT))
 		}
 	}
 	return render(w, t)

@@ -23,7 +23,7 @@ func E10VerifierPool(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		t.AddRow(pool, ms(elapsed))
+		t.AddRow(pool, elapsed)
 	}
 	return render(w, t)
 }

@@ -47,9 +47,9 @@ func E12SpeculationObservability(w io.Writer) error {
 			replay = fmt.Sprintf("%.0f/%d",
 				float64(m.ReplayDepth.Sum)/float64(m.ReplayDepth.Count), m.ReplayDepth.Max)
 		}
-		lifetime := "-"
+		var lifetime any = "-"
 		if m.SpecLifetime.Count > 0 {
-			lifetime = fmt.Sprintf("%v", ms(time.Duration(m.SpecLifetime.Mean())))
+			lifetime = time.Duration(m.SpecLifetime.Mean())
 		}
 		t.AddRow(r.name, m.GuessesOpened, affirms, denies, ratio,
 			m.Rollbacks, replay, lifetime)

@@ -46,7 +46,7 @@ func E13FaultStorm(w io.Writer) error {
 
 	t := newTable("E13: fault-storm transparency (committed output vs fault-free run)",
 		"seed", "crash", "drop", "dup", "delay", "stall", "rollbacks", "output", "elapsed")
-	t.AddRow("none", 0, 0, 0, 0, 0, 0, "baseline", ms(base))
+	t.AddRow("none", 0, 0, 0, 0, 0, 0, "baseline", base)
 	for seed := int64(0); seed < seeds; seed++ {
 		plan := fault.New(fault.Config{
 			Seed:       seed,
@@ -69,7 +69,7 @@ func E13FaultStorm(w io.Writer) error {
 		}
 		c := plan.Counts()
 		t.AddRow(seed, c[fault.Crash], c[fault.Drop], c[fault.Dup],
-			c[fault.Delay], c[fault.Stall], m.Rollbacks.Load(), verdict, ms(elapsed))
+			c[fault.Delay], c[fault.Stall], m.Rollbacks.Load(), verdict, elapsed)
 		if got != want {
 			render(w, t)
 			return fmt.Errorf("seed %d (%s): committed output diverged from fault-free run", seed, plan)

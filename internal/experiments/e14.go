@@ -19,7 +19,7 @@ import (
 // framing, gob, and a kernel round trip. The ratio column is the
 // headline: how much slower one hop gets when it leaves the process.
 func E14WireLatency(w io.Writer) error {
-	const rounds = 256
+	const rounds = 5000 // ≥ 10 000 hops per row: one hop is µs-scale, a row of 512 was mostly wake-up jitter
 
 	t := newTable("E14: wire transport hop latency (loopback TCP vs in-process)",
 		"topology", "procs", "hops", "elapsed", "per-hop", "vs in-proc")
@@ -46,7 +46,9 @@ func E14WireLatency(w io.Writer) error {
 		} else {
 			base[cfg.procs] = perHop
 		}
-		t.AddRow(cfg.name, cfg.procs, hops, ms(elapsed), perHop.Round(100*time.Nanosecond), ratio)
+		// per-hop as text: AddRow would round a Duration to whole µs,
+		// and an in-process hop is 1–2 µs.
+		t.AddRow(cfg.name, cfg.procs, hops, elapsed, perHop.Round(100*time.Nanosecond).String(), ratio)
 	}
 	return render(w, t)
 }

@@ -93,9 +93,9 @@ func E15AdaptiveAdmission(w io.Writer) error {
 		fmt.Sprintf("E15: adaptive admission under shifting accuracy (%d calls, %d-call phases alternating 100%%/0%%, %v one-way latency)",
 			calls, perPhase, latency),
 		"policy", "makespan", "committed throughput", "vs always-on", "vs always-off")
-	t.AddRow("always-on", ms(onT), throughput(onT), "1.00x", speedup(offT, onT))
-	t.AddRow("always-off", ms(offT), throughput(offT), speedup(onT, offT), "1.00x")
-	t.AddRow("adaptive", ms(adT), throughput(adT), speedup(onT, adT), speedup(offT, adT))
+	t.AddRow("always-on", onT, throughput(onT), "1.00x", speedup(offT, onT))
+	t.AddRow("always-off", offT, throughput(offT), speedup(onT, offT), "1.00x")
+	t.AddRow("adaptive", adT, throughput(adT), speedup(onT, adT), speedup(offT, adT))
 	t.AddRow("adaptive vs best static", "", "", speedup(bestStatic, adT), "")
 	return render(w, t)
 }

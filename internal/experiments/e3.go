@@ -42,9 +42,9 @@ func E3AccuracySweep(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		t.AddRow(fmt.Sprintf("%.2f", acc), ms(syncT),
-			ms(optT), speedup(syncT, optT),
-			ms(ordT), speedup(syncT, ordT))
+		t.AddRow(fmt.Sprintf("%.2f", acc), syncT,
+			optT, speedup(syncT, optT),
+			ordT, speedup(syncT, ordT))
 	}
 	return render(w, t)
 }

@@ -117,7 +117,7 @@ func E4RollbackDepth(w io.Writer) error {
 				if outer {
 					which = "outermost"
 				}
-				t.AddRow(depth, relays, which, ms(elapsed), st.RolledBack)
+				t.AddRow(depth, relays, which, elapsed, st.RolledBack)
 			}
 		}
 	}
@@ -215,8 +215,8 @@ func historyRecovery(h, cpEvery int) (time.Duration, int64, error) {
 // WithCheckpointEvery-style checkpoints every 32 steps it replays a
 // bounded suffix and stays flat. cp_flatness is the checkpointed
 // recovery-time ratio between the deepest and shallowest history
-// buckets — ~1.0 when recovery is O(checkpoint interval), the headline
-// number benchguard tracks.
+// buckets — ~1.0 when recovery is O(checkpoint interval), the number
+// TestE4bShapeCheckpointBoundsReplay holds at ≤ 2.
 func e4bHistoryRecovery(w io.Writer) error {
 	const cpInterval = 32
 	// History depths sit 16 past a checkpoint boundary so the rollback
@@ -243,7 +243,7 @@ func e4bHistoryRecovery(w io.Writer) error {
 			if cpEvery > 0 {
 				mode = fmt.Sprintf("every %d", cpEvery)
 			}
-			t.AddRow(h, mode, ms(best), replayed)
+			t.AddRow(h, mode, best, replayed)
 		}
 	}
 	if err := render(w, t); err != nil {

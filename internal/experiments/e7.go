@@ -121,7 +121,7 @@ func E7Replication(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		t.AddRow(fmt.Sprintf("%.0f%%", rate*100), ms(syncT), ms(optT),
+		t.AddRow(fmt.Sprintf("%.0f%%", rate*100), syncT, optT,
 			speedup(syncT, optT), commits, confl)
 	}
 	return render(w, t)

@@ -46,7 +46,7 @@ func E8Recovery(w io.Writer) error {
 			return err
 		}
 		syncT := time.Since(st)
-		t.AddRow(lat, ms(syncT), ms(opt), speedup(syncT, opt))
+		t.AddRow(lat, syncT, opt, speedup(syncT, opt))
 	}
 	t.Render(w)
 
@@ -77,7 +77,7 @@ func E8Recovery(w io.Writer) error {
 			rec += res.Recoveries[i]
 			rst += res.Restarts[i]
 		}
-		t2.AddRow(interval, ms(elapsed), rec, rst, ok)
+		t2.AddRow(interval, elapsed, rec, rst, ok)
 	}
 	t2.Render(w)
 	return nil

@@ -24,7 +24,7 @@ func E9LoopCompaction(w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			t.AddRow(n, mode, peak, ms(elapsed))
+			t.AddRow(n, mode, peak, elapsed)
 		}
 	}
 	return render(w, t)

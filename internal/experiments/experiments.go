@@ -24,10 +24,7 @@
 // what this repository added on top.
 package experiments
 
-import (
-	"io"
-	"time"
-)
+import "io"
 
 // Experiment is one runnable experiment.
 type Experiment struct {
@@ -63,6 +60,3 @@ func render(w io.Writer, t *table) error {
 	t.Render(w)
 	return nil
 }
-
-// ms rounds a duration for table display.
-func ms(d time.Duration) time.Duration { return d.Round(10 * time.Microsecond) }

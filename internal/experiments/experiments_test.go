@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hope/internal/netsim"
+	"hope/internal/policy"
 	"hope/internal/scenario"
 )
 
@@ -131,6 +132,52 @@ func TestE4ShapeCascadeScalesWithSuffix(t *testing.T) {
 	}
 }
 
+// TestE4bShapeCheckpointBoundsReplay: recovery after a late deny
+// replays from the last checkpoint, not from the start of the window.
+// The replayed-entry count is exact, so that half also runs under the
+// race detector; the recovery-time ratio is E4b's cp_flatness.
+func TestE4bShapeCheckpointBoundsReplay(t *testing.T) {
+	const cpEvery = 32
+	depths := []int{80, 272, 1040} // the E4b buckets: each 16 past a checkpoint
+	best := map[int]time.Duration{}
+	// Best of 5 as e4bHistoryRecovery, but depth by depth within each
+	// round: five back-to-back tries of one depth span a millisecond,
+	// and one GC cycle then slows them all.
+	for try := 0; try < 5; try++ {
+		for _, h := range depths {
+			elapsed, replayed, err := historyRecovery(h, cpEvery)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// 16 work steps since the checkpoint, the late guess and
+			// the restore bookkeeping: the same at every depth.
+			if replayed != 18 {
+				t.Fatalf("history %d, checkpoint every %d: replayed %d entries, want 18", h, cpEvery, replayed)
+			}
+			if best[h] == 0 || elapsed < best[h] {
+				best[h] = elapsed
+			}
+		}
+	}
+	for _, h := range depths {
+		_, replayed, err := historyRecovery(h, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(h + 4); replayed != want {
+			t.Fatalf("history %d, no checkpoints: replayed %d entries, want %d (the whole window)", h, replayed, want)
+		}
+	}
+	if raceEnabled {
+		return // the ratio below is wall-clock
+	}
+	deep, shallow := best[depths[len(depths)-1]], best[depths[0]]
+	if flat := float64(deep) / float64(shallow); flat > 2 {
+		t.Fatalf("cp_flatness = %.2fx (%v at depth %d vs %v at %d), want ≤ 2x: recovery cost grows with history",
+			flat, deep, depths[len(depths)-1], shallow, depths[0])
+	}
+}
+
 func TestE4RelaysJoinTheCascade(t *testing.T) {
 	_, st, err := cascade(1, 4, true)
 	if err != nil {
@@ -203,6 +250,96 @@ func TestE10ShapePoolScales(t *testing.T) {
 	}
 	if float64(many) > 0.5*float64(one) {
 		t.Fatalf("pool=12 (%v) should be well under half of pool=1 (%v)", many, one)
+	}
+}
+
+// bestOf3 returns the largest of three measurements of a rate: on a
+// shared machine interference only ever lowers a throughput, so the
+// maximum is the least-disturbed run.
+func bestOf3(rate func() float64) float64 {
+	best := 0.0
+	for try := 0; try < 3; try++ {
+		if r := rate(); r > best {
+			best = r
+		}
+	}
+	return best
+}
+
+// TestE11ShapeEpochCacheSpeedup: revalidating a memoized verdict
+// against the resolution epoch must stay well ahead of the locked
+// transitive walk (5–10x measured at 64 procs; a bypassed cache is 1x).
+func TestE11ShapeEpochCacheSpeedup(t *testing.T) {
+	if raceEnabled {
+		t.Skip("wall-clock shape assertion: skipped under the race detector")
+	}
+	ratio := bestOf3(func() float64 {
+		fresh, cached := trackerScanRates(64, 16)
+		return cached / fresh
+	})
+	if ratio < 3.5 {
+		t.Fatalf("epoch-cached vs fresh classification at 64 procs: %.1fx, want ≥ 3.5x", ratio)
+	}
+}
+
+// TestE11bShapeShardScaling: with one resolution per sweep, 64 shards
+// leave ~63/64 of the cached verdicts valid where one shard
+// invalidates them all (6–10x measured at 10k procs; 1x if sharding is
+// off).
+func TestE11bShapeShardScaling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("wall-clock shape assertion: skipped under the race detector")
+	}
+	rate := func(shards int) float64 {
+		return bestOf3(func() float64 {
+			r, _, _ := shardSweepRate(10_000, shards)
+			return r
+		})
+	}
+	one, many := rate(1), rate(64)
+	if many/one < 3.3 {
+		t.Fatalf("64 shards %.1f Mops/s vs 1 shard %.1f Mops/s at 10k procs: %.1fx, want ≥ 3.3x",
+			many/1e6, one/1e6, many/one)
+	}
+}
+
+// TestE15ShapeAdaptiveBeatsStatic: on a trace that is all-right then
+// all-wrong, the adaptive controller must beat the better static policy
+// (1.2–1.4x measured on this two-phase trace; a controller that never
+// leaves always-on is ≤ 1.0x).
+func TestE15ShapeAdaptiveBeatsStatic(t *testing.T) {
+	if raceEnabled {
+		t.Skip("wall-clock shape assertion: skipped under the race detector")
+	}
+	const latency = 2 * time.Millisecond
+	trace := e15Trace([]float64{1, 0}, 32)
+	onT, err := runE15(trace, latency, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offT, err := runE15(trace, latency, policy.AlwaysOff(policy.Config{WaitBudget: 50 * latency}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Best of three for the side under test only: a disturbed static run
+	// can only flatter the ratio, a disturbed adaptive run fails it.
+	adT := time.Duration(0)
+	for try := 0; try < 3; try++ {
+		d, err := runE15(trace, latency, e15Adaptive(latency))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if adT == 0 || d < adT {
+			adT = d
+		}
+	}
+	bestStatic := onT
+	if offT < bestStatic {
+		bestStatic = offT
+	}
+	if ratio := float64(bestStatic) / float64(adT); ratio < 1.1 {
+		t.Fatalf("adaptive %v vs always-on %v, always-off %v: %.2fx the better static, want ≥ 1.1x",
+			adT, onT, offT, ratio)
 	}
 }
 
