@@ -19,7 +19,7 @@
 //
 // Body fields are big-endian; strings are a u16 length prefix plus
 // bytes; AID sets and vector clocks are a u32 count prefix plus fixed
-//-width entries. Decoding is strict: truncated, oversized, or
+// -width entries. Decoding is strict: truncated, oversized, or
 // trailing-garbage bodies are rejected with an error, never a panic —
 // the fuzz harness pins this.
 package wire
@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"hope/internal/ids"
 )
@@ -112,7 +113,9 @@ type Msg struct {
 	Tags []ids.AID
 	// VClock is the sender node's vector clock, sorted by Node.
 	VClock []ClockEntry
-	// Payload is the serialized application value (gob; see node.go).
+	// Payload is the serialized application value: one segment of the
+	// link's gob stream (payload.go), meaningful only to the decoder
+	// that has seen the link's earlier segments in order.
 	Payload []byte
 }
 
@@ -132,11 +135,11 @@ type Done struct {
 // enc is an append-only big-endian body builder.
 type enc struct{ b []byte }
 
-func (e *enc) u8(v byte)     { e.b = append(e.b, v) }
-func (e *enc) u16(v uint16)  { e.b = binary.BigEndian.AppendUint16(e.b, v) }
-func (e *enc) u32(v uint32)  { e.b = binary.BigEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64)  { e.b = binary.BigEndian.AppendUint64(e.b, v) }
-func (e *enc) str(s string)  { e.u16(uint16(len(s))); e.b = append(e.b, s...) }
+func (e *enc) u8(v byte)    { e.b = append(e.b, v) }
+func (e *enc) u16(v uint16) { e.b = binary.BigEndian.AppendUint16(e.b, v) }
+func (e *enc) u32(v uint32) { e.b = binary.BigEndian.AppendUint32(e.b, v) }
+func (e *enc) u64(v uint64) { e.b = binary.BigEndian.AppendUint64(e.b, v) }
+func (e *enc) str(s string) { e.u16(uint16(len(s))); e.b = append(e.b, s...) }
 func (e *enc) bytes(p []byte) {
 	e.u32(uint32(len(p)))
 	e.b = append(e.b, p...)
@@ -229,10 +232,19 @@ func (d *dec) finish() error {
 }
 
 // AppendFrame serializes f (a Hello, Msg, Verdict, or Done) onto dst and
-// returns the extended slice.
+// returns the extended slice. The body is built in place behind a header
+// whose type and length are patched in once it is known.
 func AppendFrame(dst []byte, f any) ([]byte, error) {
+	start := len(dst)
+	// Size the frame up front so it costs one allocation, not one per
+	// doubling: a Msg exactly, the control frames by a floor their
+	// bodies (13 bytes at most, plus a node name) fit.
+	need := headerLen + 24
+	if m, ok := f.(Msg); ok {
+		need = headerLen + 2 + len(m.From) + 2 + len(m.To) + 8 + 4 + 8*len(m.Tags) + 4 + 12*len(m.VClock) + 4 + len(m.Payload)
+	}
 	var typ FrameType
-	var e enc
+	e := enc{b: append(slices.Grow(dst, need), magic0, magic1, Version, 0, 0, 0, 0, 0)}
 	switch v := f.(type) {
 	case Hello:
 		typ = FrameHello
@@ -274,12 +286,13 @@ func AppendFrame(dst []byte, f any) ([]byte, error) {
 	default:
 		return dst, fmt.Errorf("%w: unknown frame %T", ErrFrame, f)
 	}
-	if len(e.b) > MaxBody {
-		return dst, fmt.Errorf("%w: body %d exceeds cap %d", ErrFrame, len(e.b), MaxBody)
+	body := len(e.b) - start - headerLen
+	if body > MaxBody {
+		return dst, fmt.Errorf("%w: body %d exceeds cap %d", ErrFrame, body, MaxBody)
 	}
-	dst = append(dst, magic0, magic1, Version, byte(typ))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(e.b)))
-	return append(dst, e.b...), nil
+	e.b[start+3] = byte(typ)
+	binary.BigEndian.PutUint32(e.b[start+4:], uint32(body))
+	return e.b, nil
 }
 
 // DecodeBody parses one frame body of the given type. It never panics on

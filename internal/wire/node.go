@@ -1,10 +1,12 @@
 package wire
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,6 +30,19 @@ import (
 // and the paper's channel model assume. Inbound connections are
 // accepted and identified by their opening Hello frame.
 //
+// A link also carries one gob stream of payloads (payload.go), which
+// decodes only in the order it was encoded. So a Msg's payload is
+// encoded and its frame queued under one per-peer lock — stream order
+// is queue order however many processes send on the link — and a
+// payload the receiver cannot decode ends the link rather than the
+// message: everything after it on that stream would be garbage.
+//
+// The writer flushes on idle: it copies whatever is already queued into
+// one buffer and hands that to the socket in a single write, never
+// waiting for more, so batching adds no latency and a verdict usually
+// shares a write with the message that follows it. The reader reads
+// through a buffer of the same size.
+//
 // # Distributed resolution
 //
 // Terminal Affirm/Deny verdicts reach every runtime: the tracker's
@@ -43,9 +58,11 @@ import (
 //
 // A wire fault plan perturbs Msg frames only: Drop is decided at route
 // time (the sender sees engine.ErrDelivery, exactly like a local
-// injected drop), Dup enqueues the frame twice (the receiver's
-// per-sender sequence filter suppresses the copy), Delay makes the
-// link's writer sleep before the write — stretching the link without
+// injected drop), Dup encodes and enqueues the message a second time
+// under the same Seq (the payload stream cannot repeat bytes; the
+// receiver decodes the copy and the engine's per-sender sequence filter
+// suppresses it), Delay makes the link's writer flush what precedes the
+// frame and sleep before writing it — stretching the link without
 // reordering it. Control frames (Hello/Verdict/Done) are exempt: they
 // have no retry path, and the oracle's guarantee is about message
 // delivery, not about the resolution protocol losing its own state.
@@ -66,8 +83,8 @@ type Node struct {
 	seen       map[ids.AID]bool // verdicts applied or broadcast already
 	done       map[uint32]bool
 	doneClosed bool
-	conns      []net.Conn // accepted inbound connections, for Close
-	clock      map[uint32]uint64
+	conns      []net.Conn   // accepted inbound connections, for Close
+	clock      []ClockEntry // sorted by Node; always holds this node's entry
 	errs       []error
 }
 
@@ -123,7 +140,21 @@ type peer struct {
 	out  chan outFrame
 	slot int // obs metrics slot for the outbound link
 	lost atomic.Bool
+
+	// mu makes "encode the payload, queue the frame" one step, so the
+	// order of segments in the payload stream is the order of frames on
+	// the link. It is held across the send on out: the writer never
+	// takes it, and a full queue should stall the link's other senders
+	// anyway.
+	mu  sync.Mutex
+	enc payloadEncoder
+	vc  []ClockEntry // scratch for the clock snapshot of the frame being built
 }
+
+// linkBuf sizes a link's write batch and its read buffer: room for
+// some thirty storm-sized frames per syscall, small enough that a
+// node's retained memory does not notice its links.
+const linkBuf = 4 << 10
 
 // NewNode wires a runtime into the cluster: it installs the remote
 // router and verdict sink on rt immediately, so spawn local processes
@@ -152,14 +183,17 @@ func NewNode(rt *engine.Runtime, cfg Config) (*Node, error) {
 		allDone: make(chan struct{}),
 		seen:    make(map[ids.AID]bool),
 		done:    make(map[uint32]bool),
-		clock:   make(map[uint32]uint64),
+		clock:   []ClockEntry{{Node: cfg.ID}},
 	}
 	for id, addr := range cfg.Peers {
 		p := &peer{
 			id:   id,
 			name: fmt.Sprintf("node%d", id),
 			addr: addr,
-			out:  make(chan outFrame, 1024),
+			// The writer empties the queue into one write each time it
+			// wakes, so depth only has to cover what senders produce
+			// during one flush; two batches' worth of frames is ample.
+			out: make(chan outFrame, 64),
 		}
 		p.slot = cfg.Obs.RegisterWirePeer("→" + p.name)
 		n.peers[id] = p
@@ -274,16 +308,11 @@ func (n *Node) route(m engine.WireMsg) error {
 		n.cfg.Obs.Emit(obs.KFaultDrop, ids.NoProc, ids.NoAID, ids.NoInterval, 0)
 		return engine.ErrDelivery
 	}
-	payload, err := EncodePayload(m.Payload)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	buf, err := n.frameMsg(p, m)
 	if err != nil {
-		return fmt.Errorf("wire: encode %s→%s payload: %w", m.From, m.To, err)
-	}
-	buf, err := AppendFrame(nil, Msg{
-		From: m.From, To: m.To, Seq: m.Seq,
-		Tags: m.Tags, VClock: n.tick(), Payload: payload,
-	})
-	if err != nil {
-		return fmt.Errorf("wire: frame %s→%s: %w", m.From, m.To, err)
+		return err
 	}
 	delay := n.cfg.Faults.DelayNow(m.From, m.To)
 	if delay > 0 {
@@ -294,9 +323,35 @@ func (n *Node) route(m engine.WireMsg) error {
 	}
 	if n.cfg.Faults.DupNow(m.From, m.To) {
 		n.cfg.Obs.Emit(obs.KFaultDup, ids.NoProc, ids.NoAID, ids.NoInterval, 0)
-		_ = n.enqueue(p, outFrame{buf: buf}) // best-effort duplicate
+		// Best-effort duplicate: the same message under the same Seq,
+		// encoded again because the stream has moved on.
+		if buf, err := n.frameMsg(p, m); err == nil {
+			_ = n.enqueue(p, outFrame{buf: buf})
+		}
 	}
 	return nil
+}
+
+// frameMsg encodes m's payload as the next segment of p's stream and
+// frames it. The caller holds p.mu and must queue the frame before
+// releasing it.
+func (n *Node) frameMsg(p *peer, m engine.WireMsg) ([]byte, error) {
+	payload, err := p.enc.encode(m.Payload)
+	if err != nil {
+		return nil, fmt.Errorf("wire: encode %s→%s payload: %w", m.From, m.To, err)
+	}
+	p.vc = n.tick(p.vc[:0])
+	buf, err := AppendFrame(nil, Msg{
+		From: m.From, To: m.To, Seq: m.Seq,
+		Tags: m.Tags, VClock: p.vc, Payload: payload,
+	})
+	if err != nil {
+		// The segment is encoded but will never be sent: open a new
+		// stream rather than leave the receiver one segment behind.
+		p.enc = payloadEncoder{}
+		return nil, fmt.Errorf("wire: frame %s→%s: %w", m.From, m.To, err)
+	}
+	return buf, nil
 }
 
 // enqueue hands a frame to the link's writer in FIFO order.
@@ -335,70 +390,111 @@ func (n *Node) onVerdict(x ids.AID, affirmed bool) {
 	n.cfg.Obs.WireVerdictBroadcast(fanout)
 }
 
-// tick advances this node's vector-clock component and snapshots the
-// clock, sorted by node for a canonical wire form.
-func (n *Node) tick() []ClockEntry {
+// tick advances this node's vector-clock component and appends a
+// snapshot of the clock — kept sorted by node, the canonical wire form —
+// to dst.
+func (n *Node) tick(dst []ClockEntry) []ClockEntry {
 	n.mu.Lock()
-	n.clock[n.cfg.ID]++
-	out := make([]ClockEntry, 0, len(n.clock))
-	for id, s := range n.clock {
-		out = append(out, ClockEntry{Node: id, Seq: s})
-	}
-	n.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
+	defer n.mu.Unlock()
+	n.clock[n.clockIndex(n.cfg.ID)].Seq++
+	return append(dst, n.clock...)
 }
 
 func (n *Node) mergeClock(vc []ClockEntry) {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	for _, c := range vc {
-		if c.Seq > n.clock[c.Node] {
-			n.clock[c.Node] = c.Seq
+		i := n.clockIndex(c.Node)
+		if i == len(n.clock) || n.clock[i].Node != c.Node {
+			n.clock = slices.Insert(n.clock, i, c)
+		} else if c.Seq > n.clock[i].Seq {
+			n.clock[i].Seq = c.Seq
 		}
 	}
-	n.mu.Unlock()
 }
 
-// writeLoop is one link's single writer: FIFO, with injected delays
-// stretching the link rather than reordering it. On a write error the
-// peer is marked lost (senders see ErrDelivery) and the queue keeps
-// draining so nothing blocks.
+// clockIndex returns where node's entry is, or belongs, in the sorted
+// clock. A linear scan: a clock has one entry per cluster node.
+func (n *Node) clockIndex(node uint32) int {
+	i := 0
+	for i < len(n.clock) && n.clock[i].Node < node {
+		i++
+	}
+	return i
+}
+
+// writeLoop is one link's single writer: FIFO, flush on idle. Each time
+// it wakes it copies every frame already queued into one batch and
+// writes that once; it never waits for a batch to fill. A frame with an
+// injected delay first flushes what precedes it, then sleeps, so delays
+// stretch the link rather than reorder it. On a write error the peer is
+// marked lost (senders see ErrDelivery) and the loop keeps draining the
+// queue, acking without writing, so nothing blocks.
 func (n *Node) writeLoop(p *peer) {
 	defer n.wg.Done()
-	for {
-		select {
-		case f := <-p.out:
-			if f.delay > 0 {
-				select {
-				case <-time.After(f.delay):
-				case <-n.stopped:
-					return
-				}
-			}
-			nw, err := p.conn.Write(f.buf)
-			n.cfg.Obs.WireFrameOut(p.slot, nw)
-			if f.sent != nil {
-				f.sent <- struct{}{}
+	batch := make([]byte, 0, linkBuf)
+	var held []outFrame // the frames not yet written, in order
+	// flush writes b — the bytes of exactly the held frames — then
+	// accounts for and acks each frame: sent or not, the writer is past
+	// it.
+	flush := func(b []byte) {
+		if len(held) == 0 {
+			return
+		}
+		if !p.lost.Load() {
+			nw, err := p.conn.Write(b)
+			for _, f := range held {
+				k := min(nw, len(f.buf))
+				nw -= k
+				n.cfg.Obs.WireFrameOut(p.slot, k)
 			}
 			if err != nil {
 				p.lost.Store(true)
 				if !n.closing() {
 					n.noteErr(fmt.Errorf("wire: write to %s: %w", p.name, err))
 				}
-				for { // drain forever; frames to a lost peer are dropped
-					select {
-					case d := <-p.out:
-						if d.sent != nil {
-							d.sent <- struct{}{}
-						}
-					case <-n.stopped:
-						return
-					}
-				}
 			}
+		}
+		for _, f := range held {
+			if f.sent != nil {
+				f.sent <- struct{}{}
+			}
+		}
+		clear(held) // drop the frame buffers, not just the length
+		batch, held = batch[:0], held[:0]
+	}
+	for {
+		var f outFrame
+		select {
+		case f = <-p.out:
 		case <-n.stopped:
 			return
 		}
+		for queued := true; queued; {
+			if f.delay > 0 && !p.lost.Load() {
+				flush(batch)
+				select {
+				case <-time.After(f.delay):
+				case <-n.stopped:
+					return
+				}
+			}
+			if len(batch)+len(f.buf) > cap(batch) {
+				flush(batch)
+			}
+			held = append(held, f)
+			if len(f.buf) > cap(batch) {
+				flush(f.buf) // too big to batch: goes out alone, uncopied
+			} else {
+				batch = append(batch, f.buf...)
+			}
+			select {
+			case f = <-p.out:
+			default:
+				queued = false
+			}
+		}
+		flush(batch)
 	}
 }
 
@@ -423,7 +519,8 @@ func (n *Node) acceptLoop() {
 func (n *Node) readLoop(conn net.Conn) {
 	defer n.wg.Done()
 	defer conn.Close()
-	f, sz, err := ReadFrame(conn)
+	br := bufio.NewReaderSize(conn, linkBuf)
+	f, sz, err := ReadFrame(br)
 	if err != nil {
 		if !n.closing() {
 			n.noteErr(fmt.Errorf("wire: inbound %s: %w", conn.RemoteAddr(), err))
@@ -438,9 +535,10 @@ func (n *Node) readLoop(conn net.Conn) {
 	slot := n.cfg.Obs.RegisterWirePeer("←" + hello.Name)
 	n.cfg.Obs.WireFrameIn(slot, sz)
 	lastSeq := make(map[string]uint64) // per-sender redelivery accounting
+	var payloads payloadDecoder        // the receiving end of the link's payload stream
 	sawDone := false
 	for {
-		f, sz, err := ReadFrame(conn)
+		f, sz, err := ReadFrame(br)
 		if err != nil {
 			// EOF at a frame boundary is the peer leaving; anything after
 			// its Done, or during our own shutdown, is normal teardown.
@@ -458,13 +556,18 @@ func (n *Node) readLoop(conn net.Conn) {
 			} else {
 				lastSeq[m.From] = m.Seq
 			}
-			payload, err := DecodePayload(m.Payload)
+			payload, err := payloads.decode(m.Payload)
 			if err != nil {
-				n.noteErr(fmt.Errorf("wire: payload %s→%s: %w", m.From, m.To, err))
-				continue
+				// The stream is out of step, so no later payload on this
+				// connection can be trusted: give the link up. Closing it
+				// makes the sender's next write fail and its sends degrade
+				// to ErrDelivery.
+				n.noteErr(fmt.Errorf("wire: payload %s→%s: %w; dropping the link from %s", m.From, m.To, err, hello.Name))
+				return
 			}
-			// Duplicates are injected too: the engine's per-sender filter
-			// suppresses them, which is the machinery under test.
+			// Duplicates are decoded (the stream must advance) and
+			// injected too: the engine's per-sender filter suppresses
+			// them, which is the machinery under test.
 			if err := n.rt.InjectRemote(engine.WireMsg{
 				From: m.From, To: m.To, Seq: m.Seq, Tags: m.Tags, Payload: payload,
 			}); err != nil {

@@ -273,7 +273,11 @@ func TestWireMetrics(t *testing.T) {
 		x := p.NewAID()
 		p.Guess(x)
 		for i := 0; i < 10; i++ {
-			if err := p.Send("b", i); err != nil {
+			var v any = i
+			if i == 5 {
+				v = make([]byte, 3*linkBuf) // a frame too big for the writer's batch
+			}
+			if err := p.Send("b", v); err != nil {
 				return err
 			}
 		}
@@ -295,19 +299,25 @@ func TestWireMetrics(t *testing.T) {
 	c.start(t)
 	c.wait(t)
 
-	snap := observers[0].Snapshot()
-	if len(snap.WirePeers) == 0 {
-		t.Fatal("node 0 registered no wire peers")
+	// Batching must not blur the per-frame counters: the sender counts
+	// each frame it wrote with that frame's length, so its totals equal
+	// what the receiver — which sizes frames one at a time as it parses
+	// them — counted on the other end of the link.
+	for i, frames := range []int64{
+		1 + 10 + 1 + 1, // hello, 10 msgs, 1 verdict, done
+		1 + 1,          // hello, done
+	} {
+		out := linkStat(t, observers[i], fmt.Sprintf("→node%d", 1-i))
+		in := linkStat(t, observers[1-i], fmt.Sprintf("←node%d", i))
+		if out.FramesOut != frames {
+			t.Errorf("node %d frames out = %d, want %d", i, out.FramesOut, frames)
+		}
+		if out.FramesOut != in.FramesIn || out.BytesOut != in.BytesIn {
+			t.Errorf("node %d wrote %d frames / %d bytes, node %d read %d / %d",
+				i, out.FramesOut, out.BytesOut, 1-i, in.FramesIn, in.BytesIn)
+		}
 	}
-	var out int64
-	for _, ps := range snap.WirePeers {
-		out += ps.FramesOut
-	}
-	// 1 hello + 10 msgs + 1 verdict + 1 done, at least.
-	if out < 13 {
-		t.Fatalf("node 0 frames out = %d, want ≥ 13", out)
-	}
-	if snap.Metrics.WireVerdictFanout < 1 {
-		t.Fatalf("verdict fanout = %d, want ≥ 1", snap.Metrics.WireVerdictFanout)
+	if fanout := observers[0].Snapshot().Metrics.WireVerdictFanout; fanout != 1 {
+		t.Fatalf("verdict fanout = %d, want 1", fanout)
 	}
 }

@@ -3,16 +3,37 @@ package wire
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
+	"fmt"
 	"sync"
 
 	"hope/internal/engine"
 )
 
-// Payloads cross the wire as gob inside the Msg frame: gob because the
+// Payloads cross the wire as one gob stream per directed link, cut into
+// per-message segments that ride inside the Msg frames: gob because the
 // engine's message payloads are `any`, and gob's interface encoding is
 // the one stdlib serializer that round-trips a registered concrete type
-// through an interface value without a schema. The frame layer treats
-// the result as opaque bytes.
+// through an interface value without a schema; a stream because gob
+// describes each type once per stream, so a link pays for a payload
+// type's descriptor (and for compiling its codec, on both ends) on the
+// first message that carries it instead of on every message. The frame
+// layer treats a segment as opaque bytes.
+//
+// The price is state: a segment decodes only on the decoder that has
+// seen every earlier segment of its stream, in order. Each outbound peer
+// owns the link's payloadEncoder and each inbound readLoop its
+// payloadDecoder; node.go keeps stream order equal to wire order. The
+// first byte of a segment says whether it opens a stream or continues
+// one, so either end can tell when the other restarted.
+
+const (
+	// streamOpen heads the first segment of a stream: the receiver drops
+	// its decoder and starts a new one before decoding.
+	streamOpen byte = 1
+	// streamNext heads every later segment.
+	streamNext byte = 2
+)
 
 var registerOnce sync.Once
 
@@ -42,22 +63,78 @@ func RegisterPayload(v any) {
 	gob.Register(v)
 }
 
-// EncodePayload serializes one payload value.
-func EncodePayload(v any) ([]byte, error) {
-	registerOnce.Do(registerBuiltins)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
+// payloadEncoder is the sending end of one payload stream. The zero
+// value is ready; it is not safe for concurrent use.
+type payloadEncoder struct {
+	buf bytes.Buffer
+	enc *gob.Encoder // nil: the next segment opens a new stream
+}
+
+// encode returns v's segment, valid until the next call. A failed encode
+// may already have marked type descriptors as sent that the receiver
+// will never see, so it abandons the stream: the next segment opens a
+// new one and the receiver's decoder restarts with it.
+func (e *payloadEncoder) encode(v any) ([]byte, error) {
+	e.buf.Reset()
+	if e.enc == nil {
+		registerOnce.Do(registerBuiltins)
+		e.enc = gob.NewEncoder(&e.buf)
+		e.buf.WriteByte(streamOpen)
+	} else {
+		e.buf.WriteByte(streamNext)
+	}
+	if err := e.enc.Encode(&v); err != nil {
+		e.enc = nil
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return e.buf.Bytes(), nil
+}
+
+// payloadDecoder is the receiving end of one payload stream. The zero
+// value is ready; it is not safe for concurrent use. After an error the
+// stream is out of step and only a streamOpen segment decodes again.
+type payloadDecoder struct {
+	r   bytes.Reader
+	dec *gob.Decoder
+}
+
+// decode returns the value in the stream's next segment.
+func (d *payloadDecoder) decode(seg []byte) (any, error) {
+	switch {
+	case len(seg) == 0:
+		return nil, errors.New("wire: empty payload segment")
+	case seg[0] == streamOpen:
+		registerOnce.Do(registerBuiltins)
+		// bytes.Reader is an io.ByteReader, so gob reads it unbuffered:
+		// Reset below is all it takes to feed it the next segment.
+		d.dec = gob.NewDecoder(&d.r)
+	case seg[0] != streamNext:
+		return nil, fmt.Errorf("wire: payload segment marker %d", seg[0])
+	case d.dec == nil:
+		return nil, errors.New("wire: payload segment continues a stream that was never opened")
+	}
+	d.r.Reset(seg[1:])
+	var v any
+	if err := d.dec.Decode(&v); err != nil {
+		d.dec = nil
+		return nil, err
+	}
+	if d.r.Len() != 0 {
+		d.dec = nil
+		return nil, fmt.Errorf("wire: %d bytes after the value in a payload segment", d.r.Len())
+	}
+	return v, nil
+}
+
+// EncodePayload serializes one payload value as a stream of its own: a
+// single opening segment, type descriptors included.
+func EncodePayload(v any) ([]byte, error) {
+	var e payloadEncoder
+	return e.encode(v)
 }
 
 // DecodePayload is the inverse of EncodePayload.
 func DecodePayload(b []byte) (any, error) {
-	registerOnce.Do(registerBuiltins)
-	var v any
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
-		return nil, err
-	}
-	return v, nil
+	var d payloadDecoder
+	return d.decode(b)
 }
