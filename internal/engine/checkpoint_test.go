@@ -133,11 +133,8 @@ func TestCheckpointTruncatedWithLog(t *testing.T) {
 			sawRestore.Store(true)
 		}
 		x := p.NewAID()
-		select {
-		case aidCh <- x:
-		default:
-		}
 		if p.Guess(x) {
+			aidCh <- x // only once the guess is open, so the deny has something to roll back
 			p.Checkpoint("inside the doomed speculation")
 			p.Printf("opt\n")
 			_, err := p.Recv() // parks until the deny unwinds it

@@ -150,11 +150,9 @@ func TestOutcomeStableAcrossReplay(t *testing.T) {
 			reads[i] = [2]bool{resolved, affirmed}
 		}
 		y := p.NewAID()
-		select {
-		case yCh <- y:
-		default:
+		if p.Guess(y) { // denied → replay the Outcome entry above
+			yCh <- y // only once the guess is open, so the deny rolls it back
 		}
-		p.Guess(y) // denied → replay the Outcome entry above
 		return nil
 	})
 	spawn(t, rt, "resolver", func(p *Proc) error {
@@ -223,15 +221,18 @@ func TestRecvMatchSkipsWithoutConsuming(t *testing.T) {
 	done := make(chan struct{})
 
 	spawn(t, rt, "sink", func(p *Proc) error {
-		// Take the string first even though ints arrive earlier.
-		m, err := p.RecvMatch(func(v any) bool { _, ok := v.(string); return ok })
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		got = append(got, fmt.Sprint(m.Payload))
-		mu.Unlock()
+		// Take the strings first even though ints arrive earlier: two
+		// removals from the middle of the queue.
 		for i := 0; i < 2; i++ {
+			m, err := p.RecvMatch(func(v any) bool { _, ok := v.(string); return ok })
+			if err != nil {
+				return err
+			}
+			mu.Lock()
+			got = append(got, fmt.Sprint(m.Payload))
+			mu.Unlock()
+		}
+		for i := 0; i < 3; i++ {
 			m, err := p.Recv()
 			if err != nil {
 				return err
@@ -247,10 +248,12 @@ func TestRecvMatchSkipsWithoutConsuming(t *testing.T) {
 		if err := p.Send("sink", 1); err != nil {
 			return err
 		}
-		if err := p.Send("sink", 2); err != nil {
-			return err
+		for _, v := range []any{2, "s", 3} {
+			if err := p.Send("sink", v); err != nil {
+				return err
+			}
 		}
-		return p.Send("sink", "s")
+		return p.Send("sink", "t")
 	})
 	select {
 	case <-done:
@@ -261,8 +264,8 @@ func TestRecvMatchSkipsWithoutConsuming(t *testing.T) {
 	rt.Wait()
 	mu.Lock()
 	defer mu.Unlock()
-	if fmt.Sprint(got) != "[s 1 2]" {
-		t.Fatalf("order = %v, want [s 1 2]", got)
+	if fmt.Sprint(got) != "[s t 1 2 3]" {
+		t.Fatalf("order = %v, want [s t 1 2 3]", got)
 	}
 }
 

@@ -267,8 +267,12 @@ func New(opts ...Option) *Runtime {
 	// in RecvSettled are woken — a resolution does not serialize against
 	// every process in the system.
 	r.tr.SetResolutionWatcher(func() {
+		// Most resolutions find a handful of waiters (often the one
+		// sink): collect them on the stack, spilling to the heap only
+		// past the array.
+		var few [8]*Proc
+		waiters := few[:0]
 		r.mu.Lock()
-		waiters := make([]*Proc, 0, len(r.settledWaiters))
 		for p := range r.settledWaiters {
 			waiters = append(waiters, p)
 		}
@@ -670,14 +674,13 @@ func (r *Runtime) DebugString() string {
 	for i, p := range procs {
 		p.mu.Lock()
 		phase := p.state
-		qlen := len(p.queue)
-		p.classifyQueueLocked()
+		qlen := p.queue.len()
 		settled, spec, orphan := 0, 0, 0
-		for _, m := range p.queue {
-			switch {
-			case m.cls.Orphan:
+		for _, m := range p.queue.live() {
+			switch isSettled, isOrphan := r.tr.ClassifyCached(m.tags, &m.cls); {
+			case isOrphan:
 				orphan++
-			case m.cls.Settled:
+			case isSettled:
 				settled++
 			default:
 				spec++

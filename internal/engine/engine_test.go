@@ -38,7 +38,7 @@ func waitClean(t *testing.T, rt *Runtime) {
 			t.Errorf("process error: %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Wait timed out")
+		t.Fatalf("Wait timed out\n%s", rt.DebugString())
 	}
 }
 
@@ -80,13 +80,13 @@ func TestGuessDenyRollsBackAndAborts(t *testing.T) {
 
 	spawn(t, rt, "worker", func(p *Proc) error {
 		x := p.NewAID()
-		select {
-		case aidCh <- x:
-		default: // replay re-executes NewAID from the log; channel already has it
-		}
 		if p.Guess(x) {
 			p.Effect(func() {}, func() { aborted.Store(true) })
 			p.Printf("optimistic\n")
+			// Published only once the guess is open and its effects are
+			// registered: a verifier that denied earlier would leave
+			// nothing to roll back or abort.
+			aidCh <- x
 		} else {
 			p.Printf("pessimistic\n")
 		}
@@ -143,11 +143,9 @@ func TestRollbackRestartCount(t *testing.T) {
 	spawn(t, rt, "worker", func(p *Proc) error {
 		captured.Do(func() { worker = p })
 		x := p.NewAID()
-		select {
-		case aidCh <- x:
-		default:
+		if p.Guess(x) {
+			aidCh <- x // only once the guess is open, so the deny rolls it back
 		}
-		p.Guess(x)
 		return nil
 	})
 	spawn(t, rt, "verifier", func(p *Proc) error {
@@ -171,17 +169,7 @@ func TestMessageCascade(t *testing.T) {
 			aidCh := make(chan AID, 1)
 			var final atomic.Int64
 
-			spawn(t, rt, "sender", func(p *Proc) error {
-				x := p.NewAID()
-				select {
-				case aidCh <- x:
-				default:
-				}
-				if p.Guess(x) {
-					return p.Send("receiver", 10)
-				}
-				return p.Send("receiver", 5)
-			})
+			// Receiver first: see TestManyProcessesStress.
 			spawn(t, rt, "receiver", func(p *Proc) error {
 				m, err := p.Recv()
 				if err != nil {
@@ -193,6 +181,17 @@ func TestMessageCascade(t *testing.T) {
 				}
 				final.Store(int64(v))
 				return nil
+			})
+			spawn(t, rt, "sender", func(p *Proc) error {
+				x := p.NewAID()
+				select {
+				case aidCh <- x:
+				default:
+				}
+				if p.Guess(x) {
+					return p.Send("receiver", 10)
+				}
+				return p.Send("receiver", 5)
 			})
 			spawn(t, rt, "verifier", func(p *Proc) error {
 				x := <-aidCh
@@ -219,6 +218,22 @@ func TestTransitiveCascade(t *testing.T) {
 	aidCh := make(chan AID, 1)
 	var final atomic.Int64
 
+	// Receivers first: see TestManyProcessesStress.
+	spawn(t, rt, "tail", func(p *Proc) error {
+		m, err := p.Recv()
+		if err != nil {
+			return err
+		}
+		final.Store(int64(m.Payload.(int) + 1))
+		return nil
+	})
+	spawn(t, rt, "mid", func(p *Proc) error {
+		m, err := p.Recv()
+		if err != nil {
+			return err
+		}
+		return p.Send("tail", m.Payload.(int)*2)
+	})
 	spawn(t, rt, "head", func(p *Proc) error {
 		x := p.NewAID()
 		select {
@@ -229,21 +244,6 @@ func TestTransitiveCascade(t *testing.T) {
 			return p.Send("mid", 100)
 		}
 		return p.Send("mid", 1)
-	})
-	spawn(t, rt, "mid", func(p *Proc) error {
-		m, err := p.Recv()
-		if err != nil {
-			return err
-		}
-		return p.Send("tail", m.Payload.(int)*2)
-	})
-	spawn(t, rt, "tail", func(p *Proc) error {
-		m, err := p.Recv()
-		if err != nil {
-			return err
-		}
-		final.Store(int64(m.Payload.(int) + 1))
-		return nil
 	})
 	spawn(t, rt, "verifier", func(p *Proc) error {
 		return p.Deny(<-aidCh)
@@ -259,6 +259,14 @@ func TestAIDSharedThroughPayload(t *testing.T) {
 	rt, _ := newRT(t)
 	var final atomic.Int64
 
+	// Receiver first: see TestManyProcessesStress.
+	spawn(t, rt, "resolver", func(p *Proc) error {
+		m, err := p.Recv()
+		if err != nil {
+			return err
+		}
+		return p.Deny(m.Payload.(AID))
+	})
 	spawn(t, rt, "guesser", func(p *Proc) error {
 		x := p.NewAID()
 		if err := p.Send("resolver", x); err != nil {
@@ -270,13 +278,6 @@ func TestAIDSharedThroughPayload(t *testing.T) {
 			final.Store(2)
 		}
 		return nil
-	})
-	spawn(t, rt, "resolver", func(p *Proc) error {
-		m, err := p.Recv()
-		if err != nil {
-			return err
-		}
-		return p.Deny(m.Payload.(AID))
 	})
 	waitClean(t, rt)
 	if final.Load() != 2 {
@@ -340,28 +341,33 @@ func figure2(t *testing.T, total int, latency time.Duration) (lineno, newpage in
 	const pageSize = 50
 	var lineCount, newpages atomic.Int64
 
-	spawn(t, rt, "worker", func(p *Proc) error {
-		partPage := p.NewAID()
-		order := p.NewAID()
-		if err := p.Send("worrywart", [2]AID{partPage, order}); err != nil {
-			return err
+	// Receivers first: see TestManyProcessesStress.
+	spawn(t, rt, "printer", func(p *Proc) error {
+		lines := 0
+		for i := 0; i < 2; i++ {
+			m, err := p.Recv()
+			if err != nil {
+				return err
+			}
+			s := m.Payload.(string)
+			if strings.HasPrefix(s, "Total is ") {
+				// Printing the total advances to line `total`.
+				var v int
+				fmt.Sscanf(s, "Total is %d", &v)
+				lines = v
+			} else {
+				lines++
+			}
+			p.Printf("print: %s\n", s)
+			if m.From == "worrywart" {
+				if err := p.Send("worrywart", lines); err != nil {
+					return err
+				}
+			}
 		}
-		if err := p.Send("worrywart", total); err != nil {
-			return err
-		}
-		if !p.Guess(partPage) {
-			p.Effect(func() { newpages.Add(1) }, nil)
-		}
-		if p.Guess(order) {
-			return p.Send("printer", "Summary...")
-		}
-		// Pessimistic: wait until S1 is known complete.
-		if _, err := p.Recv(); err != nil {
-			return err
-		}
-		return p.Send("printer", "Summary...")
+		p.Effect(func() { lineCount.Store(int64(lines)) }, nil)
+		return nil
 	})
-
 	spawn(t, rt, "worrywart", func(p *Proc) error {
 		m, err := p.Recv()
 		if err != nil {
@@ -393,31 +399,26 @@ func figure2(t *testing.T, total int, latency time.Duration) (lineno, newpage in
 		return p.Deny(partPage)
 	})
 
-	spawn(t, rt, "printer", func(p *Proc) error {
-		lines := 0
-		for i := 0; i < 2; i++ {
-			m, err := p.Recv()
-			if err != nil {
-				return err
-			}
-			s := m.Payload.(string)
-			if strings.HasPrefix(s, "Total is ") {
-				// Printing the total advances to line `total`.
-				var v int
-				fmt.Sscanf(s, "Total is %d", &v)
-				lines = v
-			} else {
-				lines++
-			}
-			p.Printf("print: %s\n", s)
-			if m.From == "worrywart" {
-				if err := p.Send("worrywart", lines); err != nil {
-					return err
-				}
-			}
+	spawn(t, rt, "worker", func(p *Proc) error {
+		partPage := p.NewAID()
+		order := p.NewAID()
+		if err := p.Send("worrywart", [2]AID{partPage, order}); err != nil {
+			return err
 		}
-		p.Effect(func() { lineCount.Store(int64(lines)) }, nil)
-		return nil
+		if err := p.Send("worrywart", total); err != nil {
+			return err
+		}
+		if !p.Guess(partPage) {
+			p.Effect(func() { newpages.Add(1) }, nil)
+		}
+		if p.Guess(order) {
+			return p.Send("printer", "Summary...")
+		}
+		// Pessimistic: wait until S1 is known complete.
+		if _, err := p.Recv(); err != nil {
+			return err
+		}
+		return p.Send("printer", "Summary...")
 	})
 
 	waitClean(t, rt)
@@ -638,6 +639,14 @@ func TestDeterministicReplayViolationDetected(t *testing.T) {
 	var first atomic.Bool
 	first.Store(true)
 
+	// Receiver first: see TestManyProcessesStress.
+	spawn(t, rt, "p2", func(p *Proc) error {
+		_, err := p.Recv()
+		if errors.Is(err, ErrShutdown) {
+			return nil
+		}
+		return err
+	})
 	spawn(t, rt, "p", func(p *Proc) error {
 		x := p.NewAID()
 		if first.CompareAndSwap(true, false) {
@@ -651,13 +660,6 @@ func TestDeterministicReplayViolationDetected(t *testing.T) {
 		}
 		_ = p.Send("p2", 1)
 		return nil
-	})
-	spawn(t, rt, "p2", func(p *Proc) error {
-		_, err := p.Recv()
-		if errors.Is(err, ErrShutdown) {
-			return nil
-		}
-		return err
 	})
 	spawn(t, rt, "verifier", func(p *Proc) error {
 		return p.Deny(<-aidCh)
@@ -694,18 +696,9 @@ func TestManyProcessesStress(t *testing.T) {
 		i := i
 		gname := fmt.Sprintf("guess-%d", i)
 		rname := fmt.Sprintf("resolve-%d", i)
-		spawn(t, rt, gname, func(p *Proc) error {
-			for r := 0; r < rounds; r++ {
-				x := p.NewAID()
-				if err := p.Send(rname, x); err != nil {
-					return err
-				}
-				if !p.Guess(x) {
-					p.Effect(func() { denials.Add(1) }, nil)
-				}
-			}
-			return nil
-		})
+		// Receiver first: a send to a name not yet spawned fails with
+		// ErrUnknownDest (ROADMAP item 1(c)), which is not what this test is
+		// about.
 		spawn(t, rt, rname, func(p *Proc) error {
 			for r := 0; r < rounds; r++ {
 				m, err := p.Recv()
@@ -721,6 +714,18 @@ func TestManyProcessesStress(t *testing.T) {
 					if err := p.Deny(x); err != nil {
 						return err
 					}
+				}
+			}
+			return nil
+		})
+		spawn(t, rt, gname, func(p *Proc) error {
+			for r := 0; r < rounds; r++ {
+				x := p.NewAID()
+				if err := p.Send(rname, x); err != nil {
+					return err
+				}
+				if !p.Guess(x) {
+					p.Effect(func() { denials.Add(1) }, nil)
 				}
 			}
 			return nil
@@ -742,17 +747,7 @@ func TestRecvSettledWaitsForCommitment(t *testing.T) {
 			aidCh := make(chan AID, 1)
 			var got atomic.Int64
 
-			spawn(t, rt, "sender", func(p *Proc) error {
-				x := p.NewAID()
-				select {
-				case aidCh <- x:
-				default:
-				}
-				if p.Guess(x) {
-					return p.Send("sink", 10)
-				}
-				return p.Send("sink", 5)
-			})
+			// Receiver first: see TestManyProcessesStress.
 			spawn(t, rt, "sink", func(p *Proc) error {
 				m, err := p.RecvSettled()
 				if err != nil {
@@ -763,6 +758,17 @@ func TestRecvSettledWaitsForCommitment(t *testing.T) {
 					return errors.New("pessimistic receiver became speculative")
 				}
 				return nil
+			})
+			spawn(t, rt, "sender", func(p *Proc) error {
+				x := p.NewAID()
+				select {
+				case aidCh <- x:
+				default:
+				}
+				if p.Guess(x) {
+					return p.Send("sink", 10)
+				}
+				return p.Send("sink", 5)
 			})
 			spawn(t, rt, "verifier", func(p *Proc) error {
 				x := <-aidCh
@@ -805,12 +811,35 @@ func TestRecvSettledDeliversDefiniteImmediately(t *testing.T) {
 
 func TestRecvSettledOrdersBehindSpeculation(t *testing.T) {
 	// A settled message behind a speculative one in the queue is
-	// delivered first by RecvSettled (it skips, not blocks).
+	// delivered first by RecvSettled (it skips, not blocks); once the
+	// skipped head settles it is the oldest deliverable again and goes
+	// ahead of a younger settled message.
 	rt, _ := newRT(t)
 	aidCh := make(chan AID, 1)
 	step := make(chan struct{}, 1)
-	var first atomic.Int64
+	var got []int
 
+	// Receiver first: see TestManyProcessesStress.
+	spawn(t, rt, "sink", func(p *Proc) error {
+		recv := func() error {
+			m, err := p.RecvSettled()
+			if err == nil {
+				got = append(got, m.Payload.(int))
+			}
+			return err
+		}
+		if err := recv(); err != nil {
+			return err
+		}
+		// Unblock everything: resolve the speculation.
+		if err := p.Affirm(<-aidCh); err != nil {
+			return err
+		}
+		if err := recv(); err != nil {
+			return err
+		}
+		return recv()
+	})
 	spawn(t, rt, "spec", func(p *Proc) error {
 		x := p.NewAID()
 		select {
@@ -830,19 +859,13 @@ func TestRecvSettledOrdersBehindSpeculation(t *testing.T) {
 	})
 	spawn(t, rt, "def", func(p *Proc) error {
 		<-step // ensure the speculative message is queued first
-		return p.Send("sink", 7)
-	})
-	spawn(t, rt, "sink", func(p *Proc) error {
-		m, err := p.RecvSettled()
-		if err != nil {
+		if err := p.Send("sink", 7); err != nil {
 			return err
 		}
-		first.Store(int64(m.Payload.(int)))
-		// Unblock everything: resolve the speculation.
-		return p.Affirm(<-aidCh)
+		return p.Send("sink", 8)
 	})
 	waitClean(t, rt)
-	if first.Load() != 7 {
-		t.Fatalf("first settled delivery = %d, want the definite 7", first.Load())
+	if fmt.Sprint(got) != "[7 100 8]" {
+		t.Fatalf("settled deliveries = %v, want [7 100 8]: the definite 7 past the speculative head, then the head once affirmed, then 8", got)
 	}
 }

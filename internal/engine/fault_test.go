@@ -17,11 +17,14 @@ func pipelineWorkload(t *testing.T, opts ...Option) (string, *Runtime) {
 	t.Helper()
 	rt, buf := newRT(t, opts...)
 	const n = 12
-	spawn(t, rt, "source", func(p *Proc) error {
+	// Receivers first: see TestManyProcessesStress.
+	spawn(t, rt, "sink", func(p *Proc) error {
 		for i := 0; i < n; i++ {
-			if err := p.SendRetry("worker", i, RetryPolicy{Attempts: 50}); err != nil {
+			m, err := p.RecvSettled()
+			if err != nil {
 				return err
 			}
+			p.Printf("sink got %s\n", m.Payload.(string))
 		}
 		return nil
 	})
@@ -51,13 +54,11 @@ func pipelineWorkload(t *testing.T, opts ...Option) (string, *Runtime) {
 		}
 		return nil
 	})
-	spawn(t, rt, "sink", func(p *Proc) error {
+	spawn(t, rt, "source", func(p *Proc) error {
 		for i := 0; i < n; i++ {
-			m, err := p.RecvSettled()
-			if err != nil {
+			if err := p.SendRetry("worker", i, RetryPolicy{Attempts: 50}); err != nil {
 				return err
 			}
-			p.Printf("sink got %s\n", m.Payload.(string))
 		}
 		return nil
 	})

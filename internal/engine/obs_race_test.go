@@ -25,22 +25,7 @@ func TestObserverDuringRollbackStorm(t *testing.T) {
 	o := obs.New(obs.WithEventCapacity(256)) // small ring: force overflow
 	rt, _ := newRT(t, WithObserver(o))
 
-	for w := 0; w < workers; w++ {
-		spawn(t, rt, "worker"+string(rune('A'+w)), func(p *Proc) error {
-			for i := 0; i < rounds; i++ {
-				x := p.NewAID()
-				if err := p.Send("judge", x); err != nil {
-					return err
-				}
-				if p.Guess(x) {
-					p.Printf("optimistic %d\n", i)
-				} else {
-					p.Printf("pessimistic %d\n", i)
-				}
-			}
-			return nil
-		})
-	}
+	// Receiver first: see TestManyProcessesStress.
 	spawn(t, rt, "judge", func(p *Proc) error {
 		i := 0
 		for {
@@ -59,6 +44,22 @@ func TestObserverDuringRollbackStorm(t *testing.T) {
 			}
 		}
 	})
+	for w := 0; w < workers; w++ {
+		spawn(t, rt, "worker"+string(rune('A'+w)), func(p *Proc) error {
+			for i := 0; i < rounds; i++ {
+				x := p.NewAID()
+				if err := p.Send("judge", x); err != nil {
+					return err
+				}
+				if p.Guess(x) {
+					p.Printf("optimistic %d\n", i)
+				} else {
+					p.Printf("pessimistic %d\n", i)
+				}
+			}
+			return nil
+		})
+	}
 
 	stop := make(chan struct{})
 	var rg sync.WaitGroup

@@ -213,6 +213,19 @@ func TestAdaptiveControllerThrottlesInaccurateSite(t *testing.T) {
 	// rollback-discarded copies orphan at the judge, so each assumption
 	// is delivered exactly once no matter how many times the worker
 	// replays — a raw Go channel would leak duplicates across rollbacks.
+	// (Receiver first: see TestManyProcessesStress.)
+	spawn(t, rt, "judge", func(p *Proc) error {
+		for i := 0; i < rounds; i++ {
+			m, err := p.Recv()
+			if err != nil {
+				return err
+			}
+			if err := p.Deny(m.Payload.(AID)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	spawn(t, rt, "worker", func(p *Proc) error {
 		for i := 0; i < rounds; i++ {
 			x := p.NewAID()
@@ -223,18 +236,6 @@ func TestAdaptiveControllerThrottlesInaccurateSite(t *testing.T) {
 				p.Printf("opt %d\n", i)
 			} else {
 				p.Printf("pess %d\n", i)
-			}
-		}
-		return nil
-	})
-	spawn(t, rt, "judge", func(p *Proc) error {
-		for i := 0; i < rounds; i++ {
-			m, err := p.Recv()
-			if err != nil {
-				return err
-			}
-			if err := p.Deny(m.Payload.(AID)); err != nil {
-				return err
 			}
 		}
 		return nil

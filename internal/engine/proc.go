@@ -45,7 +45,8 @@ type rmsg struct {
 	// cls memoizes the tag set's classification verdict (guarded by the
 	// owning receiver's mu, like the queue itself): repeated queue scans
 	// revalidate it with one atomic epoch load instead of a locked
-	// dependency walk. Refreshed by classifyQueueLocked.
+	// dependency walk. Refreshed by scanQueueLocked as it reaches the
+	// message; never read without that revalidation.
 	cls tracker.TagClass
 }
 
@@ -124,7 +125,7 @@ type Proc struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []*rmsg
+	queue  mailbox
 	closed bool
 	err    error
 	state  procPhase // guarded by mu; transitions broadcast rt.cond
@@ -214,41 +215,6 @@ func (p *Proc) toState(s procPhase) {
 	p.rt.mu.Unlock()
 }
 
-// classifyQueueLocked refreshes the memoized classification verdict of
-// every queued message, batching all stale entries through one pass of
-// tracker.Classify (one lock acquisition per home shard for the whole
-// batch). Caller holds p.mu; afterwards each message's m.cls is current
-// and readable without touching the tracker. Lock order rt.mu → p.mu →
-// tracker shard locks is preserved. On the hot path — repeated scans
-// with no resolutions in the shards these tags touch — this is a few
-// atomic epoch loads per message, no locks and no allocation.
-func (p *Proc) classifyQueueLocked() {
-	tr := p.rt.tr
-	stale := 0
-	for _, m := range p.queue {
-		if !tr.ClassCurrent(&m.cls) {
-			stale++
-		}
-	}
-	p.rt.obs.ClassifyScan(len(p.queue)-stale, stale)
-	if stale == 0 {
-		return
-	}
-	msgs := make([]*rmsg, 0, stale)
-	tagSets := make([][]ids.AID, 0, stale)
-	for _, m := range p.queue {
-		if !tr.ClassCurrent(&m.cls) {
-			msgs = append(msgs, m)
-			tagSets = append(tagSets, m.tags)
-		}
-	}
-	out := make([]tracker.TagClass, len(msgs))
-	p.rt.tr.Classify(tagSets, out)
-	for i, m := range msgs {
-		m.cls = out[i]
-	}
-}
-
 // scanMode selects what the unified queue scanner treats as deliverable.
 type scanMode int
 
@@ -271,40 +237,43 @@ const (
 // stability probe: it returns the index of the oldest message deliverable
 // under mode (and pred, nil matching anything), and — in scanSettled mode
 // — the index of the oldest droppable orphan instead when that comes
-// first. Both are -1 when nothing qualifies. Modes that read tags refresh
-// the queue's memoized classification first. Caller holds p.mu.
+// first. Both are -1 when nothing qualifies. Modes that read tags
+// classify lazily, in queue order, and stop at the first hit: a message's
+// memoized verdict is revalidated (atomic epoch loads) or recomputed
+// (home-shard read locks) only when the scan reaches it, so a receive
+// whose head is deliverable examines one message whatever the depth.
+// Lock order rt.mu → p.mu → tracker shard locks is preserved. Caller
+// holds p.mu.
 func (p *Proc) scanQueueLocked(mode scanMode, pred func(any) bool) (deliver, drop int) {
-	if mode != scanAny {
-		p.classifyQueueLocked()
-	}
-	for i, m := range p.queue {
+	deliver, drop = -1, -1
+	tr := p.rt.tr
+	examined, stale := 0, 0
+	for i, m := range p.queue.live() {
 		if pred != nil && !pred(m.payload) {
 			continue
 		}
-		switch mode {
-		case scanAny:
+		if mode == scanAny {
 			return i, -1
-		case scanSettled:
-			if m.cls.Orphan {
-				return -1, i
+		}
+		examined++
+		if !tr.ClassCurrent(&m.cls) {
+			stale++
+			tr.ClassifyCached(m.tags, &m.cls)
+		}
+		if m.cls.Orphan {
+			if mode == scanSettled {
+				drop = i
+				break
 			}
-			if m.cls.Settled {
-				return i, -1
-			}
-		case scanNonOrphan:
-			if !m.cls.Orphan {
-				return i, -1
-			}
+			continue
+		}
+		if m.cls.Settled || mode == scanNonOrphan {
+			deliver = i
+			break
 		}
 	}
-	return -1, -1
-}
-
-// popLocked removes and returns the message at index i. Caller holds p.mu.
-func (p *Proc) popLocked(i int) *rmsg {
-	m := p.queue[i]
-	p.queue = append(p.queue[:i:i], p.queue[i+1:]...)
-	return m
+	p.rt.obs.ClassifyScan(examined-stale, stale)
+	return deliver, drop
 }
 
 // waitScanLocked is the scan as seen by a blocked process's wait
@@ -368,8 +337,8 @@ func (p *Proc) enqueue(m *rmsg) {
 		}
 		p.lastSeq[m.from] = m.seq
 	}
-	p.queue = append(p.queue, m)
-	depth := len(p.queue)
+	p.queue.pushBack(m)
+	depth := p.queue.len()
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	p.rt.cond.Broadcast()
@@ -471,7 +440,7 @@ func (p *Proc) applyPending() {
 		}
 	}
 	p.log = p.log[:cut]
-	p.queue = append(requeue, p.queue...)
+	p.queue.pushFront(requeue...)
 	p.resumeLocked(true)
 }
 
@@ -514,15 +483,18 @@ func (p *Proc) park() {
 	p.toState(stateParked)
 	p.mu.Lock()
 	for {
+		// Definite is read before PendingRollback: a deny discards the
+		// live intervals (making the process definite) and installs the
+		// rollback target in one tracker critical section, so reading in
+		// the other order could see "no target" before the deny and
+		// "definite" after it, and exit with the rollback never applied.
+		definite := p.rt.tr.Definite(p.id)
 		if p.rt.tr.PendingRollback(p.id) {
 			p.mu.Unlock()
 			p.toState(stateRunning)
 			panic(rollbackSignal{})
 		}
-		if p.closed {
-			break
-		}
-		if p.rt.tr.Definite(p.id) {
+		if p.closed || definite {
 			break
 		}
 		p.cond.Wait()
@@ -913,7 +885,7 @@ func (p *Proc) recvLoop(pred func(any) bool, deadline time.Time) (Msg, error) {
 		}
 		var m *rmsg
 		if i, _ := p.scanQueueLocked(scanAny, pred); i >= 0 {
-			m = p.popLocked(i)
+			m = p.queue.removeAt(i)
 		}
 		p.mu.Unlock()
 		if m != nil {
@@ -924,7 +896,7 @@ func (p *Proc) recvLoop(pred func(any) bool, deadline time.Time) (Msg, error) {
 				// continuation's future — put it back before unwinding.
 				if errors.Is(err, tracker.ErrRolledBack) {
 					p.mu.Lock()
-					p.queue = append([]*rmsg{m}, p.queue...)
+					p.queue.pushFront(m)
 					p.mu.Unlock()
 				}
 				p.trackerErr(err)
@@ -964,12 +936,20 @@ func (p *Proc) recvLoop(pred func(any) bool, deadline time.Time) (Msg, error) {
 			p.cond.Wait()
 		}
 		p.waitPred = nil
-		p.waitDeadline = time.Time{}
 		p.mu.Unlock()
 		if timer != nil {
 			timer.Stop()
 		}
 		p.toState(stateRunning)
+		if timed {
+			// Cleared only after the phase flip, as in awaitVerdict: on an
+			// expiry wake nothing is queued, so a blocked process with no
+			// deadline would read as stable and Quiesce could return under
+			// a process about to log its timeout.
+			p.mu.Lock()
+			p.waitDeadline = time.Time{}
+			p.mu.Unlock()
+		}
 	}
 }
 
@@ -996,13 +976,13 @@ func (p *Proc) RecvSettled() (Msg, error) {
 		var m *rmsg
 		deliver, drop := p.scanQueueLocked(scanSettled, nil)
 		if drop >= 0 {
-			p.popLocked(drop)
+			p.queue.removeAt(drop)
 			p.mu.Unlock()
 			p.rt.bump()
 			continue
 		}
 		if deliver >= 0 {
-			m = p.popLocked(deliver)
+			m = p.queue.removeAt(deliver)
 		}
 		p.mu.Unlock()
 		if m != nil {
@@ -1011,7 +991,7 @@ func (p *Proc) RecvSettled() (Msg, error) {
 			if _, err := p.rt.tr.Deliver(p.id, m.tags, p.logBase+len(p.log)); err != nil {
 				if errors.Is(err, tracker.ErrRolledBack) {
 					p.mu.Lock()
-					p.queue = append([]*rmsg{m}, p.queue...)
+					p.queue.pushFront(m)
 					p.mu.Unlock()
 				}
 				p.trackerErr(err)
@@ -1197,6 +1177,8 @@ func (p *Proc) compact() {
 // operations (sends, resolutions) that already happened. Called from
 // the process goroutine; the answer cannot be invalidated concurrently
 // because speculation enters only through this process's own calls.
+// Definite is tested before PendingRollback for the reason given in park:
+// the other order could compact away a log a pending target points into.
 func (p *Proc) compactable() bool {
-	return !p.replaying() && !p.rt.tr.PendingRollback(p.id) && p.rt.tr.Definite(p.id)
+	return !p.replaying() && p.rt.tr.Definite(p.id) && !p.rt.tr.PendingRollback(p.id)
 }

@@ -35,6 +35,26 @@ func TestSoakMixedWorkload(t *testing.T) {
 		gname := fmt.Sprintf("g%d", i)
 		rname := fmt.Sprintf("r%d", i)
 		i := i
+		// Receiver first: see TestManyProcessesStress.
+		spawn(t, rt, rname, func(p *Proc) error {
+			for r := 0; r < rounds; r++ {
+				m, err := p.Recv()
+				if err != nil {
+					return err
+				}
+				x := m.Payload.(AID)
+				var rerr error
+				if (r+i)%3 == 0 {
+					rerr = p.Deny(x)
+				} else {
+					rerr = p.Affirm(x)
+				}
+				if rerr != nil && !errors.Is(rerr, ErrConflict) {
+					return rerr
+				}
+			}
+			return nil
+		})
 		spawn(t, rt, gname, func(p *Proc) error {
 			for r := 0; r < rounds; r++ {
 				x := p.NewAID()
@@ -55,25 +75,6 @@ func TestSoakMixedWorkload(t *testing.T) {
 					}
 				} else {
 					p.Effect(func() { committed.Add(1) }, nil)
-				}
-			}
-			return nil
-		})
-		spawn(t, rt, rname, func(p *Proc) error {
-			for r := 0; r < rounds; r++ {
-				m, err := p.Recv()
-				if err != nil {
-					return err
-				}
-				x := m.Payload.(AID)
-				var rerr error
-				if (r+i)%3 == 0 {
-					rerr = p.Deny(x)
-				} else {
-					rerr = p.Affirm(x)
-				}
-				if rerr != nil && !errors.Is(rerr, ErrConflict) {
-					return rerr
 				}
 			}
 			return nil

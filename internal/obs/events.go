@@ -238,8 +238,13 @@ func newRing(capacity int) *ring {
 	return &ring{buf: make([]Event, capacity)}
 }
 
+// append stamps e with the next sequence number and stores it. The
+// number is taken under the same lock as the slot: taken outside it, two
+// emitters could store in the opposite order to their numbers and a
+// reader would see a window that is not contiguous.
 func (r *ring) append(e Event) {
 	r.mu.Lock()
+	e.Seq = r.n + 1
 	r.buf[int(r.n%uint64(len(r.buf)))] = e
 	r.n++
 	r.mu.Unlock()

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hope/internal/ids"
@@ -22,7 +21,6 @@ type Observer struct {
 	start time.Time
 	m     *Metrics
 	ring  *ring
-	seq   atomic.Uint64
 
 	mu     sync.RWMutex
 	names  map[ids.Proc]string
@@ -179,7 +177,6 @@ func (o *Observer) emit(e Event) {
 		o.m.PolicyWaitTimeouts.Add(1)
 	}
 	if o.ring != nil {
-		e.Seq = o.seq.Add(1)
 		e.T = time.Since(o.start)
 		o.ring.append(e)
 	}
@@ -291,7 +288,7 @@ func (o *Observer) Snapshot() Snapshot {
 	if o == nil {
 		return Snapshot{}
 	}
-	_, dropped := o.Events()
+	events, dropped := o.Events()
 	o.mu.RLock()
 	procs := make([]string, 0, len(o.names))
 	for _, n := range o.names {
@@ -302,7 +299,7 @@ func (o *Observer) Snapshot() Snapshot {
 	return Snapshot{
 		UptimeSeconds:  time.Since(o.start).Seconds(),
 		Metrics:        o.m.Snapshot(),
-		EventsRecorded: o.seq.Load(),
+		EventsRecorded: uint64(len(events)) + dropped,
 		EventsDropped:  dropped,
 		Procs:          procs,
 		WirePeers:      o.WirePeers(),

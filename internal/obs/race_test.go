@@ -105,10 +105,15 @@ func TestConcurrentEmittersAndReaders(t *testing.T) {
 	if m.Annotations != count(5) {
 		t.Errorf("Annotations = %d, want %d", m.Annotations, count(5))
 	}
-	total := o.seq.Load()
+	// One event per guess, deny, discard and annotation; two per rollback
+	// (started + replayed).
+	total := uint64(count(0) + count(1) + count(2) + 2*count(3) + count(5))
 	events, dropped := o.Events()
 	if uint64(len(events))+dropped != total {
 		t.Errorf("ring accounting: %d retained + %d dropped != %d emitted",
 			len(events), dropped, total)
+	}
+	if got := o.Snapshot().EventsRecorded; got != total {
+		t.Errorf("EventsRecorded = %d, want %d", got, total)
 	}
 }

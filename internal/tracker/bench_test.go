@@ -64,15 +64,6 @@ func BenchmarkQueueScanClassify(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("procs=%d/batch", procs), func(b *testing.B) {
-			tr, queues := buildFanout(b, procs, qlen)
-			out := make([]TagClass, len(queues))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr.Classify(queues, out)
-			}
-		})
 	}
 }
 

@@ -497,6 +497,9 @@ func (t *Tracker) rollbackFromLocked(iv *intervalState, ctx *opCtx) {
 	// race a later, deeper rollback out of order.
 	tgt := RollbackTarget{LogIndex: iv.logIndex, Implicit: iv.implicit}
 	if ps.pending == nil || tgt.LogIndex < ps.pending.LogIndex {
+		if ps.pending == nil {
+			sh.pendingProcs.Add(1)
+		}
 		cp := tgt
 		ps.pending = &cp
 	}

@@ -38,6 +38,13 @@ type shard struct {
 	intervals map[ids.Interval]*intervalState
 	procs     map[ids.Proc]*procState
 
+	// pendingProcs counts the processes homed here with an unapplied
+	// rollback target (procState.pending != nil). It changes only under mu
+	// held for writing, in the critical sections that install or take a
+	// target, so PendingRollback — asked around every engine primitive,
+	// almost always answered "no" — can skip the lock when it reads zero.
+	pendingProcs atomic.Int32
+
 	// unresolved counts assumptions homed here still Unresolved — the
 	// per-shard imbalance signal for ShardStats and the obs gauges.
 	unresolved int

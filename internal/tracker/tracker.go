@@ -566,38 +566,6 @@ func (t *Tracker) classifyMasked(tags []ids.AID, locked uint64) (cls TagClass, e
 	return cls, false
 }
 
-// Classify classifies every tag set, acquiring each home shard's read
-// lock at most once for the whole batch, and writes a stamped verdict
-// into the corresponding out entry. len(out) must be at least
-// len(tagSets). Receivers use it to refresh a whole queue's verdicts in
-// one pass instead of locking per message.
-func (t *Tracker) Classify(tagSets [][]ids.AID, out []TagClass) {
-	var home uint64
-	for _, tags := range tagSets {
-		home |= t.tagsMask(tags)
-	}
-	escaped := false
-	t.lockR(home)
-	for i, tags := range tagSets {
-		cls, esc := t.classifyMasked(tags, home)
-		if esc {
-			escaped = true
-			break
-		}
-		out[i] = cls
-	}
-	t.unlockR(home)
-	if !escaped {
-		return
-	}
-	t.noteEscalation()
-	t.lockR(t.allMask)
-	for i, tags := range tagSets {
-		out[i], _ = t.classifyMasked(tags, t.allMask)
-	}
-	t.unlockR(t.allMask)
-}
-
 // SetResolutionWatcher installs a callback invoked (outside all tracker
 // locks) after any operation that resolves assumptions or settles
 // intervals — the signal pessimistic receivers (engine.RecvSettled) wait
@@ -676,8 +644,14 @@ func (t *Tracker) setStatus(a *aidState, st Resolution, ctx *opCtx) {
 }
 
 // PendingRollback reports whether a rollback target is pending for p.
+// With no target pending anywhere in p's shard — the common case — the
+// answer is one atomic load; a target installed concurrently is ordered
+// after such a read exactly as it would be after a locked one.
 func (t *Tracker) PendingRollback(p ids.Proc) bool {
 	s := t.procShard(p)
+	if s.pendingProcs.Load() == 0 {
+		return false
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	ps, ok := s.procs[p]
@@ -695,6 +669,7 @@ func (t *Tracker) TakePending(p ids.Proc) *RollbackTarget {
 	}
 	tgt := ps.pending
 	ps.pending = nil
+	s.pendingProcs.Add(-1)
 	return tgt
 }
 
