@@ -18,6 +18,15 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	rt := hope.New(hope.WithPolicy(hope.Policy{Output: &buf}))
 	defer rt.Shutdown()
 
+	if err := rt.Spawn("verifier", func(p *hope.Proc) error {
+		m, err := p.Recv()
+		if err != nil {
+			return err
+		}
+		return p.Affirm(m.Payload.(hope.AID))
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if err := rt.Spawn("worker", func(p *hope.Proc) error {
 		x := p.NewAID()
 		if err := p.Send("verifier", x); err != nil {
@@ -29,15 +38,6 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		}
 		p.Printf("pessimistic result\n")
 		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Spawn("verifier", func(p *hope.Proc) error {
-		m, err := p.Recv()
-		if err != nil {
-			return err
-		}
-		return p.Affirm(m.Payload.(hope.AID))
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -54,6 +54,15 @@ func TestPublicAPIDenyPath(t *testing.T) {
 	defer rt.Shutdown()
 	var got atomic.Int64
 
+	if err := rt.Spawn("verifier", func(p *hope.Proc) error {
+		m, err := p.Recv()
+		if err != nil {
+			return err
+		}
+		return p.Deny(m.Payload.(hope.AID))
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if err := rt.Spawn("worker", func(p *hope.Proc) error {
 		x := p.NewAID()
 		if err := p.Send("verifier", x); err != nil {
@@ -65,15 +74,6 @@ func TestPublicAPIDenyPath(t *testing.T) {
 			got.Store(2)
 		}
 		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Spawn("verifier", func(p *hope.Proc) error {
-		m, err := p.Recv()
-		if err != nil {
-			return err
-		}
-		return p.Deny(m.Payload.(hope.AID))
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +104,14 @@ func TestWithLatencyOption(t *testing.T) {
 	defer rt.Shutdown()
 	start := time.Now()
 	done := make(chan struct{})
-	if err := rt.Spawn("a", func(p *hope.Proc) error { return p.Send("b", 1) }); err != nil {
-		t.Fatal(err)
-	}
 	if err := rt.Spawn("b", func(p *hope.Proc) error {
 		_, err := p.Recv()
 		close(done)
 		return err
 	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Spawn("a", func(p *hope.Proc) error { return p.Send("b", 1) }); err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -127,6 +127,10 @@ func Example() {
 	rt := hope.New(hope.WithPolicy(hope.Policy{Output: &buf}))
 	defer rt.Shutdown()
 
+	rt.Spawn("verifier", func(p *hope.Proc) error {
+		m, _ := p.Recv()
+		return p.Affirm(m.Payload.(hope.AID))
+	})
 	rt.Spawn("worker", func(p *hope.Proc) error {
 		x := p.NewAID()
 		p.Send("verifier", x)
@@ -136,10 +140,6 @@ func Example() {
 			p.Printf("slow path taken\n")
 		}
 		return nil
-	})
-	rt.Spawn("verifier", func(p *hope.Proc) error {
-		m, _ := p.Recv()
-		return p.Affirm(m.Payload.(hope.AID))
 	})
 	rt.Wait()
 	fmt.Print(buf.String())

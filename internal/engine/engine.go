@@ -153,9 +153,10 @@ type Runtime struct {
 	byID     map[ids.Proc]*Proc
 	inflight int
 	closed   bool
-	// settledWaiters are the processes currently blocked in RecvSettled.
-	// The resolution watcher wakes exactly these instead of locking every
-	// process on every resolution (guarded by mu).
+	// settledWaiters are the processes currently blocked on resolution
+	// state — in RecvSettled or a pessimistic Guess (wait.global). The
+	// resolution watcher wakes exactly these instead of locking every
+	// process on every resolution (guarded by mu; written by setPhase).
 	settledWaiters map[*Proc]struct{}
 
 	// scheds is the delivery-scheduler pool: one scheduler (goroutine +
@@ -261,10 +262,10 @@ func New(opts ...Option) *Runtime {
 			}
 		})
 	}
-	// Wake pessimistic receivers (RecvSettled) whenever any assumption
-	// resolves: their deliverability depends on global resolution state,
-	// not just their own queue. Only the processes registered as blocked
-	// in RecvSettled are woken — a resolution does not serialize against
+	// Wake pessimistic waiters (RecvSettled, admission-denied Guess)
+	// whenever any assumption resolves: their progress depends on global
+	// resolution state, not just their own queue. Only the registered
+	// settledWaiters are woken — a resolution does not serialize against
 	// every process in the system.
 	r.tr.SetResolutionWatcher(func() {
 		// Most resolutions find a handful of waiters (often the one
@@ -280,7 +281,7 @@ func New(opts ...Option) *Runtime {
 		r.mu.Unlock()
 		for _, p := range waiters {
 			p.mu.Lock()
-			if p.waitSettled || p.waitAID.Valid() {
+			if p.wait.global() {
 				p.cond.Broadcast()
 			}
 			p.mu.Unlock()
@@ -317,20 +318,6 @@ func (r *Runtime) guessSite() (uint64, string) {
 	h := site.Hash(key)
 	r.pcSites.Store(pcs[0], siteID{h: h, key: key})
 	return h, key
-}
-
-// addSettledWaiter registers p as blocked in RecvSettled.
-func (r *Runtime) addSettledWaiter(p *Proc) {
-	r.mu.Lock()
-	r.settledWaiters[p] = struct{}{}
-	r.mu.Unlock()
-}
-
-// removeSettledWaiter deregisters p.
-func (r *Runtime) removeSettledWaiter(p *Proc) {
-	r.mu.Lock()
-	delete(r.settledWaiters, p)
-	r.mu.Unlock()
 }
 
 // TrackerStats returns the dependency tracker's activity counters.
@@ -687,11 +674,13 @@ func (r *Runtime) DebugString() string {
 			}
 		}
 		loglen, replay := len(p.log), p.replay
-		waiting := p.waitPred != nil
-		waitSettled := p.waitSettled
+		waiting := "-"
+		if phase == stateBlocked {
+			waiting = p.wait.String()
+		}
 		p.mu.Unlock()
-		fmt.Fprintf(&b, "  %-14s %-8v queue=%d (settled=%d spec=%d orphan=%d) log=%d replay=%d restarts=%d resumes=%d pred=%v settledWait=%v pending=%v live=%d\n",
-			names[i], phase, qlen, settled, spec, orphan, loglen, replay, p.Restarts(), p.Resumes(), waiting, waitSettled,
+		fmt.Fprintf(&b, "  %-14s %-8v queue=%d (settled=%d spec=%d orphan=%d) log=%d replay=%d restarts=%d resumes=%d wait=%s pending=%v live=%d\n",
+			names[i], phase, qlen, settled, spec, orphan, loglen, replay, p.Restarts(), p.Resumes(), waiting,
 			r.tr.PendingRollback(p.id), r.tr.LiveIntervals(p.id))
 	}
 	return b.String()

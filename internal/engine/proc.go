@@ -100,7 +100,6 @@ const (
 	entryEffect
 	entryRand
 	entryOutcome
-	entryTimeout
 	entryCheckpoint
 )
 
@@ -108,7 +107,7 @@ const (
 type entry struct {
 	kind  entryKind
 	aid   ids.AID
-	ok    bool         // guess result / resolution success
+	ok    bool         // guess result; resolution or send success; entryRecv: got msg (false = timed out)
 	msg   *rmsg        // for entryRecv
 	iv    ids.Interval // for entryRecv: the implicit interval, if any
 	val   int64        // for entryRand
@@ -128,22 +127,10 @@ type Proc struct {
 	queue  mailbox
 	closed bool
 	err    error
-	state  procPhase // guarded by mu; transitions broadcast rt.cond
-	// waitPred is the selective-receive predicate active while blocked
-	// (nil = any message); Quiesce's deliverable check honors it.
-	waitPred func(any) bool
-	// waitSettled marks a RecvSettled wait: only messages whose tags have
-	// fully settled (or orphaned) count as deliverable.
-	waitSettled bool
-	// waitDeadline is the active RecvTimeout deadline (zero = none);
-	// Quiesce treats a blocked process with a pending deadline as having
-	// work, since its timer will fire without external input.
-	waitDeadline time.Time
-	// waitAID marks a pessimistic-guess wait (admission denied): the
-	// process is blocked until this assumption resolves terminally (or
-	// its wait budget — carried in waitDeadline — expires). The
-	// resolution watcher wakes such waiters like RecvSettled blockers.
-	waitAID ids.AID
+	// state and wait are guarded by mu and written only by setPhase; wait
+	// is what a blocked process is waiting for (zero in any other phase).
+	state procPhase
+	wait  wait
 	// lastSeq is the per-sender duplicate filter, active only under fault
 	// injection: the transport may deliver a message twice (at-least-once
 	// semantics), and since sequence numbers are monotone per link in
@@ -202,14 +189,62 @@ func (p *Proc) phase() procPhase {
 	return p.state
 }
 
-// toState flips the scheduling phase. The write happens under rt.mu (as
-// well as p.mu) so Quiesce's stability scan — which holds rt.mu — is a
-// consistent snapshot: no proc can change phase or gain queued work while
-// a scan is in progress.
-func (p *Proc) toState(s procPhase) {
+// wait is what a blocked process is waiting for: a message deliverable
+// under mode and pred (nil matching anything), or — when aid is valid, a
+// pessimistic guess whose admission was denied — that assumption's
+// terminal verdict; either way no later than deadline (zero = unbounded).
+type wait struct {
+	mode     scanMode
+	pred     func(any) bool
+	aid      ids.AID
+	deadline time.Time
+}
+
+// expired reports whether the wait's deadline has passed.
+func (w *wait) expired() bool { return !w.deadline.IsZero() && !time.Now().Before(w.deadline) }
+
+// global reports whether the wait can end on a resolution alone, with
+// nothing enqueued to the process: such waiters are registered in
+// rt.settledWaiters for the resolution watcher to wake.
+func (w *wait) global() bool { return w.aid.Valid() || w.mode == scanSettled }
+
+// String renders the wait for DebugString.
+func (w *wait) String() string {
+	s := "any"
+	switch {
+	case w.aid.Valid():
+		s = "aid " + w.aid.String()
+	case w.mode == scanSettled:
+		s = "settled"
+	case w.pred != nil:
+		s = "match"
+	}
+	if !w.deadline.IsZero() {
+		s += fmt.Sprintf(" deadline=%+dms", time.Until(w.deadline).Milliseconds())
+	}
+	return s
+}
+
+// setPhase flips the scheduling phase and, in the same critical section,
+// stores what a blocked process waits for and registers or deregisters it
+// with the resolution watcher. The write happens under rt.mu (as well as
+// p.mu) so Quiesce's stability scan — which holds rt.mu — is a consistent
+// snapshot: no proc can change phase, wait reason or watcher registration,
+// or gain queued work, while a scan is in progress. In particular a
+// process woken by its deadline stays "blocked with a deadline" (which
+// hasWork counts as work) until the very write that makes it running, so
+// Quiesce cannot return under a process that is about to resume.
+func (p *Proc) setPhase(s procPhase, w wait) {
 	p.rt.mu.Lock()
 	p.mu.Lock()
-	p.state = s
+	if g := w.global(); g != p.wait.global() {
+		if g {
+			p.rt.settledWaiters[p] = struct{}{}
+		} else {
+			delete(p.rt.settledWaiters, p)
+		}
+	}
+	p.state, p.wait = s, w
 	p.mu.Unlock()
 	p.rt.cond.Broadcast()
 	p.rt.mu.Unlock()
@@ -276,18 +311,27 @@ func (p *Proc) scanQueueLocked(mode scanMode, pred func(any) bool) (deliver, dro
 	return deliver, drop
 }
 
-// waitScanLocked is the scan as seen by a blocked process's wait
-// predicate (and, through hasWork, by Quiesce): anything deliverable or
-// droppable counts as progress. Caller holds p.mu.
-func (p *Proc) waitScanLocked(mode scanMode, pred func(any) bool) bool {
-	deliver, drop := p.scanQueueLocked(mode, pred)
+// readyLocked reports whether what w waits for has happened, scanning the
+// queue under mode (block passes w.mode, the stability probe a stricter
+// one): anything deliverable or droppable counts as progress. An AID wait
+// ends only on a definitive verdict. SpecAffirmed is revocable — treating
+// it as decided would log a terminal verdict that a later rollback could
+// contradict, and the verifier pushes no pessimistic reply for a clean
+// speculative affirm, so acting on it would strand the caller. Caller
+// holds p.mu.
+func (p *Proc) readyLocked(w *wait, mode scanMode) bool {
+	if w.aid.Valid() {
+		return p.rt.tr.Status(w.aid).Terminal()
+	}
+	deliver, drop := p.scanQueueLocked(mode, w.pred)
 	return deliver >= 0 || drop >= 0
 }
 
 // hasWork reports whether a blocked/parked process will make progress:
-// a pending rollback, a pending receive deadline, or (when blocked) a
-// deliverable queued message. Called with rt.mu held; takes p.mu then
-// tracker.mu (lock order).
+// a pending rollback, a pending deadline, or (when blocked) what it waits
+// for being ready — an unresolvable AID or settled wait is stable
+// (DrainDenyUnresolved breaks the tie). Called with rt.mu held; takes
+// p.mu then tracker.mu (lock order).
 func (p *Proc) hasWork() bool {
 	if p.rt.tr.PendingRollback(p.id) {
 		return true
@@ -297,27 +341,21 @@ func (p *Proc) hasWork() bool {
 	if p.state != stateBlocked {
 		return false
 	}
-	if !p.waitDeadline.IsZero() {
-		// A RecvTimeout deadline will fire on its own: not stable yet.
+	if !p.wait.deadline.IsZero() {
+		// The deadline's timer will fire on its own: not stable yet.
 		return true
 	}
-	if p.waitAID.Valid() {
-		// An unbounded pessimistic-guess wait progresses only on a
-		// definitive verdict (a revocable SpecAffirmed keeps it
-		// waiting); like RecvSettled, an unresolvable wait is stable
-		// (DrainDenyUnresolved breaks the tie).
-		return p.rt.tr.Status(p.waitAID).Terminal()
+	mode := p.wait.mode
+	if mode == scanAny {
+		// An orphan would be consumed and dropped, not delivered.
+		mode = scanNonOrphan
 	}
-	mode := scanNonOrphan
-	if p.waitSettled {
-		mode = scanSettled
-	}
-	return p.waitScanLocked(mode, p.waitPred)
+	return p.readyLocked(&p.wait, mode)
 }
 
 // enqueue appends a message and wakes the process. Appends happen under
 // rt.mu so the Quiesce scan cannot miss a message enqueued to an
-// already-scanned process (see toState).
+// already-scanned process (see setPhase).
 func (p *Proc) enqueue(m *rmsg) {
 	p.rt.mu.Lock()
 	p.mu.Lock()
@@ -360,7 +398,7 @@ func (p *Proc) wake() {
 func (p *Proc) loop() {
 	for p.attempt() {
 	}
-	p.toState(stateDone)
+	p.setPhase(stateDone, wait{})
 }
 
 // attempt runs the body once (replaying any surviving prefix) and reports
@@ -432,8 +470,8 @@ func (p *Proc) applyPending() {
 	}
 	var requeue []*rmsg
 	for _, e := range p.log[cut:] {
-		if e.kind == entryRecv {
-			if e.iv.Valid() && p.rt.tr.WasFinalized(e.iv) {
+		if e.kind == entryRecv && e.ok { // a logged timeout consumed nothing
+			if e.iv.Valid() && p.rt.tr.WasFinalized(p.id, e.iv) {
 				panic(fmt.Sprintf("hope: requeueing finalized receive %v (log target %d)", e.iv, tgt.LogIndex))
 			}
 			requeue = append(requeue, e.msg)
@@ -472,7 +510,7 @@ func (p *Proc) resumeLocked(counted bool) {
 	}
 	if counted && p.replay == len(p.log) {
 		// Nothing to replay past the restore point: record the zero-depth
-		// replay here (next() never fires when the suffix is empty).
+		// replay here (replayed never fires when the suffix is empty).
 		p.rt.obs.Emit(obs.KReplayed, p.id, ids.NoAID, ids.NoInterval, 0)
 	}
 }
@@ -480,7 +518,7 @@ func (p *Proc) resumeLocked(counted bool) {
 // park blocks a completed body until its speculation settles, the runtime
 // shuts down, or a rollback re-activates it.
 func (p *Proc) park() {
-	p.toState(stateParked)
+	p.setPhase(stateParked, wait{})
 	p.mu.Lock()
 	for {
 		// Definite is read before PendingRollback: a deny discards the
@@ -491,7 +529,7 @@ func (p *Proc) park() {
 		definite := p.rt.tr.Definite(p.id)
 		if p.rt.tr.PendingRollback(p.id) {
 			p.mu.Unlock()
-			p.toState(stateRunning)
+			p.setPhase(stateRunning, wait{})
 			panic(rollbackSignal{})
 		}
 		if p.closed || definite {
@@ -532,26 +570,40 @@ func (p *Proc) maybeCrash() {
 
 func (p *Proc) replaying() bool { return p.replay < len(p.log) }
 
-// record appends a live log entry and keeps the replay cursor caught up,
-// so replaying() is true only while re-consuming a truncated prefix.
-func (p *Proc) record(e entry) {
-	p.log = append(p.log, e)
-	p.replay = len(p.log)
-}
+// replayed and logged are the one logged decision every primitive is a
+// client of: ask replayed for the recorded outcome; if there is none,
+// decide live and hand the outcome to logged. Both edges pass
+// checkPending; a live half that unwinds (rollback, fatal error) logs
+// nothing, so the retried or replayed primitive decides again.
 
-// next consumes the next replay entry, verifying the body re-executed the
-// same operation.
-func (p *Proc) next(kind entryKind, aid ids.AID) entry {
-	e := p.log[p.replay]
+// replayed is the entry edge: while the replay cursor is inside the log
+// it consumes the next entry, verifying the body re-executed the same
+// operation; nil means the caller is live. The entry is read in place —
+// valid until the log is next appended to or cut.
+func (p *Proc) replayed(kind entryKind, aid ids.AID) *entry {
+	p.checkPending()
+	if !p.replaying() {
+		return nil
+	}
+	e := &p.log[p.replay]
 	if e.kind != kind || (aid.Valid() && e.aid != aid) {
-		panic(fatalSignal{fmt.Errorf("%w: replayed %v, got op kind %d aid %v",
-			ErrNondeterministic, e, kind, aid)})
+		p.fatal(fmt.Errorf("%w: replayed %v, got op kind %d aid %v", ErrNondeterministic, *e, kind, aid))
 	}
 	p.replay++
-	if p.replay == len(p.log) {
+	if !p.replaying() {
 		p.rt.obs.Emit(obs.KReplayed, p.id, ids.NoAID, ids.NoInterval, int64(len(p.log)-p.replayStart))
 	}
 	return e
+}
+
+// logged is the exit edge: it appends a live decision and keeps the
+// replay cursor caught up, so replaying() is true only while re-consuming
+// a truncated prefix.
+func (p *Proc) logged(e entry) *entry {
+	p.log = append(p.log, e)
+	p.replay = len(p.log)
+	p.checkPending()
+	return &p.log[len(p.log)-1]
 }
 
 func (p *Proc) fatal(err error) { panic(fatalSignal{err}) }
@@ -571,13 +623,11 @@ func (p *Proc) trackerErr(err error) {
 // NewAID creates a fresh assumption identifier. AIDs may be shared with
 // other processes by sending them in message payloads.
 func (p *Proc) NewAID() AID {
-	p.checkPending()
-	if p.replaying() {
-		return AID{id: p.next(entryNewAID, ids.NoAID).aid}
+	e := p.replayed(entryNewAID, ids.NoAID)
+	if e == nil {
+		e = p.logged(entry{kind: entryNewAID, aid: p.rt.tr.NewAID()})
 	}
-	a := p.rt.tr.NewAID()
-	p.record(entry{kind: entryNewAID, aid: a})
-	return AID{id: a}
+	return AID{id: e.aid}
 }
 
 // Guess makes the optimistic assumption a: it returns true immediately and
@@ -593,9 +643,8 @@ func (p *Proc) NewAID() AID {
 // so replay reproduces the decision without re-consulting the controller:
 // this replay path is byte-identical to the pre-policy one.
 func (p *Proc) Guess(a AID) bool {
-	p.checkPending()
-	if p.replaying() {
-		return p.next(entryGuess, a.id).ok
+	if e := p.replayed(entryGuess, a.id); e != nil {
+		return e.ok
 	}
 	c := p.rt.spec
 	var site uint64
@@ -614,9 +663,7 @@ func (p *Proc) Guess(a AID) bool {
 				// speculative one — but no interval references this log
 				// index, so the entry can never be a rollback target.
 				p.rt.obs.SiteVerdict(site, verdict)
-				p.record(entry{kind: entryGuess, aid: a.id, ok: verdict})
-				p.checkPending()
-				return verdict
+				return p.logged(entry{kind: entryGuess, aid: a.id, ok: verdict}).ok
 			}
 			p.rt.obs.SiteWaitTimeout(site)
 			p.rt.obs.Emit(obs.KPolicyWaitTimeout, p.id, a.id, ids.NoInterval, int64(site))
@@ -627,11 +674,10 @@ func (p *Proc) Guess(a AID) bool {
 	if err != nil {
 		p.trackerErr(err)
 	}
-	p.record(entry{kind: entryGuess, aid: a.id, ok: out.Result})
 	if out.Interval.Valid() {
 		// Settle watcher: wake the process when this interval finalizes
 		// so park() notices it became definite. An ErrRolledBack here is
-		// caught by the checkPending below.
+		// caught by logged's checkPending.
 		_ = p.rt.tr.AttachEffect(p.id, p.wake, nil)
 		if c != nil {
 			// Attribute the eventual verdict back to this site so the
@@ -643,73 +689,25 @@ func (p *Proc) Guess(a AID) bool {
 		// now — credit the estimator directly.
 		p.rt.obs.SiteVerdict(site, out.Result)
 	}
-	p.checkPending()
-	return out.Result
+	return p.logged(entry{kind: entryGuess, aid: a.id, ok: out.Result}).ok
 }
 
 // awaitVerdict blocks until assumption a resolves terminally, returning
 // its verdict with decided=true. decided=false means the caller should
-// fall back to speculating: the wait budget expired (budget >= 0) or the
-// runtime shut down mid-wait. The wait mirrors RecvSettled's blocking
-// discipline — settled-waiter registration, phase transitions for
-// Quiesce, rollback unwinding — and logs nothing itself.
+// fall back to speculating, as always-on would: the wait budget expired
+// (budget >= 0) or the runtime shut down mid-wait. It logs nothing itself.
 func (p *Proc) awaitVerdict(a AID, budget time.Duration) (verdict, decided bool) {
-	if st := p.rt.tr.Status(a.id); st.Terminal() {
-		return st == tracker.Affirmed, true
-	}
-	timed := budget >= 0
-	var deadline time.Time
-	var timer *time.Timer
-	if timed {
-		deadline = time.Now().Add(budget)
-		timer = time.AfterFunc(budget, p.wake)
-	}
-	p.mu.Lock()
-	p.waitAID = a.id
-	p.waitDeadline = deadline
-	p.mu.Unlock()
-	p.rt.addSettledWaiter(p)
-	p.toState(stateBlocked)
-	st := tracker.Unresolved
-	p.mu.Lock()
-	for {
-		if p.closed || p.rt.tr.PendingRollback(p.id) {
-			break
+	st := p.rt.tr.Status(a.id)
+	if !st.Terminal() {
+		w := wait{aid: a.id}
+		if budget >= 0 {
+			w.deadline = time.Now().Add(budget)
 		}
-		// Only a definitive verdict ends the wait. SpecAffirmed is
-		// revocable — treating it as decided would log a terminal
-		// verdict that a later rollback could contradict, and the
-		// verifier pushes no pessimistic reply for a clean speculative
-		// affirm, so acting on it would strand the caller.
-		if st = p.rt.tr.Status(a.id); st.Terminal() {
-			break
-		}
-		if timed && !time.Now().Before(deadline) {
-			break
-		}
-		p.cond.Wait()
+		p.block(w)
+		p.checkPending() // nothing logged yet: unwinding here is safe
+		st = p.rt.tr.Status(a.id)
 	}
-	p.mu.Unlock()
-	if timer != nil {
-		timer.Stop()
-	}
-	p.rt.removeSettledWaiter(p)
-	// Mark running before clearing the wait fields: on a budget-expiry
-	// wake there is no queued message to keep hasWork true, so clearing
-	// first would open a window where the stability scan sees a blocked
-	// process with no pending work and Quiesce returns under a process
-	// that is about to resume.
-	p.toState(stateRunning)
-	p.mu.Lock()
-	p.waitAID = ids.NoAID
-	p.waitDeadline = time.Time{}
-	p.mu.Unlock()
-	p.checkPending() // nothing logged yet: unwinding here is safe
-	if st.Terminal() {
-		return st == tracker.Affirmed, true
-	}
-	// Budget expired or shutdown in flight: speculate, as always-on would.
-	return false, false
+	return st == tracker.Affirmed, st.Terminal()
 }
 
 // Affirm asserts that assumption a is correct (Section 5.2). It returns
@@ -733,20 +731,18 @@ func (p *Proc) FreeOf(a AID) error {
 }
 
 func (p *Proc) resolve(kind entryKind, a AID, op func(ids.Proc, ids.AID) error) error {
-	p.checkPending()
-	if p.replaying() {
-		if p.next(kind, a.id).ok {
-			return nil
+	e := p.replayed(kind, a.id)
+	if e == nil {
+		err := op(p.id, a.id)
+		if err != nil && err != tracker.ErrConflict {
+			p.trackerErr(err)
 		}
+		e = p.logged(entry{kind: kind, aid: a.id, ok: err == nil})
+	}
+	if !e.ok {
 		return ErrConflict
 	}
-	err := op(p.id, a.id)
-	if err != nil && err != tracker.ErrConflict {
-		p.trackerErr(err)
-	}
-	p.record(entry{kind: kind, aid: a.id, ok: err == nil})
-	p.checkPending()
-	return err
+	return nil
 }
 
 // Send transmits payload to the named process. The message carries the
@@ -758,18 +754,21 @@ func (p *Proc) resolve(kind entryKind, a AID, op func(ids.Proc, ids.AID) error) 
 // outcome is recorded in the replay log, so a replayed send reproduces
 // the original verdict without consulting the fault plan again.
 func (p *Proc) Send(to string, payload any) error {
-	p.checkPending()
-	if p.replaying() {
-		if !p.next(entrySend, ids.NoAID).ok {
-			return ErrDelivery
-		}
-		return nil
+	e := p.replayed(entrySend, ids.NoAID)
+	if e == nil {
+		e = p.logged(entry{kind: entrySend, ok: p.send(to, payload)})
 	}
+	if !e.ok {
+		return ErrDelivery
+	}
+	return nil
+}
+
+// send is the live half of Send; it reports whether the message left.
+func (p *Proc) send(to string, payload any) bool {
 	if f := p.rt.faults; f != nil && f.DropNow(p.name, to) {
 		p.rt.obs.Emit(obs.KFaultDrop, p.id, ids.NoAID, ids.NoInterval, 0)
-		p.record(entry{kind: entrySend, ok: false})
-		p.checkPending()
-		return ErrDelivery
+		return false
 	}
 	tags, err := p.rt.tr.Tag(p.id)
 	if err != nil {
@@ -782,20 +781,16 @@ func (p *Proc) Send(to string, payload any) error {
 		tags:    tags,
 	}
 	if err := p.rt.route(p.name, to, msg); err != nil {
-		if errors.Is(err, ErrDelivery) {
-			// The remote transport refused the message (wire-injected
-			// drop or lost peer): same contract as a local injected
-			// drop — the send had no effect and the verdict is logged
-			// so replay reproduces it without touching the wire.
-			p.record(entry{kind: entrySend, ok: false})
-			p.checkPending()
-			return ErrDelivery
+		if !errors.Is(err, ErrDelivery) {
+			p.fatal(err)
 		}
-		p.fatal(err)
+		// The remote transport refused the message (wire-injected drop or
+		// lost peer): same contract as a local injected drop — the send
+		// had no effect and the verdict is logged so replay reproduces it
+		// without touching the wire.
+		return false
 	}
-	p.record(entry{kind: entrySend, ok: true})
-	p.checkPending()
-	return nil
+	return true
 }
 
 // RetryPolicy configures SendRetry.
@@ -835,7 +830,7 @@ func (p *Proc) SendRetry(to string, payload any, pol RetryPolicy) error {
 // with unresolved assumptions implicitly guesses them (§3): the process
 // becomes dependent, and is rolled back to this receive if any is denied.
 // Messages whose assumptions were already denied are silently discarded.
-func (p *Proc) Recv() (Msg, error) { return p.RecvMatch(nil) }
+func (p *Proc) Recv() (Msg, error) { return p.receive(wait{}) }
 
 // RecvMatch is a selective receive: it delivers the oldest queued message
 // whose payload satisfies pred (nil matches anything), leaving other
@@ -844,11 +839,7 @@ func (p *Proc) Recv() (Msg, error) { return p.RecvMatch(nil) }
 // processes causally clean (a process only inherits the speculation of
 // messages it actually consumes).
 func (p *Proc) RecvMatch(pred func(payload any) bool) (Msg, error) {
-	m, err := p.recvLoop(pred, time.Time{})
-	if err != nil {
-		return Msg{}, err
-	}
-	return m, nil
+	return p.receive(wait{pred: pred})
 }
 
 // RecvTimeout is Recv with a deadline: it delivers the oldest queued
@@ -858,23 +849,33 @@ func (p *Proc) RecvMatch(pred func(payload any) bool) (Msg, error) {
 // clock: bodies may branch on ErrTimeout and stay piecewise
 // deterministic.
 func (p *Proc) RecvTimeout(d time.Duration) (Msg, error) {
-	return p.recvLoop(nil, time.Now().Add(d))
+	return p.receive(wait{deadline: time.Now().Add(d)})
 }
 
-// recvLoop is the optimistic receive shared by Recv, RecvMatch and
-// RecvTimeout: deliver the oldest predicate match, becoming dependent on
-// its tags; with a non-zero deadline, give up with ErrTimeout once it
-// passes and nothing is deliverable.
-func (p *Proc) recvLoop(pred func(any) bool, deadline time.Time) (Msg, error) {
-	timed := !deadline.IsZero()
-	p.checkPending()
-	if p.replaying() {
-		if timed && p.log[p.replay].kind == entryTimeout {
-			p.next(entryTimeout, ids.NoAID)
-			return Msg{}, ErrTimeout
+// RecvSettled is the pessimistic receive: it delivers the oldest queued
+// message whose assumption tags have fully settled (every transitive
+// dependency definitively affirmed), discarding orphans, and blocks while
+// only speculative messages are queued. A process that consumes messages
+// exclusively through RecvSettled never becomes speculative itself — the
+// building block for pessimistic servers that serve only committed
+// requests.
+func (p *Proc) RecvSettled() (Msg, error) { return p.receive(wait{mode: scanSettled}) }
+
+// receive is the one receive behind Recv, RecvMatch, RecvTimeout and
+// RecvSettled. Its logged decision is "which message, or a timeout":
+// deliver the oldest message deliverable under w.mode and w.pred —
+// becoming dependent on its tags — or, with a deadline, give up with
+// ErrTimeout once it passes and nothing is deliverable. Shutdown is not a
+// decision and is never logged.
+func (p *Proc) receive(w wait) (Msg, error) {
+	if e := p.replayed(entryRecv, ids.NoAID); e != nil {
+		if e.ok {
+			return Msg{From: e.msg.from, Payload: e.msg.payload}, nil
 		}
-		e := p.next(entryRecv, ids.NoAID)
-		return Msg{From: e.msg.from, Payload: e.msg.payload}, nil
+		if w.deadline.IsZero() {
+			p.fatal(fmt.Errorf("%w: replayed a receive timeout, got a receive without a deadline", ErrNondeterministic))
+		}
+		return Msg{}, ErrTimeout
 	}
 	for {
 		p.checkPending()
@@ -883,12 +884,21 @@ func (p *Proc) recvLoop(pred func(any) bool, deadline time.Time) (Msg, error) {
 			p.mu.Unlock()
 			return Msg{}, ErrShutdown
 		}
+		deliver, drop := p.scanQueueLocked(w.mode, w.pred)
+		if drop >= 0 {
+			p.queue.removeAt(drop)
+			p.mu.Unlock()
+			p.rt.bump()
+			continue
+		}
 		var m *rmsg
-		if i, _ := p.scanQueueLocked(scanAny, pred); i >= 0 {
-			m = p.queue.removeAt(i)
+		if deliver >= 0 {
+			m = p.queue.removeAt(deliver)
 		}
 		p.mu.Unlock()
 		if m != nil {
+			// For settled tags Deliver is a no-op on the dependency state
+			// but is kept for accounting symmetry.
 			out, err := p.rt.tr.Deliver(p.id, m.tags, p.logBase+len(p.log))
 			if err != nil {
 				// A rollback landed between our pending check and the
@@ -908,119 +918,43 @@ func (p *Proc) recvLoop(pred func(any) bool, deadline time.Time) (Msg, error) {
 			if out.Interval.Valid() {
 				_ = p.rt.tr.AttachEffect(p.id, p.wake, nil)
 			}
-			p.record(entry{kind: entryRecv, msg: m, iv: out.Interval})
-			p.checkPending()
+			p.logged(entry{kind: entryRecv, ok: true, msg: m, iv: out.Interval})
 			return Msg{From: m.from, Payload: m.payload}, nil
 		}
-		if timed && !time.Now().Before(deadline) {
+		if w.expired() {
 			// The timeout is itself a logged nondeterministic event.
-			p.record(entry{kind: entryTimeout})
-			p.checkPending()
+			p.logged(entry{kind: entryRecv})
 			return Msg{}, ErrTimeout
 		}
-
-		// Nothing matching: block. With a deadline, arm a timer whose
-		// only job is to wake the wait loop so it can observe expiry.
-		p.mu.Lock()
-		p.waitPred = pred
-		p.waitDeadline = deadline
-		p.mu.Unlock()
-		var timer *time.Timer
-		if timed {
-			timer = time.AfterFunc(time.Until(deadline), p.wake)
-		}
-		p.toState(stateBlocked)
-		p.mu.Lock()
-		for !p.waitScanLocked(scanAny, pred) && !p.closed && !p.rt.tr.PendingRollback(p.id) &&
-			!(timed && !time.Now().Before(deadline)) {
-			p.cond.Wait()
-		}
-		p.waitPred = nil
-		p.mu.Unlock()
-		if timer != nil {
-			timer.Stop()
-		}
-		p.toState(stateRunning)
-		if timed {
-			// Cleared only after the phase flip, as in awaitVerdict: on an
-			// expiry wake nothing is queued, so a blocked process with no
-			// deadline would read as stable and Quiesce could return under
-			// a process about to log its timeout.
-			p.mu.Lock()
-			p.waitDeadline = time.Time{}
-			p.mu.Unlock()
-		}
+		// Nothing deliverable: block until something arrives, settles,
+		// resolves or expires.
+		p.block(w)
 	}
 }
 
-// RecvSettled is the pessimistic receive: it delivers the oldest queued
-// message whose assumption tags have fully settled (every transitive
-// dependency definitively affirmed), discarding orphans, and blocks while
-// only speculative messages are queued. A process that consumes messages
-// exclusively through RecvSettled never becomes speculative itself — the
-// building block for pessimistic servers that serve only committed
-// requests.
-func (p *Proc) RecvSettled() (Msg, error) {
-	p.checkPending()
-	if p.replaying() {
-		e := p.next(entryRecv, ids.NoAID)
-		return Msg{From: e.msg.from, Payload: e.msg.payload}, nil
+// block is the one blocking wait: it parks the process goroutine until
+// what w waits for is ready, w's deadline passes, a rollback is pending
+// or the runtime shuts down — the caller re-examines which. setPhase
+// registers the process with the resolution watcher BEFORE the first
+// predicate check: the watcher wakes only registered waiters, and any
+// resolution that commits after registration either broadcasts our cond
+// or is already visible to readyLocked's fresh classification.
+func (p *Proc) block(w wait) {
+	var timer *time.Timer
+	if !w.deadline.IsZero() {
+		// The timer's only job is to wake the loop so it observes expiry.
+		timer = time.AfterFunc(time.Until(w.deadline), p.wake)
 	}
-	for {
-		p.checkPending()
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			return Msg{}, ErrShutdown
-		}
-		var m *rmsg
-		deliver, drop := p.scanQueueLocked(scanSettled, nil)
-		if drop >= 0 {
-			p.queue.removeAt(drop)
-			p.mu.Unlock()
-			p.rt.bump()
-			continue
-		}
-		if deliver >= 0 {
-			m = p.queue.removeAt(deliver)
-		}
-		p.mu.Unlock()
-		if m != nil {
-			// Settled tags resolve to nothing: Deliver is a no-op on the
-			// dependency state but is kept for accounting symmetry.
-			if _, err := p.rt.tr.Deliver(p.id, m.tags, p.logBase+len(p.log)); err != nil {
-				if errors.Is(err, tracker.ErrRolledBack) {
-					p.mu.Lock()
-					p.queue.pushFront(m)
-					p.mu.Unlock()
-				}
-				p.trackerErr(err)
-			}
-			p.record(entry{kind: entryRecv, msg: m})
-			p.checkPending()
-			return Msg{From: m.from, Payload: m.payload}, nil
-		}
-
-		// Only speculative (or no) messages: block until something
-		// settles, arrives, or resolves. Register as a settled-waiter
-		// BEFORE the predicate check inside the wait loop: the resolution
-		// watcher wakes only registered waiters, and any resolution that
-		// commits after registration either broadcasts our cond or is
-		// already visible to hasSettledLocked's fresh classification.
-		p.mu.Lock()
-		p.waitSettled = true
-		p.mu.Unlock()
-		p.rt.addSettledWaiter(p)
-		p.toState(stateBlocked)
-		p.mu.Lock()
-		for !p.waitScanLocked(scanSettled, nil) && !p.closed && !p.rt.tr.PendingRollback(p.id) {
-			p.cond.Wait()
-		}
-		p.waitSettled = false
-		p.mu.Unlock()
-		p.rt.removeSettledWaiter(p)
-		p.toState(stateRunning)
+	p.setPhase(stateBlocked, w)
+	p.mu.Lock()
+	for !p.closed && !p.rt.tr.PendingRollback(p.id) && !w.expired() && !p.readyLocked(&w, w.mode) {
+		p.cond.Wait()
 	}
+	p.mu.Unlock()
+	if timer != nil {
+		timer.Stop()
+	}
+	p.setPhase(stateRunning, wait{})
 }
 
 // Outcome reports an assumption's resolution as observed now: resolved is
@@ -1028,20 +962,16 @@ func (p *Proc) RecvSettled() (Msg, error) {
 // the verdict. The read is recorded in the replay log, so bodies may
 // branch on it deterministically.
 func (p *Proc) Outcome(a AID) (resolved, affirmed bool) {
-	p.checkPending()
-	if p.replaying() {
-		e := p.next(entryOutcome, a.id)
-		return e.ok, e.val != 0
+	e := p.replayed(entryOutcome, a.id)
+	if e == nil {
+		st := p.rt.tr.Status(a.id)
+		live := entry{kind: entryOutcome, aid: a.id, ok: st.Terminal()}
+		if st == tracker.Affirmed {
+			live.val = 1
+		}
+		e = p.logged(live)
 	}
-	st := p.rt.tr.Status(a.id)
-	resolved = st == tracker.Affirmed || st == tracker.Denied
-	affirmed = st == tracker.Affirmed
-	v := int64(0)
-	if affirmed {
-		v = 1
-	}
-	p.record(entry{kind: entryOutcome, aid: a.id, ok: resolved, val: v})
-	return resolved, affirmed
+	return e.ok, e.val != 0
 }
 
 // Effect registers an externally visible action. commit runs when the
@@ -1049,16 +979,13 @@ func (p *Proc) Outcome(a AID) (resolved, affirmed bool) {
 // definite); abort runs if it is rolled back. Neither callback may call
 // Proc methods.
 func (p *Proc) Effect(commit, abort func()) {
-	p.checkPending()
-	if p.replaying() {
-		p.next(entryEffect, ids.NoAID)
+	if p.replayed(entryEffect, ids.NoAID) != nil {
 		return
 	}
 	if err := p.rt.tr.AttachEffect(p.id, commit, abort); err != nil {
 		p.trackerErr(err)
 	}
-	p.record(entry{kind: entryEffect})
-	p.checkPending()
+	p.logged(entry{kind: entryEffect})
 }
 
 // Printf formats to the runtime's output as a buffered effect: the text
@@ -1070,16 +997,14 @@ func (p *Proc) Printf(format string, args ...any) {
 
 // Rand returns a deterministic pseudo-random int63, stable across replay.
 func (p *Proc) Rand() int64 {
-	p.checkPending()
-	if p.replaying() {
-		return p.next(entryRand, ids.NoAID).val
+	e := p.replayed(entryRand, ids.NoAID)
+	if e == nil {
+		if p.rng == nil {
+			p.rng = rand.New(rand.NewSource(int64(p.id)))
+		}
+		e = p.logged(entry{kind: entryRand, val: p.rng.Int63()})
 	}
-	if p.rng == nil {
-		p.rng = rand.New(rand.NewSource(int64(p.id)))
-	}
-	v := p.rng.Int63()
-	p.record(entry{kind: entryRand, val: v})
-	return v
+	return e.val
 }
 
 // Definite reports whether the process currently has no unsettled
@@ -1104,19 +1029,14 @@ func (p *Proc) Definite() bool {
 // must check Restored at its top; hopevet's escape pass flags
 // checkpointed state that aliases memory declared outside the body.
 func (p *Proc) Checkpoint(state any) {
-	p.checkPending()
-	if p.replaying() {
-		// Lockstep: the live run checkpointed here, so the replayed run
-		// consumes the entry at the same point. The recorded state stays
-		// authoritative; the argument is discarded.
-		p.next(entryCheckpoint, ids.NoAID)
-		p.lastCp = p.replay
-		return
+	// Lockstep: where the live run checkpointed, the replayed run consumes
+	// the entry at the same point. The recorded state stays authoritative;
+	// the argument is discarded.
+	if p.replayed(entryCheckpoint, ids.NoAID) == nil {
+		p.rt.obs.Emit(obs.KCheckpoint, p.id, ids.NoAID, ids.NoInterval, checkpointSize(p.rt.obs, state))
+		p.logged(entry{kind: entryCheckpoint, state: state})
 	}
-	p.record(entry{kind: entryCheckpoint, state: state})
-	p.lastCp = len(p.log)
-	p.rt.obs.Emit(obs.KCheckpoint, p.id, ids.NoAID, ids.NoInterval, checkpointSize(p.rt.obs, state))
-	p.checkPending()
+	p.lastCp = p.replay
 }
 
 // checkpointSize approximates a checkpoint's footprint for the obs

@@ -39,6 +39,18 @@ func TestCausalityCheckPasses(t *testing.T) {
 	}
 }
 
+// A receive committed before its send was recorded cannot have merged the
+// send's clock: the committed history released an effect ahead of its
+// cause, and the check must say so.
+func TestCausalityViolationDetected(t *testing.T) {
+	r := NewRecorder()
+	r.RecordRecv("b", "t1", "x")
+	r.RecordSend("a", "t1", "x")
+	if err := r.CheckCausality(); err == nil {
+		t.Fatalf("recv recorded ahead of its send passed the check:\n%s", r.Dump())
+	}
+}
+
 func TestUnmatchedRecvTolerated(t *testing.T) {
 	r := NewRecorder()
 	r.RecordRecv("b", "never-sent", "x")

@@ -397,10 +397,8 @@ func (t *Tracker) finalizeLocked(iv *intervalState, ctx *opCtx) {
 	}
 	iv.status = finalized
 	ctx.resolved = true
-	t.finalMu.Lock()
-	t.finalizedIvs[iv.id] = true
-	t.finalMu.Unlock()
 	sh := t.procShard(iv.proc)
+	sh.finalized[iv.id] = struct{}{}
 	sh.stats.Finalized++
 	t.obs.Emit(obs.KCommitted, iv.proc, ids.NoAID, iv.id, t.lifetime(iv))
 	if n := len(iv.commits); n > 0 {

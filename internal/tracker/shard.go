@@ -37,6 +37,10 @@ type shard struct {
 	aids      map[ids.AID]*aidState
 	intervals map[ids.Interval]*intervalState
 	procs     map[ids.Proc]*procState
+	// finalized records the intervals of processes homed here that were
+	// made definite, for the engine's requeue-sanity assertion (a
+	// finalized receive must never be redelivered).
+	finalized map[ids.Interval]struct{}
 
 	// pendingProcs counts the processes homed here with an unapplied
 	// rollback target (procState.pending != nil). It changes only under mu

@@ -47,7 +47,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -247,13 +246,6 @@ type Tracker struct {
 	// escalations counts home-set -> all-shard lock escalations.
 	escalations atomic.Int64
 
-	// finalMu guards finalizedIvs: intervals made definite, for the
-	// engine's requeue-sanity assertion (a finalized receive must never
-	// be redelivered). A dedicated leaf mutex, acquired with no shard
-	// lock ordering constraints because nothing is acquired after it.
-	finalMu      sync.Mutex
-	finalizedIvs map[ids.Interval]bool
-
 	// obs is the observability sink (nil = no-op). Hook points emit
 	// lifecycle events through it; nothing in the tracker ever reads it,
 	// so observation cannot perturb dependency state or replay.
@@ -286,16 +278,16 @@ func New(opts ...Option) *Tracker {
 	}
 	n := normalizeShards(cfg.shards)
 	t := &Tracker{
-		shards:       make([]*shard, n),
-		smask:        uint64(n - 1),
-		allMask:      (uint64(1) << n) - 1,
-		finalizedIvs: make(map[ids.Interval]bool),
+		shards:  make([]*shard, n),
+		smask:   uint64(n - 1),
+		allMask: (uint64(1) << n) - 1,
 	}
 	for i := range t.shards {
 		s := &shard{
 			aids:      make(map[ids.AID]*aidState),
 			intervals: make(map[ids.Interval]*intervalState),
 			procs:     make(map[ids.Proc]*procState),
+			finalized: make(map[ids.Interval]struct{}),
 		}
 		// Epoch 0 is reserved as "never" so zero-valued caches are
 		// always stale; see TagClass.
@@ -956,9 +948,12 @@ func (t *Tracker) CheckInvariants() error {
 	return nil
 }
 
-// WasFinalized reports whether iv was made definite at some point.
-func (t *Tracker) WasFinalized(iv ids.Interval) bool {
-	t.finalMu.Lock()
-	defer t.finalMu.Unlock()
-	return t.finalizedIvs[iv]
+// WasFinalized reports whether p's interval iv was made definite at some
+// point.
+func (t *Tracker) WasFinalized(p ids.Proc, iv ids.Interval) bool {
+	s := t.procShard(p)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, ok := s.finalized[iv]
+	return ok
 }

@@ -88,8 +88,8 @@ func TestFrameRejectsMalformed(t *testing.T) {
 		{"oversized length", []byte{'H', 'W', Version, byte(FrameDone), 0xff, 0xff, 0xff, 0xff}},
 		{"trailing bytes", func() []byte {
 			b := append([]byte(nil), valid...)
-			b = append(b, 0)                 // extra body byte
-			b[7]++                           // header claims it
+			b = append(b, 0) // extra body byte
+			b[7]++           // header claims it
 			return b
 		}()},
 	}

@@ -508,6 +508,11 @@ func (n *Node) acceptLoop() {
 		n.mu.Lock()
 		n.conns = append(n.conns, conn)
 		n.mu.Unlock()
+		if n.closing() {
+			// Close may have copied conns before the append above and
+			// would then wait forever on a readLoop nobody unblocks.
+			conn.Close()
+		}
 		n.wg.Add(1)
 		go n.readLoop(conn)
 	}

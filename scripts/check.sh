@@ -1,8 +1,9 @@
 #!/bin/sh
 # check.sh — the full verification tier, in dependency order:
-# compile, vet, check every process body against the replay contract
-# with hopevet, check that workloads are defined once, then the
-# race-enabled test suite. Run from anywhere; it cds to the repo root.
+# compile, gofmt, vet, check every process body against the replay
+# contract with hopevet, check that workloads are defined once and that
+# the engine logs and blocks in one place each, then the race-enabled
+# test suite. Run from anywhere; it cds to the repo root.
 #
 #   ./scripts/check.sh
 #
@@ -13,6 +14,14 @@ cd "$(dirname "$0")/.."
 
 echo "== go build ./..."
 go build ./...
+
+echo "== gofmt"
+unformatted=$(gofmt -l . | grep -v '/testdata/' || true)
+if [ -n "$unformatted" ]; then
+	echo "gofmt -l lists:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "== go vet ./..."
 go vet ./...
@@ -37,6 +46,25 @@ if [ -n "$copies" ]; then
 	echo "$copies" >&2
 	exit 1
 fi
+
+# internal/engine has one logged decision (replayed/logged) and one
+# blocking wait (block; park keeps its own loop): every primitive is a
+# client of them. A second log append, cursor advance or cond wait is a
+# per-primitive copy coming back; the names are the fields and helpers
+# the one wait value replaced.
+echo "== one logged decision, one blocking wait"
+engine=$(ls internal/engine/*.go | grep -v '_test\.go$')
+expect() {
+	n=$(grep -ohE "$1" $engine | wc -l | tr -d ' ')
+	if [ "$n" != "$2" ]; then
+		echo "internal/engine: /$1/ occurs $n times, want $2" >&2
+		exit 1
+	fi
+}
+expect 'append\(p\.log' 1
+expect 'p\.replay\+\+' 1
+expect 'p\.cond\.Wait\(\)' 2
+expect 'entryTimeout|waitSettled|waitPred|waitAID|waitDeadline|addSettledWaiter' 0
 
 echo "== go test -race ./..."
 go test -race ./...
