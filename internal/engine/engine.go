@@ -516,7 +516,7 @@ func (r *Runtime) Quiesce() {
 }
 
 // stableLocked evaluates the quiescence predicate. Caller holds r.mu;
-// lock order is r.mu → p.mu → tracker.mu.
+// lock order is r.mu → p.mu → tracker shard locks.
 func (r *Runtime) stableLocked() bool {
 	if r.inflight > 0 {
 		return false
@@ -622,7 +622,7 @@ func (r *Runtime) ShutdownDrain(policy DrainPolicy) {
 }
 
 // allDefiniteLocked reports whether no process holds live speculation.
-// Caller holds r.mu; lock order r.mu → tracker.mu.
+// Caller holds r.mu; lock order r.mu → tracker shard locks.
 func (r *Runtime) allDefiniteLocked() bool {
 	for _, p := range r.procs {
 		if !r.tr.Definite(p.id) {

@@ -331,7 +331,7 @@ func (p *Proc) readyLocked(w *wait, mode scanMode) bool {
 // a pending rollback, a pending deadline, or (when blocked) what it waits
 // for being ready — an unresolvable AID or settled wait is stable
 // (DrainDenyUnresolved breaks the tie). Called with rt.mu held; takes
-// p.mu then tracker.mu (lock order).
+// p.mu then tracker shard locks (lock order).
 func (p *Proc) hasWork() bool {
 	if p.rt.tr.PendingRollback(p.id) {
 		return true

@@ -3,6 +3,7 @@ package tracker
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hope/internal/ids"
@@ -59,8 +60,10 @@ func genScript(rng *rand.Rand, procs, aids, length int) []cmd {
 
 // runTracker applies the script to the tracker, each command in order,
 // issued by its process. Guesses use the command index as log index.
-// opts configure the tracker (the shard-count differential tests pass
-// WithShards).
+// Every opened interval carries one commit effect, and whatever the
+// script does, one process's effects must be released in interval
+// (program) order. opts configure the tracker (the shard-count
+// differential tests pass WithShards).
 func runTracker(t *testing.T, script []cmd, procs, aids int, opts ...Option) (map[int]Resolution, map[int]bool, bool) {
 	t.Helper()
 	tr := New(opts...)
@@ -73,12 +76,18 @@ func runTracker(t *testing.T, script []cmd, procs, aids int, opts ...Option) (ma
 		aidIDs[i] = tr.NewAID()
 	}
 	rolled := false
+	released := make([][]ids.Interval, procs)
 	for idx, c := range script {
 		p, x := procIDs[c.proc], aidIDs[c.aid]
 		var err error
 		switch c.op {
 		case 0:
-			_, err = tr.Guess(p, x, idx)
+			var out GuessOutcome
+			out, err = tr.Guess(p, x, idx)
+			if out.Interval.Valid() {
+				proc, iv := c.proc, out.Interval
+				err = tr.AttachEffect(p, func() { released[proc] = append(released[proc], iv) }, nil)
+			}
 		case 1:
 			err = tr.Affirm(p, x)
 		case 2:
@@ -98,6 +107,11 @@ func runTracker(t *testing.T, script []cmd, procs, aids int, opts ...Option) (ma
 		}
 		if rolled {
 			break
+		}
+	}
+	for i, ivs := range released {
+		if !slices.IsSorted(ivs) {
+			t.Fatalf("P%d's commits were released as %v, not in interval order\nscript: %+v", i, ivs, script)
 		}
 	}
 	status := make(map[int]Resolution, aids)

@@ -1,8 +1,7 @@
 package tracker
 
 import (
-	"sort"
-	"sync"
+	"slices"
 	"time"
 
 	"hope/internal/ids"
@@ -31,75 +30,9 @@ type GuessOutcome struct {
 
 // Guess executes guess(X) for process p (Section 5.1). logIndex is the
 // replay-log position of the guess, used as the rollback restart point.
-//
-// Home shards: the process's (new interval, live chain) and X's; the
-// dependency walk escalates if X's transitive expansion crosses out.
 func (t *Tracker) Guess(p ids.Proc, x ids.AID, logIndex int) (GuessOutcome, error) {
-	ctx := t.newOpCtx()
-	var out GuessOutcome
-	home := bit(t.procIdx(p)) | bit(t.aidIdx(x))
-	err := t.settleCtx(ctx, home, func(locked uint64) error {
-		out = GuessOutcome{}
-		ps, err := t.procAt(p)
-		if err != nil {
-			return err
-		}
-		if ps.pending != nil {
-			return ErrRolledBack
-		}
-		sh := t.procShard(p)
-		a := t.aid(x)
-		switch a.status {
-		case Affirmed:
-			sh.stats.ShortGuesses++
-			out.Result = true
-			return nil
-		case Denied:
-			sh.stats.ShortGuesses++
-			return nil
-		}
-		deps, orphan, escaped := t.resolveDepsMasked([]ids.AID{x}, locked)
-		if escaped {
-			return errEscape
-		}
-		if orphan {
-			sh.stats.ShortGuesses++
-			return nil
-		}
-		if len(deps) == 0 {
-			sh.stats.ShortGuesses++
-			out.Result = true
-			return nil
-		}
-		// Opening the interval records it in the DOM of every dep (all
-		// inside locked — the walk found them there) and of every
-		// assumption inherited from the enclosing interval; those
-		// inherited homes must be locked too.
-		if cur := ps.current(); cur != nil {
-			ok := cur.ido.Range(func(y ids.AID) bool { return locked&bit(t.aidIdx(y)) != 0 })
-			if !ok {
-				return errEscape
-			}
-		}
-		iv := t.openIntervalLocked(ps, logIndex, false, deps)
-		sh.stats.Guesses++
-		out = GuessOutcome{Result: true, Interval: iv.id}
-		return nil
-	})
-	if err != nil {
-		return GuessOutcome{}, err
-	}
-	if out.Interval != ids.NoInterval {
-		t.obs.Emit(obs.KGuessOpened, p, x, out.Interval, 0)
-	} else {
-		var v int64
-		if out.Result {
-			v = 1
-		}
-		t.obs.Emit(obs.KGuessShort, p, x, ids.NoInterval, v)
-	}
-	t.finish(ctx)
-	return out, nil
+	iv, orphan, err := t.open(p, []ids.AID{x}, logIndex, false)
+	return GuessOutcome{Result: err == nil && !orphan, Interval: iv}, err
 }
 
 // DeliverOutcome is the result of a Deliver call.
@@ -115,12 +48,24 @@ type DeliverOutcome struct {
 // Deliver performs the implicit guesses for receiving a message tagged
 // with tags (§3, §7). logIndex is the replay-log position of the receive.
 func (t *Tracker) Deliver(p ids.Proc, tags []ids.AID, logIndex int) (DeliverOutcome, error) {
-	ctx := t.newOpCtx()
-	var out DeliverOutcome
-	var depCount int
-	home := bit(t.procIdx(p)) | t.tagsMask(tags)
-	err := t.settleCtx(ctx, home, func(locked uint64) error {
-		out = DeliverOutcome{}
+	iv, orphan, err := t.open(p, tags, logIndex, true)
+	return DeliverOutcome{Orphan: orphan, Interval: iv}, err
+}
+
+// open makes p depend on tags (Section 5.1, Equations 1–5): the tag set
+// is expanded to its unresolved transitive dependencies and, if any
+// remain, one interval is opened on them. orphan reports a denied
+// dependency — guess(X) returns False, a message is discarded. An
+// explicit guess names one X and brings a never-seen X into existence,
+// unresolved; an implicit one reads an unknown tag as settled. The two
+// are counted and observed under different names.
+//
+// Home shards: the process's (new interval, live chain) and the tags';
+// the dependency walk escalates if their transitive expansion crosses
+// out. Opening resolves nothing, so the settle has nothing to finish.
+func (t *Tracker) open(p ids.Proc, tags []ids.AID, logIndex int, implicit bool) (iv ids.Interval, orphan bool, err error) {
+	var ctx opCtx
+	err = t.settleCtx(&ctx, bit(t.procIdx(p))|t.tagsMask(tags), func(locked uint64) error {
 		ps, err := t.procAt(p)
 		if err != nil {
 			return err
@@ -128,229 +73,258 @@ func (t *Tracker) Deliver(p ids.Proc, tags []ids.AID, logIndex int) (DeliverOutc
 		if ps.pending != nil {
 			return ErrRolledBack
 		}
-		deps, orphan, escaped := t.resolveDepsMasked(tags, locked)
+		x := ids.NoAID // the one AID an explicit guess names
+		if !implicit {
+			x = tags[0]
+			t.aid(x)
+		}
+		deps, orph, escaped := t.resolveDepsMasked(tags, locked)
 		if escaped {
 			return errEscape
 		}
-		if orphan {
-			t.procShard(p).stats.Orphans++
-			out.Orphan = true
-			return nil
-		}
-		if len(deps) == 0 {
-			return nil
-		}
-		if cur := ps.current(); cur != nil {
-			ok := cur.ido.Range(func(y ids.AID) bool { return locked&bit(t.aidIdx(y)) != 0 })
-			if !ok {
-				return errEscape
+		st := &t.procShard(p).stats
+		orphan = orph
+		switch {
+		case orphan && implicit:
+			st.Orphans++
+			t.obs.Emit(obs.KOrphanDropped, p, x, ids.NoInterval, 0)
+		case orphan:
+			st.ShortGuesses++
+			t.obs.Emit(obs.KGuessShort, p, x, ids.NoInterval, 0)
+		case len(deps) == 0 && !implicit:
+			st.ShortGuesses++
+			t.obs.Emit(obs.KGuessShort, p, x, ids.NoInterval, 1)
+		case len(deps) > 0:
+			// Opening the interval records it in the DOM of every dep (all
+			// inside locked — the walk found them there) and of every
+			// assumption inherited from the enclosing interval; those
+			// inherited homes must be locked too.
+			if cur := ps.current(); cur != nil {
+				ok := cur.ido.Range(func(y ids.AID) bool { return locked&bit(t.aidIdx(y)) != 0 })
+				if !ok {
+					return errEscape
+				}
+			}
+			iv = t.openIntervalLocked(ps, logIndex, implicit, deps).id
+			if implicit {
+				st.ImplicitGuesses++
+				t.obs.Emit(obs.KMsgTainted, p, x, iv, int64(len(deps)))
+			} else {
+				st.Guesses++
+				t.obs.Emit(obs.KGuessOpened, p, x, iv, 0)
 			}
 		}
-		iv := t.openIntervalLocked(ps, logIndex, true, deps)
-		t.procShard(p).stats.ImplicitGuesses++
-		depCount = len(deps)
-		out.Interval = iv.id
 		return nil
 	})
 	if err != nil {
-		return DeliverOutcome{}, err
+		return ids.NoInterval, false, err
 	}
-	if out.Orphan {
-		t.obs.Emit(obs.KOrphanDropped, p, ids.NoAID, ids.NoInterval, 0)
-	} else if out.Interval != ids.NoInterval {
-		t.obs.Emit(obs.KMsgTainted, p, ids.NoAID, out.Interval, int64(depCount))
-	}
-	t.finish(ctx)
-	return out, nil
+	return iv, orphan, nil
 }
 
+// verdict is what a resolution asks of X.
+type verdict uint8
+
+const (
+	affirm verdict = iota
+	deny
+	freeOf
+)
+
+// String is the operation name the stall hook sees.
+func (v verdict) String() string { return [...]string{"affirm", "deny", "free_of"}[v] }
+
 // Affirm executes affirm(X) for process p (Section 5.2, Equations 7–14).
+func (t *Tracker) Affirm(p ids.Proc, x ids.AID) error { return t.resolveFor(p, x, affirm) }
+
+// Deny executes deny(X) for process p (Section 5.3, Equations 15–16).
+func (t *Tracker) Deny(p ids.Proc, x ids.AID) error { return t.resolveFor(p, x, deny) }
+
+// FreeOf executes free_of(X) for process p (Section 5.4, Equations 17–19),
+// atomically: the dependence test and the induced affirm/deny happen in
+// one critical section.
+func (t *Tracker) FreeOf(p ids.Proc, x ids.AID) error { return t.resolveFor(p, x, freeOf) }
+
+// ApplyVerdict applies a terminal resolution decided elsewhere — a
+// distributed Affirm/Deny received over the wire — on the system's
+// behalf: no calling process, so no speculative variant. The operation
+// is idempotent — re-applying an already-settled verdict in the same
+// direction is a no-op — and tolerant of §5.6 system denies superseding
+// a remote affirm, so verdict gossip between nodes terminates without
+// loops. A genuinely contradictory verdict returns ErrConflict.
+func (t *Tracker) ApplyVerdict(x ids.AID, affirmed bool) error {
+	if affirmed {
+		return t.resolve(ids.NoProc, x, affirm)
+	}
+	return t.resolve(ids.NoProc, x, deny)
+}
+
+// resolveFor is resolve for a calling process. NoProc, the zero Proc,
+// is not one: it must not reach resolve, where it means the system.
+func (t *Tracker) resolveFor(p ids.Proc, x ids.AID, v verdict) error {
+	if p == ids.NoProc {
+		return ErrUnknownProc
+	}
+	return t.resolve(p, x, v)
+}
+
+// resolve is the one entry to Section 5's resolution rules: process p —
+// or, when p is NoProc, the system — asks v of X. The case analysis on
+// (X's state, is the resolver speculative, does it depend on X) is
+// affirmLocked and denyLocked; this is everything around it.
 //
 // The settle's footprint is p's live chain plus X's resolution closure:
 // draining X.DOM can finalize dependent intervals, whose IHD members
 // may be definitively denied, cascading further — all admitted (or
 // escalated) by the footprint walk before anything is written.
-func (t *Tracker) Affirm(p ids.Proc, x ids.AID) error {
-	if s := t.stall; s != nil {
-		s(p, "affirm")
+func (t *Tracker) resolve(p ids.Proc, x ids.AID, v verdict) error {
+	home := bit(t.aidIdx(x))
+	if p != ids.NoProc {
+		// Only a process can be stalled: the hook runs in its goroutine.
+		if s := t.stall; s != nil {
+			s(p, v.String())
+		}
+		home |= bit(t.procIdx(p))
 	}
 	ctx := t.newOpCtx()
-	home := bit(t.procIdx(p)) | bit(t.aidIdx(x))
 	err := t.settleCtx(ctx, home, func(locked uint64) error {
-		ps, err := t.procAt(p)
-		if err != nil {
-			return err
-		}
-		if ps.pending != nil {
-			return ErrRolledBack
-		}
 		f := t.newFootprint(locked)
-		if !f.visitProc(p) || !f.resolveAID(x) {
+		var cur *intervalState // the resolver's interval; nil = definite
+		if p != ids.NoProc {
+			ps, err := t.procAt(p)
+			if err != nil {
+				return err
+			}
+			if ps.pending != nil {
+				return ErrRolledBack
+			}
+			if !f.visitProc(p) {
+				return errEscape
+			}
+			cur = ps.current()
+		}
+		if !f.resolveAID(x) {
 			return errEscape
 		}
-		return t.affirmLocked(ps, x, ctx)
+		a, v := t.aid(x), v // a copy: free_of rewrites it
+		if v == freeOf {
+			t.aidShard(x).stats.FreeOfs++
+			t.obs.Emit(obs.KFreeOf, p, x, ids.NoInterval, 0)
+			switch {
+			case a.status == Denied:
+				return nil // re-execution after the constraint violation was handled
+			case cur != nil && cur.ido.Has(x):
+				v = deny // Equation 19 (definite: X ∈ A.IDO)
+			default:
+				v = affirm // Equations 17–18
+			}
+		}
+		if v == deny {
+			return t.denyLocked(p, cur, a, ctx)
+		}
+		return t.affirmLocked(p, cur, a, ctx)
 	})
 	t.finish(ctx)
 	return err
 }
 
-func (t *Tracker) affirmLocked(ps *procState, x ids.AID, ctx *opCtx) error {
-	a := t.aid(x)
+// affirmLocked is Equations 7–14. A definite resolver (cur == nil)
+// affirms X outright; a speculative one first trades X for its own
+// dependencies — X becomes SpecAffirmed with cur.IDO−{X} as replacement,
+// which every dependent of X inherits. Either way X then leaves the IDO
+// of every interval in X.DOM, and an interval left depending on nothing
+// is finalized.
+func (t *Tracker) affirmLocked(p ids.Proc, cur *intervalState, a *aidState, ctx *opCtx) error {
 	switch {
 	case a.status == Affirmed || a.status == SpecAffirmed:
 		return nil // redundant (§5.2)
 	case a.status == Denied && a.systemDenied:
-		return nil // stale re-execution after a §5.6 system deny
-	case a.status == Denied || a.claimed:
+		return nil // stale re-execution after, or superseded by, a §5.6 system deny
+	case a.status == Denied:
+		return ErrConflict
+	case a.claimed && p != ids.NoProc:
+		// A local speculative deny has claimed X. Another process's
+		// affirm is the §5.2 user error; the system's verdict overrides
+		// the claim (the claimant's IHD entry is skipped at its finalize).
 		return ErrConflict
 	}
 
-	st := t.aidShard(x)
-	cur := ps.current()
+	x, st := a.id, t.aidShard(a.id)
+	a.claimed = true
+	var inherit []ids.AID
 	if cur == nil {
-		// Definite affirm (Equations 7–9).
-		a.claimed = true
 		t.setStatus(a, Affirmed, ctx)
 		st.stats.DefiniteAffirms++
-		t.obs.Emit(obs.KAffirmed, ps.id, x, ids.NoInterval, 0)
-		for _, b := range a.dom.Elems() {
-			if b.status != speculative {
-				continue
-			}
-			b.ido.Remove(x)
-			a.dom.Remove(b)
-			if b.ido.Empty() {
-				t.finalizeLocked(b, ctx)
-			}
-		}
+		t.obs.Emit(obs.KAffirmed, p, x, ids.NoInterval, 0)
 	} else {
-		// Speculative affirm (Equations 10–14).
-		a.claimed = true
 		t.setStatus(a, SpecAffirmed, ctx)
 		a.affirmer = cur.id
-		repl := cur.ido.Clone()
-		repl.Remove(x)
-		a.replacement = repl
+		a.replacement = cur.ido.Clone()
+		a.replacement.Remove(x)
 		cur.specAffirmed.Add(x)
 		st.stats.SpecAffirms++
-		t.obs.Emit(obs.KSpecAffirmed, ps.id, x, cur.id, 0)
-		idoSnap := cur.ido.Clone()
-		for _, b := range a.dom.Elems() {
-			if b.status != speculative {
-				continue
-			}
-			for _, y := range idoSnap.Elems() {
-				if y == x {
-					continue
-				}
-				if b.ido.Add(y) {
-					t.aid(y).dom.Add(b)
-				}
-			}
-			b.ido.Remove(x)
-			a.dom.Remove(b)
-			if b.ido.Empty() {
-				t.finalizeLocked(b, ctx)
-			}
+		t.obs.Emit(obs.KSpecAffirmed, p, x, cur.id, 0)
+		inherit = a.replacement.Elems()
+	}
+	// Equations 9/14. A finalize below can cascade back into X.DOM, hence
+	// the snapshot and the status check.
+	for _, b := range a.dom.Elems() {
+		if b.status != speculative {
+			continue
+		}
+		for _, y := range inherit {
+			t.dependLocked(b, y)
+		}
+		b.ido.Remove(x)
+		a.dom.Remove(b)
+		if b.ido.Empty() {
+			t.finalizeLocked(b, ctx)
 		}
 	}
 	return nil
 }
 
-// Deny executes deny(X) for process p (Section 5.3, Equations 15–16).
-func (t *Tracker) Deny(p ids.Proc, x ids.AID) error {
-	if s := t.stall; s != nil {
-		s(p, "deny")
-	}
-	ctx := t.newOpCtx()
-	home := bit(t.procIdx(p)) | bit(t.aidIdx(x))
-	err := t.settleCtx(ctx, home, func(locked uint64) error {
-		ps, err := t.procAt(p)
-		if err != nil {
-			return err
-		}
-		if ps.pending != nil {
-			return ErrRolledBack
-		}
-		f := t.newFootprint(locked)
-		if !f.visitProc(p) || !f.resolveAID(x) {
-			return errEscape
-		}
-		return t.denyLocked(ps, x, ctx)
-	})
-	t.finish(ctx)
-	return err
-}
-
-func (t *Tracker) denyLocked(ps *procState, x ids.AID, ctx *opCtx) error {
-	a := t.aid(x)
+// denyLocked is Equations 15–16: definite when the resolver is definite
+// or itself depends on X, otherwise a claim on X that becomes a deny
+// when the resolver's interval finalizes.
+func (t *Tracker) denyLocked(p ids.Proc, cur *intervalState, a *aidState, ctx *opCtx) error {
 	switch {
-	case a.status == Denied || (a.claimed && a.status == Unresolved):
+	case a.status == Denied:
 		return nil // redundant (§5.2)
+	case a.claimed && a.status == Unresolved && p != ids.NoProc:
+		// Redundant with the pending speculative deny that claimed X. The
+		// system's verdict instead settles X early, and the claimant's
+		// IHD entry becomes the redundant one.
+		return nil
 	case a.status == Affirmed || a.status == SpecAffirmed:
 		return ErrConflict
 	}
-
-	st := t.aidShard(x)
-	cur := ps.current()
-	if cur == nil || cur.ido.Has(x) {
-		// Definite deny (Equation 15).
-		a.claimed = true
-		t.setStatus(a, Denied, ctx)
-		st.stats.DefiniteDenies++
-		t.obs.Emit(obs.KDenied, ps.id, x, ids.NoInterval, 0)
-		t.rollbackDependentsLocked(a, ctx)
-	} else {
-		// Speculative deny (Equation 16): only the claim and the IHD
-		// membership change — no assumption changes resolution state, so
-		// no epoch moves and cached verdicts stay valid; the watcher
-		// still fires for pessimistic waiters.
-		a.claimed = true
-		a.claimedBy = cur.id
-		cur.ihd.Add(x)
-		ctx.resolved = true
-		st.stats.SpecDenies++
-		t.obs.Emit(obs.KSpecDenied, ps.id, x, cur.id, 0)
+	if cur == nil || cur.ido.Has(a.id) {
+		t.denyDefiniteLocked(p, a, ctx)
+		return nil
 	}
+	// Equation 16: only the claim and the IHD membership change — no
+	// assumption changes resolution state, so no epoch moves and cached
+	// verdicts stay valid; the watcher still fires for pessimistic
+	// waiters.
+	a.claimed = true
+	a.claimedBy = cur.id
+	cur.ihd.Add(a.id)
+	ctx.resolved = true
+	t.aidShard(a.id).stats.SpecDenies++
+	t.obs.Emit(obs.KSpecDenied, p, a.id, cur.id, 0)
 	return nil
 }
 
-// FreeOf executes free_of(X) for process p (Section 5.4, Equations 17–19),
-// atomically: the dependence test and the induced affirm/deny happen in
-// one critical section.
-func (t *Tracker) FreeOf(p ids.Proc, x ids.AID) error {
-	if s := t.stall; s != nil {
-		s(p, "free_of")
-	}
-	ctx := t.newOpCtx()
-	home := bit(t.procIdx(p)) | bit(t.aidIdx(x))
-	err := t.settleCtx(ctx, home, func(locked uint64) error {
-		ps, err := t.procAt(p)
-		if err != nil {
-			return err
-		}
-		if ps.pending != nil {
-			return ErrRolledBack
-		}
-		f := t.newFootprint(locked)
-		if !f.visitProc(p) || !f.resolveAID(x) {
-			return errEscape
-		}
-		t.aidShard(x).stats.FreeOfs++
-		t.obs.Emit(obs.KFreeOf, p, x, ids.NoInterval, 0)
-		a := t.aid(x)
-		if a.status == Denied {
-			// Re-execution after the constraint violation was handled.
-			return nil
-		}
-		cur := ps.current()
-		if cur != nil && cur.ido.Has(x) {
-			return t.denyLocked(ps, x, ctx) // Equation 19 (definite: X ∈ A.IDO)
-		}
-		return t.affirmLocked(ps, x, ctx) // Equations 17–18
-	})
-	t.finish(ctx)
-	return err
+// denyDefiniteLocked is Equation 15, attributed to p (NoProc = the
+// system): X is Denied and every interval in X.DOM — and, per Theorem
+// 5.1, every later interval of the same process — is discarded.
+func (t *Tracker) denyDefiniteLocked(p ids.Proc, a *aidState, ctx *opCtx) {
+	a.claimed = true
+	t.setStatus(a, Denied, ctx)
+	t.aidShard(a.id).stats.DefiniteDenies++
+	t.obs.Emit(obs.KDenied, p, a.id, ids.NoInterval, 0)
+	t.rollbackDependentsLocked(a, ctx)
 }
 
 // AttachEffect registers commit/abort callbacks on p's current interval.
@@ -388,9 +362,10 @@ func (t *Tracker) AttachEffect(p ids.Proc, commit, abort func()) error {
 
 // finalizeLocked makes iv definite (Section 5.5, Equations 20–23):
 // pending speculative denies become definite, speculatively affirmed AIDs
-// become affirmed, and buffered effects are queued for release. Caller
-// holds the settle's locked set, which the footprint walk guarantees
-// covers iv's shard and every assumption it can flip.
+// become affirmed, and the interval is handed to the settle, whose finish
+// releases its buffered effects. Caller holds the settle's locked set,
+// which the footprint walk guarantees covers iv's shard and every
+// assumption it can flip.
 func (t *Tracker) finalizeLocked(iv *intervalState, ctx *opCtx) {
 	if iv.status != speculative {
 		return
@@ -412,8 +387,10 @@ func (t *Tracker) finalizeLocked(iv *intervalState, ctx *opCtx) {
 			t.setStatus(a, Affirmed, ctx)
 		}
 	}
-	ctx.after = append(ctx.after, iv.commits...)
-	iv.commits, iv.aborts = nil, nil
+	// Unreachable from here on (no shard map, no live chain), so finish
+	// reads iv.commits outside the locks.
+	ctx.finalized = append(ctx.finalized, iv)
+	iv.aborts = nil
 	delete(sh.intervals, iv.id)
 
 	// Equation 22.
@@ -422,23 +399,18 @@ func (t *Tracker) finalizeLocked(iv *intervalState, ctx *opCtx) {
 		if a.status == Denied || a.status == Affirmed {
 			continue
 		}
-		t.setStatus(a, Denied, ctx)
 		a.claimedBy = ids.NoInterval
-		t.aidShard(x).stats.DefiniteDenies++
-		t.obs.Emit(obs.KDenied, iv.proc, x, ids.NoInterval, 0)
-		t.rollbackDependentsLocked(a, ctx)
+		t.denyDefiniteLocked(iv.proc, a, ctx)
 	}
 }
 
-// rollbackDependentsLocked applies a definite deny: every interval in
-// X.DOM (and, per Theorem 5.1, every later interval of the same process)
-// is discarded.
+// rollbackDependentsLocked discards every interval in X.DOM. A rollback
+// can cascade back into X.DOM, hence the snapshot and the status check.
 func (t *Tracker) rollbackDependentsLocked(a *aidState, ctx *opCtx) {
 	for _, b := range a.dom.Elems() {
-		if b.status != speculative {
-			continue
+		if b.status == speculative {
+			t.rollbackFromLocked(b, ctx)
 		}
-		t.rollbackFromLocked(b, ctx)
 	}
 }
 
@@ -514,8 +486,9 @@ func removeInterval(ps *procState, iv *intervalState) {
 }
 
 // denySystem definitively denies x on the system's behalf (§5.6) if it
-// is still unresolved and unclaimed when its shard lock is taken.
-// Returns whether it acted.
+// is still unresolved and unclaimed when its shard lock is taken, and
+// marks it system-denied: a replayed affirm of it is stale, not a
+// conflict. Returns whether it acted.
 func (t *Tracker) denySystem(x ids.AID, ctx *opCtx) bool {
 	acted := false
 	_ = t.settleCtx(ctx, bit(t.aidIdx(x)), func(locked uint64) error {
@@ -527,12 +500,8 @@ func (t *Tracker) denySystem(x ids.AID, ctx *opCtx) bool {
 		if a == nil || a.status != Unresolved || a.claimed {
 			return nil // resolved by an earlier sweep's cascade
 		}
-		a.claimed = true
 		a.systemDenied = true
-		t.setStatus(a, Denied, ctx)
-		t.aidShard(x).stats.DefiniteDenies++
-		t.obs.Emit(obs.KDenied, ids.NoProc, x, ids.NoInterval, 0)
-		t.rollbackDependentsLocked(a, ctx)
+		t.denyDefiniteLocked(ids.NoProc, a, ctx)
 		acted = true
 		return nil
 	})
@@ -571,16 +540,13 @@ func (t *Tracker) forceDiscard(p ids.Proc, ctx *opCtx) bool {
 // of a swept assumption are treated as stale re-executions, not
 // conflicts.
 //
-// Candidates are collected from every shard in parallel — one goroutine
-// per shard under that shard's read lock, since candidate scans touch
-// only shard-local state — then merged and swept in ascending
-// identifier order, so the sweep sequence — and therefore the cascade
-// order and the emitted event stream — is independent of both the shard
-// count and the collection interleaving. Each sweep is its own settle;
+// Candidates are collected shard by shard, each under that shard's read
+// lock, and swept in ascending identifier order, so the sweep sequence —
+// and therefore the cascade order and the emitted event stream — is
+// independent of the shard count. Each sweep is its own settle;
 // processes are quiesced by the caller, so no settle observes the drain
 // half-done in a way that matters, and the rollback notifications and
-// effects run once at the end like the old single-critical-section
-// drain. Returns the number of drain actions taken (assumptions denied
+// effects run once at the end. Returns the number of drain actions taken (assumptions denied
 // plus interval chains force-discarded); zero means the tracker was
 // already fully settled and no rollback was issued.
 func (t *Tracker) DenyAllUnresolved() int {
@@ -588,15 +554,14 @@ func (t *Tracker) DenyAllUnresolved() int {
 	denied := 0
 	for {
 		progress := false
-		cands := mergeSorted(collectShards(t.shards, func(s *shard) []ids.AID {
-			var out []ids.AID
+		cands := sweepOrder(t.shards, func(s *shard, out []ids.AID) []ids.AID {
 			for id, a := range s.aids {
 				if a.status == Unresolved && !a.claimed {
 					out = append(out, id)
 				}
 			}
 			return out
-		}))
+		})
 		for _, x := range cands {
 			if t.denySystem(x, ctx) {
 				denied++
@@ -608,15 +573,14 @@ func (t *Tracker) DenyAllUnresolved() int {
 		}
 		// No deniable assumption left, but claim cycles may keep
 		// intervals alive: discard them directly, releasing their claims.
-		procs := mergeSorted(collectShards(t.shards, func(s *shard) []ids.Proc {
-			var out []ids.Proc
+		procs := sweepOrder(t.shards, func(s *shard, out []ids.Proc) []ids.Proc {
 			for id, ps := range s.procs {
 				if len(ps.live) > 0 {
 					out = append(out, id)
 				}
 			}
 			return out
-		}))
+		})
 		for _, p := range procs {
 			if t.forceDiscard(p, ctx) {
 				denied++
@@ -631,104 +595,18 @@ func (t *Tracker) DenyAllUnresolved() int {
 	return denied
 }
 
-// collectShards runs scan over every shard concurrently, each under its
-// own read lock. Safe for drain collection because the scans read only
-// state homed on the locked shard; per-shard results come back in shard
-// order, ready for a deterministic merge.
-func collectShards[T ~uint64](shards []*shard, scan func(*shard) []T) [][]T {
-	parts := make([][]T, len(shards))
-	var wg sync.WaitGroup
-	for i, s := range shards {
-		wg.Add(1)
-		go func(i int, s *shard) {
-			defer wg.Done()
-			s.mu.RLock()
-			parts[i] = scan(s)
-			s.mu.RUnlock()
-		}(i, s)
-	}
-	wg.Wait()
-	return parts
-}
-
-// mergeSorted flattens per-shard candidate slices into one ascending
-// identifier order — the shard-count-independent sweep order.
-func mergeSorted[T ~uint64](parts [][]T) []T {
+// sweepOrder gathers drain candidates from every shard, each scanned
+// under its own read lock (scans read only state homed there), in
+// ascending identifier order — the shard-count-independent sweep order.
+func sweepOrder[T ~uint64](shards []*shard, scan func(s *shard, out []T) []T) []T {
 	var all []T
-	for _, p := range parts {
-		all = append(all, p...)
+	for _, s := range shards {
+		s.mu.RLock()
+		all = scan(s, all)
+		s.mu.RUnlock()
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	slices.Sort(all)
 	return all
-}
-
-// ApplyVerdict applies a terminal resolution decided elsewhere — a
-// distributed Affirm/Deny received over the wire. It is the definite
-// branch of Affirm/Deny acting on the system's behalf: no calling
-// process, no speculative variant. The operation is idempotent —
-// re-applying an already-settled verdict in the same direction is a
-// no-op — and tolerant of §5.6 system denies superseding a remote
-// affirm, so verdict gossip between nodes terminates without loops.
-// A genuinely contradictory verdict returns ErrConflict.
-func (t *Tracker) ApplyVerdict(x ids.AID, affirmed bool) error {
-	ctx := t.newOpCtx()
-	err := t.settleCtx(ctx, bit(t.aidIdx(x)), func(locked uint64) error {
-		f := t.newFootprint(locked)
-		if !f.resolveAID(x) {
-			return errEscape
-		}
-		return t.applyVerdictLocked(t.aid(x), affirmed, ctx)
-	})
-	t.finish(ctx)
-	return err
-}
-
-// applyVerdictLocked mirrors the definite branches of affirmLocked and
-// denyLocked without a resolving interval. Caller holds the settle's
-// locked set, admitted by a resolveAID footprint walk on x.
-func (t *Tracker) applyVerdictLocked(a *aidState, affirmed bool, ctx *opCtx) error {
-	st := t.aidShard(a.id)
-	if affirmed {
-		switch {
-		case a.status == Affirmed || a.status == SpecAffirmed:
-			return nil // redundant (§5.2): already (speculatively) affirmed
-		case a.status == Denied && a.systemDenied:
-			return nil // superseded by a §5.6 system deny
-		case a.status == Denied:
-			return ErrConflict
-		}
-		// Definite affirm (Equations 7–9), resolver-less.
-		a.claimed = true
-		t.setStatus(a, Affirmed, ctx)
-		st.stats.DefiniteAffirms++
-		t.obs.Emit(obs.KAffirmed, ids.NoProc, a.id, ids.NoInterval, 0)
-		for _, b := range a.dom.Elems() {
-			if b.status != speculative {
-				continue
-			}
-			b.ido.Remove(a.id)
-			a.dom.Remove(b)
-			if b.ido.Empty() {
-				t.finalizeLocked(b, ctx)
-			}
-		}
-		return nil
-	}
-	switch {
-	case a.status == Denied:
-		return nil // redundant: denies agree
-	case a.status == Affirmed || a.status == SpecAffirmed:
-		return ErrConflict
-	}
-	// Definite deny (Equation 15), resolver-less. A local speculative
-	// deny claim is compatible — the remote verdict settles it early and
-	// the claiming interval's IHD entry becomes a redundant re-deny.
-	a.claimed = true
-	t.setStatus(a, Denied, ctx)
-	st.stats.DefiniteDenies++
-	t.obs.Emit(obs.KDenied, ids.NoProc, a.id, ids.NoInterval, 0)
-	t.rollbackDependentsLocked(a, ctx)
-	return nil
 }
 
 // LiveIntervals reports p's speculative interval count (diagnostics).

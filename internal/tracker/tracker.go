@@ -44,8 +44,10 @@
 package tracker
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -334,19 +336,11 @@ func (t *Tracker) Register(hooks Hooks) ids.Proc {
 	return id
 }
 
-// NewAID allocates a fresh assumption identifier. Allocation is an
-// atomic counter bump plus an insert into the AID's home shard; no
-// epoch moves, because a fresh AID cannot already appear in any tag set
-// or replacement set, so no cached verdict can mention it.
+// NewAID allocates a fresh assumption identifier: an atomic counter bump
+// plus its record in the AID's home shard.
 func (t *Tracker) NewAID() ids.AID {
 	x := t.gen.NextAID()
-	s := t.aidShard(x)
-	s.mu.Lock()
-	s.aids[x] = &aidState{id: x, dom: sets.New[*intervalState](), status: Unresolved}
-	s.unresolved++
-	n := len(s.aids)
-	s.mu.Unlock()
-	t.obs.ShardAssumptions(int(t.aidIdx(x)), n)
+	t.Materialize([]ids.AID{x})
 	return x
 }
 
@@ -360,19 +354,15 @@ func (t *Tracker) NewAID() ids.AID {
 // speculative until the minting node's terminal verdict arrives —
 // every terminal verdict is broadcast — so implicit guesses, orphan
 // discard, and RecvSettled behave exactly as if the guess were local.
-// Like NewAID, creation needs no epoch bump: a tag set naming x is
-// only ever classified after the wire message carrying x was injected,
-// so no cached verdict can predate the record.
+// Creation moves no epoch: a fresh AID cannot already appear in any tag
+// set or replacement set, and a tag set naming a foreign x is only ever
+// classified after the wire message carrying x was injected, so no
+// cached verdict can predate the record.
 func (t *Tracker) Materialize(tags []ids.AID) {
 	for _, x := range tags {
 		s := t.aidShard(x)
 		s.mu.Lock()
-		if _, ok := s.aids[x]; ok {
-			s.mu.Unlock()
-			continue
-		}
-		s.aids[x] = &aidState{id: x, dom: sets.New[*intervalState](), status: Unresolved}
-		s.unresolved++
+		t.aid(x)
 		n := len(s.aids)
 		s.mu.Unlock()
 		t.obs.ShardAssumptions(int(t.aidIdx(x)), n)
@@ -435,13 +425,6 @@ func (t *Tracker) Tag(p ids.Proc) ([]ids.AID, error) {
 		return cur.ido.Elems(), nil
 	}
 	return nil, nil
-}
-
-// Orphaned reports whether a message with these tags is an orphan: some
-// transitively resolved tag AID is denied.
-func (t *Tracker) Orphaned(tags []ids.AID) bool {
-	_, orphan := t.Settled(tags)
-	return orphan
 }
 
 // Settled classifies a tag set: settled means every transitive dependency
@@ -571,7 +554,12 @@ func (t *Tracker) SetResolutionWatcher(fn func()) {
 // of the settle protocol.
 type opCtx struct {
 	notify map[ids.Proc]Hooks
-	after  []func()
+	// finalized are the intervals this operation made definite, in
+	// cascade order; finish releases their commits in interval order.
+	finalized []*intervalState
+	// after holds the aborts of discarded intervals and the verdict-sink
+	// calls, in cascade order.
+	after []func()
 	// dirty is the set of shards whose assumptions changed resolution
 	// state in the current critical section; commitCtx bumps their
 	// epochs and clears it.
@@ -599,12 +587,27 @@ func (ctx *opCtx) notifyProc(p ids.Proc, h Hooks) {
 }
 
 // finish delivers rollback notifications and runs queued effects, outside
-// all locks.
+// all locks. Commits leave in ascending interval ID: identifiers come
+// from one counter, so that is program order within each process, which
+// cascade order is not — a speculative affirm re-homes X's dependents
+// into other DOM sets in whatever order it meets them — and two effects
+// of one process are not independent steps.
 func (t *Tracker) finish(ctx *opCtx) {
 	for _, h := range ctx.notify {
 		if h != nil {
 			h.NotifyRollback()
 		}
+	}
+	if len(ctx.finalized) > 1 {
+		slices.SortFunc(ctx.finalized, func(a, b *intervalState) int { return cmp.Compare(a.id, b.id) })
+	}
+	for _, iv := range ctx.finalized {
+		for _, commit := range iv.commits {
+			commit()
+		}
+		// iv outlives the settle (a removed DOM member stays in the set's
+		// insertion log until compaction); its effects must not.
+		iv.commits = nil
 	}
 	for _, f := range ctx.after {
 		f()

@@ -2,6 +2,7 @@ package tracker
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -375,7 +376,7 @@ func TestDeliverTaggingAndOrphans(t *testing.T) {
 	if got := take(tr, ps[1]); !got.Implicit || got.LogIndex != 5 {
 		t.Fatalf("P2 target = %+v, want implicit logIndex 5", got)
 	}
-	if !tr.Orphaned(tags) {
+	if settled, orphan := tr.Settled(tags); settled || !orphan {
 		t.Fatal("tags should be orphaned after deny")
 	}
 	if out, err := tr.Deliver(ps[1], tags, 9); err != nil || !out.Orphan {
@@ -467,6 +468,31 @@ func TestEffectOrderingAtFinalize(t *testing.T) {
 	}
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
 		t.Fatalf("commit order = %v, want [0 1 2]", order)
+	}
+}
+
+// TestCommitsReleaseInIntervalOrder: when one settle finalizes several
+// intervals of one process, their effects leave in program order. P1's
+// speculative affirms re-home P0's intervals into Z.DOM newest first, so
+// DOM order is the reverse of interval order here.
+func TestCommitsReleaseInIntervalOrder(t *testing.T) {
+	tr, ps, _ := setup(t, 3)
+	a, b, z := tr.NewAID(), tr.NewAID(), tr.NewAID()
+	var order []string
+	for i, x := range []ids.AID{a, b} {
+		name := mustGuess(t, tr, ps[0], x, i).Interval.String()
+		if err := tr.AttachEffect(ps[0], func() { order = append(order, name) }, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustGuess(t, tr, ps[1], z, 0)
+	for _, step := range []error{tr.Affirm(ps[1], b), tr.Affirm(ps[1], a), tr.Affirm(ps[2], z)} {
+		if step != nil {
+			t.Fatal(step)
+		}
+	}
+	if got := fmt.Sprint(order); got != "[A1 A2]" {
+		t.Fatalf("commits released as %v, want [A1 A2]", got)
 	}
 }
 

@@ -2,8 +2,9 @@
 # check.sh — the full verification tier, in dependency order:
 # compile, gofmt, vet, check every process body against the replay
 # contract with hopevet, check that workloads are defined once and that
-# the engine logs and blocks in one place each, then the race-enabled
-# test suite. Run from anywhere; it cds to the repo root.
+# the engine logs and blocks in one place each and the tracker states
+# each resolution rule once, then the race-enabled test suite. Run from
+# anywhere; it cds to the repo root.
 #
 #   ./scripts/check.sh
 #
@@ -53,18 +54,30 @@ fi
 # per-primitive copy coming back; the names are the fields and helpers
 # the one wait value replaced.
 echo "== one logged decision, one blocking wait"
-engine=$(ls internal/engine/*.go | grep -v '_test\.go$')
-expect() {
-	n=$(grep -ohE "$1" $engine | wc -l | tr -d ' ')
-	if [ "$n" != "$2" ]; then
-		echo "internal/engine: /$1/ occurs $n times, want $2" >&2
+expect() { # expect <package dir> <regexp> <occurrences in its non-test files>
+	n=$(grep -ohE "$2" $(ls "$1"/*.go | grep -v '_test\.go$') | wc -l | tr -d ' ')
+	if [ "$n" != "$3" ]; then
+		echo "$1: /$2/ occurs $n times, want $3" >&2
 		exit 1
 	fi
 }
-expect 'append\(p\.log' 1
-expect 'p\.replay\+\+' 1
-expect 'p\.cond\.Wait\(\)' 2
-expect 'entryTimeout|waitSettled|waitPred|waitAID|waitDeadline|addSettledWaiter' 0
+expect internal/engine 'append\(p\.log' 1
+expect internal/engine 'p\.replay\+\+' 1
+expect internal/engine 'p\.cond\.Wait\(\)' 2
+expect internal/engine 'entryTimeout|waitSettled|waitPred|waitAID|waitDeadline|addSettledWaiter' 0
+
+# internal/tracker states each rule of Section 5 once (DESIGN.md has the
+# equation ↔ function table): one definite affirm with one DOM drain
+# (affirmLocked), one definite deny (denyDefiniteLocked, the only caller
+# of rollbackDependentsLocked), no second system-verdict path, one
+# assumption-record constructor. A second hit is a per-entry-point copy
+# coming back.
+echo "== each equation once"
+expect internal/tracker 'stats\.DefiniteDenies\+\+' 1
+expect internal/tracker 'stats\.DefiniteAffirms\+\+' 1
+expect internal/tracker 'rollbackDependentsLocked\(a' 2
+expect internal/tracker 'applyVerdictLocked' 0
+expect internal/tracker 'dom: +sets\.New' 1
 
 echo "== go test -race ./..."
 go test -race ./...
