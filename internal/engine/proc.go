@@ -158,6 +158,9 @@ type Proc struct {
 	// state to the next attempt; Restored consumes them.
 	restoredState any
 	hasRestored   bool
+	// wakeFn is p.wake as a func value, made once: every interval p opens
+	// carries it as a commit effect (watchFinalize).
+	wakeFn func()
 
 	restarts atomic.Int32
 	resumes  atomic.Int32
@@ -391,6 +394,16 @@ func (p *Proc) wake() {
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	p.rt.bump()
+}
+
+// watchFinalize registers wake as a commit effect of the interval p just
+// opened, so park() notices when it finalizes. An ErrRolledBack here is
+// caught by logged's checkPending.
+func (p *Proc) watchFinalize() {
+	if p.wakeFn == nil {
+		p.wakeFn = p.wake
+	}
+	_ = p.rt.tr.AttachEffect(p.id, p.wakeFn, nil)
 }
 
 // loop is the process goroutine: run the body, replaying after each
@@ -675,10 +688,7 @@ func (p *Proc) Guess(a AID) bool {
 		p.trackerErr(err)
 	}
 	if out.Interval.Valid() {
-		// Settle watcher: wake the process when this interval finalizes
-		// so park() notices it became definite. An ErrRolledBack here is
-		// caught by logged's checkPending.
-		_ = p.rt.tr.AttachEffect(p.id, p.wake, nil)
+		p.watchFinalize()
 		if c != nil {
 			// Attribute the eventual verdict back to this site so the
 			// estimator learns from it (engine-owned verdict sink).
@@ -916,7 +926,7 @@ func (p *Proc) receive(w wait) (Msg, error) {
 				continue
 			}
 			if out.Interval.Valid() {
-				_ = p.rt.tr.AttachEffect(p.id, p.wake, nil)
+				p.watchFinalize()
 			}
 			p.logged(entry{kind: entryRecv, ok: true, msg: m, iv: out.Interval})
 			return Msg{From: m.from, Payload: m.payload}, nil

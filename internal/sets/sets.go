@@ -7,12 +7,17 @@
 // and IHD ("I Have Denied"). Model checking those equations requires that
 // iterating a set visits elements in a reproducible order, otherwise two
 // runs of the same schedule can diverge; a plain map[K]struct{} does not
-// give that. Set therefore keeps both a membership map and an insertion
-// log, compacting the log when removals accumulate.
+// give that. Set is therefore one insertion-ordered slice: the sets the
+// semantics machine builds hold a few names, where a linear scan costs
+// less than hashing, and a removal closes the gap at once, so iteration
+// never steps over a removed element. Membership is linear in the set's
+// size; the concurrent tracker, whose sets grow with chain depth, keeps
+// its own (internal/tracker).
 package sets
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -20,9 +25,7 @@ import (
 // Set is a mutable set of comparable elements with deterministic,
 // insertion-ordered iteration. The zero value is an empty set ready to use.
 type Set[K comparable] struct {
-	members map[K]struct{}
-	order   []K // insertion order; may contain removed elements until compacted
-	removed int // count of removed elements still present in order
+	order []K // the members, in insertion order
 }
 
 // New returns a set containing the given elements.
@@ -39,7 +42,7 @@ func (s *Set[K]) Len() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.members)
+	return len(s.order)
 }
 
 // Empty reports whether the set has no elements. A nil set is empty.
@@ -47,112 +50,60 @@ func (s *Set[K]) Empty() bool { return s.Len() == 0 }
 
 // Has reports whether e is a member of the set. A nil set has no members.
 func (s *Set[K]) Has(e K) bool {
-	if s == nil {
-		return false
-	}
-	_, ok := s.members[e]
-	return ok
+	return s != nil && slices.Contains(s.order, e)
 }
 
 // Add inserts e, reporting whether it was newly added.
 func (s *Set[K]) Add(e K) bool {
-	if s.members == nil {
-		s.members = make(map[K]struct{})
-	}
-	if _, ok := s.members[e]; ok {
+	if slices.Contains(s.order, e) {
 		return false
 	}
-	// A stale log entry for e would make iteration visit it twice once
-	// re-added; drop stale entries before appending.
-	if s.removed > 0 {
-		s.compact()
-	}
-	s.members[e] = struct{}{}
 	s.order = append(s.order, e)
 	return true
 }
 
 // AddAll inserts every element of other into s.
 func (s *Set[K]) AddAll(other *Set[K]) {
-	if other == nil {
-		return
-	}
-	other.each(func(e K) { s.Add(e) })
+	other.Range(func(e K) bool { s.Add(e); return true })
 }
 
-// Remove deletes e, reporting whether it was present.
+// Remove deletes e, reporting whether it was present. The elements after
+// e shift down, so insertion order is kept and nothing is left behind.
 func (s *Set[K]) Remove(e K) bool {
-	if s == nil || s.members == nil {
+	if s == nil {
 		return false
 	}
-	if _, ok := s.members[e]; !ok {
+	i := slices.Index(s.order, e)
+	if i < 0 {
 		return false
 	}
-	delete(s.members, e)
-	s.removed++
-	// Compact lazily once removed elements dominate, keeping Add/Remove
-	// amortized O(1) while bounding memory.
-	if s.removed > len(s.members)+8 {
-		s.compact()
-	}
+	s.order = slices.Delete(s.order, i, i+1)
 	return true
 }
 
 // RemoveAll deletes every element of other from s.
 func (s *Set[K]) RemoveAll(other *Set[K]) {
-	if other == nil {
-		return
-	}
-	other.each(func(e K) { s.Remove(e) })
+	other.Range(func(e K) bool { s.Remove(e); return true })
 }
 
 // Clear removes all elements.
 func (s *Set[K]) Clear() {
-	if s == nil {
-		return
-	}
-	s.members = nil
-	s.order = nil
-	s.removed = 0
-}
-
-func (s *Set[K]) compact() {
-	kept := s.order[:0]
-	for _, e := range s.order {
-		if _, ok := s.members[e]; ok {
-			kept = append(kept, e)
-		}
-	}
-	s.order = kept
-	s.removed = 0
-}
-
-// each calls fn for every live element in insertion order. fn must not
-// mutate the set; use Elems for mutation-safe iteration.
-func (s *Set[K]) each(fn func(K)) {
-	if s == nil {
-		return
-	}
-	for _, e := range s.order {
-		if _, ok := s.members[e]; ok {
-			fn(e)
-		}
+	if s != nil {
+		s.order = nil
 	}
 }
 
-// Range calls fn for every live element in insertion order until fn
-// returns false, reporting whether the iteration ran to completion. It
-// does not allocate; fn must not mutate the set (use Elems when the loop
-// body removes elements).
+// Range calls fn for every element in insertion order until fn returns
+// false, reporting whether the iteration ran to completion. It does not
+// allocate; fn must not mutate the set (use Elems when the loop body
+// removes elements).
 func (s *Set[K]) Range(fn func(K) bool) bool {
 	if s == nil {
 		return true
 	}
 	for _, e := range s.order {
-		if _, ok := s.members[e]; ok {
-			if !fn(e) {
-				return false
-			}
+		if !fn(e) {
+			return false
 		}
 	}
 	return true
@@ -165,16 +116,12 @@ func (s *Set[K]) Elems() []K {
 	if s == nil {
 		return nil
 	}
-	out := make([]K, 0, len(s.members))
-	s.each(func(e K) { out = append(out, e) })
-	return out
+	return slices.Clone(s.order)
 }
 
 // Clone returns an independent copy of the set.
 func (s *Set[K]) Clone() *Set[K] {
-	out := &Set[K]{}
-	out.AddAll(s)
-	return out
+	return &Set[K]{order: s.Elems()}
 }
 
 // Union returns a new set with every element of s and other.
@@ -186,38 +133,28 @@ func (s *Set[K]) Union(other *Set[K]) *Set[K] {
 
 // Minus returns a new set with the elements of s not in other.
 func (s *Set[K]) Minus(other *Set[K]) *Set[K] {
-	out := &Set[K]{}
-	s.each(func(e K) {
-		if !other.Has(e) {
-			out.Add(e)
-		}
-	})
-	return out
+	return s.filter(func(e K) bool { return !other.Has(e) })
 }
 
 // Intersect returns a new set with the elements common to s and other.
 func (s *Set[K]) Intersect(other *Set[K]) *Set[K] {
+	return s.filter(other.Has)
+}
+
+func (s *Set[K]) filter(keep func(K) bool) *Set[K] {
 	out := &Set[K]{}
-	s.each(func(e K) {
-		if other.Has(e) {
-			out.Add(e)
+	s.Range(func(e K) bool {
+		if keep(e) {
+			out.order = append(out.order, e)
 		}
+		return true
 	})
 	return out
 }
 
 // SubsetOf reports whether every element of s is in other.
 func (s *Set[K]) SubsetOf(other *Set[K]) bool {
-	if s.Len() > other.Len() {
-		return false
-	}
-	ok := true
-	s.each(func(e K) {
-		if !other.Has(e) {
-			ok = false
-		}
-	})
-	return ok
+	return s.Len() <= other.Len() && s.Range(other.Has)
 }
 
 // Equal reports whether s and other contain exactly the same elements.
@@ -229,7 +166,7 @@ func (s *Set[K]) Equal(other *Set[K]) bool {
 // fmt.Sprint form, so the output is order-independent and stable.
 func (s *Set[K]) String() string {
 	parts := make([]string, 0, s.Len())
-	s.each(func(e K) { parts = append(parts, fmt.Sprint(e)) })
+	s.Range(func(e K) bool { parts = append(parts, fmt.Sprint(e)); return true })
 	sort.Strings(parts)
 	return "{" + strings.Join(parts, ", ") + "}"
 }

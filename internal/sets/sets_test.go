@@ -91,8 +91,8 @@ func TestCompaction(t *testing.T) {
 	if s.Len() != 1 || !s.Has(999) {
 		t.Fatalf("after mass removal: len=%d", s.Len())
 	}
-	if len(s.order) > 16 {
-		t.Fatalf("order log not compacted: %d entries for 1 element", len(s.order))
+	if len(s.order) != 1 {
+		t.Fatalf("removed elements left behind: %d entries for 1 element", len(s.order))
 	}
 }
 

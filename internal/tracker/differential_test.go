@@ -13,8 +13,10 @@ import (
 // Differential test: the tracker re-implements the semantics machine's
 // dependency algebra (Equations 1–24) for concurrent use. Here both are
 // driven with the same randomly generated, schedule-free command script
-// and must agree on every assumption's final resolution and on which
-// processes end definite.
+// and must agree on every assumption's final resolution, on which
+// processes end definite, and on what each speculative one depends on
+// (its current IDO); the tracker's own invariants are checked after
+// every command.
 //
 // The script uses the semantics DSL's resolution subset (guess branches
 // that affirm/deny/free_of other assumptions) — no messages, so the
@@ -64,7 +66,7 @@ func genScript(rng *rand.Rand, procs, aids, length int) []cmd {
 // script does, one process's effects must be released in interval
 // (program) order. opts configure the tracker (the shard-count
 // differential tests pass WithShards).
-func runTracker(t *testing.T, script []cmd, procs, aids int, opts ...Option) (map[int]Resolution, map[int]bool, bool) {
+func runTracker(t *testing.T, script []cmd, procs, aids int, opts ...Option) (map[int]Resolution, map[int]bool, map[int][]int, bool) {
 	t.Helper()
 	tr := New(opts...)
 	procIDs := make([]ids.Proc, procs)
@@ -108,6 +110,9 @@ func runTracker(t *testing.T, script []cmd, procs, aids int, opts ...Option) (ma
 		if rolled {
 			break
 		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("after cmd %d: %v\nscript: %+v", idx, err, script)
+		}
 	}
 	for i, ivs := range released {
 		if !slices.IsSorted(ivs) {
@@ -119,10 +124,22 @@ func runTracker(t *testing.T, script []cmd, procs, aids int, opts ...Option) (ma
 		status[i] = tr.Status(x)
 	}
 	definite := make(map[int]bool, procs)
+	ido := make(map[int][]int, procs)
 	for i, p := range procIDs {
 		definite[i] = tr.Definite(p)
+		// A guess rolled back by the last commands resumes with False,
+		// which is where the machine already is.
+		tr.TakePending(p)
+		tags, err := tr.Tag(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range tags {
+			ido[i] = append(ido[i], slices.Index(aidIDs, x))
+		}
+		slices.Sort(ido[i])
 	}
-	return status, definite, rolled
+	return status, definite, ido, rolled
 }
 
 type noopHooks struct{}
@@ -139,7 +156,7 @@ func (noopHooks) NotifyRollback() {}
 // process's suffix, which the tracker side cannot mirror — scripts where
 // any rollback hits a process with commands after the rolled-back guess
 // are filtered out by the caller via the rollback census.
-func runMachine(t *testing.T, script []cmd, procs, aids int) (map[int]semantics.Resolution, map[int]bool, bool) {
+func runMachine(t *testing.T, script []cmd, procs, aids int) (map[int]semantics.Resolution, map[int]bool, map[int][]int, bool) {
 	t.Helper()
 	perProc := make([][]semantics.Op, procs)
 	for _, c := range script {
@@ -195,10 +212,28 @@ func runMachine(t *testing.T, script []cmd, procs, aids int) (map[int]semantics.
 		}
 	}
 	definite := make(map[int]bool, procs)
-	for i := 0; i < procs; i++ {
-		definite[i] = !m.CurrentInterval(i).Valid()
+	ido := make(map[int][]int, procs)
+	names := make(map[ids.AID]int, aids)
+	for _, a := range m.AIDs() {
+		var i int
+		if _, err := fmt.Sscanf(a.Name, "X%d", &i); err == nil {
+			names[a.ID] = i
+		}
 	}
-	return status, definite, replayed
+	for i := 0; i < procs; i++ {
+		cur := m.CurrentInterval(i)
+		definite[i] = !cur.Valid()
+		for _, iv := range m.Intervals() {
+			if iv.ID != cur {
+				continue
+			}
+			for _, x := range iv.IDO {
+				ido[i] = append(ido[i], names[x])
+			}
+			slices.Sort(ido[i])
+		}
+	}
+	return status, definite, ido, replayed
 }
 
 func sameResolution(a Resolution, b semantics.Resolution) bool {
@@ -217,18 +252,18 @@ func sameResolution(a Resolution, b semantics.Resolution) bool {
 
 func TestDifferentialTrackerVsMachine(t *testing.T) {
 	const procs, aids, length = 3, 4, 14
-	checked := 0
+	checked, deep := 0, 0 // deep: a process ends depending on two AIDs or more
 	for seed := int64(0); seed < 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		script := genScript(rng, procs, aids, length)
 
-		mStatus, mDef, replayed := runMachine(t, script, procs, aids)
+		mStatus, mDef, mIDO, replayed := runMachine(t, script, procs, aids)
 		if replayed {
 			// A rollback re-executed machine-side ops the tracker run
 			// will not see; the histories are legitimately different.
 			continue
 		}
-		tStatus, tDef, tRolled := runTracker(t, script, procs, aids)
+		tStatus, tDef, tIDO, tRolled := runTracker(t, script, procs, aids)
 		if tRolled {
 			continue
 		}
@@ -248,11 +283,18 @@ func TestDifferentialTrackerVsMachine(t *testing.T) {
 				t.Fatalf("seed %d: P%d definite tracker=%v machine=%v\nscript: %+v",
 					seed, i, tDef[i], mDef[i], script)
 			}
+			if !slices.Equal(tIDO[i], mIDO[i]) {
+				t.Fatalf("seed %d: P%d IDO tracker=%v machine=%v\nscript: %+v",
+					seed, i, tIDO[i], mIDO[i], script)
+			}
+			if len(tIDO[i]) > 1 {
+				deep++
+			}
 		}
 		checked++
 	}
-	if checked < 100 {
-		t.Fatalf("only %d rollback-free scripts checked; generator too rollback-heavy", checked)
+	if checked < 100 || deep < 20 {
+		t.Fatalf("only %d rollback-free scripts checked, %d multi-AID IDOs compared; generator too rollback-heavy", checked, deep)
 	}
-	t.Logf("agreed on %d scripts", checked)
+	t.Logf("agreed on %d scripts, %d multi-AID IDOs", checked, deep)
 }

@@ -65,6 +65,7 @@ func (t *Tracker) Deliver(p ids.Proc, tags []ids.AID, logIndex int) (DeliverOutc
 // out. Opening resolves nothing, so the settle has nothing to finish.
 func (t *Tracker) open(p ids.Proc, tags []ids.AID, logIndex int, implicit bool) (iv ids.Interval, orphan bool, err error) {
 	var ctx opCtx
+	var depBuf [4]ids.AID // the unresolved dependencies, usually one
 	err = t.settleCtx(&ctx, bit(t.procIdx(p))|t.tagsMask(tags), func(locked uint64) error {
 		ps, err := t.procAt(p)
 		if err != nil {
@@ -78,7 +79,7 @@ func (t *Tracker) open(p ids.Proc, tags []ids.AID, logIndex int, implicit bool) 
 			x = tags[0]
 			t.aid(x)
 		}
-		deps, orph, escaped := t.resolveDepsMasked(tags, locked)
+		deps, orph, escaped := t.resolveDepsMasked(tags, locked, depBuf[:0])
 		if escaped {
 			return errEscape
 		}
@@ -100,9 +101,10 @@ func (t *Tracker) open(p ids.Proc, tags []ids.AID, logIndex int, implicit bool) 
 			// assumption inherited from the enclosing interval; those
 			// inherited homes must be locked too.
 			if cur := ps.current(); cur != nil {
-				ok := cur.ido.Range(func(y ids.AID) bool { return locked&bit(t.aidIdx(y)) != 0 })
-				if !ok {
-					return errEscape
+				for _, y := range cur.ido {
+					if locked&bit(t.aidIdx(y)) == 0 {
+						return errEscape
+					}
 				}
 			}
 			iv = t.openIntervalLocked(ps, logIndex, implicit, deps).id
@@ -188,7 +190,7 @@ func (t *Tracker) resolve(p ids.Proc, x ids.AID, v verdict) error {
 	}
 	ctx := t.newOpCtx()
 	err := t.settleCtx(ctx, home, func(locked uint64) error {
-		f := t.newFootprint(locked)
+		f := footprint{t: t, locked: locked}
 		var cur *intervalState // the resolver's interval; nil = definite
 		if p != ids.NoProc {
 			ps, err := t.procAt(p)
@@ -213,7 +215,7 @@ func (t *Tracker) resolve(p ids.Proc, x ids.AID, v verdict) error {
 			switch {
 			case a.status == Denied:
 				return nil // re-execution after the constraint violation was handled
-			case cur != nil && cur.ido.Has(x):
+			case cur != nil && hasAID(cur.ido, x):
 				v = deny // Equation 19 (definite: X ∈ A.IDO)
 			default:
 				v = affirm // Equations 17–18
@@ -251,7 +253,6 @@ func (t *Tracker) affirmLocked(p ids.Proc, cur *intervalState, a *aidState, ctx 
 
 	x, st := a.id, t.aidShard(a.id)
 	a.claimed = true
-	var inherit []ids.AID
 	if cur == nil {
 		t.setStatus(a, Affirmed, ctx)
 		st.stats.DefiniteAffirms++
@@ -259,25 +260,25 @@ func (t *Tracker) affirmLocked(p ids.Proc, cur *intervalState, a *aidState, ctx 
 	} else {
 		t.setStatus(a, SpecAffirmed, ctx)
 		a.affirmer = cur.id
-		a.replacement = cur.ido.Clone()
-		a.replacement.Remove(x)
-		cur.specAffirmed.Add(x)
+		a.replacement = withoutAID(slices.Clone(cur.ido), x)
+		cur.specAffirmed = append(cur.specAffirmed, x)
 		st.stats.SpecAffirms++
 		t.obs.Emit(obs.KSpecAffirmed, p, x, cur.id, 0)
-		inherit = a.replacement.Elems()
 	}
-	// Equations 9/14. A finalize below can cascade back into X.DOM, hence
-	// the snapshot and the status check.
-	for _, b := range a.dom.Elems() {
+	// Equations 9/14: X.DOM is taken whole — nothing comes to depend on X
+	// once it is resolved. A finalize below can cascade into a rollback of
+	// a member not reached yet, hence the status check.
+	dom := a.dom
+	a.dom = nil
+	for _, b := range dom {
 		if b.status != speculative {
 			continue
 		}
-		for _, y := range inherit {
+		for _, y := range a.replacement {
 			t.dependLocked(b, y)
 		}
-		b.ido.Remove(x)
-		a.dom.Remove(b)
-		if b.ido.Empty() {
+		b.ido = withoutAID(b.ido, x)
+		if len(b.ido) == 0 {
 			t.finalizeLocked(b, ctx)
 		}
 	}
@@ -299,7 +300,7 @@ func (t *Tracker) denyLocked(p ids.Proc, cur *intervalState, a *aidState, ctx *o
 	case a.status == Affirmed || a.status == SpecAffirmed:
 		return ErrConflict
 	}
-	if cur == nil || cur.ido.Has(a.id) {
+	if cur == nil || hasAID(cur.ido, a.id) {
 		t.denyDefiniteLocked(p, a, ctx)
 		return nil
 	}
@@ -309,7 +310,7 @@ func (t *Tracker) denyLocked(p ids.Proc, cur *intervalState, a *aidState, ctx *o
 	// waiters.
 	a.claimed = true
 	a.claimedBy = cur.id
-	cur.ihd.Add(a.id)
+	cur.ihd = append(cur.ihd, a.id)
 	ctx.resolved = true
 	t.aidShard(a.id).stats.SpecDenies++
 	t.obs.Emit(obs.KSpecDenied, p, a.id, cur.id, 0)
@@ -381,7 +382,7 @@ func (t *Tracker) finalizeLocked(iv *intervalState, ctx *opCtx) {
 	}
 	removeInterval(sh.procs[iv.proc], iv)
 
-	for _, x := range iv.specAffirmed.Elems() {
+	for _, x := range iv.specAffirmed {
 		a := t.aid(x)
 		if a.status == SpecAffirmed && a.affirmer == iv.id {
 			t.setStatus(a, Affirmed, ctx)
@@ -394,7 +395,7 @@ func (t *Tracker) finalizeLocked(iv *intervalState, ctx *opCtx) {
 	delete(sh.intervals, iv.id)
 
 	// Equation 22.
-	for _, x := range iv.ihd.Elems() {
+	for _, x := range iv.ihd {
 		a := t.aid(x)
 		if a.status == Denied || a.status == Affirmed {
 			continue
@@ -404,10 +405,13 @@ func (t *Tracker) finalizeLocked(iv *intervalState, ctx *opCtx) {
 	}
 }
 
-// rollbackDependentsLocked discards every interval in X.DOM. A rollback
-// can cascade back into X.DOM, hence the snapshot and the status check.
+// rollbackDependentsLocked discards every interval in X.DOM, which X —
+// denied — keeps no more. Discarding one member's chain suffix can
+// discard a later member, hence the status check.
 func (t *Tracker) rollbackDependentsLocked(a *aidState, ctx *opCtx) {
-	for _, b := range a.dom.Elems() {
+	dom := a.dom
+	a.dom = nil
+	for _, b := range dom {
 		if b.status == speculative {
 			t.rollbackFromLocked(b, ctx)
 		}
@@ -440,17 +444,18 @@ func (t *Tracker) rollbackFromLocked(iv *intervalState, ctx *opCtx) {
 		if n := len(b.aborts); n > 0 {
 			t.obs.Emit(obs.KEffectAborted, b.proc, ids.NoAID, b.id, int64(n))
 		}
-		for _, x := range b.ido.Elems() {
-			t.aid(x).dom.Remove(b)
+		for _, x := range b.ido {
+			ax := t.aid(x)
+			ax.dom = withoutInterval(ax.dom, b)
 		}
-		for _, x := range b.specAffirmed.Elems() {
+		for _, x := range b.specAffirmed {
 			ax := t.aid(x)
 			if ax.status == SpecAffirmed && ax.affirmer == b.id {
 				t.setStatus(ax, Denied, ctx)
 				ax.systemDenied = true
 			}
 		}
-		for _, x := range b.ihd.Elems() {
+		for _, x := range b.ihd {
 			ax := t.aid(x)
 			if ax.claimedBy == b.id {
 				ax.claimed = false
@@ -459,7 +464,6 @@ func (t *Tracker) rollbackFromLocked(iv *intervalState, ctx *opCtx) {
 		}
 		// Aborts run newest-first, like deferred compensations.
 		ctx.after = append(ctx.after, b.aborts...)
-		b.commits, b.aborts = nil, nil
 		delete(sh.intervals, b.id)
 	}
 	// Merge the target under the process's shard lock, in the same
@@ -492,7 +496,7 @@ func removeInterval(ps *procState, iv *intervalState) {
 func (t *Tracker) denySystem(x ids.AID, ctx *opCtx) bool {
 	acted := false
 	_ = t.settleCtx(ctx, bit(t.aidIdx(x)), func(locked uint64) error {
-		f := t.newFootprint(locked)
+		f := footprint{t: t, locked: locked}
 		if !f.resolveAID(x) {
 			return errEscape
 		}
@@ -513,7 +517,7 @@ func (t *Tracker) denySystem(x ids.AID, ctx *opCtx) bool {
 func (t *Tracker) forceDiscard(p ids.Proc, ctx *opCtx) bool {
 	acted := false
 	_ = t.settleCtx(ctx, bit(t.procIdx(p)), func(locked uint64) error {
-		f := t.newFootprint(locked)
+		f := footprint{t: t, locked: locked}
 		if !f.visitProc(p) {
 			return errEscape
 		}

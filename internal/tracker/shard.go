@@ -226,61 +226,52 @@ func (t *Tracker) commitCtx(ctx *opCtx, locked uint64) {
 //
 // Two visit strengths keep the closure tight: touch means the mutation
 // may write the assumption's bookkeeping (DOM membership, claim flags,
-// a terminal status flip) but never follows its edges; resolve means
-// the assumption may be definitively denied here, which cascades into
-// its DOM.
+// a terminal status flip) but never follows its edges, so admitting it
+// is one look at its home shard; resolve means the assumption may be
+// definitively denied here, which cascades into its DOM and is walked
+// once per assumption.
+//
+// A settle builds its footprint as a value on its own stack: the
+// seen-sets are inline until a walk outgrows them.
 type footprint struct {
-	t      *Tracker
-	locked uint64
-	aids   map[ids.AID]uint8 // 1 = touched, 2 = resolved
-	procs  map[ids.Proc]bool
-}
-
-func (t *Tracker) newFootprint(locked uint64) *footprint {
-	return &footprint{t: t, locked: locked}
+	t        *Tracker
+	locked   uint64
+	resolved visited[ids.AID]
+	procs    visited[ids.Proc]
 }
 
 func (f *footprint) in(idx uint64) bool { return f.locked&bit(idx) != 0 }
 
-// touchAID admits a bookkeeping write to x's state.
-func (f *footprint) touchAID(x ids.AID) bool {
-	if f.aids[x] != 0 {
-		return true
+// touchAIDs admits bookkeeping writes to the state of every AID in xs.
+func (f *footprint) touchAIDs(xs []ids.AID) bool {
+	for _, x := range xs {
+		if !f.in(f.t.aidIdx(x)) {
+			return false
+		}
 	}
-	if !f.in(f.t.aidIdx(x)) {
-		return false
-	}
-	if f.aids == nil {
-		f.aids = make(map[ids.AID]uint8, 8)
-	}
-	f.aids[x] = 1
 	return true
 }
 
 // resolveAID admits a definitive deny (or affirm) of x, including the
 // rollback cascade through its DOM.
 func (f *footprint) resolveAID(x ids.AID) bool {
-	if f.aids[x] == 2 {
+	if !f.resolved.add(x) {
 		return true
 	}
 	idx := f.t.aidIdx(x)
 	if !f.in(idx) {
 		return false
 	}
-	if f.aids == nil {
-		f.aids = make(map[ids.AID]uint8, 8)
-	}
-	f.aids[x] = 2
 	a, ok := f.t.shards[idx].aids[x]
 	if !ok {
 		return true
 	}
-	ok = true
-	a.dom.Range(func(b *intervalState) bool {
-		ok = f.visitProc(b.proc)
-		return ok
-	})
-	return ok
+	for _, b := range a.dom {
+		if !f.visitProc(b.proc) {
+			return false
+		}
+	}
+	return true
 }
 
 // visitProc admits discarding or finalizing intervals of p's live
@@ -289,27 +280,25 @@ func (f *footprint) resolveAID(x ids.AID) bool {
 // spec-affirmed members may have bookkeeping written; IHD members may
 // be definitively denied at finalize, cascading.
 func (f *footprint) visitProc(p ids.Proc) bool {
-	if f.procs[p] {
+	if !f.procs.add(p) {
 		return true
 	}
 	idx := f.t.procIdx(p)
 	if !f.in(idx) {
 		return false
 	}
-	if f.procs == nil {
-		f.procs = make(map[ids.Proc]bool, 4)
-	}
-	f.procs[p] = true
 	ps, ok := f.t.shards[idx].procs[p]
 	if !ok {
 		return true
 	}
 	for _, iv := range ps.live {
-		ok := iv.ido.Range(f.touchAID) &&
-			iv.specAffirmed.Range(f.touchAID) &&
-			iv.ihd.Range(f.resolveAID)
-		if !ok {
+		if !f.touchAIDs(iv.ido) || !f.touchAIDs(iv.specAffirmed) {
 			return false
+		}
+		for _, x := range iv.ihd {
+			if !f.resolveAID(x) {
+				return false
+			}
 		}
 	}
 	return true

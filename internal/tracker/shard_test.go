@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -33,8 +34,8 @@ func TestShardConfig(t *testing.T) {
 
 // TestDifferentialShardCounts runs the random resolution scripts of the
 // tracker-vs-machine differential against trackers with 1, 2, 8, and 64
-// shards: every final resolution, every definiteness verdict, and the
-// activity counters must be identical. Shard count is a scaling knob,
+// shards: every final resolution, every definiteness verdict, and every
+// speculative process's IDO must be identical. Shard count is a scaling knob,
 // never a semantic one.
 func TestDifferentialShardCounts(t *testing.T) {
 	const procs, aids, length = 4, 6, 20
@@ -43,9 +44,9 @@ func TestDifferentialShardCounts(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		script := genScript(rng, procs, aids, length)
 
-		refStatus, refDef, refRolled := runTracker(t, script, procs, aids, WithShards(1))
+		refStatus, refDef, refIDO, refRolled := runTracker(t, script, procs, aids, WithShards(1))
 		for _, n := range shardCounts {
-			status, def, rolled := runTracker(t, script, procs, aids, WithShards(n))
+			status, def, ido, rolled := runTracker(t, script, procs, aids, WithShards(n))
 			if rolled != refRolled {
 				t.Fatalf("seed %d shards=%d: rolled=%v, 1-shard rolled=%v\nscript: %+v",
 					seed, n, rolled, refRolled, script)
@@ -57,9 +58,9 @@ func TestDifferentialShardCounts(t *testing.T) {
 				}
 			}
 			for i := 0; i < procs; i++ {
-				if def[i] != refDef[i] {
-					t.Fatalf("seed %d shards=%d: P%d definite=%v, 1-shard=%v\nscript: %+v",
-						seed, n, i, def[i], refDef[i], script)
+				if def[i] != refDef[i] || !slices.Equal(ido[i], refIDO[i]) {
+					t.Fatalf("seed %d shards=%d: P%d definite=%v IDO=%v, 1-shard definite=%v IDO=%v\nscript: %+v",
+						seed, n, i, def[i], ido[i], refDef[i], refIDO[i], script)
 				}
 			}
 		}

@@ -48,13 +48,11 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
 	"hope/internal/ids"
 	"hope/internal/obs"
-	"hope/internal/sets"
 )
 
 // Resolution is an assumption's lifecycle state (see
@@ -164,17 +162,28 @@ func (s *Stats) add(o Stats) {
 	s.Orphans += o.Orphans
 }
 
+// The dependency sets are slices held by value: no map, no pointer to a
+// set, and a removal closes the gap at once, so a walk never steps over
+// a departed member. A set of AIDs that is searched — an IDO, a
+// replacement — is kept sorted, because a speculative affirm merges the
+// affirmer's dependencies into the IDO of every dependent and on a deep
+// chain that must not cost a linear scan per member. IHD and the
+// spec-affirmed list only grow (a resolution adds each member once) and
+// keep the order of the resolutions that filled them.
+
 type aidState struct {
 	id ids.AID
 	// dom holds the dependent intervals directly (not by id): an
 	// interval lives in its process's shard, and cross-shard cascades
-	// must not need a foreign shard's interval map to find it. The set
-	// is insertion-ordered, so cascade order is deterministic for a
-	// given operation history regardless of shard count.
-	dom          *sets.Set[*intervalState]
+	// must not need a foreign shard's interval map to find it. It is in
+	// the order the intervals came to depend on X, so cascade order is
+	// deterministic for a given operation history regardless of shard
+	// count. A resolution drains it for good: no interval depends on a
+	// resolved assumption.
+	dom          []*intervalState
 	status       Resolution
 	affirmer     ids.Interval
-	replacement  *sets.Set[ids.AID]
+	replacement  []ids.AID // sorted; frozen when X is spec-affirmed
 	claimed      bool
 	claimedBy    ids.Interval
 	systemDenied bool
@@ -189,12 +198,38 @@ type intervalState struct {
 	// when an observer is attached (it feeds the speculation-lifetime
 	// histogram at settlement).
 	openedAt     time.Time
-	ido          *sets.Set[ids.AID]
-	ihd          *sets.Set[ids.AID]
-	specAffirmed *sets.Set[ids.AID]
+	ido          []ids.AID // sorted
+	ihd          []ids.AID
+	specAffirmed []ids.AID
 	status       status
 	commits      []func()
 	aborts       []func()
+}
+
+// hasAID reports whether the sorted set s holds x.
+func hasAID(s []ids.AID, x ids.AID) bool {
+	_, ok := slices.BinarySearch(s, x)
+	return ok
+}
+
+// withoutAID removes x from the sorted set s.
+func withoutAID(s []ids.AID, x ids.AID) []ids.AID {
+	if i, ok := slices.BinarySearch(s, x); ok {
+		return slices.Delete(s, i, i+1)
+	}
+	return s
+}
+
+// withoutInterval removes iv from a DOM. The search runs from the end:
+// a rollback discards a chain newest-first, and the newest dependents
+// are the last ones appended.
+func withoutInterval(dom []*intervalState, iv *intervalState) []*intervalState {
+	for i := len(dom) - 1; i >= 0; i-- {
+		if dom[i] == iv {
+			return slices.Delete(dom, i, i+1)
+		}
+	}
+	return dom
 }
 
 type status int
@@ -422,7 +457,7 @@ func (t *Tracker) Tag(p ids.Proc) ([]ids.AID, error) {
 		return nil, ErrRolledBack
 	}
 	if cur := ps.current(); cur != nil {
-		return cur.ido.Elems(), nil
+		return slices.Clone(cur.ido), nil
 	}
 	return nil, nil
 }
@@ -524,7 +559,7 @@ func (t *Tracker) classifyMasked(tags []ids.AID, locked uint64) (cls TagClass, e
 	w := depWalk{t: t, locked: locked}
 	orphan := false
 	for _, x := range tags {
-		if !w.visit(x) {
+		if _, ok := w.visit(x, nil); !ok {
 			if w.escaped {
 				return TagClass{}, true
 			}
@@ -553,13 +588,17 @@ func (t *Tracker) SetResolutionWatcher(fn func()) {
 // they can run after the critical sections, plus the commit bookkeeping
 // of the settle protocol.
 type opCtx struct {
-	notify map[ids.Proc]Hooks
+	// notify lists each process with a new rollback target once, in the
+	// order the cascade reached them.
+	notify []procHooks
 	// finalized are the intervals this operation made definite, in
 	// cascade order; finish releases their commits in interval order.
 	finalized []*intervalState
-	// after holds the aborts of discarded intervals and the verdict-sink
-	// calls, in cascade order.
+	// after holds the aborts of discarded intervals, in cascade order.
 	after []func()
+	// verdicts holds the terminal verdicts for the sink, in cascade
+	// order — as data, so a settle allocates no closure per verdict.
+	verdicts []verdictNote
 	// dirty is the set of shards whose assumptions changed resolution
 	// state in the current critical section; commitCtx bumps their
 	// epochs and clears it.
@@ -579,11 +618,23 @@ func (t *Tracker) newOpCtx() *opCtx {
 	return &opCtx{watcher: box.fn}
 }
 
+type procHooks struct {
+	p ids.Proc
+	h Hooks
+}
+
+type verdictNote struct {
+	x        ids.AID
+	affirmed bool
+}
+
 func (ctx *opCtx) notifyProc(p ids.Proc, h Hooks) {
-	if ctx.notify == nil {
-		ctx.notify = make(map[ids.Proc]Hooks, 2)
+	for _, n := range ctx.notify {
+		if n.p == p {
+			return
+		}
 	}
-	ctx.notify[p] = h
+	ctx.notify = append(ctx.notify, procHooks{p, h})
 }
 
 // finish delivers rollback notifications and runs queued effects, outside
@@ -593,9 +644,9 @@ func (ctx *opCtx) notifyProc(p ids.Proc, h Hooks) {
 // into other DOM sets in whatever order it meets them — and two effects
 // of one process are not independent steps.
 func (t *Tracker) finish(ctx *opCtx) {
-	for _, h := range ctx.notify {
-		if h != nil {
-			h.NotifyRollback()
+	for _, n := range ctx.notify {
+		if n.h != nil {
+			n.h.NotifyRollback()
 		}
 	}
 	if len(ctx.finalized) > 1 {
@@ -605,12 +656,12 @@ func (t *Tracker) finish(ctx *opCtx) {
 		for _, commit := range iv.commits {
 			commit()
 		}
-		// iv outlives the settle (a removed DOM member stays in the set's
-		// insertion log until compaction); its effects must not.
-		iv.commits = nil
 	}
 	for _, f := range ctx.after {
 		f()
+	}
+	for _, v := range ctx.verdicts {
+		t.sink(v.x, v.affirmed)
 	}
 	if ctx.resolved && ctx.watcher != nil {
 		ctx.watcher()
@@ -632,9 +683,8 @@ func (t *Tracker) setStatus(a *aidState, st Resolution, ctx *opCtx) {
 	// outside every shard lock. setStatus is the single chokepoint for
 	// resolution-state changes, so no terminal verdict can slip past the
 	// wire broadcast regardless of which cascade produced it.
-	if sink := t.sink; sink != nil && (st == Affirmed || st == Denied) {
-		x, affirmed := a.id, st == Affirmed
-		ctx.after = append(ctx.after, func() { sink(x, affirmed) })
+	if t.sink != nil && (st == Affirmed || st == Denied) {
+		ctx.verdicts = append(ctx.verdicts, verdictNote{a.id, st == Affirmed})
 	}
 }
 
@@ -668,101 +718,109 @@ func (t *Tracker) TakePending(p ids.Proc) *RollbackTarget {
 	return tgt
 }
 
+// visited is the seen-set of a walk, held by value on the walker's
+// stack: an inline array for the common walk of a few identifiers,
+// spilling to a map only past that.
+type visited[K comparable] struct {
+	keys  [16]K
+	n     int
+	spill map[K]struct{}
+}
+
+// add marks k, reporting whether it was not marked yet.
+func (v *visited[K]) add(k K) bool {
+	if v.spill == nil {
+		for _, seen := range v.keys[:v.n] {
+			if seen == k {
+				return false
+			}
+		}
+		if v.n < len(v.keys) {
+			v.keys[v.n] = k
+			v.n++
+			return true
+		}
+		v.spill = make(map[K]struct{}, 2*len(v.keys))
+		for _, seen := range v.keys {
+			v.spill[seen] = struct{}{}
+		}
+	}
+	if _, ok := v.spill[k]; ok {
+		return false
+	}
+	v.spill[k] = struct{}{}
+	return true
+}
+
 // depWalk is the transitive tag expansion through speculative affirms
 // (Lemma 6.1), exactly as the semantics machine does it — but without
-// allocating: visited AIDs live in a small inline buffer, spilling to a
-// map only for walks deeper than the common 0–2-tag case, and the
-// unresolved dependencies are collected only when the caller needs them
-// (Guess/Deliver open an interval; classification needs just the count).
-// The walk reads only shards in locked, accumulating the visited-shard
-// mask; reaching an AID homed outside locked sets escaped and aborts.
+// allocating: the visited AIDs are a stack value, and the unresolved
+// dependencies are collected only when the caller needs them
+// (Guess/Deliver open an interval; classification needs just the count),
+// into the caller's buffer. The walk reads only shards in locked,
+// accumulating the visited-shard mask; reaching an AID homed outside
+// locked sets escaped and aborts.
 type depWalk struct {
 	t          *Tracker
 	locked     uint64
 	shards     uint64
 	escaped    bool
-	seenArr    [16]ids.AID
-	seenN      int
-	seenMap    map[ids.AID]struct{}
+	seen       visited[ids.AID]
 	unresolved int
 	collect    bool
-	deps       []ids.AID
 }
 
-func (w *depWalk) seen(x ids.AID) bool {
-	if w.seenMap != nil {
-		_, ok := w.seenMap[x]
-		return ok
-	}
-	for i := 0; i < w.seenN; i++ {
-		if w.seenArr[i] == x {
-			return true
-		}
-	}
-	return false
-}
-
-func (w *depWalk) mark(x ids.AID) {
-	if w.seenMap == nil {
-		if w.seenN < len(w.seenArr) {
-			w.seenArr[w.seenN] = x
-			w.seenN++
-			return
-		}
-		w.seenMap = make(map[ids.AID]struct{}, 2*len(w.seenArr))
-		for i := 0; i < w.seenN; i++ {
-			w.seenMap[w.seenArr[i]] = struct{}{}
-		}
-	}
-	w.seenMap[x] = struct{}{}
-}
-
-// visit returns false when it reaches a denied assumption (orphan) or
-// an unlocked shard (escaped; check w.escaped to distinguish).
-func (w *depWalk) visit(x ids.AID) bool {
-	if w.seen(x) {
-		return true
+// visit appends x's unresolved dependencies to deps when collecting. It
+// reports false when it reaches a denied assumption (orphan) or an
+// unlocked shard (escaped; check w.escaped to distinguish). deps travels
+// by value, not in w, so a caller's stack buffer stays on the stack.
+func (w *depWalk) visit(x ids.AID, deps []ids.AID) ([]ids.AID, bool) {
+	if !w.seen.add(x) {
+		return deps, true
 	}
 	idx := w.t.aidIdx(x)
 	if w.locked&bit(idx) == 0 {
 		w.escaped = true
-		return false
+		return deps, false
 	}
-	w.mark(x)
 	w.shards |= bit(idx)
 	a, ok := w.t.shards[idx].aids[x]
 	if !ok {
-		return true
+		return deps, true
 	}
 	switch a.status {
 	case Unresolved:
 		w.unresolved++
 		if w.collect {
-			w.deps = append(w.deps, x)
+			deps = append(deps, x)
 		}
 	case Affirmed:
 	case Denied:
-		return false
+		return deps, false
 	case SpecAffirmed:
-		if !a.replacement.Range(w.visit) {
-			return false
+		for _, y := range a.replacement {
+			if deps, ok = w.visit(y, deps); !ok {
+				return deps, false
+			}
 		}
 	}
-	return true
+	return deps, true
 }
 
 // resolveDepsMasked expands tags into their unresolved transitive
-// dependencies, reporting orphan when a denied assumption is reached and
-// escape when the walk leaves the locked shard set. The returned slice
-// is freshly built and deduplicated.
-func (t *Tracker) resolveDepsMasked(tags []ids.AID, locked uint64) (deps []ids.AID, orphan, escaped bool) {
+// dependencies, appended to buf and deduplicated, reporting orphan when
+// a denied assumption is reached and escape when the walk leaves the
+// locked shard set.
+func (t *Tracker) resolveDepsMasked(tags []ids.AID, locked uint64, buf []ids.AID) (deps []ids.AID, orphan, escaped bool) {
 	w := depWalk{t: t, locked: locked, collect: true}
+	deps = buf
 	for _, x := range tags {
-		if !w.visit(x) {
+		var ok bool
+		if deps, ok = w.visit(x, deps); !ok {
 			return nil, !w.escaped, w.escaped
 		}
 	}
-	return w.deps, false, false
+	return deps, false, false
 }
 
 // procAt returns p's state; caller holds p's home shard lock.
@@ -780,7 +838,7 @@ func (t *Tracker) aid(x ids.AID) *aidState {
 	s := t.aidShard(x)
 	a, ok := s.aids[x]
 	if !ok {
-		a = &aidState{id: x, dom: sets.New[*intervalState](), status: Unresolved}
+		a = &aidState{id: x, status: Unresolved}
 		s.aids[x] = a
 		s.unresolved++
 	}
@@ -793,25 +851,24 @@ func (t *Tracker) aid(x ids.AID) *aidState {
 // home shard (established by the settle footprint checks).
 func (t *Tracker) openIntervalLocked(ps *procState, logIndex int, implicit bool, deps []ids.AID) *intervalState {
 	iv := &intervalState{
-		id:           t.gen.NextInterval(),
-		proc:         ps.id,
-		logIndex:     logIndex,
-		implicit:     implicit,
-		ido:          sets.New[ids.AID](),
-		ihd:          sets.New[ids.AID](),
-		specAffirmed: sets.New[ids.AID](),
-		status:       speculative,
+		id:       t.gen.NextInterval(),
+		proc:     ps.id,
+		logIndex: logIndex,
+		implicit: implicit,
+		status:   speculative,
 	}
 	if t.obs != nil {
 		iv.openedAt = time.Now()
 	}
 	t.procShard(ps.id).intervals[iv.id] = iv
 	// Equation 3: inherit the enclosing interval's dependencies.
+	var inherited []ids.AID
 	if cur := ps.current(); cur != nil {
-		cur.ido.Range(func(x ids.AID) bool {
-			t.dependLocked(iv, x)
-			return true
-		})
+		inherited = cur.ido
+	}
+	iv.ido = make([]ids.AID, 0, len(inherited)+len(deps))
+	for _, x := range inherited {
+		t.dependLocked(iv, x)
 	}
 	for _, x := range deps {
 		t.dependLocked(iv, x)
@@ -820,22 +877,24 @@ func (t *Tracker) openIntervalLocked(ps *procState, logIndex int, implicit bool,
 	return iv
 }
 
-// dependLocked maintains the Lemma 5.1 symmetry (Equations 3 and 4).
+// dependLocked maintains the Lemma 5.1 symmetry (Equations 3 and 4): X
+// missing from iv.IDO means iv is missing from X.DOM.
 func (t *Tracker) dependLocked(iv *intervalState, x ids.AID) {
-	if iv.ido.Add(x) {
-		t.aid(x).dom.Add(iv)
+	if i, ok := slices.BinarySearch(iv.ido, x); !ok {
+		iv.ido = slices.Insert(iv.ido, i, x)
+		a := t.aid(x)
+		a.dom = append(a.dom, iv)
 	}
 }
 
-// fmtIvSet renders a set of intervals as their sorted ids, matching the
-// {A1, A2} style of sets.Set[ids.Interval].String.
-func fmtIvSet(s *sets.Set[*intervalState]) string {
-	out := sets.New[ids.Interval]()
-	s.Range(func(iv *intervalState) bool {
-		out.Add(iv.id)
-		return true
-	})
-	return out.String()
+// domIDs renders a DOM as its sorted interval ids.
+func domIDs(dom []*intervalState) []ids.Interval {
+	out := make([]ids.Interval, len(dom))
+	for i, iv := range dom {
+		out[i] = iv.id
+	}
+	slices.Sort(out)
+	return out
 }
 
 // DebugDump renders the full dependency state — every unresolved or
@@ -853,13 +912,13 @@ func (t *Tracker) DebugDump() string {
 			aids = append(aids, id)
 		}
 	}
-	sort.Slice(aids, func(i, j int) bool { return aids[i] < aids[j] })
+	slices.Sort(aids)
 	for _, id := range aids {
 		a := t.aidShard(id).aids[id]
-		if a.status == Affirmed && a.dom.Empty() {
+		if a.status == Affirmed && len(a.dom) == 0 {
 			continue // committed and drained: boring
 		}
-		add(fmt.Sprintf("  %v: %v dom=%v", a.id, a.status, fmtIvSet(a.dom)))
+		add(fmt.Sprintf("  %v: %v dom=%v", a.id, a.status, domIDs(a.dom)))
 		if a.status == SpecAffirmed {
 			add(fmt.Sprintf(" affirmer=%v repl=%v", a.affirmer, a.replacement))
 		}
@@ -874,7 +933,7 @@ func (t *Tracker) DebugDump() string {
 			procs = append(procs, id)
 		}
 	}
-	sort.Slice(procs, func(i, j int) bool { return procs[i] < procs[j] })
+	slices.Sort(procs)
 	for _, id := range procs {
 		ps := t.procShard(id).procs[id]
 		if len(ps.live) == 0 {
@@ -896,7 +955,8 @@ func (t *Tracker) DebugDump() string {
 //   - resolved assumptions have drained DOM sets (Equations 9/14 and
 //     rollback withdrawal);
 //   - every live interval is speculative with a non-empty IDO
-//     (Equation 20's contrapositive);
+//     (Equation 20's contrapositive), held strictly ascending (the
+//     binary searches rely on it);
 //   - per-process live chains have subset-ordered IDO sets (the heart of
 //     Theorem 5.1);
 //   - sharding integrity: every interval is stored in its process's
@@ -916,25 +976,28 @@ func (t *Tracker) CheckInvariants() error {
 			if iv.status != speculative {
 				return fmt.Errorf("retained interval %v has status %d", iv.id, iv.status)
 			}
-			if iv.ido.Empty() {
+			if len(iv.ido) == 0 {
 				return fmt.Errorf("speculative interval %v has empty IDO (Equation 20)", iv.id)
 			}
-			for _, x := range iv.ido.Elems() {
+			for i, x := range iv.ido {
+				if i > 0 && iv.ido[i-1] >= x {
+					return fmt.Errorf("%v.IDO %v is not strictly ascending", iv.id, iv.ido)
+				}
 				a, ok := t.aidShard(x).aids[x]
-				if !ok || !a.dom.Has(iv) {
+				if !ok || !slices.Contains(a.dom, iv) {
 					return fmt.Errorf("lemma 5.1: %v ∈ %v.IDO but %v ∉ %v.DOM", x, iv.id, iv.id, x)
 				}
 			}
 		}
 		for _, a := range s.aids {
-			if a.status != Unresolved && !a.dom.Empty() {
-				return fmt.Errorf("resolved %v (%v) retains DOM %v", a.id, a.status, fmtIvSet(a.dom))
+			if a.status != Unresolved && len(a.dom) != 0 {
+				return fmt.Errorf("resolved %v (%v) retains DOM %v", a.id, a.status, domIDs(a.dom))
 			}
-			for _, iv := range a.dom.Elems() {
+			for _, iv := range a.dom {
 				if t.procShard(iv.proc).intervals[iv.id] != iv {
 					return fmt.Errorf("%v.DOM references unregistered interval %v", a.id, iv.id)
 				}
-				if !iv.ido.Has(a.id) {
+				if !hasAID(iv.ido, a.id) {
 					return fmt.Errorf("lemma 5.1: %v ∈ %v.DOM but %v ∉ %v.IDO", iv.id, a.id, a.id, iv.id)
 				}
 			}
@@ -942,8 +1005,10 @@ func (t *Tracker) CheckInvariants() error {
 		for _, ps := range s.procs {
 			for i := 1; i < len(ps.live); i++ {
 				prev, cur := ps.live[i-1], ps.live[i]
-				if !prev.ido.SubsetOf(cur.ido) {
-					return fmt.Errorf("theorem 5.1: %v.IDO ⊄ %v.IDO in %v", prev.id, cur.id, ps.id)
+				for _, x := range prev.ido {
+					if !hasAID(cur.ido, x) {
+						return fmt.Errorf("theorem 5.1: %v.IDO ⊄ %v.IDO in %v", prev.id, cur.id, ps.id)
+					}
 				}
 			}
 		}

@@ -71,13 +71,16 @@ expect internal/engine 'entryTimeout|waitSettled|waitPred|waitAID|waitDeadline|a
 # (affirmLocked), one definite deny (denyDefiniteLocked, the only caller
 # of rollbackDependentsLocked), no second system-verdict path, one
 # assumption-record constructor. A second hit is a per-entry-point copy
-# coming back.
-echo "== each equation once"
+# coming back. Its dependency sets are slices held by value, IDOs
+# sorted: an import of internal/sets is a heap-held, linearly searched
+# set coming back (TestTrackerAllocBudget prices it).
+echo "== each equation once, dependency sets without maps"
 expect internal/tracker 'stats\.DefiniteDenies\+\+' 1
 expect internal/tracker 'stats\.DefiniteAffirms\+\+' 1
 expect internal/tracker 'rollbackDependentsLocked\(a' 2
 expect internal/tracker 'applyVerdictLocked' 0
-expect internal/tracker 'dom: +sets\.New' 1
+expect internal/tracker '&aidState\{' 1
+expect internal/tracker '"hope/internal/sets"' 0
 
 echo "== go test -race ./..."
 go test -race ./...
