@@ -13,9 +13,11 @@
 //	hopenode -node 2 -nodes 3 -listen 127.0.0.1:7102 -peers 0=127.0.0.1:7100,1=127.0.0.1:7101
 //
 // Node 2 hosts the sink (see StormPlacement) and prints the settled
-// results. Add -seed N to every node to arm the per-node fault plans
-// (crashes and stalls inside the runtime, drops/dups/delays at the
-// socket layer); the committed output is byte-identical regardless.
+// results. Add -seed N to every node to arm the per-node fault plans:
+// each runtime crashes and stalls its processes and drops, duplicates
+// and delays every message they send, whether the destination is on the
+// same node or across the wire. The committed output is byte-identical
+// regardless.
 //
 // Harnesses that pre-bind the listener pass it as a file descriptor
 // (-listen-fd 3 with the socket in ExtraFiles), so children never race
@@ -46,7 +48,7 @@ func main() {
 		listenFD = flag.Int("listen-fd", -1, "inherit a pre-bound listener from this file descriptor instead of -listen")
 		peersStr = flag.String("peers", "", "peer addresses: id=host:port,id=host:port")
 		jobs     = flag.Int("scale", 8, "jobs per storm worker")
-		seed     = flag.Int64("seed", 0, "fault seed: derive per-node engine and wire plans (0 = fault-free)")
+		seed     = flag.Int64("seed", 0, "fault seed: derive this node's plan, which faults every message its processes send, same-node or cross-node (0 = fault-free)")
 		dialTO   = flag.Duration("dial-timeout", 30*time.Second, "peer dial budget (peers may start in any order)")
 		jsonOut  = flag.String("json", "", "write the observer snapshot (runtime + wire peers) as JSON")
 	)
@@ -73,22 +75,21 @@ func run(node, nodes, jobs int, seed int64, listen string, listenFD int, peersSt
 		}
 	}
 
-	var engPlan, wirePlan *fault.Plan
+	var plan *fault.Plan
 	if seed != 0 {
-		engPlan, wirePlan = scenario.StormPlans(seed, node)
+		plan = scenario.StormPlan(seed, node)
 	}
 	o := obs.New()
 	res, err := scenario.StormNode(scenario.NodeConfig{
-		Node: node, Listen: listen, Listener: ln, Peers: peers,
-		Wire: wirePlan, DialTimeout: dialTO,
+		Node: node, Listen: listen, Listener: ln, Peers: peers, DialTimeout: dialTO,
 	}, nodes, jobs,
 		engine.WithOutput(os.Stdout), engine.WithObserver(o),
-		engine.WithFaults(engPlan), engine.WithCheckpointEvery(8))
+		engine.WithFaults(plan), engine.WithCheckpointEvery(8))
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "hopenode: %s in %v (injected=%d)\n",
-		res.Note, res.Elapsed.Round(time.Millisecond), engPlan.Total()+wirePlan.Total())
+		res.Note, res.Elapsed.Round(time.Millisecond), plan.Total())
 	if jsonOut != "" {
 		f, err := os.Create(jsonOut)
 		if err != nil {

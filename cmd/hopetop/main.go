@@ -18,6 +18,10 @@
 //
 //	hopetop -w storm -faults seed=7,crash=0.02,maxcrashes=4,drop=0.2,dup=0.1,delay=0.3,stall=0.2
 //
+// Under -w stormwire the one plan is attached to all three runtimes, and
+// each faults the messages its own processes send, so cross-node links
+// are dropped, duplicated and delayed like same-node ones.
+//
 // The Chrome trace (-trace) loads in Perfetto (https://ui.perfetto.dev)
 // or chrome://tracing: each process is a track, each speculative interval
 // an async span from guess to settlement, with rollback and replay

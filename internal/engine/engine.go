@@ -121,8 +121,10 @@ func WithSpeculation(c *policy.Controller) Option { return func(r *Runtime) { r.
 // (internal/fault): processes crash and restart by replay, messages are
 // dropped (surfacing to senders as ErrDelivery), duplicated (suppressed
 // by the per-link filter), or delayed, and resolutions stall. A nil plan
-// (the default) injects nothing. A Plan must not be reused across
-// runtimes — its per-site counters are part of the schedule.
+// (the default) injects nothing. A runtime decides the faults of the
+// processes it hosts — their crashes, stalls and every message they
+// send, local or remote — so runtimes hosting disjoint processes may
+// share a plan.
 func WithFaults(p *fault.Plan) Option { return func(r *Runtime) { r.faults = p } }
 
 // WithCheckpointEvery arms automatic checkpointing for Loop processes:
@@ -377,26 +379,56 @@ func (r *Runtime) bump() {
 	r.mu.Unlock()
 }
 
-// route delivers msg to the named destination, applying the latency model.
+// route delivers src's msg to the named destination, applying the latency
+// model. It is the one place a message fault is decided: with a plan
+// attached, each live send draws drop, delay and dup once, before the
+// destination is known to be local or remote, so a message that crosses
+// the wire is faulted exactly like one that does not. A drop returns
+// ErrDelivery; the caller logs it, so replay never asks the plan again.
+//
 // Channels are FIFO per directed (from, to) link, as the paper's model
 // (and the replay log) requires: with a latency model installed, a
 // message's delivery waits for its link predecessor even if its own
 // timer fires first. Delayed deliveries are drained by one scheduler
 // goroutine off a min-heap of due times (see sched.go) instead of one
 // goroutine + timer per message.
-func (r *Runtime) route(from, to string, msg *rmsg) error {
+func (r *Runtime) route(src *Proc, to string, msg *rmsg) error {
+	from := src.name
+	var extra time.Duration
+	dup := false
+	if f := r.faults; f != nil {
+		if f.DropNow(from, to) {
+			r.obs.Emit(obs.KFaultDrop, src.id, ids.NoAID, ids.NoInterval, 0)
+			return ErrDelivery
+		}
+		if extra = f.DelayNow(from, to); extra > 0 {
+			r.obs.Emit(obs.KFaultDelay, src.id, ids.NoAID, ids.NoInterval, int64(extra))
+		}
+		if dup = f.DupNow(from, to); dup {
+			r.obs.Emit(obs.KFaultDup, src.id, ids.NoAID, ids.NoInterval, 0)
+		}
+	}
 	r.mu.Lock()
 	dst, ok := r.procs[to]
 	if !ok {
 		remote := r.remote
 		r.mu.Unlock()
-		if remote != nil {
-			// Cross-process destination: hand off to the wire layer. Its
-			// ErrDelivery results (wire drops, lost peers) surface from
-			// Send like a local injected drop.
-			return remote(WireMsg{From: from, To: to, Seq: msg.seq, Tags: msg.tags, Payload: msg.payload})
+		if remote == nil {
+			return fmt.Errorf("%w: %q", ErrUnknownDest, to)
 		}
-		return fmt.Errorf("%w: %q", ErrUnknownDest, to)
+		// Cross-process destination: hand off to the wire layer, which
+		// holds the link for the injected delay. Its ErrDelivery (a lost
+		// peer) surfaces from Send like an injected drop.
+		m := WireMsg{From: from, To: to, Seq: msg.seq, Tags: msg.tags, Payload: msg.payload, Delay: extra}
+		if err := remote(m); err != nil || !dup {
+			return err
+		}
+		// The copy shares the original's Seq, so the receiver's per-link
+		// filter suppresses it; like the local copy it adds no wait of
+		// its own. It is best effort: the original already left.
+		m.Delay = 0
+		_ = remote(m)
+		return nil
 	}
 	if r.latency == nil && r.faults == nil {
 		// Synchronous delivery in the sender's goroutine is trivially
@@ -413,12 +445,6 @@ func (r *Runtime) route(from, to string, msg *rmsg) error {
 	if r.latency != nil {
 		delay = r.latency(from, to)
 	}
-	var extra time.Duration
-	dup := false
-	if r.faults != nil {
-		extra = r.faults.DelayNow(from, to)
-		dup = r.faults.DupNow(from, to)
-	}
 	n := 1
 	if dup {
 		n = 2
@@ -426,9 +452,6 @@ func (r *Runtime) route(from, to string, msg *rmsg) error {
 	r.inflight += n
 	r.mu.Unlock()
 
-	if extra > 0 {
-		r.obs.Emit(obs.KFaultDelay, dst.id, ids.NoAID, ids.NoInterval, int64(extra))
-	}
 	due := time.Now().Add(delay + extra)
 	key := linkKey{from: from, to: to}
 	sc := r.schedFor(from)
@@ -438,7 +461,6 @@ func (r *Runtime) route(from, to string, msg *rmsg) error {
 		// per-link duplicate filter suppresses it at enqueue. It is
 		// scheduled after the original on the same link, so it can
 		// never overtake it.
-		r.obs.Emit(obs.KFaultDup, dst.id, ids.NoAID, ids.NoInterval, 0)
 		sc.schedule(r, &delivery{due: due, key: key, msg: msg, dst: dst})
 	}
 	return nil

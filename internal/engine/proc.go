@@ -776,10 +776,6 @@ func (p *Proc) Send(to string, payload any) error {
 
 // send is the live half of Send; it reports whether the message left.
 func (p *Proc) send(to string, payload any) bool {
-	if f := p.rt.faults; f != nil && f.DropNow(p.name, to) {
-		p.rt.obs.Emit(obs.KFaultDrop, p.id, ids.NoAID, ids.NoInterval, 0)
-		return false
-	}
 	tags, err := p.rt.tr.Tag(p.id)
 	if err != nil {
 		p.trackerErr(err)
@@ -790,14 +786,13 @@ func (p *Proc) send(to string, payload any) bool {
 		payload: payload,
 		tags:    tags,
 	}
-	if err := p.rt.route(p.name, to, msg); err != nil {
+	if err := p.rt.route(p, to, msg); err != nil {
 		if !errors.Is(err, ErrDelivery) {
 			p.fatal(err)
 		}
-		// The remote transport refused the message (wire-injected drop or
-		// lost peer): same contract as a local injected drop — the send
-		// had no effect and the verdict is logged so replay reproduces it
-		// without touching the wire.
+		// An injected drop, or a lost peer on the wire: the send had no
+		// effect and the verdict is logged, so replay reproduces it
+		// without consulting the plan or touching the wire.
 		return false
 	}
 	return true

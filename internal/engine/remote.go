@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"time"
 
 	"hope/internal/ids"
 )
@@ -29,14 +30,19 @@ type WireMsg struct {
 	Tags []ids.AID
 	// Payload is the sent value. The transport owns (de)serialization.
 	Payload any
+	// Delay is the extra latency the sender's fault plan injected (0 =
+	// none): the transport holds the link that much longer before this
+	// message, stretching it without reordering it.
+	Delay time.Duration
 }
 
 // RemoteRouter forwards a message whose destination is not a local
-// process. It must either accept the message for (at-most-once, in-order
-// per link) delivery, or return an error: ErrDelivery for transport-level
-// loss — a wire-injected drop or a lost peer — which surfaces from Send
-// exactly like a local injected drop so SendRetry degrades gracefully;
-// any other error is treated as fatal misconfiguration.
+// process. It must either accept the message for in-order per-link
+// delivery, or return an error: ErrDelivery for transport-level loss — a
+// lost peer — which surfaces from Send exactly like an injected drop so
+// SendRetry degrades gracefully; any other error is treated as fatal
+// misconfiguration. The runtime has already decided the message's
+// faults: an injected duplicate is a second call with the same Seq.
 type RemoteRouter func(WireMsg) error
 
 // SetRemoteRouter installs the remote router consulted when a Send names

@@ -143,9 +143,11 @@ func (i Injection) String() string {
 
 // Plan is one reproducible fault schedule: construct it with New (or
 // Parse), attach it to a runtime with engine.WithFaults / hope.WithFaults,
-// and read back what it injected with Injections and Counts. A Plan must
-// not be shared between runtimes — its per-site counters are part of the
-// schedule. The nil *Plan injects nothing.
+// and read back what it injected with Injections and Counts. Each site
+// must be decided by exactly one runtime, since its counter is part of
+// the schedule. A runtime decides the sites of the processes it hosts
+// (their crashes, stalls and outbound links), so runtimes hosting
+// disjoint processes may share one Plan. The nil *Plan injects nothing.
 type Plan struct {
 	cfg Config
 

@@ -83,7 +83,8 @@ const (
 	// restarts by replaying its log.
 	KFaultCrash
 	// KFaultDrop: the fault plan discarded a message at send time (the
-	// sender saw a retryable delivery error).
+	// sender saw a retryable delivery error). Like KFaultDup and
+	// KFaultDelay it names the sending process, local link or remote.
 	KFaultDrop
 	// KFaultDup: the fault plan duplicated a delivery (the engine's
 	// per-link filter suppresses the copy at the receiver).

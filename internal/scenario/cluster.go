@@ -23,7 +23,8 @@ import (
 // StormPlacement assigns the storm's processes to nodes: workers round-
 // robin, the judge and sink on distinct nodes when the cluster is big
 // enough. With 3 nodes: node0={worker0,worker3}, node1={worker1,judge},
-// node2={worker2,sink} — every claim, result, and ack crosses the wire.
+// node2={worker2,sink} — every claim, result, and ack crosses the wire
+// except on worker1↔judge and worker2→sink, which stay inside a runtime.
 func StormPlacement(nodes int) map[string]uint32 {
 	if nodes <= 0 {
 		nodes = 1
@@ -37,28 +38,20 @@ func StormPlacement(nodes int) map[string]uint32 {
 	return procs
 }
 
-// StormPlans derives node i's fault plans from one storm seed: an
-// engine-level plan (crash/stall — the in-runtime fault classes) and a
-// wire-level plan (drop/dup/delay at the socket layer). Distinct Plan
-// values because per-site counters are part of a plan's schedule; the
-// two may share a seed safely — engine sites ("crash/…", "stall/…") and
-// wire sites ("drop/…", "dup/…", "delay/…") are disjoint decision
-// streams. Offsetting the seed per node keeps the node plans
-// independent while the whole cluster's schedule stays a pure function
-// of (seed, node).
-func StormPlans(seed int64, node int) (eng, wirePlan *fault.Plan) {
-	s := seed + int64(node)*1000003
-	eng = fault.New(fault.Config{
-		Seed:  s,
+// StormPlan derives node i's fault plan from one storm seed: crashes
+// and stalls of the processes it hosts, and drops, dups and delays of
+// every message they send, to a process on the same node or across the
+// wire. Offsetting the seed per node keeps the node plans independent
+// while the whole cluster's schedule stays a pure function of (seed,
+// node).
+func StormPlan(seed int64, node int) *fault.Plan {
+	return fault.New(fault.Config{
+		Seed:  seed + int64(node)*1000003,
 		Crash: 0.02, MaxCrashes: 2,
-		Stall: 0.2, MaxStall: 200 * time.Microsecond,
-	})
-	wirePlan = fault.New(fault.Config{
-		Seed: s,
 		Drop: 0.15, Dup: 0.15,
 		Delay: 0.25, MaxDelay: 200 * time.Microsecond,
+		Stall: 0.2, MaxStall: 200 * time.Microsecond,
 	})
-	return eng, wirePlan
 }
 
 // NodeConfig places one runtime in a wire cluster.
@@ -72,9 +65,6 @@ type NodeConfig struct {
 	Listener net.Listener
 	Peers    map[uint32]string
 	Procs    map[string]uint32
-	// Wire optionally injects drop/dup/delay at the socket layer (see
-	// StormPlans); crash/stall plans are engine options.
-	Wire *fault.Plan
 	// DialTimeout bounds peer dialing (default 10s; raise for slow
 	// process launches).
 	DialTimeout time.Duration
@@ -101,7 +91,6 @@ func RunNode(cfg NodeConfig, spawn func(rt *engine.Runtime) error, opts ...engin
 		Listener:    cfg.Listener,
 		Peers:       cfg.Peers,
 		Procs:       cfg.Procs,
-		Faults:      cfg.Wire,
 		Obs:         rt.Observer(),
 		DialTimeout: cfg.DialTimeout,
 	})
@@ -241,26 +230,24 @@ func StormNode(mesh NodeConfig, nodes, jobs int, opts ...engine.Option) (Result,
 // (an attached observer sees all three, including the wire peers
 // table; an output writer receives the sink node's lines).
 func StormWire(jobs int, opts ...engine.Option) (Result, error) {
-	return stormWire(jobs, 0, opts...)
+	return stormWire(jobs, nil, opts...)
 }
 
-// stormWire is StormWire with a fault seed (0 = fault-free; otherwise
-// StormPlans per node, checkpointing every 8 so injected crashes
-// recover incrementally) — the in-process byte-identical oracle.
-func stormWire(jobs int, seed int64, opts ...engine.Option) (Result, error) {
+// stormWire is StormWire with per-node fault plans (nil = fault-free;
+// otherwise plans[i] faults node i, checkpointing every 8 so injected
+// crashes recover incrementally) — the in-process byte-identical oracle.
+func stormWire(jobs int, plans []*fault.Plan, opts ...engine.Option) (Result, error) {
 	if jobs <= 0 {
 		jobs = 8
 	}
 	const nodes = 3
 	elapsed, err := Loopback(nodes, func(mesh NodeConfig) (time.Duration, error) {
 		nodeOpts := opts
-		if seed != 0 {
-			var engPlan *fault.Plan
-			engPlan, mesh.Wire = StormPlans(seed, mesh.Node)
+		if plans != nil {
 			// Capacity-capped: members run concurrently and must not
 			// append into one shared backing array.
 			nodeOpts = append(opts[:len(opts):len(opts)],
-				engine.WithFaults(engPlan), engine.WithCheckpointEvery(8))
+				engine.WithFaults(plans[mesh.Node]), engine.WithCheckpointEvery(8))
 		}
 		res, err := StormNode(mesh, nodes, jobs, nodeOpts...)
 		return res.Elapsed, err

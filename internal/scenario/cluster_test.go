@@ -75,20 +75,19 @@ func stormNodeMain() int {
 		return fail(fmt.Errorf("inherit listener fd 3: %w", err))
 	}
 
-	var engPlan, wirePlan *fault.Plan
+	var plan *fault.Plan
 	if seed != 0 {
-		engPlan, wirePlan = StormPlans(seed, node)
+		plan = StormPlan(seed, node)
 	}
 	o := obs.New()
 	if _, err := StormNode(NodeConfig{
-		Node: node, Listener: ln, Peers: peers,
-		Wire: wirePlan, DialTimeout: 30 * time.Second,
+		Node: node, Listener: ln, Peers: peers, DialTimeout: 30 * time.Second,
 	}, nodes, jobs,
 		engine.WithOutput(os.Stdout), engine.WithObserver(o),
-		engine.WithFaults(engPlan), engine.WithCheckpointEvery(8)); err != nil {
+		engine.WithFaults(plan), engine.WithCheckpointEvery(8)); err != nil {
 		return fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "injected=%d\n", engPlan.Total()+wirePlan.Total())
+	fmt.Fprintf(os.Stderr, "injected=%d\n", plan.Total())
 	if dir := os.Getenv("HOPE_STORM_OBS_DIR"); dir != "" {
 		path := filepath.Join(dir, fmt.Sprintf("storm-seed%d-node%d.json", seed, node))
 		f, err := os.Create(path)
@@ -108,8 +107,10 @@ func stormNodeMain() int {
 
 // TestStormWireMatchesSingleProcess is the in-process half of the
 // distributed oracle: the 3-runtime loopback-TCP storm commits exactly
-// the bytes the single-runtime storm does, fault-free and under
-// per-node engine+wire fault plans.
+// the bytes the single-runtime storm does, fault-free and under per-node
+// fault plans. Summed over the seeds, those plans must have faulted a
+// message on a link inside one runtime and on one that crosses the
+// wire: each node's plan decides every message its processes send.
 func TestStormWireMatchesSingleProcess(t *testing.T) {
 	const jobs = 8
 	want := runStorm(t, jobs)
@@ -120,15 +121,35 @@ func TestStormWireMatchesSingleProcess(t *testing.T) {
 	if testing.Short() {
 		seeds = []int64{0, 1, 2}
 	}
+	placement := StormPlacement(3)
+	faulted := map[bool]int{} // same-node link? → message faults
 	for _, seed := range seeds {
+		var plans []*fault.Plan
+		if seed != 0 {
+			plans = []*fault.Plan{StormPlan(seed, 0), StormPlan(seed, 1), StormPlan(seed, 2)}
+		}
 		buf := &testutil.SyncBuffer{}
-		if _, err := stormWire(jobs, seed, engine.WithOutput(buf)); err != nil {
+		if _, err := stormWire(jobs, plans, engine.WithOutput(buf)); err != nil {
 			t.Fatalf("stormWire seed %d: %v", seed, err)
 		}
 		if got := buf.String(); got != want {
 			t.Fatalf("seed %d: wire output diverged from single-process run\nwant:\n%s\ngot:\n%s", seed, want, got)
 		}
+		for _, plan := range plans {
+			for _, inj := range plan.Injections() {
+				switch inj.Kind {
+				case fault.Drop, fault.Dup, fault.Delay:
+					_, link, _ := strings.Cut(inj.Site, "/")
+					from, to, _ := strings.Cut(link, "→")
+					faulted[placement[from] == placement[to]]++
+				}
+			}
+		}
 	}
+	if faulted[true] == 0 || faulted[false] == 0 {
+		t.Fatalf("message faults: %d on same-node links, %d on cross-node links; want both non-zero", faulted[true], faulted[false])
+	}
+	t.Logf("message faults: %d on same-node links, %d on cross-node links", faulted[true], faulted[false])
 }
 
 // runStormCluster launches one full 3-OS-process storm and returns the
@@ -234,9 +255,9 @@ func runStormCluster(exe string, seed int64, jobs int) (string, int64, error) {
 
 // TestStormMultiProcessSoak is the headline oracle across OS process
 // boundaries: for every seed, three hopenode-style processes joined
-// only by TCP — with drops, dups, delays injected at the socket layer
-// and crashes/stalls inside each runtime — commit output byte-identical
-// to the single-process, fault-free storm.
+// only by TCP — each runtime crashing and stalling its processes and
+// dropping, duplicating and delaying every message they send — commit
+// output byte-identical to the single-process, fault-free storm.
 func TestStormMultiProcessSoak(t *testing.T) {
 	const jobs = 8
 	want := runStorm(t, jobs)

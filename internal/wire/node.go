@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"hope/internal/engine"
-	"hope/internal/fault"
 	"hope/internal/ids"
 	"hope/internal/obs"
 )
@@ -53,19 +52,6 @@ import (
 // never forwarded — and a seen-set (marked before apply) makes the
 // exchange loop-free: cascade denials triggered by a remote verdict
 // count as locally originated and fan out in turn.
-//
-// # Fault injection
-//
-// A wire fault plan perturbs Msg frames only: Drop is decided at route
-// time (the sender sees engine.ErrDelivery, exactly like a local
-// injected drop), Dup encodes and enqueues the message a second time
-// under the same Seq (the payload stream cannot repeat bytes; the
-// receiver decodes the copy and the engine's per-sender sequence filter
-// suppresses it), Delay makes the link's writer flush what precedes the
-// frame and sleep before writing it — stretching the link without
-// reordering it. Control frames (Hello/Verdict/Done) are exempt: they
-// have no retry path, and the oracle's guarantee is about message
-// delivery, not about the resolution protocol losing its own state.
 type Node struct {
 	cfg   Config
 	rt    *engine.Runtime
@@ -108,11 +94,6 @@ type Config struct {
 	// Procs is the cluster-wide placement: process name → owning node.
 	// The router consults it for every Send that names no local process.
 	Procs map[string]uint32
-	// Faults optionally injects drop/dup/delay on outbound Msg frames.
-	// The plan must be distinct from any engine-level plan — per-site
-	// counters are part of the schedule — but may share its seed; wire
-	// sites and engine sites are disjoint decision streams.
-	Faults *fault.Plan
 	// Obs optionally receives per-peer transport metrics.
 	Obs *obs.Observer
 	// DialTimeout bounds each peer dial, retrying inside the budget
@@ -281,9 +262,11 @@ func (n *Node) connect(p *peer) error {
 	return nil
 }
 
-// route is the engine's RemoteRouter: consult placement, apply the wire
-// fault plan, frame, and hand to the link writer. Parks until the mesh
-// is up so spawn-before-Start sends never race it.
+// route is the engine's RemoteRouter: consult placement, encode the
+// payload as the next segment of the link's stream, frame, and hand to
+// the link writer under one lock, so stream order is queue order. The
+// frame carries the message's injected delay to the writer. Parks until
+// the mesh is up so spawn-before-Start sends never race it.
 func (n *Node) route(m engine.WireMsg) error {
 	select {
 	case <-n.started:
@@ -304,41 +287,11 @@ func (n *Node) route(m engine.WireMsg) error {
 	if p.lost.Load() {
 		return engine.ErrDelivery
 	}
-	if n.cfg.Faults.DropNow(m.From, m.To) {
-		n.cfg.Obs.Emit(obs.KFaultDrop, ids.NoProc, ids.NoAID, ids.NoInterval, 0)
-		return engine.ErrDelivery
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	buf, err := n.frameMsg(p, m)
-	if err != nil {
-		return err
-	}
-	delay := n.cfg.Faults.DelayNow(m.From, m.To)
-	if delay > 0 {
-		n.cfg.Obs.Emit(obs.KFaultDelay, ids.NoProc, ids.NoAID, ids.NoInterval, int64(delay))
-	}
-	if err := n.enqueue(p, outFrame{buf: buf, delay: delay}); err != nil {
-		return err
-	}
-	if n.cfg.Faults.DupNow(m.From, m.To) {
-		n.cfg.Obs.Emit(obs.KFaultDup, ids.NoProc, ids.NoAID, ids.NoInterval, 0)
-		// Best-effort duplicate: the same message under the same Seq,
-		// encoded again because the stream has moved on.
-		if buf, err := n.frameMsg(p, m); err == nil {
-			_ = n.enqueue(p, outFrame{buf: buf})
-		}
-	}
-	return nil
-}
-
-// frameMsg encodes m's payload as the next segment of p's stream and
-// frames it. The caller holds p.mu and must queue the frame before
-// releasing it.
-func (n *Node) frameMsg(p *peer, m engine.WireMsg) ([]byte, error) {
 	payload, err := p.enc.encode(m.Payload)
 	if err != nil {
-		return nil, fmt.Errorf("wire: encode %s→%s payload: %w", m.From, m.To, err)
+		return fmt.Errorf("wire: encode %s→%s payload: %w", m.From, m.To, err)
 	}
 	p.vc = n.tick(p.vc[:0])
 	buf, err := AppendFrame(nil, Msg{
@@ -349,9 +302,9 @@ func (n *Node) frameMsg(p *peer, m engine.WireMsg) ([]byte, error) {
 		// The segment is encoded but will never be sent: open a new
 		// stream rather than leave the receiver one segment behind.
 		p.enc = payloadEncoder{}
-		return nil, fmt.Errorf("wire: frame %s→%s: %w", m.From, m.To, err)
+		return fmt.Errorf("wire: frame %s→%s: %w", m.From, m.To, err)
 	}
-	return buf, nil
+	return n.enqueue(p, outFrame{buf: buf, delay: m.Delay})
 }
 
 // enqueue hands a frame to the link's writer in FIFO order.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,7 +24,9 @@ type cluster struct {
 
 // newCluster builds n runtimes with their wire nodes, placement, and
 // pre-bound loopback listeners, but does not Start the mesh — spawn
-// local procs first, then call start.
+// local procs first, then call start. faults(i), when given, is runtime
+// i's fault plan: it decides every message that runtime's processes
+// send, across the wire included.
 func newCluster(t *testing.T, n int, procs map[string]uint32, faults func(i int) *fault.Plan, obsv func(i int) *obs.Observer) *cluster {
 	t.Helper()
 	c := &cluster{}
@@ -44,8 +47,9 @@ func newCluster(t *testing.T, n int, procs map[string]uint32, faults func(i int)
 				cfgs[i].Peers[uint32(j)] = addrs[uint32(j)]
 			}
 		}
+		var plan *fault.Plan
 		if faults != nil {
-			cfgs[i].Faults = faults(i)
+			plan = faults(i)
 		}
 		var o *obs.Observer
 		if obsv != nil {
@@ -53,7 +57,8 @@ func newCluster(t *testing.T, n int, procs map[string]uint32, faults func(i int)
 		}
 		cfgs[i].Obs = o
 		buf := &testutil.SyncBuffer{}
-		rt := engine.New(engine.WithOutput(buf), engine.WithAIDBase(uint64(i)<<48), engine.WithObserver(o))
+		rt := engine.New(engine.WithOutput(buf), engine.WithAIDBase(uint64(i)<<48),
+			engine.WithObserver(o), engine.WithFaults(plan))
 		node, err := NewNode(rt, cfgs[i])
 		if err != nil {
 			t.Fatal(err)
@@ -192,8 +197,9 @@ func TestCrossProcessDenyRollsBack(t *testing.T) {
 	}
 }
 
-// TestWireDropSurfacesAsErrDelivery: a wire-injected drop surfaces from
-// Send as the same retryable ErrDelivery a local injected drop does.
+// TestWireDropSurfacesAsErrDelivery: a drop the sender's plan injects on
+// a cross-node link surfaces from Send as the same retryable ErrDelivery
+// a local injected drop does.
 func TestWireDropSurfacesAsErrDelivery(t *testing.T) {
 	procs := map[string]uint32{"tx": 0, "rx": 1}
 	drops := func(i int) *fault.Plan {
@@ -222,6 +228,60 @@ func TestWireDropSurfacesAsErrDelivery(t *testing.T) {
 		t.Fatalf("Send under wire drop=1: got %v, want ErrDelivery", err)
 	}
 	c.wait(t)
+}
+
+// TestRuntimePlanFaultsCrossTheWire: the plan attached to the sending
+// runtime duplicates and delays messages whose destination is on another
+// node, exactly as it would a local one. Every copy reaches the receiver
+// and is suppressed by its per-link filter, and the delays stretch the
+// link without reordering it.
+func TestRuntimePlanFaultsCrossTheWire(t *testing.T) {
+	const msgs = 20
+	plan := fault.New(fault.Config{Seed: 1, Dup: 1, Delay: 1, MaxDelay: 50 * time.Microsecond})
+	observers := make([]*obs.Observer, 2)
+	c := newCluster(t, 2, map[string]uint32{"tx": 0, "rx": 1},
+		func(i int) *fault.Plan {
+			if i == 0 {
+				return plan
+			}
+			return nil
+		},
+		func(i int) *obs.Observer { observers[i] = obs.New(); return observers[i] })
+	spawn(t, c.rts[0], "tx", func(p *engine.Proc) error {
+		for i := 0; i < msgs; i++ {
+			if err := p.Send("rx", i); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	spawn(t, c.rts[1], "rx", func(p *engine.Proc) error {
+		for i := 0; i < msgs; i++ {
+			m, err := p.Recv()
+			if err != nil {
+				return err
+			}
+			p.Printf("%v\n", m.Payload)
+		}
+		return nil
+	})
+	c.start(t)
+	c.wait(t)
+	c.noErrs(t)
+	var want strings.Builder
+	for i := 0; i < msgs; i++ {
+		fmt.Fprintf(&want, "%d\n", i)
+	}
+	if got := c.bufs[1].String(); got != want.String() {
+		t.Fatalf("receiver committed %q, want %q", got, want.String())
+	}
+	counts := plan.Counts()
+	if counts[fault.Dup] != msgs || counts[fault.Delay] != msgs {
+		t.Fatalf("plan injected %d dups and %d delays, want %d of each", counts[fault.Dup], counts[fault.Delay], msgs)
+	}
+	if n := observers[1].Metrics().DupSuppressed.Load(); n != msgs {
+		t.Fatalf("receiver suppressed %d duplicates, want %d", n, msgs)
+	}
 }
 
 // TestLostPeerSurfacesAsErrDelivery: after the remote node goes away,

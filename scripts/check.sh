@@ -2,8 +2,9 @@
 # check.sh — the full verification tier, in dependency order:
 # compile, gofmt, vet, check every process body against the replay
 # contract with hopevet, check that workloads are defined once and that
-# the engine logs and blocks in one place each and the tracker states
-# each resolution rule once, then the race-enabled test suite. Run from
+# the engine logs and blocks in one place each, the tracker states each
+# resolution rule once and a message fault is decided once, then the
+# race-enabled test suite. Run from
 # anywhere; it cds to the repo root.
 #
 #   ./scripts/check.sh
@@ -81,6 +82,15 @@ expect internal/tracker 'rollbackDependentsLocked\(a' 2
 expect internal/tracker 'applyVerdictLocked' 0
 expect internal/tracker '&aidState\{' 1
 expect internal/tracker '"hope/internal/sets"' 0
+
+# A message fault is decided in one place: the runtime's route draws
+# drop, delay and dup once per live send, before it splits local from
+# remote, and the wire only carries the delay it was handed. A second
+# draw, or a fault plan in the transport, is a second fault plumbing
+# coming back.
+echo "== one fault decision per message"
+expect internal/engine 'DropNow|DupNow|DelayNow' 3
+expect internal/wire '"hope/internal/fault"' 0
 
 echo "== go test -race ./..."
 go test -race ./...
