@@ -132,8 +132,18 @@ type Done struct {
 	Node uint32
 }
 
-// enc is an append-only big-endian body builder.
-type enc struct{ b []byte }
+// enc builds one frame: an append-only big-endian body behind a header
+// whose type and length seal patches in once the body is complete.
+type enc struct {
+	b     []byte
+	start int // offset of the frame's header in b
+}
+
+// startFrame appends a blank header to dst, with room for a body of
+// size bytes, so a frame costs at most one allocation.
+func startFrame(dst []byte, size int) enc {
+	return enc{b: append(slices.Grow(dst, headerLen+size), magic0, magic1, Version, 0, 0, 0, 0, 0), start: len(dst)}
+}
 
 func (e *enc) u8(v byte)    { e.b = append(e.b, v) }
 func (e *enc) u16(v uint16) { e.b = binary.BigEndian.AppendUint16(e.b, v) }
@@ -143,6 +153,13 @@ func (e *enc) str(s string) { e.u16(uint16(len(s))); e.b = append(e.b, s...) }
 func (e *enc) bytes(p []byte) {
 	e.u32(uint32(len(p)))
 	e.b = append(e.b, p...)
+}
+
+// seal patches the frame's type and body length into its header.
+func (e *enc) seal(typ FrameType) []byte {
+	e.b[e.start+3] = byte(typ)
+	binary.BigEndian.PutUint32(e.b[e.start+4:], uint32(len(e.b)-e.start-headerLen))
+	return e.b
 }
 
 // dec is a strict big-endian body reader; every accessor checks bounds
@@ -209,6 +226,16 @@ func (d *dec) str(what string) string {
 	return string(d.take(int(n), what))
 }
 
+// name reads a string, returning the copy held in names when it is
+// listed there; the map lookup on the raw bytes does not allocate.
+func (d *dec) name(what string, names map[string]string) string {
+	b := d.take(int(d.u16(what)), what)
+	if s, ok := names[string(b)]; ok {
+		return s
+	}
+	return string(b)
+}
+
 func (d *dec) count(what string) int {
 	n := d.u32(what)
 	if d.err == nil && n > maxCount {
@@ -232,72 +259,73 @@ func (d *dec) finish() error {
 }
 
 // AppendFrame serializes f (a Hello, Msg, Verdict, or Done) onto dst and
-// returns the extended slice. The body is built in place behind a header
-// whose type and length are patched in once it is known.
+// returns the extended slice.
 func AppendFrame(dst []byte, f any) ([]byte, error) {
-	start := len(dst)
-	// Size the frame up front so it costs one allocation, not one per
-	// doubling: a Msg exactly, the control frames by a floor their
-	// bodies (13 bytes at most, plus a node name) fit.
-	need := headerLen + 24
-	if m, ok := f.(Msg); ok {
-		need = headerLen + 2 + len(m.From) + 2 + len(m.To) + 8 + 4 + 8*len(m.Tags) + 4 + 12*len(m.VClock) + 4 + len(m.Payload)
-	}
-	var typ FrameType
-	e := enc{b: append(slices.Grow(dst, need), magic0, magic1, Version, 0, 0, 0, 0, 0)}
 	switch v := f.(type) {
 	case Hello:
-		typ = FrameHello
 		if len(v.Name) > math.MaxUint16 {
 			return dst, fmt.Errorf("%w: node name too long", ErrFrame)
 		}
+		e := startFrame(dst, 4+2+len(v.Name))
 		e.u32(v.Node)
 		e.str(v.Name)
+		return e.seal(FrameHello), nil
 	case Msg:
-		typ = FrameMsg
-		if len(v.From) > math.MaxUint16 || len(v.To) > math.MaxUint16 {
-			return dst, fmt.Errorf("%w: process name too long", ErrFrame)
-		}
-		e.str(v.From)
-		e.str(v.To)
-		e.u64(v.Seq)
-		e.u32(uint32(len(v.Tags)))
-		for _, x := range v.Tags {
-			e.u64(uint64(x))
-		}
-		e.u32(uint32(len(v.VClock)))
-		for _, c := range v.VClock {
-			e.u32(c.Node)
-			e.u64(c.Seq)
-		}
-		e.bytes(v.Payload)
+		return appendMsg(dst, &v)
 	case Verdict:
-		typ = FrameVerdict
-		e.u64(uint64(v.AID))
-		if v.Affirmed {
-			e.u8(1)
-		} else {
-			e.u8(0)
-		}
-		e.u32(v.Origin)
+		return appendVerdict(dst, v), nil
 	case Done:
-		typ = FrameDone
+		e := startFrame(dst, 4)
 		e.u32(v.Node)
+		return e.seal(FrameDone), nil
 	default:
 		return dst, fmt.Errorf("%w: unknown frame %T", ErrFrame, f)
 	}
-	body := len(e.b) - start - headerLen
-	if body > MaxBody {
-		return dst, fmt.Errorf("%w: body %d exceeds cap %d", ErrFrame, body, MaxBody)
+}
+
+// appendMsg serializes m as a Msg frame onto dst, sized exactly up front.
+func appendMsg(dst []byte, m *Msg) ([]byte, error) {
+	if len(m.From) > math.MaxUint16 || len(m.To) > math.MaxUint16 {
+		return dst, fmt.Errorf("%w: process name too long", ErrFrame)
 	}
-	e.b[start+3] = byte(typ)
-	binary.BigEndian.PutUint32(e.b[start+4:], uint32(body))
-	return e.b, nil
+	size := 2 + len(m.From) + 2 + len(m.To) + 8 + 4 + 8*len(m.Tags) + 4 + 12*len(m.VClock) + 4 + len(m.Payload)
+	if size > MaxBody {
+		return dst, fmt.Errorf("%w: body %d exceeds cap %d", ErrFrame, size, MaxBody)
+	}
+	e := startFrame(dst, size)
+	e.str(m.From)
+	e.str(m.To)
+	e.u64(m.Seq)
+	e.u32(uint32(len(m.Tags)))
+	for _, x := range m.Tags {
+		e.u64(uint64(x))
+	}
+	e.u32(uint32(len(m.VClock)))
+	for _, c := range m.VClock {
+		e.u32(c.Node)
+		e.u64(c.Seq)
+	}
+	e.bytes(m.Payload)
+	return e.seal(FrameMsg), nil
+}
+
+// appendVerdict serializes v as a Verdict frame onto dst.
+func appendVerdict(dst []byte, v Verdict) []byte {
+	e := startFrame(dst, 8+1+4)
+	e.u64(uint64(v.AID))
+	if v.Affirmed {
+		e.u8(1)
+	} else {
+		e.u8(0)
+	}
+	e.u32(v.Origin)
+	return e.seal(FrameVerdict)
 }
 
 // DecodeBody parses one frame body of the given type. It never panics on
 // malformed input: truncation, oversized counts, bad flags, and trailing
-// bytes all return an error wrapping ErrFrame.
+// bytes all return an error wrapping ErrFrame. A Msg owns its fields:
+// the payload is copied out of body.
 func DecodeBody(typ FrameType, body []byte) (any, error) {
 	d := &dec{b: body}
 	switch typ {
@@ -309,51 +337,18 @@ func DecodeBody(typ FrameType, body []byte) (any, error) {
 		}
 		return f, nil
 	case FrameMsg:
-		f := Msg{From: d.str("msg from")}
-		f.To = d.str("msg to")
-		f.Seq = d.u64("msg seq")
-		if n := d.count("msg tags"); n > 0 {
-			f.Tags = make([]ids.AID, 0, min(n, 4096))
-			for i := 0; i < n; i++ {
-				f.Tags = append(f.Tags, ids.AID(d.u64("msg tag")))
-				if d.err != nil {
-					return nil, d.err
-				}
-			}
-		}
-		if n := d.count("msg vclock"); n > 0 {
-			f.VClock = make([]ClockEntry, 0, min(n, 4096))
-			for i := 0; i < n; i++ {
-				c := ClockEntry{Node: d.u32("vclock node")}
-				c.Seq = d.u64("vclock seq")
-				if d.err != nil {
-					return nil, d.err
-				}
-				f.VClock = append(f.VClock, c)
-			}
-		}
-		n := d.count("msg payload")
-		f.Payload = append([]byte(nil), d.take(n, "msg payload")...)
-		if err := d.finish(); err != nil {
+		var m Msg
+		if err := decodeMsg(body, &m, nil); err != nil {
 			return nil, err
 		}
-		return f, nil
+		m.Payload = append([]byte(nil), m.Payload...)
+		return m, nil
 	case FrameVerdict:
-		f := Verdict{AID: ids.AID(d.u64("verdict aid"))}
-		switch d.u8("verdict flag") {
-		case 0:
-		case 1:
-			f.Affirmed = true
-		default:
-			if d.err == nil {
-				return nil, fmt.Errorf("%w: verdict flag not 0/1", ErrFrame)
-			}
-		}
-		f.Origin = d.u32("verdict origin")
-		if err := d.finish(); err != nil {
+		v, err := decodeVerdict(body)
+		if err != nil {
 			return nil, err
 		}
-		return f, nil
+		return v, nil
 	case FrameDone:
 		f := Done{Node: d.u32("done node")}
 		if err := d.finish(); err != nil {
@@ -363,6 +358,53 @@ func DecodeBody(typ FrameType, body []byte) (any, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown frame type %d", ErrFrame, typ)
 	}
+}
+
+// decodeMsg parses a Msg body into m, reusing m's VClock storage. Tags
+// are a fresh slice (the receiver keeps them), Payload aliases body, and
+// From and To are the copies held in names when listed there (a nil map
+// makes fresh strings). On error m is left partly overwritten.
+func decodeMsg(body []byte, m *Msg, names map[string]string) error {
+	d := dec{b: body}
+	m.From = d.name("msg from", names)
+	m.To = d.name("msg to", names)
+	m.Seq = d.u64("msg seq")
+	m.Tags = nil
+	if n := d.count("msg tags"); n > 0 {
+		if p := d.take(8*n, "msg tags"); p != nil {
+			m.Tags = make([]ids.AID, n)
+			for i := range m.Tags {
+				m.Tags[i] = ids.AID(binary.BigEndian.Uint64(p[8*i:]))
+			}
+		}
+	}
+	m.VClock = m.VClock[:0]
+	if n := d.count("msg vclock"); n > 0 {
+		p := d.take(12*n, "msg vclock")
+		m.VClock = slices.Grow(m.VClock, len(p)/12)
+		for ; len(p) > 0; p = p[12:] {
+			m.VClock = append(m.VClock, ClockEntry{Node: binary.BigEndian.Uint32(p), Seq: binary.BigEndian.Uint64(p[4:])})
+		}
+	}
+	m.Payload = d.take(d.count("msg payload"), "msg payload")
+	return d.finish()
+}
+
+// decodeVerdict parses a Verdict body.
+func decodeVerdict(body []byte) (Verdict, error) {
+	d := dec{b: body}
+	v := Verdict{AID: ids.AID(d.u64("verdict aid"))}
+	switch d.u8("verdict flag") {
+	case 0:
+	case 1:
+		v.Affirmed = true
+	default:
+		if d.err == nil {
+			return Verdict{}, fmt.Errorf("%w: verdict flag not 0/1", ErrFrame)
+		}
+	}
+	v.Origin = d.u32("verdict origin")
+	return v, d.finish()
 }
 
 // WriteFrame serializes f and writes it to w, returning the wire size.
@@ -378,30 +420,83 @@ func WriteFrame(w io.Writer, f any) (int, error) {
 // cleanly only at a frame boundary; mid-frame truncation is
 // io.ErrUnexpectedEOF. The second result is the wire size consumed.
 func ReadFrame(r io.Reader) (any, int, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	lr := linkReader{r: r}
+	typ, body, n, err := lr.read()
+	if err != nil {
+		return nil, n, err
+	}
+	f, err := DecodeBody(typ, body)
+	return f, n, err
+}
+
+// keepBuf bounds the read buffer a linkReader keeps between frames: a
+// larger body is read into a buffer of its own, dropped after its frame.
+const keepBuf = 64 << 10
+
+// linkReader decodes one inbound link's frames into storage it reuses:
+// one read buffer, one Msg, one vector-clock slice. Each Msg and Verdict
+// is valid until the next read.
+type linkReader struct {
+	r   io.Reader
+	buf []byte
+	// names interns process names: a Msg's From and To are the copies
+	// held here when listed, fresh strings otherwise. Read-only.
+	names   map[string]string
+	msg     Msg
+	verdict Verdict
+}
+
+// read reads one frame and returns its type, its body — which aliases
+// the reader's buffer and is valid until the next read — and the wire
+// size consumed.
+func (lr *linkReader) read() (FrameType, []byte, int, error) {
+	if cap(lr.buf) > keepBuf {
+		lr.buf = nil
+	}
+	lr.buf = slices.Grow(lr.buf[:0], headerLen)[:headerLen]
+	hdr := lr.buf
+	if _, err := io.ReadFull(lr.r, hdr); err != nil {
 		if errors.Is(err, io.EOF) {
-			return nil, 0, io.EOF
+			return 0, nil, 0, io.EOF
 		}
-		return nil, 0, err
+		return 0, nil, 0, err
 	}
 	if hdr[0] != magic0 || hdr[1] != magic1 {
-		return nil, headerLen, fmt.Errorf("%w: bad magic %q", ErrFrame, hdr[:2])
+		return 0, nil, headerLen, fmt.Errorf("%w: bad magic %q", ErrFrame, hdr[:2])
 	}
 	if hdr[2] != Version {
-		return nil, headerLen, fmt.Errorf("%w: version %d, want %d", ErrFrame, hdr[2], Version)
+		return 0, nil, headerLen, fmt.Errorf("%w: version %d, want %d", ErrFrame, hdr[2], Version)
 	}
-	n := binary.BigEndian.Uint32(hdr[4:])
+	typ, n := FrameType(hdr[3]), int(binary.BigEndian.Uint32(hdr[4:]))
 	if n > MaxBody {
-		return nil, headerLen, fmt.Errorf("%w: body %d exceeds cap %d", ErrFrame, n, MaxBody)
+		return 0, nil, headerLen, fmt.Errorf("%w: body %d exceeds cap %d", ErrFrame, n, MaxBody)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	lr.buf = slices.Grow(lr.buf[:0], n)[:n]
+	if _, err := io.ReadFull(lr.r, lr.buf); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, headerLen, err
+		return 0, nil, headerLen, err
 	}
-	f, err := DecodeBody(FrameType(hdr[3]), body)
-	return f, headerLen + int(n), err
+	return typ, lr.buf, headerLen + n, nil
+}
+
+// next reads one frame. A Msg is decoded into lr.msg — its Payload
+// aliases the read buffer, while its names and Tags are the caller's to
+// keep — and a Verdict into lr.verdict; any other frame is returned.
+func (lr *linkReader) next() (FrameType, any, int, error) {
+	typ, body, n, err := lr.read()
+	if err != nil {
+		return 0, nil, n, err
+	}
+	var f any
+	switch typ {
+	case FrameMsg:
+		err = decodeMsg(body, &lr.msg, lr.names)
+	case FrameVerdict:
+		lr.verdict, err = decodeVerdict(body)
+	default:
+		f, err = DecodeBody(typ, body)
+	}
+	return typ, f, n, err
 }

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"hope/internal/ids"
 )
@@ -134,5 +136,116 @@ func TestPayloadRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, v) {
 			t.Fatalf("payload round trip %#v → %#v", v, got)
 		}
+	}
+}
+
+// sameFrame compares two decoded frames, treating a nil and an empty
+// slice alike: a linkReader reuses its vclock storage and aliases its
+// payload, so where ReadFrame returns nil it may hand out an empty
+// slice.
+func sameFrame(a, b any) bool {
+	ma, ok := a.(Msg)
+	mb, okb := b.(Msg)
+	if !ok || !okb {
+		return reflect.DeepEqual(a, b)
+	}
+	return ma.From == mb.From && ma.To == mb.To && ma.Seq == mb.Seq &&
+		slices.Equal(ma.Tags, mb.Tags) && slices.Equal(ma.VClock, mb.VClock) &&
+		bytes.Equal(ma.Payload, mb.Payload)
+}
+
+// checkLinkStream reads data through one linkReader, interning names,
+// and frame by frame through a fresh ReadFrame of the same bytes. It
+// fails on any difference — in the frames, the wire sizes, or where and
+// how the stream ends — and when the names or tags handed out for a Msg
+// change once the next frame is read. A listed name must come back as
+// the table's own copy. It returns the reader and how many frames it
+// read before the stream ended or failed.
+func checkLinkStream(t *testing.T, data []byte, names map[string]string) (*linkReader, int) {
+	t.Helper()
+	lr := &linkReader{r: bytes.NewReader(data), names: names}
+	// kept is what frame k handed out, as handed out and as a copy.
+	type kept struct {
+		from, to string
+		tags     []ids.AID
+		want     Msg
+	}
+	var prev *kept
+	for k, off := 0, 0; ; k++ {
+		typ, f, n, err := lr.next()
+		want, wn, werr := ReadFrame(bytes.NewReader(data[off:]))
+		if prev != nil && (prev.from != prev.want.From || prev.to != prev.want.To || !slices.Equal(prev.tags, prev.want.Tags)) {
+			t.Fatalf("frame %d: reading frame %d changed its names or tags to %q→%q %v", k-1, k, prev.from, prev.to, prev.tags)
+		}
+		if (err == nil) != (werr == nil) || errors.Is(err, io.EOF) != errors.Is(werr, io.EOF) || n != wn {
+			t.Fatalf("frame %d: link reader (%d bytes, %v), ReadFrame (%d bytes, %v)", k, n, err, wn, werr)
+		}
+		if err != nil {
+			return lr, k
+		}
+		got := f
+		switch typ {
+		case FrameMsg:
+			got = lr.msg
+		case FrameVerdict:
+			got = lr.verdict
+		}
+		if !sameFrame(got, want) {
+			t.Fatalf("frame %d: link reader %#v, ReadFrame %#v", k, got, want)
+		}
+		prev = nil
+		if typ == FrameMsg {
+			m := lr.msg
+			for _, s := range []string{m.From, m.To} {
+				if c, ok := names[s]; ok && unsafe.StringData(c) != unsafe.StringData(s) {
+					t.Fatalf("frame %d: name %q is a fresh string, not the interned one", k, s)
+				}
+			}
+			prev = &kept{from: m.From, to: m.To, tags: m.Tags, want: want.(Msg)}
+		}
+		off += n
+	}
+}
+
+// TestLinkReaderMatchesReadFrame: a link's reader decodes every frame
+// into storage it reuses, yet each frame equals a fresh ReadFrame
+// decode of its bytes. The stream puts a Msg with tags and a clock
+// before one with neither (what a missed reset leaks into), a Verdict
+// between two Msgs, and a maximum-size body before a small one (the
+// buffer must shrink back, not hold the big body for the link's
+// lifetime). A Msg payload's length is a count, capped at maxCount, so
+// that is the largest Msg body that decodes.
+func TestLinkReaderMatchesReadFrame(t *testing.T) {
+	const bigPayload = maxCount
+	frames := []any{
+		Hello{Node: 1, Name: "node1"},
+		Msg{
+			From: "worker0", To: "sink", Seq: 1,
+			Tags:    []ids.AID{1, 2, 1<<48 | 3},
+			VClock:  []ClockEntry{{Node: 0, Seq: 12}, {Node: 1, Seq: 9}},
+			Payload: []byte("tagged"),
+		},
+		Msg{From: "stranger", To: "sink", Seq: 2, Payload: []byte("bare")},
+		Msg{From: "worker0", To: "sink", Seq: 3, Tags: []ids.AID{7}, VClock: []ClockEntry{{Node: 0, Seq: 13}}},
+		Verdict{AID: 1<<48 | 3, Affirmed: false, Origin: 1},
+		Msg{From: "sink", To: "worker0", Seq: 4, Tags: []ids.AID{8, 9}, Payload: []byte("after the verdict")},
+		Msg{From: "big", To: "sink", Seq: 5, Payload: make([]byte, bigPayload)},
+		Msg{From: "worker0", To: "sink", Seq: 6, Payload: []byte("small")},
+		Done{Node: 1},
+	}
+	var stream []byte
+	for _, f := range frames {
+		var err error
+		if stream, err = AppendFrame(stream, f); err != nil {
+			t.Fatalf("encode %T: %v", f, err)
+		}
+	}
+	names := map[string]string{"worker0": "worker0", "sink": "sink"}
+	lr, n := checkLinkStream(t, stream, names)
+	if n != len(frames) {
+		t.Fatalf("the stream ended after %d of %d frames", n, len(frames))
+	}
+	if cap(lr.buf) > keepBuf {
+		t.Fatalf("the link kept a %d-byte read buffer after the maximum-size body", cap(lr.buf))
 	}
 }

@@ -7,10 +7,12 @@ import (
 )
 
 // FuzzFrame drives ReadFrame with arbitrary bytes. Invariants: no panic
-// on any input, and every successfully-decoded frame re-encodes to a
-// form that decodes back equal (the codec is a bijection on its valid
-// range). Seeds cover each frame type plus classic corruptions; the
-// checked-in corpus under testdata/fuzz extends them.
+// on any input, every successfully-decoded frame re-encodes to a form
+// that decodes back equal (the codec is a bijection on its valid
+// range), and a link's reader, reusing its storage across the whole
+// input, agrees frame by frame with fresh ReadFrame decodes. Seeds cover
+// each frame type plus classic corruptions; the checked-in corpus under
+// testdata/fuzz extends them.
 func FuzzFrame(f *testing.F) {
 	for _, fr := range sampleFrames() {
 		buf, err := AppendFrame(nil, fr)
@@ -28,7 +30,9 @@ func FuzzFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("HW"))
 	f.Add([]byte{'H', 'W', Version, byte(FrameMsg), 0xff, 0xff, 0xff, 0xff})
+	names := map[string]string{"a": "a", "b": "b", "sink": "sink"}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkLinkStream(t, data, names)
 		v, n, err := ReadFrame(bytes.NewReader(data))
 		if err != nil {
 			return

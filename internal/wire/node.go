@@ -58,6 +58,9 @@ type Node struct {
 	ln    net.Listener
 	peers map[uint32]*peer
 	plist []*peer // peers sorted by id, for deterministic fan-out order
+	// names interns inbound process names: the placement's, and only
+	// those, so a stranger's names cannot grow it. Read-only.
+	names map[string]string
 
 	started   chan struct{} // closed when the mesh is up
 	stopped   chan struct{} // closed by Close
@@ -119,7 +122,8 @@ type peer struct {
 	addr string
 	conn net.Conn
 	out  chan outFrame
-	slot int // obs metrics slot for the outbound link
+	free chan []byte // written frames' buffers, for the next frames to reuse
+	slot int         // obs metrics slot for the outbound link
 	lost atomic.Bool
 
 	// mu makes "encode the payload, queue the frame" one step, so the
@@ -136,6 +140,34 @@ type peer struct {
 // some thirty storm-sized frames per syscall, small enough that a
 // node's retained memory does not notice its links.
 const linkBuf = 4 << 10
+
+// A link recycles up to freeFrames frame buffers of at most freeCap
+// bytes each; larger or surplus buffers are left to the collector.
+const (
+	freeFrames = 16
+	freeCap    = 1 << 10
+)
+
+// frameBuf returns an empty buffer to build one outbound frame in.
+func (p *peer) frameBuf() []byte {
+	select {
+	case b := <-p.free:
+		return b
+	default:
+		return nil
+	}
+}
+
+// recycle offers a written frame's buffer to the link's free list.
+func (p *peer) recycle(b []byte) {
+	if cap(b) > freeCap {
+		return
+	}
+	select {
+	case p.free <- b[:0]:
+	default:
+	}
+}
 
 // NewNode wires a runtime into the cluster: it installs the remote
 // router and verdict sink on rt immediately, so spawn local processes
@@ -165,6 +197,10 @@ func NewNode(rt *engine.Runtime, cfg Config) (*Node, error) {
 		seen:    make(map[ids.AID]bool),
 		done:    make(map[uint32]bool),
 		clock:   []ClockEntry{{Node: cfg.ID}},
+		names:   make(map[string]string, len(cfg.Procs)),
+	}
+	for name := range cfg.Procs {
+		n.names[name] = name
 	}
 	for id, addr := range cfg.Peers {
 		p := &peer{
@@ -174,7 +210,8 @@ func NewNode(rt *engine.Runtime, cfg Config) (*Node, error) {
 			// The writer empties the queue into one write each time it
 			// wakes, so depth only has to cover what senders produce
 			// during one flush; two batches' worth of frames is ample.
-			out: make(chan outFrame, 64),
+			out:  make(chan outFrame, 64),
+			free: make(chan []byte, freeFrames),
 		}
 		p.slot = cfg.Obs.RegisterWirePeer("→" + p.name)
 		n.peers[id] = p
@@ -294,7 +331,7 @@ func (n *Node) route(m engine.WireMsg) error {
 		return fmt.Errorf("wire: encode %s→%s payload: %w", m.From, m.To, err)
 	}
 	p.vc = n.tick(p.vc[:0])
-	buf, err := AppendFrame(nil, Msg{
+	buf, err := appendMsg(p.frameBuf(), &Msg{
 		From: m.From, To: m.To, Seq: m.Seq,
 		Tags: m.Tags, VClock: p.vc, Payload: payload,
 	})
@@ -329,14 +366,11 @@ func (n *Node) onVerdict(x ids.AID, affirmed bool) {
 	if already || len(n.plist) == 0 {
 		return
 	}
-	buf, err := AppendFrame(nil, Verdict{AID: x, Affirmed: affirmed, Origin: n.cfg.ID})
-	if err != nil {
-		n.noteErr(err)
-		return
-	}
+	v := Verdict{AID: x, Affirmed: affirmed, Origin: n.cfg.ID}
 	fanout := 0
 	for _, p := range n.plist {
-		if n.enqueue(p, outFrame{buf: buf}) == nil {
+		// One buffer per peer: each link's writer recycles its own.
+		if n.enqueue(p, outFrame{buf: appendVerdict(p.frameBuf(), v)}) == nil {
 			fanout++
 		}
 	}
@@ -412,6 +446,7 @@ func (n *Node) writeLoop(p *peer) {
 			if f.sent != nil {
 				f.sent <- struct{}{}
 			}
+			p.recycle(f.buf)
 		}
 		clear(held) // drop the frame buffers, not just the length
 		batch, held = batch[:0], held[:0]
@@ -473,12 +508,14 @@ func (n *Node) acceptLoop() {
 
 // readLoop drains one inbound connection: Hello identifies the peer,
 // then Msg frames are injected into the runtime, Verdict frames applied
-// (once), Done frames counted toward the termination barrier.
+// (once), Done frames counted toward the termination barrier. Frames are
+// read into the link's reused storage (linkReader); a Msg's payload is
+// decoded before the next read overwrites it.
 func (n *Node) readLoop(conn net.Conn) {
 	defer n.wg.Done()
 	defer conn.Close()
-	br := bufio.NewReaderSize(conn, linkBuf)
-	f, sz, err := ReadFrame(br)
+	lr := linkReader{r: bufio.NewReaderSize(conn, linkBuf), names: n.names}
+	typ, f, sz, err := lr.next()
 	if err != nil {
 		if !n.closing() {
 			n.noteErr(fmt.Errorf("wire: inbound %s: %w", conn.RemoteAddr(), err))
@@ -487,7 +524,7 @@ func (n *Node) readLoop(conn net.Conn) {
 	}
 	hello, ok := f.(Hello)
 	if !ok {
-		n.noteErr(fmt.Errorf("wire: inbound %s opened with %T, want Hello", conn.RemoteAddr(), f))
+		n.noteErr(fmt.Errorf("wire: inbound %s opened with a %s frame, want Hello", conn.RemoteAddr(), typ))
 		return
 	}
 	slot := n.cfg.Obs.RegisterWirePeer("←" + hello.Name)
@@ -496,7 +533,7 @@ func (n *Node) readLoop(conn net.Conn) {
 	var payloads payloadDecoder        // the receiving end of the link's payload stream
 	sawDone := false
 	for {
-		f, sz, err := ReadFrame(br)
+		typ, f, sz, err := lr.next()
 		if err != nil {
 			// EOF at a frame boundary is the peer leaving; anything after
 			// its Done, or during our own shutdown, is normal teardown.
@@ -506,8 +543,9 @@ func (n *Node) readLoop(conn net.Conn) {
 			return
 		}
 		n.cfg.Obs.WireFrameIn(slot, sz)
-		switch m := f.(type) {
-		case Msg:
+		switch typ {
+		case FrameMsg:
+			m := &lr.msg
 			n.mergeClock(m.VClock)
 			if last, seen := lastSeq[m.From]; seen && m.Seq <= last {
 				n.cfg.Obs.WireRedelivery(slot)
@@ -531,18 +569,19 @@ func (n *Node) readLoop(conn net.Conn) {
 			}); err != nil {
 				n.noteErr(fmt.Errorf("wire: inject %s→%s: %w", m.From, m.To, err))
 			}
-		case Verdict:
-			if !n.markSeen(m.AID) {
+		case FrameVerdict:
+			v := lr.verdict
+			if !n.markSeen(v.AID) {
 				continue
 			}
-			if err := n.rt.ApplyVerdict(m.AID, m.Affirmed); err != nil {
-				n.noteErr(fmt.Errorf("wire: verdict %v from node %d: %w", m.AID, m.Origin, err))
+			if err := n.rt.ApplyVerdict(v.AID, v.Affirmed); err != nil {
+				n.noteErr(fmt.Errorf("wire: verdict %v from node %d: %w", v.AID, v.Origin, err))
 			}
-		case Done:
+		case FrameDone:
 			sawDone = true
-			n.markDone(m.Node)
+			n.markDone(f.(Done).Node)
 		default:
-			n.noteErr(fmt.Errorf("wire: unexpected %T from %s", f, hello.Name))
+			n.noteErr(fmt.Errorf("wire: unexpected %s frame from %s", typ, hello.Name))
 		}
 	}
 }
@@ -585,13 +624,13 @@ func (n *Node) Barrier(timeout time.Duration) error {
 	if len(n.plist) == 0 {
 		return nil
 	}
-	buf, err := AppendFrame(nil, Done{Node: n.cfg.ID})
-	if err != nil {
-		return err
-	}
 	acks := make(chan struct{}, len(n.plist))
 	flushes := 0
 	for _, p := range n.plist {
+		buf, err := AppendFrame(p.frameBuf(), Done{Node: n.cfg.ID})
+		if err != nil {
+			return err
+		}
 		if n.enqueue(p, outFrame{buf: buf, sent: acks}) == nil {
 			flushes++
 		}

@@ -68,6 +68,7 @@ func RegisterPayload(v any) {
 type payloadEncoder struct {
 	buf bytes.Buffer
 	enc *gob.Encoder // nil: the next segment opens a new stream
+	v   any          // the value being encoded: Encode(&e.v) escapes nothing new
 }
 
 // encode returns v's segment, valid until the next call. A failed encode
@@ -83,7 +84,10 @@ func (e *payloadEncoder) encode(v any) ([]byte, error) {
 	} else {
 		e.buf.WriteByte(streamNext)
 	}
-	if err := e.enc.Encode(&v); err != nil {
+	e.v = v
+	err := e.enc.Encode(&e.v)
+	e.v = nil
+	if err != nil {
 		e.enc = nil
 		return nil, err
 	}
@@ -96,6 +100,7 @@ func (e *payloadEncoder) encode(v any) ([]byte, error) {
 type payloadDecoder struct {
 	r   bytes.Reader
 	dec *gob.Decoder
+	v   any // the value being decoded: Decode(&d.v) escapes nothing new
 }
 
 // decode returns the value in the stream's next segment.
@@ -114,14 +119,17 @@ func (d *payloadDecoder) decode(seg []byte) (any, error) {
 		return nil, errors.New("wire: payload segment continues a stream that was never opened")
 	}
 	d.r.Reset(seg[1:])
-	var v any
-	if err := d.dec.Decode(&v); err != nil {
+	err := d.dec.Decode(&d.v)
+	v, rest := d.v, d.r.Len()
+	d.v = nil
+	d.r.Reset(nil) // seg aliases the link's read buffer: hold no reference to it
+	if err != nil {
 		d.dec = nil
 		return nil, err
 	}
-	if d.r.Len() != 0 {
+	if rest != 0 {
 		d.dec = nil
-		return nil, fmt.Errorf("wire: %d bytes after the value in a payload segment", d.r.Len())
+		return nil, fmt.Errorf("wire: %d bytes after the value in a payload segment", rest)
 	}
 	return v, nil
 }

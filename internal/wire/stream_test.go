@@ -431,13 +431,16 @@ func TestStreamDecodeErrorDropsLink(t *testing.T) {
 	}
 }
 
-// TestWireHopAllocBudget is the shape test for the per-link payload
-// stream: with descriptors and codecs set up once per link, a warm
-// struct message costs a few dozen allocations end to end (engine send
-// and receive included); a gob encoder and decoder built per message
-// cost about two hundred.
+// TestWireHopAllocBudget prices a warm struct message end to end,
+// engine send and receive included. With the payload codecs built once
+// per link and the frames read into, and built in, reused buffers, a hop
+// allocates about eight times: the Tags the receiver keeps, the payload
+// value, the engine's own message, and gob's decode path. A body buffer
+// per frame read, a boxed Msg or a fresh frame buffer per send puts it
+// near twenty; a gob encoder and decoder built per message, near two
+// hundred.
 func TestWireHopAllocBudget(t *testing.T) {
-	const warm, msgs, budget = 100, 1000, 60
+	const warm, msgs, budget = 100, 1000, 12
 	c := newCluster(t, 2, map[string]uint32{"tx": 0, "rx": 1}, nil, nil)
 	// Neither body speculates, so neither replays: the channels are safe.
 	warmed, measured := make(chan struct{}), make(chan struct{})
@@ -481,6 +484,66 @@ func TestWireHopAllocBudget(t *testing.T) {
 	perMsg := float64(after.Mallocs-before.Mallocs) / msgs
 	t.Logf("%.1f allocations per message", perMsg)
 	if !raceEnabled && perMsg > budget {
-		t.Fatalf("%.1f allocations per wire message, budget %d: is the payload codec being rebuilt per message?", perMsg, budget)
+		t.Fatalf("%.1f allocations per wire message, budget %d: is a frame or payload buffer being allocated per message?", perMsg, budget)
+	}
+}
+
+// TestInternsPlacementNamesOnly: a sender outside the placement is
+// served as it always was — its message is delivered under its own name,
+// and one for a process placed nowhere is reported — while the intern
+// table keeps the placement's names and no others.
+func TestInternsPlacementNamesOnly(t *testing.T) {
+	procs := map[string]uint32{"rx": 0}
+	c := newCluster(t, 1, procs, nil, nil)
+	spawn(t, c.rts[0], "rx", func(p *engine.Proc) error {
+		m, err := p.Recv()
+		if err != nil {
+			return err
+		}
+		p.Printf("%s: %v\n", m.From, m.Payload)
+		return nil
+	})
+	c.start(t)
+	conn, err := net.Dial("tcp", c.nodes[0].Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var e payloadEncoder
+	var segs [][]byte
+	for _, v := range []any{"hello", "lost"} {
+		seg, err := e.encode(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs = append(segs, append([]byte(nil), seg...))
+	}
+	for _, f := range []any{
+		Hello{Node: 9, Name: "rogue"},
+		Msg{From: "stranger", To: "rx", Seq: 1, Payload: segs[0]},
+		Msg{From: "stranger", To: "nowhere", Seq: 2, Payload: segs[1]},
+	} {
+		if _, err := WriteFrame(conn, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if errs := waitRuntime(t, c.rts[0]); len(errs) > 0 {
+		t.Fatal(errs)
+	}
+	if got, want := c.bufs[0].String(), "stranger: hello\n"; got != want {
+		t.Fatalf("rx committed %q, want %q", got, want)
+	}
+	report := fmt.Sprintf("wire: inject stranger→nowhere: %v: %q", engine.ErrUnknownDest, "nowhere")
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		err := c.nodes[0].Err()
+		if err != nil && err.Error() == report {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node error = %v, want %q", err, report)
+		}
+	}
+	if got := len(c.nodes[0].names); got != len(procs) {
+		t.Fatalf("intern table holds %d names after a stranger's frames, want the placement's %d", got, len(procs))
 	}
 }

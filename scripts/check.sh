@@ -3,9 +3,10 @@
 # compile, gofmt, vet, check every process body against the replay
 # contract with hopevet, check that workloads are defined once and that
 # the engine logs and blocks in one place each, the tracker states each
-# resolution rule once and a message fault is decided once, then the
-# race-enabled test suite. Run from
-# anywhere; it cds to the repo root.
+# resolution rule once, a message fault is decided once and a wire hop
+# allocates only what it hands over (including the alloc budgets, run
+# without the race detector, which skips them), then the race-enabled
+# test suite. Run from anywhere; it cds to the repo root.
 #
 #   ./scripts/check.sh
 #
@@ -91,6 +92,17 @@ expect internal/tracker '"hope/internal/sets"' 0
 echo "== one fault decision per message"
 expect internal/engine 'DropNow|DupNow|DelayNow' 3
 expect internal/wire '"hope/internal/fault"' 0
+
+# A wire hop allocates only what the receiver keeps (DESIGN.md, "Buffer
+# ownership"): frames are built in recycled per-link buffers by the
+# typed appendMsg/appendVerdict, and read into one reused buffer per
+# link. A boxed frame built in a fresh buffer, or a body buffer per
+# read, is the per-message garbage coming back. The alloc budgets price
+# the rest; under -race below they only log their counts.
+echo "== a wire hop allocates only what it hands over"
+expect internal/wire 'AppendFrame\(nil, (Msg|Verdict)' 0
+expect internal/wire 'make\(\[\]byte, n\)' 0
+go test -count=1 -run AllocBudget ./internal/tracker ./internal/wire
 
 echo "== go test -race ./..."
 go test -race ./...
