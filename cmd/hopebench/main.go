@@ -1,14 +1,16 @@
 // Command hopebench regenerates the experiment tables recorded in
-// EXPERIMENTS.md: the paper's quantitative claims (E1–E3) and the
-// characterization of every substrate the library ships (E4–E15).
+// EXPERIMENTS.md: the paper's own claims (E1, E2), the optimism
+// crossover (E3) and the substrate comparisons (E6–E10).
 //
 //	hopebench              # run everything
 //	hopebench -exp E1,E3   # run a subset
 //	hopebench -list        # list experiments
 //
 // It renders tables for reading. Numbers that are guarded live
-// elsewhere: the repo's benchmark (go run ./benchmark, BENCHMARK.json)
-// and the shape tests in internal/experiments.
+// elsewhere, one oracle per claim, listed in the ledger at the top of
+// EXPERIMENTS.md: the repo's benchmark (go run ./benchmark,
+// BENCHMARK.json), the shape tests in internal/experiments, the
+// scenario differentials and soaks, and the model checker.
 package main
 
 import (
@@ -22,7 +24,7 @@ import (
 )
 
 func main() {
-	expFlag := flag.String("exp", "all", "comma-separated experiment IDs (E1..E15) or 'all'")
+	expFlag := flag.String("exp", "all", "comma-separated experiment IDs (see -list) or 'all'")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()
 

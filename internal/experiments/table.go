@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // table renders aligned experiment rows: the output format every
@@ -40,12 +41,12 @@ func (t *table) AddRow(cells ...any) {
 func (t *table) Render(w io.Writer) {
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if n := utf8.RuneCountInString(c); i < len(widths) && n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
@@ -71,11 +72,14 @@ func (t *table) Render(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
+// pad widens s to w columns; a column is a rune, so "µs" and "∞" are
+// as wide as their ASCII neighbours.
 func pad(s string, w int) string {
-	if len(s) >= w {
+	n := utf8.RuneCountInString(s)
+	if n >= w {
 		return s
 	}
-	return s + strings.Repeat(" ", w-len(s))
+	return s + strings.Repeat(" ", w-n)
 }
 
 // speedup formats a baseline/variant ratio.

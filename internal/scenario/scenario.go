@@ -7,12 +7,13 @@
 //
 //   - print.go — the paper's Figure 1 → Figure 2 print worker (Print,
 //     PrintJobs); registered as "callstreaming", swept by E1, called by
-//     E12, BenchmarkE1 and examples/callstreaming.
+//     BenchmarkE1 and examples/callstreaming.
 //   - echo.go — accuracy-trace echo calls (Echo, AccuracyTrace);
-//     registered as "echo", swept by E3, E10, E15 and BenchmarkE3/E10.
+//     registered as "echo", swept by E3, E10 and BenchmarkE3/E10, and
+//     by the adaptive-admission shape test.
 //   - cluster.go — RunNode, one runtime joined to a wire mesh, and
-//     Loopback, n of them in this process; StormNode (cmd/hopenode),
-//     StormWire and E14's wired ring are their clients.
+//     Loopback, n of them in this process; StormNode (cmd/hopenode) and
+//     StormWire are their clients.
 //   - storm.go, journal.go, and Fanout/TimeWarp below — the fault,
 //     checkpoint, delivery and Time Warp workloads.
 //

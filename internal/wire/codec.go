@@ -386,7 +386,9 @@ func decodeMsg(body []byte, m *Msg, names map[string]string) error {
 			m.VClock = append(m.VClock, ClockEntry{Node: binary.BigEndian.Uint32(p), Seq: binary.BigEndian.Uint64(p[4:])})
 		}
 	}
-	m.Payload = d.take(d.count("msg payload"), "msg payload")
+	// A byte length, not a count: take bounds it by the body, which
+	// ReadFrame already capped at MaxBody.
+	m.Payload = d.take(int(d.u32("msg payload")), "msg payload")
 	return d.finish()
 }
 

@@ -213,10 +213,10 @@ func checkLinkStream(t *testing.T, data []byte, names map[string]string) (*linkR
 // before one with neither (what a missed reset leaks into), a Verdict
 // between two Msgs, and a maximum-size body before a small one (the
 // buffer must shrink back, not hold the big body for the link's
-// lifetime). A Msg payload's length is a count, capped at maxCount, so
-// that is the largest Msg body that decodes.
+// lifetime). The big Msg is the largest body AppendFrame accepts.
 func TestLinkReaderMatchesReadFrame(t *testing.T) {
-	const bigPayload = maxCount
+	// MaxBody less the big Msg's names, seq and three length fields.
+	const bigPayload = MaxBody - (2 + len("big") + 2 + len("sink") + 8 + 4 + 4 + 4)
 	frames := []any{
 		Hello{Node: 1, Name: "node1"},
 		Msg{

@@ -3,10 +3,11 @@
 # compile, gofmt, vet, check every process body against the replay
 # contract with hopevet, check that workloads are defined once and that
 # the engine logs and blocks in one place each, the tracker states each
-# resolution rule once, a message fault is decided once and a wire hop
+# resolution rule once, a message fault is decided once, a wire hop
 # allocates only what it hands over (including the alloc budgets, run
-# without the race detector, which skips them), then the race-enabled
-# test suite. Run from anywhere; it cds to the repo root.
+# without the race detector, which skips them) and each claim has one
+# evidence path, then the race-enabled test suite. Run from anywhere; it
+# cds to the repo root.
 #
 #   ./scripts/check.sh
 #
@@ -103,6 +104,20 @@ echo "== a wire hop allocates only what it hands over"
 expect internal/wire 'AppendFrame\(nil, (Msg|Verdict)' 0
 expect internal/wire 'make\(\[\]byte, n\)' 0
 go test -count=1 -run AllocBudget ./internal/tracker ./internal/wire
+
+# Each claim has one oracle, named in EXPERIMENTS.md's ledger: a tier-1
+# test, a BENCHMARK.json metric or a model-checker theorem. hopebench
+# renders tables for the paper's own claims and the substrate
+# comparisons (E1, E2, E3, E6–E10) and nothing else. A ninth runner, or
+# a package that outgrows 1,000 non-test lines, is a second evidence
+# path for a claim coming back.
+echo "== one evidence path per claim"
+expect internal/experiments 'ID: *"E' 8
+n=$(cat $(ls internal/experiments/*.go | grep -v '_test\.go$') | wc -l | tr -d ' ')
+if [ "$n" -gt 1000 ]; then
+	echo "internal/experiments: $n non-test lines, want at most 1000" >&2
+	exit 1
+fi
 
 echo "== go test -race ./..."
 go test -race ./...
