@@ -212,6 +212,49 @@ func TestParkedProcessSurvivesRepeatedRollbacks(t *testing.T) {
 	}
 }
 
+// TestParkedProcessWokenByAnotherAffirm: a body that returns while
+// speculative parks, and the affirm that finalizes its interval comes
+// later, from another process. The finalize is a resolution, so the
+// watcher wakes the parked process, which finds itself definite and is
+// done: Wait returns, and the parked interval's effect was released.
+func TestParkedProcessWokenByAnotherAffirm(t *testing.T) {
+	rt, buf := newRT(t)
+	spawn(t, rt, "judge", func(p *Proc) error {
+		claim, err := p.Recv()
+		if err != nil {
+			return err
+		}
+		if _, err := p.Recv(); err != nil { // the go-ahead, once the worker parked
+			return err
+		}
+		return p.Affirm(claim.Payload.(AID))
+	})
+	spawn(t, rt, "worker", func(p *Proc) error {
+		x := p.NewAID()
+		if err := p.Send("judge", x); err != nil {
+			return err
+		}
+		if p.Guess(x) {
+			p.Printf("affirmed\n")
+		}
+		return nil // parks speculative
+	})
+	rt.Quiesce()
+	rt.mu.Lock()
+	worker := rt.procs["worker"]
+	rt.mu.Unlock()
+	if ph := worker.phase(); ph != stateParked {
+		t.Fatalf("worker is %v at quiescence, want parked\n%s", ph, rt.DebugString())
+	}
+	if err := rt.InjectRemote(WireMsg{From: "test", To: "judge", Seq: 1, Payload: "go"}); err != nil {
+		t.Fatal(err)
+	}
+	waitClean(t, rt)
+	if got := buf.String(); got != "affirmed\n" {
+		t.Fatalf("output = %q, want the parked interval's effect", got)
+	}
+}
+
 // TestRecvMatchSkipsWithoutConsuming: messages not matching the predicate
 // must remain deliverable, in order, to later receives.
 func TestRecvMatchSkipsWithoutConsuming(t *testing.T) {

@@ -155,10 +155,11 @@ type Runtime struct {
 	byID     map[ids.Proc]*Proc
 	inflight int
 	closed   bool
-	// settledWaiters are the processes currently blocked on resolution
-	// state — in RecvSettled or a pessimistic Guess (wait.global). The
-	// resolution watcher wakes exactly these instead of locking every
-	// process on every resolution (guarded by mu; written by setPhase).
+	// settledWaiters are the processes whose progress hangs on resolution
+	// state — parked, or blocked in RecvSettled or a pessimistic Guess
+	// (resolutionWaiter). The resolution watcher wakes exactly these
+	// instead of locking every process on every resolution (guarded by
+	// mu; written by setPhase).
 	settledWaiters map[*Proc]struct{}
 
 	// scheds is the delivery-scheduler pool: one scheduler (goroutine +
@@ -264,11 +265,11 @@ func New(opts ...Option) *Runtime {
 			}
 		})
 	}
-	// Wake pessimistic waiters (RecvSettled, admission-denied Guess)
-	// whenever any assumption resolves: their progress depends on global
-	// resolution state, not just their own queue. Only the registered
-	// settledWaiters are woken — a resolution does not serialize against
-	// every process in the system.
+	// Wake pessimistic waiters (RecvSettled, admission-denied Guess) and
+	// parked bodies whenever any assumption resolves or interval settles:
+	// their progress depends on global resolution state, not just their
+	// own queue. Only the registered settledWaiters are woken — a
+	// resolution does not serialize against every process in the system.
 	r.tr.SetResolutionWatcher(func() {
 		// Most resolutions find a handful of waiters (often the one
 		// sink): collect them on the stack, spilling to the heap only
@@ -283,7 +284,7 @@ func New(opts ...Option) *Runtime {
 		r.mu.Unlock()
 		for _, p := range waiters {
 			p.mu.Lock()
-			if p.wait.global() {
+			if resolutionWaiter(p.state, &p.wait) {
 				p.cond.Broadcast()
 			}
 			p.mu.Unlock()
@@ -364,13 +365,7 @@ type procHooks Proc
 
 // NotifyRollback implements tracker.Hooks: the target itself lives in the
 // tracker (merged under its lock); this hook only wakes the process.
-func (h *procHooks) NotifyRollback() {
-	p := (*Proc)(h)
-	p.mu.Lock()
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	p.rt.bump()
-}
+func (h *procHooks) NotifyRollback() { (*Proc)(h).wake() }
 
 // bump wakes Quiesce/Wait evaluators.
 func (r *Runtime) bump() {
@@ -379,12 +374,14 @@ func (r *Runtime) bump() {
 	r.mu.Unlock()
 }
 
-// route delivers src's msg to the named destination, applying the latency
-// model. It is the one place a message fault is decided: with a plan
-// attached, each live send draws drop, delay and dup once, before the
-// destination is known to be local or remote, so a message that crosses
-// the wire is faulted exactly like one that does not. A drop returns
-// ErrDelivery; the caller logs it, so replay never asks the plan again.
+// route delivers src's message — seq, payload and tags — to the named
+// destination, applying the latency model; it builds the engine's rmsg
+// only for a local destination. It is the one place a message fault is
+// decided: with a plan attached, each live send draws drop, delay and
+// dup once, before the destination is known to be local or remote, so a
+// message that crosses the wire is faulted exactly like one that does
+// not. A drop returns ErrDelivery; the caller logs it, so replay never
+// asks the plan again.
 //
 // Channels are FIFO per directed (from, to) link, as the paper's model
 // (and the replay log) requires: with a latency model installed, a
@@ -392,7 +389,7 @@ func (r *Runtime) bump() {
 // timer fires first. Delayed deliveries are drained by one scheduler
 // goroutine off a min-heap of due times (see sched.go) instead of one
 // goroutine + timer per message.
-func (r *Runtime) route(src *Proc, to string, msg *rmsg) error {
+func (r *Runtime) route(src *Proc, to string, seq uint64, payload any, tags []ids.AID) error {
 	from := src.name
 	var extra time.Duration
 	dup := false
@@ -419,7 +416,7 @@ func (r *Runtime) route(src *Proc, to string, msg *rmsg) error {
 		// Cross-process destination: hand off to the wire layer, which
 		// holds the link for the injected delay. Its ErrDelivery (a lost
 		// peer) surfaces from Send like an injected drop.
-		m := WireMsg{From: from, To: to, Seq: msg.seq, Tags: msg.tags, Payload: msg.payload, Delay: extra}
+		m := WireMsg{From: from, To: to, Seq: seq, Tags: tags, Payload: payload, Delay: extra}
 		if err := remote(m); err != nil || !dup {
 			return err
 		}
@@ -430,6 +427,7 @@ func (r *Runtime) route(src *Proc, to string, msg *rmsg) error {
 		_ = remote(m)
 		return nil
 	}
+	msg := &rmsg{seq: seq, from: from, payload: payload, tags: tags}
 	if r.latency == nil && r.faults == nil {
 		// Synchronous delivery in the sender's goroutine is trivially
 		// FIFO per link.

@@ -158,9 +158,6 @@ type Proc struct {
 	// state to the next attempt; Restored consumes them.
 	restoredState any
 	hasRestored   bool
-	// wakeFn is p.wake as a func value, made once: every interval p opens
-	// carries it as a commit effect (watchFinalize).
-	wakeFn func()
 
 	restarts atomic.Int32
 	resumes  atomic.Int32
@@ -206,10 +203,15 @@ type wait struct {
 // expired reports whether the wait's deadline has passed.
 func (w *wait) expired() bool { return !w.deadline.IsZero() && !time.Now().Before(w.deadline) }
 
-// global reports whether the wait can end on a resolution alone, with
-// nothing enqueued to the process: such waiters are registered in
-// rt.settledWaiters for the resolution watcher to wake.
-func (w *wait) global() bool { return w.aid.Valid() || w.mode == scanSettled }
+// resolutionWaiter reports whether a process in phase s waiting for w
+// can make progress on a resolution alone, with nothing enqueued to it:
+// a wait for a verdict or a settled message, or a parked body, whose
+// speculation settles when another process's resolution finalizes its
+// last interval. Such processes are registered in rt.settledWaiters for
+// the resolution watcher to wake.
+func resolutionWaiter(s procPhase, w *wait) bool {
+	return s == stateParked || w.aid.Valid() || w.mode == scanSettled
+}
 
 // String renders the wait for DebugString.
 func (w *wait) String() string {
@@ -240,7 +242,7 @@ func (w *wait) String() string {
 func (p *Proc) setPhase(s procPhase, w wait) {
 	p.rt.mu.Lock()
 	p.mu.Lock()
-	if g := w.global(); g != p.wait.global() {
+	if g := resolutionWaiter(s, &w); g != resolutionWaiter(p.state, &p.wait) {
 		if g {
 			p.rt.settledWaiters[p] = struct{}{}
 		} else {
@@ -387,23 +389,13 @@ func (p *Proc) enqueue(m *rmsg) {
 	p.rt.obs.MsgEnqueued(depth)
 }
 
-// wake re-evaluates park/recv conditions (registered as a finalize
-// effect so parked processes notice becoming definite).
+// wake makes a blocked or parked process re-examine its wait: a rollback
+// target landed (NotifyRollback) or a receive deadline passed.
 func (p *Proc) wake() {
 	p.mu.Lock()
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	p.rt.bump()
-}
-
-// watchFinalize registers wake as a commit effect of the interval p just
-// opened, so park() notices when it finalizes. An ErrRolledBack here is
-// caught by logged's checkPending.
-func (p *Proc) watchFinalize() {
-	if p.wakeFn == nil {
-		p.wakeFn = p.wake
-	}
-	_ = p.rt.tr.AttachEffect(p.id, p.wakeFn, nil)
 }
 
 // loop is the process goroutine: run the body, replaying after each
@@ -529,7 +521,9 @@ func (p *Proc) resumeLocked(counted bool) {
 }
 
 // park blocks a completed body until its speculation settles, the runtime
-// shuts down, or a rollback re-activates it.
+// shuts down, or a rollback re-activates it. Parked, the process is a
+// resolution waiter (setPhase): the finalize that makes it definite is a
+// resolution, and the watcher wakes it.
 func (p *Proc) park() {
 	p.setPhase(stateParked, wait{})
 	p.mu.Lock()
@@ -687,14 +681,13 @@ func (p *Proc) Guess(a AID) bool {
 	if err != nil {
 		p.trackerErr(err)
 	}
-	if out.Interval.Valid() {
-		p.watchFinalize()
-		if c != nil {
-			// Attribute the eventual verdict back to this site so the
-			// estimator learns from it (engine-owned verdict sink).
-			c.NoteGuess(site, a.id)
-		}
-	} else if c != nil {
+	switch {
+	case c == nil:
+	case out.Interval.Valid():
+		// Attribute the eventual verdict back to this site so the
+		// estimator learns from it (engine-owned verdict sink).
+		c.NoteGuess(site, a.id)
+	default:
 		// Short-circuit on an already-resolved AID: the verdict is known
 		// now — credit the estimator directly.
 		p.rt.obs.SiteVerdict(site, out.Result)
@@ -780,13 +773,7 @@ func (p *Proc) send(to string, payload any) bool {
 	if err != nil {
 		p.trackerErr(err)
 	}
-	msg := &rmsg{
-		seq:     p.rt.seq.Add(1),
-		from:    p.name,
-		payload: payload,
-		tags:    tags,
-	}
-	if err := p.rt.route(p, to, msg); err != nil {
+	if err := p.rt.route(p, to, p.rt.seq.Add(1), payload, tags); err != nil {
 		if !errors.Is(err, ErrDelivery) {
 			p.fatal(err)
 		}
@@ -919,9 +906,6 @@ func (p *Proc) receive(w wait) (Msg, error) {
 			if out.Orphan {
 				p.rt.bump()
 				continue
-			}
-			if out.Interval.Valid() {
-				p.watchFinalize()
 			}
 			p.logged(entry{kind: entryRecv, ok: true, msg: m, iv: out.Interval})
 			return Msg{From: m.from, Payload: m.payload}, nil

@@ -277,7 +277,7 @@ func (t *Tracker) affirmLocked(p ids.Proc, cur *intervalState, a *aidState, ctx 
 		for _, y := range a.replacement {
 			t.dependLocked(b, y)
 		}
-		b.ido = withoutAID(b.ido, x)
+		dropDep(b, x)
 		if len(b.ido) == 0 {
 			t.finalizeLocked(b, ctx)
 		}
@@ -390,7 +390,7 @@ func (t *Tracker) finalizeLocked(iv *intervalState, ctx *opCtx) {
 	}
 	// Unreachable from here on (no shard map, no live chain), so finish
 	// reads iv.commits outside the locks.
-	ctx.finalized = append(ctx.finalized, iv)
+	ctx.addFinalized(iv)
 	iv.aborts = nil
 	delete(sh.intervals, iv.id)
 

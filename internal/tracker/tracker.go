@@ -197,13 +197,20 @@ type intervalState struct {
 	// openedAt is the wall-clock birth of the interval, stamped only
 	// when an observer is attached (it feeds the speculation-lifetime
 	// histogram at settlement).
-	openedAt     time.Time
-	ido          []ids.AID // sorted
+	openedAt time.Time
+	ido      []ids.AID // sorted
+	// idoShared marks that a message tag (Tag) shares ido's backing
+	// array: the next write copies it first (dependLocked, dropDep). Set
+	// under the read lock, so atomic; read and cleared under the write
+	// lock.
+	idoShared    atomic.Bool
 	ihd          []ids.AID
 	specAffirmed []ids.AID
 	status       status
-	commits      []func()
-	aborts       []func()
+	// commits starts in firstCommit: most intervals release one effect.
+	commits     []func()
+	firstCommit [1]func()
+	aborts      []func()
 }
 
 // hasAID reports whether the sorted set s holds x.
@@ -442,9 +449,11 @@ func (t *Tracker) Definite(p ids.Proc) bool {
 }
 
 // Tag returns the sending process's current dependency set — the message
-// tag of §3. The result is a fresh slice. It returns ErrRolledBack when
-// the process has a pending rollback: a send from a doomed continuation
-// would otherwise escape orphaning by carrying post-rollback tags.
+// tag of §3. The result is shared and read-only: it is the current
+// interval's IDO, which the tracker copies before it next writes it. It
+// returns ErrRolledBack when the process has a pending rollback: a send
+// from a doomed continuation would otherwise escape orphaning by
+// carrying post-rollback tags.
 func (t *Tracker) Tag(p ids.Proc) ([]ids.AID, error) {
 	s := t.procShard(p)
 	s.mu.RLock()
@@ -457,7 +466,8 @@ func (t *Tracker) Tag(p ids.Proc) ([]ids.AID, error) {
 		return nil, ErrRolledBack
 	}
 	if cur := ps.current(); cur != nil {
-		return slices.Clone(cur.ido), nil
+		cur.idoShared.Store(true)
+		return slices.Clip(cur.ido), nil
 	}
 	return nil, nil
 }
@@ -591,9 +601,12 @@ type opCtx struct {
 	// notify lists each process with a new rollback target once, in the
 	// order the cascade reached them.
 	notify []procHooks
-	// finalized are the intervals this operation made definite, in
-	// cascade order; finish releases their commits in interval order.
-	finalized []*intervalState
+	// The nfin intervals this operation made definite, in cascade
+	// order; finish releases their commits in interval order. The first
+	// few sit in fin; past that, all of them move to finMore.
+	fin     [4]*intervalState
+	nfin    int
+	finMore []*intervalState
 	// after holds the aborts of discarded intervals, in cascade order.
 	after []func()
 	// verdicts holds the terminal verdicts for the sink, in cascade
@@ -628,6 +641,27 @@ type verdictNote struct {
 	affirmed bool
 }
 
+// addFinalized records iv as made definite by this operation.
+func (ctx *opCtx) addFinalized(iv *intervalState) {
+	if ctx.nfin < len(ctx.fin) {
+		ctx.fin[ctx.nfin] = iv
+	} else {
+		if ctx.nfin == len(ctx.fin) {
+			ctx.finMore = append(ctx.finMore, ctx.fin[:]...)
+		}
+		ctx.finMore = append(ctx.finMore, iv)
+	}
+	ctx.nfin++
+}
+
+// finalized lists the intervals this operation made definite.
+func (ctx *opCtx) finalized() []*intervalState {
+	if ctx.nfin > len(ctx.fin) {
+		return ctx.finMore
+	}
+	return ctx.fin[:ctx.nfin]
+}
+
 func (ctx *opCtx) notifyProc(p ids.Proc, h Hooks) {
 	for _, n := range ctx.notify {
 		if n.p == p {
@@ -649,10 +683,11 @@ func (t *Tracker) finish(ctx *opCtx) {
 			n.h.NotifyRollback()
 		}
 	}
-	if len(ctx.finalized) > 1 {
-		slices.SortFunc(ctx.finalized, func(a, b *intervalState) int { return cmp.Compare(a.id, b.id) })
+	fin := ctx.finalized()
+	if len(fin) > 1 {
+		slices.SortFunc(fin, func(a, b *intervalState) int { return cmp.Compare(a.id, b.id) })
 	}
-	for _, iv := range ctx.finalized {
+	for _, iv := range fin {
 		for _, commit := range iv.commits {
 			commit()
 		}
@@ -857,6 +892,7 @@ func (t *Tracker) openIntervalLocked(ps *procState, logIndex int, implicit bool,
 		implicit: implicit,
 		status:   speculative,
 	}
+	iv.commits = iv.firstCommit[:0]
 	if t.obs != nil {
 		iv.openedAt = time.Now()
 	}
@@ -878,12 +914,34 @@ func (t *Tracker) openIntervalLocked(ps *procState, logIndex int, implicit bool,
 }
 
 // dependLocked maintains the Lemma 5.1 symmetry (Equations 3 and 4): X
-// missing from iv.IDO means iv is missing from X.DOM.
+// missing from iv.IDO means iv is missing from X.DOM. A shared IDO is
+// clipped first, so the insert copies it rather than shift the tags
+// that share it.
 func (t *Tracker) dependLocked(iv *intervalState, x ids.AID) {
 	if i, ok := slices.BinarySearch(iv.ido, x); !ok {
+		if iv.idoShared.Load() {
+			iv.ido = slices.Clip(iv.ido)
+			iv.idoShared.Store(false)
+		}
 		iv.ido = slices.Insert(iv.ido, i, x)
 		a := t.aid(x)
 		a.dom = append(a.dom, iv)
+	}
+}
+
+// dropDep takes x out of iv.IDO (Equations 7 and 12). A shared IDO is
+// copied first, unless x is its last member and a shorter view will do.
+func dropDep(iv *intervalState, x ids.AID) {
+	i, ok := slices.BinarySearch(iv.ido, x)
+	switch {
+	case !ok:
+	case i == len(iv.ido)-1:
+		iv.ido = iv.ido[:i]
+	case iv.idoShared.Load():
+		iv.ido = slices.Delete(slices.Clone(iv.ido), i, i+1)
+		iv.idoShared.Store(false)
+	default:
+		iv.ido = slices.Delete(iv.ido, i, i+1)
 	}
 }
 

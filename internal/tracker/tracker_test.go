@@ -3,6 +3,7 @@ package tracker
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -384,6 +385,62 @@ func TestDeliverTaggingAndOrphans(t *testing.T) {
 	}
 }
 
+// TestTagSurvivesIDOMutation: a message tag shares its sender's IDO, so
+// every later write to that IDO must leave the tag reading what it read
+// when it was taken. The sender's interval depends on {X, Y} when the
+// first tag is taken; a definite affirm then drains X (a removal that
+// copies), a speculative affirm of Y inserts its affirmer's Z (an insert
+// that copies) and a definite affirm of Z drains the last member (a
+// shorter view, no copy).
+func TestTagSurvivesIDOMutation(t *testing.T) {
+	tr, ps, _ := setup(t, 3)
+	sender, affirmer, judge := ps[0], ps[1], ps[2]
+	x, y, z := tr.NewAID(), tr.NewAID(), tr.NewAID()
+	mustGuess(t, tr, sender, x, 0)
+	mustGuess(t, tr, sender, y, 1)
+	mustGuess(t, tr, affirmer, z, 0)
+	tag := func() []ids.AID {
+		t.Helper()
+		tags, err := tr.Tag(sender)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tags
+	}
+	type held struct {
+		tags, want []ids.AID
+	}
+	var taken []held
+	check := func(step string) {
+		t.Helper()
+		for _, h := range taken {
+			if !slices.Equal(h.tags, h.want) {
+				t.Fatalf("after %s: a tag taken as %v reads %v", step, h.want, h.tags)
+			}
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("after %s: %v", step, err)
+		}
+	}
+	resolve := func(step string, p ids.Proc, a ids.AID) {
+		t.Helper()
+		if err := tr.Affirm(p, a); err != nil {
+			t.Fatal(err)
+		}
+		check(step)
+	}
+
+	taken = append(taken, held{tag(), []ids.AID{x, y}})
+	resolve("the affirm of X", judge, x)
+	taken = append(taken, held{tag(), []ids.AID{y}})
+	resolve("the speculative affirm of Y", affirmer, y)
+	taken = append(taken, held{tag(), []ids.AID{z}})
+	resolve("the affirm of Z", judge, z)
+	if !tr.Definite(sender) || !tr.Definite(affirmer) {
+		t.Fatal("both processes should be definite once Z is affirmed")
+	}
+}
+
 func TestDeliverUntaggedNoInterval(t *testing.T) {
 	tr, ps, _ := setup(t, 1)
 	out, err := tr.Deliver(ps[0], nil, 0)
@@ -452,22 +509,32 @@ func TestSelfAffirmCollapses(t *testing.T) {
 	}
 }
 
+// TestEffectOrderingAtFinalize: one settle finalizes six intervals with
+// two effects each — more intervals than a settle keeps inline, more
+// effects than an interval does — and every effect leaves, in program
+// order.
 func TestEffectOrderingAtFinalize(t *testing.T) {
 	tr, ps, _ := setup(t, 2)
 	x := tr.NewAID()
-	mustGuess(t, tr, ps[0], x, 0)
-	var order []int
-	for i := 0; i < 3; i++ {
-		i := i
+	const intervals, effects = 6, 2
+	var order, want []int
+	for i := 0; i < intervals*effects; i++ {
+		if i%effects == 0 {
+			mustGuess(t, tr, ps[0], x, i)
+		}
 		if err := tr.AttachEffect(ps[0], func() { order = append(order, i) }, nil); err != nil {
 			t.Fatal(err)
 		}
+		want = append(want, i)
+	}
+	if n := tr.LiveIntervals(ps[0]); n != intervals {
+		t.Fatalf("%d live intervals, want %d", n, intervals)
 	}
 	if err := tr.Affirm(ps[1], x); err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
-		t.Fatalf("commit order = %v, want [0 1 2]", order)
+	if !slices.Equal(order, want) {
+		t.Fatalf("commit order = %v, want %v", order, want)
 	}
 }
 

@@ -103,7 +103,15 @@ expect internal/wire '"hope/internal/fault"' 0
 echo "== a wire hop allocates only what it hands over"
 expect internal/wire 'AppendFrame\(nil, (Msg|Verdict)' 0
 expect internal/wire 'make\(\[\]byte, n\)' 0
-go test -count=1 -run AllocBudget ./internal/tracker ./internal/wire
+
+# The engine's message path allocates only what it records (DESIGN.md,
+# "Waking parked processes"): a parked process is a resolution waiter,
+# not a commit effect on every interval it opens, and a message tag
+# shares its sender's IDO. A wake effect per interval coming back costs
+# TestEngineJobAllocBudget two more allocations per job, a tag copy one.
+echo "== the engine message path allocates only what it records"
+expect internal/engine 'watchFinalize|wakeFn' 0
+go test -count=1 -run AllocBudget ./internal/engine ./internal/tracker ./internal/wire
 
 # Each claim has one oracle, named in EXPERIMENTS.md's ledger: a tier-1
 # test, a BENCHMARK.json metric or a model-checker theorem. hopebench
