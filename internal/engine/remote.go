@@ -112,19 +112,17 @@ func (r *Runtime) SetVerdictSink(fn func(x ids.AID, affirmed bool)) {
 // processes; the low bits still drive tracker shard selection.
 func WithAIDBase(base uint64) Option { return func(r *Runtime) { r.aidBase = base } }
 
-// GobEncode lets AID handles cross the wire inside gob payloads: the
-// handle's field is unexported, so without this gob would encode an
-// empty struct and the assumption identity would be lost in transit.
-func (a AID) GobEncode() ([]byte, error) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(a.id))
-	return b[:], nil
+// AppendBinary lets AID handles cross the wire inside payloads: the
+// handle's field is unexported, so without it a payload codec could not
+// see the assumption identity, and it would be lost in transit.
+func (a AID) AppendBinary(b []byte) ([]byte, error) {
+	return binary.BigEndian.AppendUint64(b, uint64(a.id)), nil
 }
 
-// GobDecode is the inverse of GobEncode.
-func (a *AID) GobDecode(data []byte) error {
+// UnmarshalBinary is the inverse of AppendBinary.
+func (a *AID) UnmarshalBinary(data []byte) error {
 	if len(data) != 8 {
-		return fmt.Errorf("hope: AID gob encoding has %d bytes, want 8", len(data))
+		return fmt.Errorf("hope: AID binary encoding has %d bytes, want 8", len(data))
 	}
 	a.id = ids.AID(binary.BigEndian.Uint64(data))
 	return nil

@@ -113,9 +113,8 @@ type Msg struct {
 	Tags []ids.AID
 	// VClock is the sender node's vector clock, sorted by Node.
 	VClock []ClockEntry
-	// Payload is the serialized application value: one segment of the
-	// link's gob stream (payload.go), meaningful only to the decoder
-	// that has seen the link's earlier segments in order.
+	// Payload is the serialized application value: one self-contained
+	// segment of the payload codec (payload.go).
 	Payload []byte
 }
 
@@ -180,13 +179,64 @@ func (d *dec) take(n int, what string) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if n < 0 || d.off+n > len(d.b) {
+	if n < 0 || n > len(d.b)-d.off {
 		d.fail(what)
 		return nil
 	}
 	p := d.b[d.off : d.off+n]
 	d.off += n
 	return p
+}
+
+// uvarint reads an unsigned varint; one that overflows 64 bits is an
+// error, not a truncation.
+func (d *dec) uvarint(what string) uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.b[d.off:])
+	if n <= 0 {
+		d.varintFail(n, what)
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+// varint reads a zigzag-encoded signed varint.
+func (d *dec) varint(what string) int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(d.b[d.off:])
+	if n <= 0 {
+		d.varintFail(n, what)
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+func (d *dec) varintFail(n int, what string) {
+	if n == 0 {
+		d.fail(what)
+	} else {
+		d.err = fmt.Errorf("%w: %s overflows 64 bits at offset %d", ErrFrame, what, d.off)
+	}
+}
+
+// length reads a uvarint count of elements that take at least unit
+// bytes each, bounded by the bytes that remain: a count cannot claim
+// more than the body holds.
+func (d *dec) length(what string, unit int) int {
+	n := d.uvarint(what)
+	if left := len(d.b) - d.off; d.err == nil && n > uint64(left/unit) {
+		d.err = fmt.Errorf("%w: %s length %d exceeds the %d bytes left", ErrFrame, what, n, left)
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
 }
 
 func (d *dec) u8(what string) byte {
@@ -285,12 +335,43 @@ func AppendFrame(dst []byte, f any) ([]byte, error) {
 
 // appendMsg serializes m as a Msg frame onto dst, sized exactly up front.
 func appendMsg(dst []byte, m *Msg) ([]byte, error) {
-	if len(m.From) > math.MaxUint16 || len(m.To) > math.MaxUint16 {
-		return dst, fmt.Errorf("%w: process name too long", ErrFrame)
+	e, err := startMsg(dst, m, len(m.Payload))
+	if err != nil {
+		return dst, err
 	}
-	size := 2 + len(m.From) + 2 + len(m.To) + 8 + 4 + 8*len(m.Tags) + 4 + 12*len(m.VClock) + 4 + len(m.Payload)
+	e.bytes(m.Payload)
+	return e.seal(FrameMsg), nil
+}
+
+// appendMsgValue serializes m as a Msg frame onto dst with v's segment
+// as its payload, encoded in place behind a length patched in once the
+// segment is complete; m.Payload is not used.
+func appendMsgValue(dst []byte, m *Msg, v any) ([]byte, error) {
+	e, err := startMsg(dst, m, segmentHint)
+	if err != nil {
+		return dst, err
+	}
+	at := len(e.b)
+	e.u32(0)
+	if e.b, err = appendPayload(e.b, v); err != nil {
+		return dst, err
+	}
+	if body := len(e.b) - e.start - headerLen; body > MaxBody {
+		return dst, fmt.Errorf("%w: body %d exceeds cap %d", ErrFrame, body, MaxBody)
+	}
+	binary.BigEndian.PutUint32(e.b[at:], uint32(len(e.b)-at-4))
+	return e.seal(FrameMsg), nil
+}
+
+// startMsg appends a Msg frame's header and every body field but the
+// payload to dst, with room for a payload of the given size.
+func startMsg(dst []byte, m *Msg, payload int) (enc, error) {
+	if len(m.From) > math.MaxUint16 || len(m.To) > math.MaxUint16 {
+		return enc{}, fmt.Errorf("%w: process name too long", ErrFrame)
+	}
+	size := 2 + len(m.From) + 2 + len(m.To) + 8 + 4 + 8*len(m.Tags) + 4 + 12*len(m.VClock) + 4 + payload
 	if size > MaxBody {
-		return dst, fmt.Errorf("%w: body %d exceeds cap %d", ErrFrame, size, MaxBody)
+		return enc{}, fmt.Errorf("%w: body %d exceeds cap %d", ErrFrame, size, MaxBody)
 	}
 	e := startFrame(dst, size)
 	e.str(m.From)
@@ -305,8 +386,7 @@ func appendMsg(dst []byte, m *Msg) ([]byte, error) {
 		e.u32(c.Node)
 		e.u64(c.Seq)
 	}
-	e.bytes(m.Payload)
-	return e.seal(FrameMsg), nil
+	return e, nil
 }
 
 // appendVerdict serializes v as a Verdict frame onto dst.

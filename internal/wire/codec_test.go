@@ -123,22 +123,6 @@ func TestVerdictFlagStrict(t *testing.T) {
 	}
 }
 
-func TestPayloadRoundTrip(t *testing.T) {
-	for _, v := range []any{42, "text", true, []byte{1, 2, 3}, 3.5} {
-		b, err := EncodePayload(v)
-		if err != nil {
-			t.Fatalf("encode %#v: %v", v, err)
-		}
-		got, err := DecodePayload(b)
-		if err != nil {
-			t.Fatalf("decode %#v: %v", v, err)
-		}
-		if !reflect.DeepEqual(got, v) {
-			t.Fatalf("payload round trip %#v → %#v", v, got)
-		}
-	}
-}
-
 // sameFrame compares two decoded frames, treating a nil and an empty
 // slice alike: a linkReader reuses its vclock storage and aliases its
 // payload, so where ReadFrame returns nil it may hand out an empty

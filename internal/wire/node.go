@@ -29,12 +29,10 @@ import (
 // and the paper's channel model assume. Inbound connections are
 // accepted and identified by their opening Hello frame.
 //
-// A link also carries one gob stream of payloads (payload.go), which
-// decodes only in the order it was encoded. So a Msg's payload is
-// encoded and its frame queued under one per-peer lock — stream order
-// is queue order however many processes send on the link — and a
-// payload the receiver cannot decode ends the link rather than the
-// message: everything after it on that stream would be garbage.
+// A Msg's payload is one self-contained segment (payload.go), encoded
+// straight into its frame. A payload the receiver cannot decode ends
+// the link rather than the message: the sender believes it delivered,
+// and a broken link is what tells it otherwise.
 //
 // The writer flushes on idle: it copies whatever is already queued into
 // one buffer and hands that to the socket in a single write, never
@@ -126,14 +124,12 @@ type peer struct {
 	slot int         // obs metrics slot for the outbound link
 	lost atomic.Bool
 
-	// mu makes "encode the payload, queue the frame" one step, so the
-	// order of segments in the payload stream is the order of frames on
-	// the link. It is held across the send on out: the writer never
-	// takes it, and a full queue should stall the link's other senders
-	// anyway.
-	mu  sync.Mutex
-	enc payloadEncoder
-	vc  []ClockEntry // scratch for the clock snapshot of the frame being built
+	// mu makes "snapshot the clock, queue the frame" one step, so the
+	// clocks on a link only grow, and guards vc. It is held across the
+	// send on out: the writer never takes it, and a full queue should
+	// stall the link's other senders anyway.
+	mu sync.Mutex
+	vc []ClockEntry // scratch for the clock snapshot of the frame being built
 }
 
 // linkBuf sizes a link's write batch and its read buffer: room for
@@ -186,7 +182,6 @@ func NewNode(rt *engine.Runtime, cfg Config) (*Node, error) {
 	if _, ok := cfg.Peers[cfg.ID]; ok {
 		return nil, fmt.Errorf("wire: node %d lists itself as a peer", cfg.ID)
 	}
-	registerOnce.Do(registerBuiltins)
 	n := &Node{
 		cfg:     cfg,
 		rt:      rt,
@@ -299,9 +294,8 @@ func (n *Node) connect(p *peer) error {
 	return nil
 }
 
-// route is the engine's RemoteRouter: consult placement, encode the
-// payload as the next segment of the link's stream, frame, and hand to
-// the link writer under one lock, so stream order is queue order. The
+// route is the engine's RemoteRouter: consult placement, build the frame
+// with the payload encoded in place, and hand it to the link writer. The
 // frame carries the message's injected delay to the writer. Parks until
 // the mesh is up so spawn-before-Start sends never race it.
 func (n *Node) route(m engine.WireMsg) error {
@@ -326,20 +320,12 @@ func (n *Node) route(m engine.WireMsg) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	payload, err := p.enc.encode(m.Payload)
-	if err != nil {
-		return fmt.Errorf("wire: encode %s→%s payload: %w", m.From, m.To, err)
-	}
 	p.vc = n.tick(p.vc[:0])
-	buf, err := appendMsg(p.frameBuf(), &Msg{
-		From: m.From, To: m.To, Seq: m.Seq,
-		Tags: m.Tags, VClock: p.vc, Payload: payload,
-	})
+	buf, err := appendMsgValue(p.frameBuf(), &Msg{
+		From: m.From, To: m.To, Seq: m.Seq, Tags: m.Tags, VClock: p.vc,
+	}, m.Payload)
 	if err != nil {
-		// The segment is encoded but will never be sent: open a new
-		// stream rather than leave the receiver one segment behind.
-		p.enc = payloadEncoder{}
-		return fmt.Errorf("wire: frame %s→%s: %w", m.From, m.To, err)
+		return fmt.Errorf("wire: encode %s→%s: %w", m.From, m.To, err)
 	}
 	return n.enqueue(p, outFrame{buf: buf, delay: m.Delay})
 }
@@ -530,7 +516,6 @@ func (n *Node) readLoop(conn net.Conn) {
 	slot := n.cfg.Obs.RegisterWirePeer("←" + hello.Name)
 	n.cfg.Obs.WireFrameIn(slot, sz)
 	lastSeq := make(map[string]uint64) // per-sender redelivery accounting
-	var payloads payloadDecoder        // the receiving end of the link's payload stream
 	sawDone := false
 	for {
 		typ, f, sz, err := lr.next()
@@ -552,18 +537,16 @@ func (n *Node) readLoop(conn net.Conn) {
 			} else {
 				lastSeq[m.From] = m.Seq
 			}
-			payload, err := payloads.decode(m.Payload)
+			payload, err := DecodePayload(m.Payload)
 			if err != nil {
-				// The stream is out of step, so no later payload on this
-				// connection can be trusted: give the link up. Closing it
-				// makes the sender's next write fail and its sends degrade
-				// to ErrDelivery.
+				// Skipping the message would lose it silently, so give
+				// the link up: closing it makes the sender's next write
+				// fail and its sends degrade to ErrDelivery.
 				n.noteErr(fmt.Errorf("wire: payload %s→%s: %w; dropping the link from %s", m.From, m.To, err, hello.Name))
 				return
 			}
-			// Duplicates are decoded (the stream must advance) and
-			// injected too: the engine's per-sender filter suppresses
-			// them, which is the machinery under test.
+			// Duplicates are injected too: the engine's per-sender
+			// filter suppresses them, which is the machinery under test.
 			if err := n.rt.InjectRemote(engine.WireMsg{
 				From: m.From, To: m.To, Seq: m.Seq, Tags: m.Tags, Payload: payload,
 			}); err != nil {

@@ -15,9 +15,7 @@ import (
 	"hope/internal/obs"
 )
 
-// Payload types of the stream tests. Each link starts its own gob
-// stream, so a type's first use on a fresh cluster is always the
-// message that carries its descriptor.
+// Payload types of the stream tests.
 type (
 	streamA struct{ Sender, N int }
 	streamB struct {
@@ -29,13 +27,12 @@ type (
 		Vals      []int
 	}
 	// streamBox is registered but can hold anything, including a type
-	// that is not: the encode then fails after Box's own descriptor
-	// was emitted.
+	// that is not: the encode then fails partway through the segment.
 	streamBox struct {
 		N     int
 		Inner any
 	}
-	// streamWrap is first seen by each stream nested inside a Box.
+	// streamWrap nests inside a Box.
 	streamWrap         struct{ Inner any }
 	streamUnregistered struct{ X int }
 	// streamClaim has the shape of the benchmark's stormClaim.
@@ -98,65 +95,11 @@ func linkStat(t *testing.T, o *obs.Observer, peer string) obs.WirePeerStat {
 	return obs.WirePeerStat{}
 }
 
-// TestStreamCodecRestartsAfterEncodeError drives the encoder/decoder
-// pair directly: descriptors travel once, and a failed encode — which
-// leaves gob believing it sent descriptors nobody received — is followed
-// by a segment that reopens the stream on both ends.
-func TestStreamCodecRestartsAfterEncodeError(t *testing.T) {
-	var e payloadEncoder
-	var d payloadDecoder
-	roundTrip := func(v any, marker byte) int {
-		t.Helper()
-		seg, err := e.encode(v)
-		if err != nil {
-			t.Fatalf("encode %#v: %v", v, err)
-		}
-		if seg[0] != marker {
-			t.Fatalf("segment for %#v opens with marker %d, want %d", v, seg[0], marker)
-		}
-		got, err := d.decode(seg)
-		if err != nil {
-			t.Fatalf("decode %#v: %v", v, err)
-		}
-		if fmt.Sprint(got) != fmt.Sprint(v) {
-			t.Fatalf("round trip %#v → %#v", v, got)
-		}
-		return len(seg)
-	}
-	first := roundTrip(streamA{1, 1}, streamOpen)
-	second := roundTrip(streamA{1, 2}, streamNext)
-	if second >= first {
-		t.Fatalf("second streamA segment is %d bytes, first %d: the descriptor was sent again", second, first)
-	}
-	// Box's descriptor goes out, Wrap's is buffered behind it, then the
-	// unregistered value fails the encode and gob drops the buffer —
-	// having marked both types as sent.
-	if _, err := e.encode(streamBox{N: 1, Inner: streamWrap{streamUnregistered{3}}}); err == nil {
-		t.Fatal("encoding an unregistered type inside an interface succeeded")
-	}
-	roundTrip(streamBox{N: 4, Inner: streamWrap{6}}, streamOpen)
-	roundTrip(streamA{1, 3}, streamNext)
-
-	// A decoder that misses a segment is out of step until a stream opens.
-	var late payloadDecoder
-	seg, _ := e.encode(streamA{1, 4})
-	if _, err := late.decode(seg); err == nil {
-		t.Fatal("a decoder that never saw the stream open decoded a continuation")
-	}
-	if _, err := d.decode([]byte{streamNext, 0xff, 0xff, 0xff}); err == nil {
-		t.Fatal("garbage segment decoded")
-	}
-	seg, _ = e.encode(streamA{1, 5})
-	if _, err := d.decode(seg); err == nil {
-		t.Fatal("decoder kept going after a decode error")
-	}
-}
-
 // TestStreamDupOnFirstUseOfType: with every message duplicated, the
-// message that introduces a struct type on an already-open stream is
-// itself duplicated. The copy is a second encode, not the same bytes —
-// those would define the type twice — so the receiver decodes both,
-// delivers one, and stays in step for the next hundred.
+// first message of a struct type, after one of another type, is itself
+// duplicated. The copy is a second router call, a second encode under
+// the same Seq, so the receiver decodes both, delivers one, and
+// delivers the next hundred in order.
 func TestStreamDupOnFirstUseOfType(t *testing.T) {
 	const msgs = 101
 	observers := make([]*obs.Observer, 2)
@@ -205,11 +148,11 @@ func TestStreamDupOnFirstUseOfType(t *testing.T) {
 // TestStreamSurvivesEncodeError: a payload that cannot be encoded fails
 // its own Send, synchronously (the engine ends the sending process with
 // the error), and costs the link nothing — including when the failure
-// comes after descriptors were emitted.
+// comes after part of the segment was written.
 func TestStreamSurvivesEncodeError(t *testing.T) {
 	bads := []any{
-		// First, so that the failed encode is the stream's only sight
-		// of Box's and Wrap's descriptors.
+		// First, so that the link's first sight of Box and Wrap is a
+		// failed encode.
 		streamBox{N: 1, Inner: streamWrap{streamUnregistered{1}}},
 		streamBox{N: 2, Inner: streamUnregistered{2}},
 		streamUnregistered{3},
@@ -275,9 +218,8 @@ func TestStreamSurvivesEncodeError(t *testing.T) {
 }
 
 // TestStreamConcurrentSenders: several processes share one link and
-// race to introduce three payload types on it. Every message decodes —
-// so no segment overtook the one carrying its descriptor — and each
-// sender's messages arrive in the order it sent them.
+// race to send three payload types on it. Every message decodes, and
+// each sender's messages arrive in the order it sent them.
 func TestStreamConcurrentSenders(t *testing.T) {
 	const senders, each = 4, 200
 	procs := map[string]uint32{"rx": 1}
@@ -397,9 +339,10 @@ func TestDelayKeepsOrderAndBarrierFlushes(t *testing.T) {
 	}
 }
 
-// TestStreamDecodeErrorDropsLink: a payload that does not decode leaves
-// the link's stream out of step, so the receiver notes the error and
-// hangs up instead of skipping the message and misreading the rest.
+// TestStreamDecodeErrorDropsLink: a payload that does not decode (here,
+// of a type code nobody registered) ends the link: the receiver notes
+// the error and hangs up instead of skipping the message, which would
+// lose it without the sender knowing.
 func TestStreamDecodeErrorDropsLink(t *testing.T) {
 	c := newCluster(t, 1, map[string]uint32{"rx": 0}, nil, nil)
 	c.start(t)
@@ -414,7 +357,7 @@ func TestStreamDecodeErrorDropsLink(t *testing.T) {
 	}
 	for _, f := range []any{
 		Hello{Node: 9, Name: "rogue"},
-		Msg{From: "x", To: "rx", Seq: 1, Payload: []byte{streamOpen, 0xff, 0xff, 0xff}},
+		Msg{From: "x", To: "rx", Seq: 1, Payload: []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}},
 		Msg{From: "x", To: "rx", Seq: 2, Payload: good},
 	} {
 		if _, err := WriteFrame(conn, f); err != nil {
@@ -432,15 +375,17 @@ func TestStreamDecodeErrorDropsLink(t *testing.T) {
 }
 
 // TestWireHopAllocBudget prices a warm struct message end to end,
-// engine send and receive included. With the payload codecs built once
-// per link and the frames read into, and built in, reused buffers, a hop
-// allocates about eight times: the Tags the receiver keeps, the payload
-// value, the engine's own message, and gob's decode path. A body buffer
-// per frame read, a boxed Msg or a fresh frame buffer per send puts it
-// near twenty; a gob encoder and decoder built per message, near two
-// hundred.
+// engine send and receive included. With the payload codec compiled at
+// registration, the payload encoded straight into a recycled frame
+// buffer and the frames read into a reused buffer, a hop allocates about
+// five times: the Tags the receiver keeps, the decoded payload (one box,
+// its fields set in place), and the engines' own work at either end —
+// the sender's assumption and the receiver's copy of the message. A
+// copied payload box or a heap cursor per decode adds one each; a body
+// buffer per frame read, a boxed Msg or a fresh frame buffer per send
+// puts it near twenty.
 func TestWireHopAllocBudget(t *testing.T) {
-	const warm, msgs, budget = 100, 1000, 12
+	const warm, msgs, budget = 100, 1000, 8
 	c := newCluster(t, 2, map[string]uint32{"tx": 0, "rx": 1}, nil, nil)
 	// Neither body speculates, so neither replays: the channels are safe.
 	warmed, measured := make(chan struct{}), make(chan struct{})
@@ -509,14 +454,13 @@ func TestInternsPlacementNamesOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	var e payloadEncoder
 	var segs [][]byte
 	for _, v := range []any{"hello", "lost"} {
-		seg, err := e.encode(v)
+		seg, err := EncodePayload(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		segs = append(segs, append([]byte(nil), seg...))
+		segs = append(segs, seg)
 	}
 	for _, f := range []any{
 		Hello{Node: 9, Name: "rogue"},

@@ -5,9 +5,9 @@
 # the engine logs and blocks in one place each, the tracker states each
 # resolution rule once, a message fault is decided once, a wire hop
 # allocates only what it hands over (including the alloc budgets, run
-# without the race detector, which skips them) and each claim has one
-# evidence path, then the race-enabled test suite. Run from anywhere; it
-# cds to the repo root.
+# without the race detector, which skips them), payloads cross without
+# gob and each claim has one evidence path, then the race-enabled test
+# suite. Run from anywhere; it cds to the repo root.
 #
 #   ./scripts/check.sh
 #
@@ -103,6 +103,20 @@ expect internal/wire '"hope/internal/fault"' 0
 echo "== a wire hop allocates only what it hands over"
 expect internal/wire 'AppendFrame\(nil, (Msg|Verdict)' 0
 expect internal/wire 'make\(\[\]byte, n\)' 0
+
+# Payloads cross as self-contained segments of one codec compiled per
+# type at registration (DESIGN.md, "The payload codec"): a link holds no
+# payload state. A gob import, a stream marker or a gob method on the
+# engine's AID is the per-link stream, or a second codec, coming back.
+echo "== payloads cross without gob"
+gobs=$(grep -rlF '"encoding/gob"' --include='*.go' . | grep -v '/testdata/' || true)
+if [ -n "$gobs" ]; then
+	echo "encoding/gob imported by:" >&2
+	echo "$gobs" >&2
+	exit 1
+fi
+expect internal/wire 'streamOpen|streamNext' 0
+expect internal/engine 'GobEncode|GobDecode' 0
 
 # The engine's message path allocates only what it records (DESIGN.md,
 # "Waking parked processes"): a parked process is a resolution waiter,
