@@ -16,8 +16,13 @@ import (
 // interval, its IDO and X's DOM, about seven. A wake effect attached per
 // interval, a tag copied per send or a commit list allocated per interval
 // each put one more on every job.
+//
+// The bytes are budgeted too. The three bodies never compact, so their
+// replay logs grow for the whole run: six entries a job for the worker,
+// three for the judge and two for the sink. A log that doubles and
+// copies itself as it grows fails here.
 func TestEngineJobAllocBudget(t *testing.T) {
-	const warm, jobs, budget = 200, 2000, 7.5
+	const warm, jobs, budget, byteBudget = 200, 2000, 7.5, 1600.0
 	rt := New(WithOutput(io.Discard))
 	t.Cleanup(rt.Shutdown)
 	var committed, collected int
@@ -86,8 +91,15 @@ func TestEngineJobAllocBudget(t *testing.T) {
 		t.Fatalf("%d worker and %d sink effects committed, want %d each", committed, collected, warm+jobs)
 	}
 	perJob := float64(after.Mallocs-before.Mallocs) / jobs
-	t.Logf("%.2f allocations per job", perJob)
-	if !raceEnabled && perJob > budget {
+	bytesPerJob := float64(after.TotalAlloc-before.TotalAlloc) / jobs
+	t.Logf("%.2f allocations, %.0f bytes per job", perJob, bytesPerJob)
+	if raceEnabled {
+		return
+	}
+	if perJob > budget {
 		t.Fatalf("%.2f allocations per job, budget %.1f: is a wake effect, a tag copy or a commit list back on the heap?", perJob, budget)
+	}
+	if bytesPerJob > byteBudget {
+		t.Fatalf("%.0f bytes per job, budget %.0f: is the replay log copying itself as it grows?", bytesPerJob, byteBudget)
 	}
 }

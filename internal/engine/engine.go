@@ -693,7 +693,7 @@ func (r *Runtime) DebugString() string {
 				spec++
 			}
 		}
-		loglen, replay := len(p.log), p.replay
+		loglen, replay := p.log.len(), p.replay
 		waiting := "-"
 		if phase == stateBlocked {
 			waiting = p.wait.String()

@@ -73,4 +73,4 @@ func Loop[S any](rt *Runtime, name string, init func() S, clone func(S) S, step 
 // LogLen reports the current replay-log length. Call it only from the
 // process's own body (the log is goroutine-local); Loop keeps it bounded
 // by the speculation window since the last settled boundary.
-func (p *Proc) LogLen() int { return len(p.log) }
+func (p *Proc) LogLen() int { return p.log.len() }

@@ -87,7 +87,7 @@ type crashSignal struct{}
 // fatalSignal unwinds a process goroutine on an unrecoverable error.
 type fatalSignal struct{ err error }
 
-type entryKind int
+type entryKind uint8
 
 const (
 	entryGuess entryKind = iota + 1
@@ -103,15 +103,80 @@ const (
 	entryCheckpoint
 )
 
-// entry is one replay-log record.
+// entry is one replay-log record, 32 bytes: no kind uses more than three
+// of ok, aff, x and ref (DESIGN.md, "Logged decisions", has the table).
 type entry struct {
-	kind  entryKind
-	aid   ids.AID
-	ok    bool         // guess result; resolution or send success; entryRecv: got msg (false = timed out)
-	msg   *rmsg        // for entryRecv
-	iv    ids.Interval // for entryRecv: the implicit interval, if any
-	val   int64        // for entryRand
-	state any          // for entryCheckpoint: the captured user state
+	kind entryKind
+	ok   bool   // guess result; resolution or send success; entryRecv: got msg (false = timed out); entryOutcome: resolved
+	aff  bool   // entryOutcome: affirmed
+	x    uint64 // the AID of a guess, resolution, outcome or NewAID; entryRecv: the implicit interval; entryRand: the value
+	ref  any    // entryRecv: the *rmsg; entryCheckpoint: the captured user state
+}
+
+func (e *entry) aid() ids.AID     { return ids.AID(e.x) }
+func (e *entry) iv() ids.Interval { return ids.Interval(e.x) }
+func (e *entry) msg() *rmsg       { m, _ := e.ref.(*rmsg); return m }
+
+// logSegment is the length of every replay-log segment after the first:
+// 512 entries, 16 KB. DESIGN.md ("Logged decisions") records why not 256.
+const logSegment = 512
+
+// replayLog is the replay log: a first segment that grows by doubling up
+// to logSegment entries, so a short log costs what a short slice does,
+// then further segments allocated at their full length. No segment is
+// ever copied once full, so a pointer into one stays valid until the
+// next cut; only a push that grows the first segment moves its entries.
+type replayLog struct {
+	segs [][]entry // segs[0] may be short; every later segment has logSegment entries
+	n    int       // entries in use
+}
+
+func (l *replayLog) len() int { return l.n }
+
+// at returns entry i (0 <= i < len) in place.
+func (l *replayLog) at(i int) *entry { return &l.segs[i/logSegment][i%logSegment] }
+
+// push appends e and returns the stored entry.
+func (l *replayLog) push(e entry) *entry {
+	s, o := l.n/logSegment, l.n%logSegment
+	if s == len(l.segs) || o == len(l.segs[s]) {
+		l.grow()
+	}
+	slot := &l.segs[s][o]
+	*slot = e
+	l.n++
+	return slot
+}
+
+// grow makes room for one more entry: it doubles the first segment while
+// that is short, else adds a full segment. It is kept out of line, off
+// push's common path.
+//
+//go:noinline
+func (l *replayLog) grow() {
+	switch {
+	case len(l.segs) == 0:
+		l.segs = append(l.segs, make([]entry, 4))
+	case len(l.segs[0]) < logSegment:
+		seg := make([]entry, 2*len(l.segs[0]))
+		copy(seg, l.segs[0])
+		l.segs[0] = seg
+	default:
+		l.segs = append(l.segs, make([]entry, logSegment))
+	}
+}
+
+// cut truncates the log to its first k entries. It zeroes the entries it
+// drops, so their messages and checkpoint states become garbage now, not
+// when a later push overwrites them, and keeps every segment for reuse.
+func (l *replayLog) cut(k int) {
+	for i := k; i < l.n; {
+		s, o := i/logSegment, i%logSegment
+		end := min(len(l.segs[s]), o+l.n-i)
+		clear(l.segs[s][o:end])
+		i += end - o
+	}
+	l.n = k
 }
 
 // Proc is the handle a process body uses for every interaction with the
@@ -138,10 +203,10 @@ type Proc struct {
 	lastSeq map[string]uint64
 
 	// Replay state: owned by the process goroutine, no lock needed.
-	// logBase is the absolute index of log[0]: compaction (engine.Loop)
-	// discards settled history by advancing it.
+	// logBase is the absolute index of the log's first entry: compaction
+	// (engine.Loop) discards settled history by advancing it.
 	logBase int
-	log     []entry
+	log     replayLog
 	replay  int
 	rng     *rand.Rand
 	// replayStart is where the current attempt's replay cursor began —
@@ -459,30 +524,28 @@ func (p *Proc) applyPending() {
 	tgt := *tgtp
 	p.rt.obs.Emit(obs.KRollbackStarted, p.id, ids.NoAID, ids.NoInterval, int64(tgt.LogIndex))
 	rel := tgt.LogIndex - p.logBase
-	if rel < 0 || rel >= len(p.log) {
+	if rel < 0 || rel >= p.log.len() {
 		// Internal invariant: targets are merged under the tracker lock
 		// in the same critical section that discards intervals, and
 		// compaction only happens while definite, so a target can never
 		// fall outside the retained log.
-		panic(fmt.Sprintf("hope: rollback target %d outside log [%d,%d)", tgt.LogIndex, p.logBase, p.logBase+len(p.log)))
+		panic(fmt.Sprintf("hope: rollback target %d outside log [%d,%d)", tgt.LogIndex, p.logBase, p.logBase+p.log.len()))
 	}
 	cut := rel
 	if !tgt.Implicit {
-		e := p.log[rel]
-		e.ok = false // guess(x) returns False on resumption (§3, Eq. 24)
-		p.log[rel] = e
+		p.log.at(rel).ok = false // guess(x) returns False on resumption (§3, Eq. 24)
 		cut = rel + 1
 	}
 	var requeue []*rmsg
-	for _, e := range p.log[cut:] {
-		if e.kind == entryRecv && e.ok { // a logged timeout consumed nothing
-			if e.iv.Valid() && p.rt.tr.WasFinalized(p.id, e.iv) {
-				panic(fmt.Sprintf("hope: requeueing finalized receive %v (log target %d)", e.iv, tgt.LogIndex))
+	for i := cut; i < p.log.len(); i++ {
+		if e := p.log.at(i); e.kind == entryRecv && e.ok { // a logged timeout consumed nothing
+			if e.iv().Valid() && p.rt.tr.WasFinalized(p.id, e.iv()) {
+				panic(fmt.Sprintf("hope: requeueing finalized receive %v (log target %d)", e.iv(), tgt.LogIndex))
 			}
-			requeue = append(requeue, e.msg)
+			requeue = append(requeue, e.msg())
 		}
 	}
-	p.log = p.log[:cut]
+	p.log.cut(cut)
 	p.queue.pushFront(requeue...)
 	p.resumeLocked(true)
 }
@@ -495,8 +558,8 @@ func (p *Proc) applyPending() {
 // p.mu.
 func (p *Proc) resumeLocked(counted bool) {
 	k := -1
-	for i := len(p.log) - 1; i >= 0; i-- {
-		if p.log[i].kind == entryCheckpoint {
+	for i := p.log.len() - 1; i >= 0; i-- {
+		if p.log.at(i).kind == entryCheckpoint {
 			k = i
 			break
 		}
@@ -505,7 +568,7 @@ func (p *Proc) resumeLocked(counted bool) {
 	p.replayStart = k + 1
 	p.lastCp = k + 1
 	if k >= 0 {
-		p.restoredState, p.hasRestored = p.log[k].state, true
+		p.restoredState, p.hasRestored = p.log.at(k).ref, true
 		if counted {
 			p.resumes.Add(1)
 		}
@@ -513,7 +576,7 @@ func (p *Proc) resumeLocked(counted bool) {
 	} else if counted {
 		p.restarts.Add(1)
 	}
-	if counted && p.replay == len(p.log) {
+	if counted && p.replay == p.log.len() {
 		// Nothing to replay past the restore point: record the zero-depth
 		// replay here (replayed never fires when the suffix is empty).
 		p.rt.obs.Emit(obs.KReplayed, p.id, ids.NoAID, ids.NoInterval, 0)
@@ -575,7 +638,7 @@ func (p *Proc) maybeCrash() {
 	panic(crashSignal{})
 }
 
-func (p *Proc) replaying() bool { return p.replay < len(p.log) }
+func (p *Proc) replaying() bool { return p.replay < p.log.len() }
 
 // replayed and logged are the one logged decision every primitive is a
 // client of: ask replayed for the recorded outcome; if there is none,
@@ -585,20 +648,21 @@ func (p *Proc) replaying() bool { return p.replay < len(p.log) }
 
 // replayed is the entry edge: while the replay cursor is inside the log
 // it consumes the next entry, verifying the body re-executed the same
-// operation; nil means the caller is live. The entry is read in place —
-// valid until the log is next appended to or cut.
+// operation; nil means the caller is live. The entry is read in place:
+// the pointer stays valid until the next cut, or until a push that grows
+// the log's first segment.
 func (p *Proc) replayed(kind entryKind, aid ids.AID) *entry {
 	p.checkPending()
 	if !p.replaying() {
 		return nil
 	}
-	e := &p.log[p.replay]
-	if e.kind != kind || (aid.Valid() && e.aid != aid) {
+	e := p.log.at(p.replay)
+	if e.kind != kind || (aid.Valid() && e.aid() != aid) {
 		p.fatal(fmt.Errorf("%w: replayed %v, got op kind %d aid %v", ErrNondeterministic, *e, kind, aid))
 	}
 	p.replay++
 	if !p.replaying() {
-		p.rt.obs.Emit(obs.KReplayed, p.id, ids.NoAID, ids.NoInterval, int64(len(p.log)-p.replayStart))
+		p.rt.obs.Emit(obs.KReplayed, p.id, ids.NoAID, ids.NoInterval, int64(p.log.len()-p.replayStart))
 	}
 	return e
 }
@@ -607,10 +671,10 @@ func (p *Proc) replayed(kind entryKind, aid ids.AID) *entry {
 // replay cursor caught up, so replaying() is true only while re-consuming
 // a truncated prefix.
 func (p *Proc) logged(e entry) *entry {
-	p.log = append(p.log, e)
-	p.replay = len(p.log)
+	stored := p.log.push(e)
+	p.replay = p.log.len()
 	p.checkPending()
-	return &p.log[len(p.log)-1]
+	return stored
 }
 
 func (p *Proc) fatal(err error) { panic(fatalSignal{err}) }
@@ -632,9 +696,9 @@ func (p *Proc) trackerErr(err error) {
 func (p *Proc) NewAID() AID {
 	e := p.replayed(entryNewAID, ids.NoAID)
 	if e == nil {
-		e = p.logged(entry{kind: entryNewAID, aid: p.rt.tr.NewAID()})
+		e = p.logged(entry{kind: entryNewAID, x: uint64(p.rt.tr.NewAID())})
 	}
-	return AID{id: e.aid}
+	return AID{id: e.aid()}
 }
 
 // Guess makes the optimistic assumption a: it returns true immediately and
@@ -670,14 +734,14 @@ func (p *Proc) Guess(a AID) bool {
 				// speculative one — but no interval references this log
 				// index, so the entry can never be a rollback target.
 				p.rt.obs.SiteVerdict(site, verdict)
-				return p.logged(entry{kind: entryGuess, aid: a.id, ok: verdict}).ok
+				return p.logged(entry{kind: entryGuess, x: uint64(a.id), ok: verdict}).ok
 			}
 			p.rt.obs.SiteWaitTimeout(site)
 			p.rt.obs.Emit(obs.KPolicyWaitTimeout, p.id, a.id, ids.NoInterval, int64(site))
 			// Budget exhausted with a unresolved: speculate after all.
 		}
 	}
-	out, err := p.rt.tr.Guess(p.id, a.id, p.logBase+len(p.log))
+	out, err := p.rt.tr.Guess(p.id, a.id, p.logBase+p.log.len())
 	if err != nil {
 		p.trackerErr(err)
 	}
@@ -692,7 +756,7 @@ func (p *Proc) Guess(a AID) bool {
 		// now — credit the estimator directly.
 		p.rt.obs.SiteVerdict(site, out.Result)
 	}
-	return p.logged(entry{kind: entryGuess, aid: a.id, ok: out.Result}).ok
+	return p.logged(entry{kind: entryGuess, x: uint64(a.id), ok: out.Result}).ok
 }
 
 // awaitVerdict blocks until assumption a resolves terminally, returning
@@ -740,7 +804,7 @@ func (p *Proc) resolve(kind entryKind, a AID, op func(ids.Proc, ids.AID) error) 
 		if err != nil && err != tracker.ErrConflict {
 			p.trackerErr(err)
 		}
-		e = p.logged(entry{kind: kind, aid: a.id, ok: err == nil})
+		e = p.logged(entry{kind: kind, x: uint64(a.id), ok: err == nil})
 	}
 	if !e.ok {
 		return ErrConflict
@@ -862,7 +926,8 @@ func (p *Proc) RecvSettled() (Msg, error) { return p.receive(wait{mode: scanSett
 func (p *Proc) receive(w wait) (Msg, error) {
 	if e := p.replayed(entryRecv, ids.NoAID); e != nil {
 		if e.ok {
-			return Msg{From: e.msg.from, Payload: e.msg.payload}, nil
+			m := e.msg()
+			return Msg{From: m.from, Payload: m.payload}, nil
 		}
 		if w.deadline.IsZero() {
 			p.fatal(fmt.Errorf("%w: replayed a receive timeout, got a receive without a deadline", ErrNondeterministic))
@@ -891,7 +956,7 @@ func (p *Proc) receive(w wait) (Msg, error) {
 		if m != nil {
 			// For settled tags Deliver is a no-op on the dependency state
 			// but is kept for accounting symmetry.
-			out, err := p.rt.tr.Deliver(p.id, m.tags, p.logBase+len(p.log))
+			out, err := p.rt.tr.Deliver(p.id, m.tags, p.logBase+p.log.len())
 			if err != nil {
 				// A rollback landed between our pending check and the
 				// delivery: the popped message belongs to the doomed
@@ -907,7 +972,7 @@ func (p *Proc) receive(w wait) (Msg, error) {
 				p.rt.bump()
 				continue
 			}
-			p.logged(entry{kind: entryRecv, ok: true, msg: m, iv: out.Interval})
+			p.logged(entry{kind: entryRecv, ok: true, x: uint64(out.Interval), ref: m})
 			return Msg{From: m.from, Payload: m.payload}, nil
 		}
 		if w.expired() {
@@ -954,13 +1019,9 @@ func (p *Proc) Outcome(a AID) (resolved, affirmed bool) {
 	e := p.replayed(entryOutcome, a.id)
 	if e == nil {
 		st := p.rt.tr.Status(a.id)
-		live := entry{kind: entryOutcome, aid: a.id, ok: st.Terminal()}
-		if st == tracker.Affirmed {
-			live.val = 1
-		}
-		e = p.logged(live)
+		e = p.logged(entry{kind: entryOutcome, x: uint64(a.id), ok: st.Terminal(), aff: st == tracker.Affirmed})
 	}
-	return e.ok, e.val != 0
+	return e.ok, e.aff
 }
 
 // Effect registers an externally visible action. commit runs when the
@@ -991,9 +1052,9 @@ func (p *Proc) Rand() int64 {
 		if p.rng == nil {
 			p.rng = rand.New(rand.NewSource(int64(p.id)))
 		}
-		e = p.logged(entry{kind: entryRand, val: p.rng.Int63()})
+		e = p.logged(entry{kind: entryRand, x: uint64(p.rng.Int63())})
 	}
-	return e.val
+	return int64(e.x)
 }
 
 // Definite reports whether the process currently has no unsettled
@@ -1023,7 +1084,7 @@ func (p *Proc) Checkpoint(state any) {
 	// the argument is discarded.
 	if p.replayed(entryCheckpoint, ids.NoAID) == nil {
 		p.rt.obs.Emit(obs.KCheckpoint, p.id, ids.NoAID, ids.NoInterval, checkpointSize(p.rt.obs, state))
-		p.logged(entry{kind: entryCheckpoint, state: state})
+		p.logged(entry{kind: entryCheckpoint, ref: state})
 	}
 	p.lastCp = p.replay
 }
@@ -1060,9 +1121,9 @@ func (p *Proc) Restored() (any, bool) {
 // checkpoint or compaction.
 func (p *Proc) checkpointDue() bool {
 	if p.replaying() {
-		return p.log[p.replay].kind == entryCheckpoint
+		return p.log.at(p.replay).kind == entryCheckpoint
 	}
-	return p.rt.cpEvery > 0 && len(p.log)-p.lastCp >= p.rt.cpEvery
+	return p.rt.cpEvery > 0 && p.log.len()-p.lastCp >= p.rt.cpEvery
 }
 
 // compact discards the settled replay-log prefix. Preconditions (enforced
@@ -1072,8 +1133,8 @@ func (p *Proc) checkpointDue() bool {
 // without replay (Loop snapshots user state first).
 func (p *Proc) compact() {
 	p.mu.Lock()
-	p.logBase += len(p.log)
-	p.log = p.log[:0]
+	p.logBase += p.log.len()
+	p.log.cut(0)
 	p.replay = 0
 	p.replayStart = 0
 	p.lastCp = 0

@@ -53,9 +53,10 @@ fi
 
 # internal/engine has one logged decision (replayed/logged) and one
 # blocking wait (block; park keeps its own loop): every primitive is a
-# client of them. A second log append, cursor advance or cond wait is a
-# per-primitive copy coming back; the names are the fields and helpers
-# the one wait value replaced.
+# client of them. A second log push, cursor advance or cond wait is a
+# per-primitive copy coming back, and the log is read only through its
+# accessors (at, len): an index into it is a flat slice coming back. The
+# other names are the fields and helpers the one wait value replaced.
 echo "== one logged decision, one blocking wait"
 expect() { # expect <package dir> <regexp> <occurrences in its non-test files>
 	n=$(grep -ohE "$2" $(ls "$1"/*.go | grep -v '_test\.go$') | wc -l | tr -d ' ')
@@ -64,7 +65,8 @@ expect() { # expect <package dir> <regexp> <occurrences in its non-test files>
 		exit 1
 	fi
 }
-expect internal/engine 'append\(p\.log' 1
+expect internal/engine 'p\.log\.push\(' 1
+expect internal/engine 'p\.log\[' 0
 expect internal/engine 'p\.replay\+\+' 1
 expect internal/engine 'p\.cond\.Wait\(\)' 2
 expect internal/engine 'entryTimeout|waitSettled|waitPred|waitAID|waitDeadline|addSettledWaiter' 0
@@ -122,10 +124,13 @@ expect internal/engine 'GobEncode|GobDecode' 0
 # "Waking parked processes"): a parked process is a resolution waiter,
 # not a commit effect on every interval it opens, and a message tag
 # shares its sender's IDO. A wake effect per interval coming back costs
-# TestEngineJobAllocBudget two more allocations per job, a tag copy one.
+# TestEngineJobAllocBudget two more allocations per job, a tag copy one;
+# a replay log that copies itself as it grows fails its byte budget, and
+# the log's own tests pin the 32-byte entry and the allocation-free
+# refill of its segments.
 echo "== the engine message path allocates only what it records"
 expect internal/engine 'watchFinalize|wakeFn' 0
-go test -count=1 -run AllocBudget ./internal/engine ./internal/tracker ./internal/wire
+go test -count=1 -run 'AllocBudget|ReplayLog|EntrySize' ./internal/engine ./internal/tracker ./internal/wire
 
 # Each claim has one oracle, named in EXPERIMENTS.md's ledger: a tier-1
 # test, a BENCHMARK.json metric or a model-checker theorem. hopebench
