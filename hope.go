@@ -75,6 +75,12 @@
 // Effect/Printf — because rollback re-executes the body, replaying the
 // surviving prefix from a log. Keep mutable state local to the body.
 //
+// # Counting what happened
+//
+// The runtime keeps one counter registry, the Observer: attach one with
+// Policy.Observer and read its Snapshot for guesses, resolutions,
+// committed and rolled-back intervals, replay and delivery counts.
+//
 // # Example
 //
 //	rt := hope.New()
@@ -105,7 +111,6 @@ import (
 	"hope/internal/fault"
 	"hope/internal/obs"
 	"hope/internal/policy"
-	"hope/internal/tracker"
 )
 
 // Runtime hosts one distributed HOPE program.
@@ -122,9 +127,6 @@ type Msg = engine.Msg
 
 // Option configures a Runtime.
 type Option = engine.Option
-
-// Stats holds dependency-tracker activity counters.
-type Stats = tracker.Stats
 
 // Exported errors. See the package comment's error-taxonomy section for
 // which are retryable and which are fatal.

@@ -323,14 +323,8 @@ func (r *Runtime) guessSite() (uint64, string) {
 	return h, key
 }
 
-// TrackerStats returns the dependency tracker's activity counters.
-func (r *Runtime) TrackerStats() tracker.Stats { return r.tr.Stats() }
-
 // Shards reports the tracker/scheduler shard count in effect.
 func (r *Runtime) Shards() int { return r.tr.Shards() }
-
-// ShardStats returns per-shard tracker summaries (diagnostics, hopetop).
-func (r *Runtime) ShardStats() []tracker.ShardStat { return r.tr.ShardStats() }
 
 // Observer returns the attached observability sink (nil when none).
 func (r *Runtime) Observer() *obs.Observer { return r.obs }
@@ -693,13 +687,19 @@ func (r *Runtime) DebugString() string {
 				spec++
 			}
 		}
-		loglen, replay := p.log.len(), p.replay
+		// A running body writes its log and cursor without p.mu; in every
+		// other phase it is in block or park, or done, and must take p.mu
+		// before it runs again.
+		loglen, replay := "-", "-"
+		if phase != stateRunning {
+			loglen, replay = fmt.Sprint(p.log.len()), fmt.Sprint(p.replay)
+		}
 		waiting := "-"
 		if phase == stateBlocked {
 			waiting = p.wait.String()
 		}
 		p.mu.Unlock()
-		fmt.Fprintf(&b, "  %-14s %-8v queue=%d (settled=%d spec=%d orphan=%d) log=%d replay=%d restarts=%d resumes=%d wait=%s pending=%v live=%d\n",
+		fmt.Fprintf(&b, "  %-14s %-8v queue=%d (settled=%d spec=%d orphan=%d) log=%s replay=%s restarts=%d resumes=%d wait=%s pending=%v live=%d\n",
 			names[i], phase, qlen, settled, spec, orphan, loglen, replay, p.Restarts(), p.Resumes(), waiting,
 			r.tr.PendingRollback(p.id), r.tr.LiveIntervals(p.id))
 	}

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -109,5 +111,40 @@ func TestObserverDuringRollbackStorm(t *testing.T) {
 	if total := o.Snapshot().EventsRecorded; uint64(len(events))+dropped != total {
 		t.Fatalf("ring accounting: %d retained + %d dropped != %d recorded",
 			len(events), dropped, total)
+	}
+}
+
+// TestDebugStringDuringRun dumps the runtime while a body appends to its
+// replay log. A running body writes its log and replay cursor without
+// p.mu, so DebugString prints them only for a process that is blocked,
+// parked or done; under -race, reading them for a running one is the
+// data race this test reports.
+func TestDebugStringDuringRun(t *testing.T) {
+	const mints = 20000
+	rt, _ := newRT(t)
+	spawn(t, rt, "minter", func(p *Proc) error {
+		for i := 0; i < mints; i++ {
+			p.NewAID()
+		}
+		return nil
+	})
+	stop := make(chan struct{})
+	dumped := make(chan struct{})
+	go func() {
+		defer close(dumped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = rt.DebugString()
+		}
+	}()
+	waitClean(t, rt)
+	close(stop)
+	<-dumped
+	if dbg := rt.DebugString(); !strings.Contains(dbg, fmt.Sprintf("log=%d replay=%d", mints, mints)) {
+		t.Fatalf("a done process's log and cursor are missing:\n%s", dbg)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"hope/internal/engine"
 	"hope/internal/obs"
 	"hope/internal/scenario"
-	"hope/internal/tracker"
 )
 
 // Rollback cascades (Equation 24 + Theorem 5.1, operationally) and
@@ -20,10 +19,11 @@ import (
 // cascade builds a head process speculating `depth` nested assumptions,
 // forwarding a value through `procs` relay processes (each becoming a
 // transitive dependent), then denies the innermost or outermost
-// assumption, affirms the rest, and returns the tracker's counts once
+// assumption, affirms the rest, and returns the observer's counts once
 // everything settled.
-func cascade(depth, procs int, denyOutermost bool) (tracker.Stats, error) {
-	rt := engine.New(engine.WithOutput(io.Discard))
+func cascade(depth, procs int, denyOutermost bool) (obs.MetricsSnapshot, error) {
+	o := obs.New(obs.WithEventCapacity(0))
+	rt := engine.New(engine.WithOutput(io.Discard), engine.WithObserver(o))
 	defer rt.Shutdown()
 
 	aidCh := make(chan []engine.AID, 1)
@@ -46,7 +46,7 @@ func cascade(depth, procs int, denyOutermost bool) (tracker.Stats, error) {
 			}
 			return nil
 		}); err != nil {
-			return tracker.Stats{}, err
+			return obs.MetricsSnapshot{}, err
 		}
 	}
 
@@ -73,7 +73,7 @@ func cascade(depth, procs int, denyOutermost bool) (tracker.Stats, error) {
 		}
 		return nil
 	}); err != nil {
-		return tracker.Stats{}, err
+		return obs.MetricsSnapshot{}, err
 	}
 
 	// Let the speculation spread fully, then deny.
@@ -95,10 +95,10 @@ func cascade(depth, procs int, denyOutermost bool) (tracker.Stats, error) {
 		}
 		return nil
 	}); err != nil {
-		return tracker.Stats{}, err
+		return obs.MetricsSnapshot{}, err
 	}
 	_, err := scenario.Settle(rt, time.Now())
-	return rt.TrackerStats(), err
+	return o.Metrics().Snapshot(), err
 }
 
 func TestE4ShapeCascadeScalesWithSuffix(t *testing.T) {

@@ -97,10 +97,9 @@ const MaxShards = 64
 // slot. Slots are handed out by Observer.RegisterWirePeer.
 const MaxPeers = 16
 
-// Metrics is the registry of runtime activity counters, gauges, and
-// histograms. All fields are updated atomically; read them through
-// Snapshot. It extends tracker.Stats (bare interval accounting) with the
-// delivery-, replay- and cache-side signals the tracker cannot see.
+// Metrics is the runtime's one registry of activity counters, gauges,
+// and histograms: the tracker, engine and wire count here and nowhere
+// else. All fields are updated atomically; read them through Snapshot.
 type Metrics struct {
 	// Speculation lifecycle.
 	GuessesOpened atomic.Int64 // explicit guesses that opened an interval

@@ -27,8 +27,8 @@ import (
 //     re-execution, not a conflict);
 //  5. Guess creates a record for a never-seen AID, Deliver reads an
 //     unknown tag as settled;
-//  6. counters and events differ by kind: Guesses/ShortGuesses and
-//     guess-* events against ImplicitGuesses/Orphans and msg-tainted /
+//  6. counters and events differ by kind: GuessesOpened/ShortGuesses and
+//     guess-* events against MsgsTainted/Orphans and msg-tainted /
 //     orphan-dropped, and a system resolution is attributed to no process.
 
 type xState int
@@ -129,7 +129,7 @@ func (c *matrixCase) rolled(base map[string]int) string {
 
 // resolutionEvents renders the resolution-kind events emitted after the
 // first skip events as "kind@proc" (interval lifecycle events are covered
-// by the Stats delta).
+// by the counts delta).
 func resolutionEvents(o *obs.Observer, skip int) string {
 	evs, _ := o.Events()
 	var out []string
@@ -143,14 +143,34 @@ func resolutionEvents(o *obs.Observer, skip int) string {
 	return strings.Join(out, " ")
 }
 
-func statsDelta(after, before Stats) Stats {
-	neg := before
-	for _, f := range []*int64{&neg.Guesses, &neg.ShortGuesses, &neg.ImplicitGuesses, &neg.DefiniteAffirms,
-		&neg.SpecAffirms, &neg.DefiniteDenies, &neg.SpecDenies, &neg.FreeOfs, &neg.Finalized, &neg.RolledBack, &neg.Orphans} {
-		*f = -*f
+// counts is the tracker's share of the observer's counters, the eleven
+// a cell compares.
+type counts struct {
+	GuessesOpened, ShortGuesses, MsgsTainted, Orphans int64
+	Affirms, SpecAffirms, Denies, SpecDenies, FreeOfs int64
+	Committed, RolledBack                             int64
+}
+
+func countsOf(o *obs.Observer) counts {
+	m := o.Metrics()
+	return counts{
+		GuessesOpened: m.GuessesOpened.Load(), ShortGuesses: m.ShortGuesses.Load(),
+		MsgsTainted: m.MsgsTainted.Load(), Orphans: m.Orphans.Load(),
+		Affirms: m.Affirms.Load(), SpecAffirms: m.SpecAffirms.Load(),
+		Denies: m.Denies.Load(), SpecDenies: m.SpecDenies.Load(), FreeOfs: m.FreeOfs.Load(),
+		Committed: m.Committed.Load(), RolledBack: m.RolledBack.Load(),
 	}
-	after.add(neg)
-	return after
+}
+
+// minus is the field-wise difference c − b.
+func (c counts) minus(b counts) counts {
+	return counts{
+		c.GuessesOpened - b.GuessesOpened, c.ShortGuesses - b.ShortGuesses,
+		c.MsgsTainted - b.MsgsTainted, c.Orphans - b.Orphans,
+		c.Affirms - b.Affirms, c.SpecAffirms - b.SpecAffirms,
+		c.Denies - b.Denies, c.SpecDenies - b.SpecDenies, c.FreeOfs - b.FreeOfs,
+		c.Committed - b.Committed, c.RolledBack - b.RolledBack,
+	}
 }
 
 type matrixWant struct {
@@ -158,7 +178,7 @@ type matrixWant struct {
 	status Resolution
 	rolled string // processes notified of a rollback
 	events string // resolution events, "@R" = the resolver (P∅ for the system)
-	delta  Stats
+	delta  counts
 }
 
 func TestResolutionMatrix(t *testing.T) {
@@ -177,21 +197,21 @@ func TestResolutionMatrix(t *testing.T) {
 		}
 	}
 	one := func(r resolver) []resolver { return []resolver{r} }
-	freeOf := func(s Stats) Stats { s.FreeOfs++; return s }
+	freeOf := func(s counts) counts { s.FreeOfs++; return s }
 
 	// Unresolved X (Equations 7–19 proper).
-	defAffirm := Stats{DefiniteAffirms: 1, Finalized: 1}
-	defDeny := Stats{DefiniteDenies: 1, RolledBack: 1}
+	defAffirm := counts{Affirms: 1, Committed: 1}
+	defDeny := counts{Denies: 1, RolledBack: 1}
 	row(xUnresolved, one(rDefinite), "affirm", matrixWant{nil, Affirmed, "", "affirmed@R", defAffirm})
 	row(xUnresolved, one(rDefinite), "deny", matrixWant{nil, Denied, "D", "denied@R", defDeny})
 	row(xUnresolved, one(rDefinite), "free_of", matrixWant{nil, Affirmed, "", "free-of@R affirmed@R", freeOf(defAffirm)})
-	row(xUnresolved, one(rSpecFree), "affirm", matrixWant{nil, SpecAffirmed, "", "spec-affirmed@R", Stats{SpecAffirms: 1}})
-	row(xUnresolved, one(rSpecFree), "deny", matrixWant{nil, Unresolved, "", "spec-denied@R", Stats{SpecDenies: 1}})
-	row(xUnresolved, one(rSpecFree), "free_of", matrixWant{nil, SpecAffirmed, "", "free-of@R spec-affirmed@R", Stats{SpecAffirms: 1, FreeOfs: 1}})
+	row(xUnresolved, one(rSpecFree), "affirm", matrixWant{nil, SpecAffirmed, "", "spec-affirmed@R", counts{SpecAffirms: 1}})
+	row(xUnresolved, one(rSpecFree), "deny", matrixWant{nil, Unresolved, "", "spec-denied@R", counts{SpecDenies: 1}})
+	row(xUnresolved, one(rSpecFree), "free_of", matrixWant{nil, SpecAffirmed, "", "free-of@R spec-affirmed@R", counts{SpecAffirms: 1, FreeOfs: 1}})
 	// R depends on X: its affirm collapses (R's own interval finalizes and
 	// promotes X), its deny is definite and takes R down with D.
-	selfDeny := Stats{DefiniteDenies: 1, RolledBack: 2}
-	row(xUnresolved, one(rSpecDep), "affirm", matrixWant{nil, Affirmed, "", "spec-affirmed@R", Stats{SpecAffirms: 1, Finalized: 2}})
+	selfDeny := counts{Denies: 1, RolledBack: 2}
+	row(xUnresolved, one(rSpecDep), "affirm", matrixWant{nil, Affirmed, "", "spec-affirmed@R", counts{SpecAffirms: 1, Committed: 2}})
 	row(xUnresolved, one(rSpecDep), "deny", matrixWant{nil, Denied, "D R", "denied@R", selfDeny})
 	row(xUnresolved, one(rSpecDep), "free_of", matrixWant{nil, Denied, "D R", "free-of@R denied@R", freeOf(selfDeny)})
 	row(xUnresolved, one(rSystem), "affirm", matrixWant{nil, Affirmed, "", "affirmed@R", defAffirm})
@@ -199,10 +219,10 @@ func TestResolutionMatrix(t *testing.T) {
 
 	// Claimed X: a live interval of Q holds X in its IHD.
 	anyProc := []resolver{rDefinite, rSpecFree, rSpecDep}
-	row(xClaimed, anyProc, "affirm", matrixWant{ErrConflict, Unresolved, "", "", Stats{}})
-	row(xClaimed, anyProc, "deny", matrixWant{nil, Unresolved, "", "", Stats{}})
-	row(xClaimed, procs, "free_of", matrixWant{ErrConflict, Unresolved, "", "free-of@R", Stats{FreeOfs: 1}})
-	row(xClaimed, one(rSpecDep), "free_of", matrixWant{nil, Unresolved, "", "free-of@R", Stats{FreeOfs: 1}})
+	row(xClaimed, anyProc, "affirm", matrixWant{ErrConflict, Unresolved, "", "", counts{}})
+	row(xClaimed, anyProc, "deny", matrixWant{nil, Unresolved, "", "", counts{}})
+	row(xClaimed, procs, "free_of", matrixWant{ErrConflict, Unresolved, "", "free-of@R", counts{FreeOfs: 1}})
+	row(xClaimed, one(rSpecDep), "free_of", matrixWant{nil, Unresolved, "", "free-of@R", counts{FreeOfs: 1}})
 	row(xClaimed, one(rSystem), "affirm", matrixWant{nil, Affirmed, "", "affirmed@R", defAffirm}) // difference 1
 	row(xClaimed, one(rSystem), "deny", matrixWant{nil, Denied, "D", "denied@R", defDeny})        // difference 2
 
@@ -213,18 +233,18 @@ func TestResolutionMatrix(t *testing.T) {
 	all := []resolver{rDefinite, rSpecFree, rSystem}
 	for _, x := range []xState{xSpecAffirmed, xAffirmed} {
 		st := map[xState]Resolution{xSpecAffirmed: SpecAffirmed, xAffirmed: Affirmed}[x]
-		row(x, all, "affirm", matrixWant{nil, st, "", "", Stats{}})
-		row(x, all, "deny", matrixWant{ErrConflict, st, "", "", Stats{}})
-		row(x, procs, "free_of", matrixWant{nil, st, "", "free-of@R", Stats{FreeOfs: 1}})
+		row(x, all, "affirm", matrixWant{nil, st, "", "", counts{}})
+		row(x, all, "deny", matrixWant{ErrConflict, st, "", "", counts{}})
+		row(x, procs, "free_of", matrixWant{nil, st, "", "free-of@R", counts{FreeOfs: 1}})
 	}
-	row(xDenied, all, "affirm", matrixWant{ErrConflict, Denied, "", "", Stats{}})
-	row(xDenied, all, "deny", matrixWant{nil, Denied, "", "", Stats{}})
-	row(xDenied, procs, "free_of", matrixWant{nil, Denied, "", "free-of@R", Stats{FreeOfs: 1}})
+	row(xDenied, all, "affirm", matrixWant{ErrConflict, Denied, "", "", counts{}})
+	row(xDenied, all, "deny", matrixWant{nil, Denied, "", "", counts{}})
+	row(xDenied, procs, "free_of", matrixWant{nil, Denied, "", "free-of@R", counts{FreeOfs: 1}})
 	// A system deny is not a user error to contradict: re-executed and
 	// remote affirms of it are stale, not conflicts.
-	row(xSystemDenied, all, "affirm", matrixWant{nil, Denied, "", "", Stats{}})
-	row(xSystemDenied, all, "deny", matrixWant{nil, Denied, "", "", Stats{}})
-	row(xSystemDenied, procs, "free_of", matrixWant{nil, Denied, "", "free-of@R", Stats{FreeOfs: 1}})
+	row(xSystemDenied, all, "affirm", matrixWant{nil, Denied, "", "", counts{}})
+	row(xSystemDenied, all, "deny", matrixWant{nil, Denied, "", "", counts{}})
+	row(xSystemDenied, procs, "free_of", matrixWant{nil, Denied, "", "free-of@R", counts{FreeOfs: 1}})
 
 	ran := 0
 	for x := xUnresolved; x <= xSystemDenied; x++ {
@@ -245,7 +265,7 @@ func TestResolutionMatrix(t *testing.T) {
 						base[name] = rec.count()
 					}
 					evs, _ := c.o.Events()
-					before := c.tr.Stats()
+					before := countsOf(c.o)
 
 					who := c.r
 					var err error
@@ -270,8 +290,8 @@ func TestResolutionMatrix(t *testing.T) {
 					if got := c.rolled(base); got != want.rolled {
 						t.Errorf("rolled back %q, want %q", got, want.rolled)
 					}
-					if got := statsDelta(c.tr.Stats(), before); got != want.delta {
-						t.Errorf("stats delta = %+v, want %+v", got, want.delta)
+					if got := countsOf(c.o).minus(before); got != want.delta {
+						t.Errorf("counts delta = %+v, want %+v", got, want.delta)
 					}
 					wantEvents := strings.ReplaceAll(want.events, "@R", "@"+who.String())
 					if got := resolutionEvents(c.o, len(evs)); got != wantEvents {
@@ -310,7 +330,7 @@ func TestResolutionMatrix(t *testing.T) {
 func TestResolutionMatrixNoProc(t *testing.T) {
 	for x := xUnresolved; x <= xSystemDenied; x++ {
 		c := buildCase(t, x, rDefinite)
-		was, before := c.tr.Status(c.x), c.tr.Stats()
+		was, before := c.tr.Status(c.x), countsOf(c.o)
 		for name, op := range map[string]func(ids.Proc, ids.AID) error{
 			"affirm": c.tr.Affirm, "deny": c.tr.Deny, "free_of": c.tr.FreeOf,
 		} {
@@ -318,8 +338,8 @@ func TestResolutionMatrixNoProc(t *testing.T) {
 				t.Errorf("%s: %s(NoProc, X) = %v, want ErrUnknownProc", xStateNames[x], name, err)
 			}
 		}
-		if got := c.tr.Status(c.x); got != was || c.tr.Stats() != before {
-			t.Errorf("%s: X %v → %v, stats %+v → %+v", xStateNames[x], was, got, before, c.tr.Stats())
+		if got := c.tr.Status(c.x); got != was || countsOf(c.o) != before {
+			t.Errorf("%s: X %v → %v, counts %+v → %+v", xStateNames[x], was, got, before, countsOf(c.o))
 		}
 	}
 }
@@ -368,7 +388,7 @@ func TestResolutionMatrixOpen(t *testing.T) {
 	type outcome struct {
 		opened, result, orphan bool
 		events                 string
-		delta                  Stats
+		delta                  counts
 	}
 	cases := []struct {
 		name    string
@@ -377,17 +397,17 @@ func TestResolutionMatrixOpen(t *testing.T) {
 		deliver outcome
 	}{
 		{"unresolved", func(c *matrixCase) ids.AID { return c.x },
-			outcome{opened: true, result: true, events: "guess-opened@R", delta: Stats{Guesses: 1}},
-			outcome{opened: true, events: "msg-tainted@R", delta: Stats{ImplicitGuesses: 1}}},
+			outcome{opened: true, result: true, events: "guess-opened@R", delta: counts{GuessesOpened: 1}},
+			outcome{opened: true, events: "msg-tainted@R", delta: counts{MsgsTainted: 1}}},
 		{"affirmed", func(c *matrixCase) ids.AID { _ = c.tr.Affirm(c.q, c.x); return c.x },
-			outcome{result: true, events: "guess-short@R", delta: Stats{ShortGuesses: 1}},
+			outcome{result: true, events: "guess-short@R", delta: counts{ShortGuesses: 1}},
 			outcome{}},
 		{"denied", func(c *matrixCase) ids.AID { _ = c.tr.Deny(c.q, c.x); return c.x },
-			outcome{events: "guess-short@R", delta: Stats{ShortGuesses: 1}},
-			outcome{orphan: true, events: "orphan-dropped@R", delta: Stats{Orphans: 1}}},
+			outcome{events: "guess-short@R", delta: counts{ShortGuesses: 1}},
+			outcome{orphan: true, events: "orphan-dropped@R", delta: counts{Orphans: 1}}},
 		// Difference 5.
 		{"never seen", func(c *matrixCase) ids.AID { return ids.AID(1 << 40) },
-			outcome{opened: true, result: true, events: "guess-opened@R", delta: Stats{Guesses: 1}},
+			outcome{opened: true, result: true, events: "guess-opened@R", delta: counts{GuessesOpened: 1}},
 			outcome{}},
 	}
 	for _, tc := range cases {
@@ -400,7 +420,7 @@ func TestResolutionMatrixOpen(t *testing.T) {
 				c := buildCase(t, xUnresolved, rDefinite)
 				x := tc.x(c)
 				evs, _ := c.o.Events()
-				before := c.tr.Stats()
+				before := countsOf(c.o)
 				var got outcome
 				if implicit {
 					out, err := c.tr.Deliver(c.r, []ids.AID{x}, 7)
@@ -415,7 +435,7 @@ func TestResolutionMatrixOpen(t *testing.T) {
 					}
 					got = outcome{opened: out.Interval.Valid(), result: out.Result}
 				}
-				got.delta = statsDelta(c.tr.Stats(), before)
+				got.delta = countsOf(c.o).minus(before)
 				got.events = strings.ReplaceAll(resolutionEvents(c.o, len(evs)), "@"+c.r.String(), "@R")
 				if got != want {
 					t.Fatalf("got %+v, want %+v", got, want)
@@ -447,15 +467,17 @@ func TestMaterializeDeliverApplyVerdict(t *testing.T) {
 	for _, affirmed := range []bool{true, false} {
 		t.Run(fmt.Sprintf("affirmed=%v", affirmed), func(t *testing.T) {
 			tr, ps, recs := setup(t, 1)
+			o := obs.New(obs.WithEventCapacity(0))
+			tr.SetObserver(o)
 			foreign := []ids.AID{ids.AID(3<<48 | 1), ids.AID(3<<48 | 2)}
 			if settled, orphan := tr.Settled(foreign); !settled || orphan {
 				t.Fatalf("unknown tags: settled=%v orphan=%v, want settled", settled, orphan)
 			}
 			tr.Materialize(foreign)
 			tr.Materialize(foreign[:1]) // a second message with a known tag
-			records := 0
-			for _, s := range tr.ShardStats() {
-				records += s.AIDs
+			var records int64
+			for _, n := range o.Metrics().Snapshot().ShardAssumptions {
+				records += n
 			}
 			if records != 2 {
 				t.Fatalf("Materialize left %d records, want 2", records)

@@ -58,7 +58,7 @@ func (t *Tracker) Deliver(p ids.Proc, tags []ids.AID, logIndex int) (DeliverOutc
 // dependency — guess(X) returns False, a message is discarded. An
 // explicit guess names one X and brings a never-seen X into existence,
 // unresolved; an implicit one reads an unknown tag as settled. The two
-// are counted and observed under different names.
+// are observed under different names.
 //
 // Home shards: the process's (new interval, live chain) and the tags';
 // the dependency walk escalates if their transitive expansion crosses
@@ -83,17 +83,13 @@ func (t *Tracker) open(p ids.Proc, tags []ids.AID, logIndex int, implicit bool) 
 		if escaped {
 			return errEscape
 		}
-		st := &t.procShard(p).stats
 		orphan = orph
 		switch {
 		case orphan && implicit:
-			st.Orphans++
 			t.obs.Emit(obs.KOrphanDropped, p, x, ids.NoInterval, 0)
 		case orphan:
-			st.ShortGuesses++
 			t.obs.Emit(obs.KGuessShort, p, x, ids.NoInterval, 0)
 		case len(deps) == 0 && !implicit:
-			st.ShortGuesses++
 			t.obs.Emit(obs.KGuessShort, p, x, ids.NoInterval, 1)
 		case len(deps) > 0:
 			// Opening the interval records it in the DOM of every dep (all
@@ -109,10 +105,8 @@ func (t *Tracker) open(p ids.Proc, tags []ids.AID, logIndex int, implicit bool) 
 			}
 			iv = t.openIntervalLocked(ps, logIndex, implicit, deps).id
 			if implicit {
-				st.ImplicitGuesses++
 				t.obs.Emit(obs.KMsgTainted, p, x, iv, int64(len(deps)))
 			} else {
-				st.Guesses++
 				t.obs.Emit(obs.KGuessOpened, p, x, iv, 0)
 			}
 		}
@@ -210,7 +204,6 @@ func (t *Tracker) resolve(p ids.Proc, x ids.AID, v verdict) error {
 		}
 		a, v := t.aid(x), v // a copy: free_of rewrites it
 		if v == freeOf {
-			t.aidShard(x).stats.FreeOfs++
 			t.obs.Emit(obs.KFreeOf, p, x, ids.NoInterval, 0)
 			switch {
 			case a.status == Denied:
@@ -251,18 +244,16 @@ func (t *Tracker) affirmLocked(p ids.Proc, cur *intervalState, a *aidState, ctx 
 		return ErrConflict
 	}
 
-	x, st := a.id, t.aidShard(a.id)
+	x := a.id
 	a.claimed = true
 	if cur == nil {
 		t.setStatus(a, Affirmed, ctx)
-		st.stats.DefiniteAffirms++
 		t.obs.Emit(obs.KAffirmed, p, x, ids.NoInterval, 0)
 	} else {
 		t.setStatus(a, SpecAffirmed, ctx)
 		a.affirmer = cur.id
 		a.replacement = withoutAID(slices.Clone(cur.ido), x)
 		cur.specAffirmed = append(cur.specAffirmed, x)
-		st.stats.SpecAffirms++
 		t.obs.Emit(obs.KSpecAffirmed, p, x, cur.id, 0)
 	}
 	// Equations 9/14: X.DOM is taken whole — nothing comes to depend on X
@@ -312,7 +303,6 @@ func (t *Tracker) denyLocked(p ids.Proc, cur *intervalState, a *aidState, ctx *o
 	a.claimedBy = cur.id
 	cur.ihd = append(cur.ihd, a.id)
 	ctx.resolved = true
-	t.aidShard(a.id).stats.SpecDenies++
 	t.obs.Emit(obs.KSpecDenied, p, a.id, cur.id, 0)
 	return nil
 }
@@ -323,7 +313,6 @@ func (t *Tracker) denyLocked(p ids.Proc, cur *intervalState, a *aidState, ctx *o
 func (t *Tracker) denyDefiniteLocked(p ids.Proc, a *aidState, ctx *opCtx) {
 	a.claimed = true
 	t.setStatus(a, Denied, ctx)
-	t.aidShard(a.id).stats.DefiniteDenies++
 	t.obs.Emit(obs.KDenied, p, a.id, ids.NoInterval, 0)
 	t.rollbackDependentsLocked(a, ctx)
 }
@@ -375,7 +364,6 @@ func (t *Tracker) finalizeLocked(iv *intervalState, ctx *opCtx) {
 	ctx.resolved = true
 	sh := t.procShard(iv.proc)
 	sh.finalized[iv.id] = struct{}{}
-	sh.stats.Finalized++
 	t.obs.Emit(obs.KCommitted, iv.proc, ids.NoAID, iv.id, t.lifetime(iv))
 	if n := len(iv.commits); n > 0 {
 		t.obs.Emit(obs.KEffectReleased, iv.proc, ids.NoAID, iv.id, int64(n))
@@ -439,7 +427,6 @@ func (t *Tracker) rollbackFromLocked(iv *intervalState, ctx *opCtx) {
 		b := suffix[i]
 		b.status = rolledBack
 		ctx.resolved = true
-		sh.stats.RolledBack++
 		t.obs.Emit(obs.KRolledBack, b.proc, ids.NoAID, b.id, t.lifetime(b))
 		if n := len(b.aborts); n > 0 {
 			t.obs.Emit(obs.KEffectAborted, b.proc, ids.NoAID, b.id, int64(n))

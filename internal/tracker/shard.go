@@ -48,11 +48,6 @@ type shard struct {
 	// target, so PendingRollback — asked around every engine primitive,
 	// almost always answered "no" — can skip the lock when it reads zero.
 	pendingProcs atomic.Int32
-
-	// unresolved counts assumptions homed here still Unresolved — the
-	// per-shard imbalance signal for ShardStats and the obs gauges.
-	unresolved int
-	stats      Stats
 }
 
 // Option configures a Tracker at construction.
@@ -143,17 +138,6 @@ func (t *Tracker) epochSum(mask uint64) uint64 {
 // retried under an all-shard lock; errEscape never reaches callers.
 var errEscape = fmt.Errorf("hope/tracker: footprint escaped locked shards")
 
-// noteEscalation records one home-set -> all-shard lock escalation.
-func (t *Tracker) noteEscalation() {
-	t.escalations.Add(1)
-	t.obs.ShardContention()
-}
-
-// Escalations reports how many operations escalated to an all-shard
-// lock because their footprint crossed out of their home shards
-// (diagnostics; also surfaced through the obs ShardContention counter).
-func (t *Tracker) Escalations() int64 { return t.escalations.Load() }
-
 // settleCtx is the two-phase settle protocol shared by every mutating
 // operation. Phase one (collect) locks only the operation's home shards
 // and runs op, which must establish — before mutating anything — that
@@ -180,7 +164,7 @@ func (t *Tracker) settleCtx(ctx *opCtx, home uint64, op func(locked uint64) erro
 		if err != errEscape {
 			return err
 		}
-		t.noteEscalation()
+		t.obs.ShardContention()
 	}
 	t.lockW(t.allMask)
 	err := op(t.allMask)
@@ -304,36 +288,5 @@ func (f *footprint) visitProc(p ids.Proc) bool {
 	return true
 }
 
-// ShardStat is a point-in-time summary of one shard, for the E11
-// shard-imbalance column, cmd/hopetop, and diagnostics.
-type ShardStat struct {
-	Shard         int    `json:"shard"`
-	Epoch         uint64 `json:"epoch"`
-	AIDs          int    `json:"aids"`
-	Unresolved    int    `json:"unresolved"`
-	Procs         int    `json:"procs"`
-	LiveIntervals int    `json:"live_intervals"`
-}
-
 // Shards reports the tracker's shard count.
 func (t *Tracker) Shards() int { return len(t.shards) }
-
-// ShardStats snapshots every shard, taking each shard's read lock in
-// turn. Like Stats, the result is advisory: each row is internally
-// consistent, but rows are not a single atomic cut across shards.
-func (t *Tracker) ShardStats() []ShardStat {
-	out := make([]ShardStat, len(t.shards))
-	for i, s := range t.shards {
-		s.mu.RLock()
-		out[i] = ShardStat{
-			Shard:         i,
-			Epoch:         s.epoch.Load(),
-			AIDs:          len(s.aids),
-			Unresolved:    s.unresolved,
-			Procs:         len(s.procs),
-			LiveIntervals: len(s.intervals),
-		}
-		s.mu.RUnlock()
-	}
-	return out
-}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hope/internal/ids"
+	"hope/internal/obs"
 )
 
 // TestShardConfig pins the shard-count normalization: powers of two,
@@ -142,6 +143,8 @@ func TestDenyAllUnresolvedShardIndependent(t *testing.T) {
 // cached verdict must agree with a fresh classification.
 func TestCrossShardSettleStress(t *testing.T) {
 	tr := New(WithShards(8))
+	o := obs.New(obs.WithEventCapacity(0))
+	tr.SetObserver(o)
 	const mutators = 8
 	const iters = 200
 
@@ -266,7 +269,7 @@ func TestCrossShardSettleStress(t *testing.T) {
 	}
 	// The shared pool forces closures across the 8 shards; the two-phase
 	// settle must have escalated at least once in 1600 mixed operations.
-	if tr.Escalations() == 0 {
+	if o.Metrics().ShardContention.Load() == 0 {
 		t.Log("warning: no lock escalations observed (footprints all stayed home)")
 	}
 	if tr.DenyAllUnresolved() < 0 {
@@ -334,12 +337,16 @@ func TestClassifyCachedZeroLock(t *testing.T) {
 	}
 }
 
-// TestShardStats exercises the advisory per-shard snapshot.
+// TestShardStats spreads sixteen assumptions over four shards and reads
+// the shards themselves: every AID has one home, no epoch is the reserved
+// zero, and the unaffirmed half is still Unresolved.
 func TestShardStats(t *testing.T) {
 	tr := New(WithShards(4))
 	p := tr.Register(noopHooks{})
+	var xs []ids.AID
 	for i := 0; i < 16; i++ {
 		x := tr.NewAID()
+		xs = append(xs, x)
 		if i%2 == 0 {
 			if _, err := tr.Guess(p, x, i); err != nil {
 				t.Fatalf("guess: %v", err)
@@ -349,26 +356,29 @@ func TestShardStats(t *testing.T) {
 			}
 		}
 	}
-	stats := tr.ShardStats()
-	if len(stats) != 4 {
-		t.Fatalf("got %d shard rows, want 4", len(stats))
+	if len(tr.shards) != 4 {
+		t.Fatalf("got %d shards, want 4", len(tr.shards))
 	}
-	totalAIDs, unresolved := 0, 0
-	for i, s := range stats {
-		if s.Shard != i {
-			t.Errorf("row %d has shard index %d", i, s.Shard)
-		}
-		if s.Epoch == 0 {
+	totalAIDs := 0
+	for i, s := range tr.shards {
+		s.mu.RLock()
+		if s.epoch.Load() == 0 {
 			t.Errorf("shard %d epoch is 0 (reserved)", i)
 		}
-		totalAIDs += s.AIDs
-		unresolved += s.Unresolved
+		totalAIDs += len(s.aids)
+		s.mu.RUnlock()
 	}
 	if totalAIDs != 16 {
 		t.Errorf("shard AIDs sum to %d, want 16", totalAIDs)
 	}
+	unresolved := 0
+	for _, x := range xs {
+		if tr.Status(x) == Unresolved {
+			unresolved++
+		}
+	}
 	if unresolved != 8 {
-		t.Errorf("unresolved sum = %d, want 8", unresolved)
+		t.Errorf("unresolved = %d, want 8", unresolved)
 	}
 }
 

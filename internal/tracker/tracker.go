@@ -132,36 +132,6 @@ type Hooks interface {
 	NotifyRollback()
 }
 
-// Stats counts tracker activity for benchmarks and experiments.
-type Stats struct {
-	Guesses         int64 // explicit guesses that opened an interval
-	ShortGuesses    int64 // guesses short-circuited on resolved AIDs
-	ImplicitGuesses int64 // intervals opened by tagged message delivery
-	DefiniteAffirms int64
-	SpecAffirms     int64
-	DefiniteDenies  int64
-	SpecDenies      int64
-	FreeOfs         int64
-	Finalized       int64 // intervals made definite
-	RolledBack      int64 // intervals discarded
-	Orphans         int64 // orphaned tag sets observed at delivery
-}
-
-// add accumulates o into s (per-shard counters into a global view).
-func (s *Stats) add(o Stats) {
-	s.Guesses += o.Guesses
-	s.ShortGuesses += o.ShortGuesses
-	s.ImplicitGuesses += o.ImplicitGuesses
-	s.DefiniteAffirms += o.DefiniteAffirms
-	s.SpecAffirms += o.SpecAffirms
-	s.DefiniteDenies += o.DefiniteDenies
-	s.SpecDenies += o.SpecDenies
-	s.FreeOfs += o.FreeOfs
-	s.Finalized += o.Finalized
-	s.RolledBack += o.RolledBack
-	s.Orphans += o.Orphans
-}
-
 // The dependency sets are slices held by value: no map, no pointer to a
 // set, and a removal closes the gap at once, so a walk never steps over
 // a departed member. A set of AIDs that is searched — an IDO, a
@@ -287,8 +257,6 @@ type Tracker struct {
 	// watcher holds the resolution watcher as a watcherBox (atomic so
 	// opCtx can capture it without any shard lock).
 	watcher atomic.Value
-	// escalations counts home-set -> all-shard lock escalations.
-	escalations atomic.Int64
 
 	// obs is the observability sink (nil = no-op). Hook points emit
 	// lifecycle events through it; nothing in the tracker ever reads it,
@@ -409,21 +377,6 @@ func (t *Tracker) Materialize(tags []ids.AID) {
 		s.mu.Unlock()
 		t.obs.ShardAssumptions(int(t.aidIdx(x)), n)
 	}
-}
-
-// Stats returns the activity counters summed across shards. The
-// snapshot is advisory, not linearizable: each shard's counters are
-// read under that shard's lock, but shards are visited in turn, so an
-// operation running concurrently may be half-counted. Quiesce first for
-// settled totals (every test and experiment that asserts on Stats does).
-func (t *Tracker) Stats() Stats {
-	var out Stats
-	for _, s := range t.shards {
-		s.mu.RLock()
-		out.add(s.stats)
-		s.mu.RUnlock()
-	}
-	return out
 }
 
 // Status returns the resolution state of x.
@@ -555,7 +508,7 @@ func (t *Tracker) classify(tags []ids.AID) TagClass {
 	if !escaped {
 		return cls
 	}
-	t.noteEscalation()
+	t.obs.ShardContention()
 	t.lockR(t.allMask)
 	cls, _ = t.classifyMasked(tags, t.allMask)
 	t.unlockR(t.allMask)
@@ -703,16 +656,12 @@ func (t *Tracker) finish(ctx *opCtx) {
 	}
 }
 
-// setStatus flips a's resolution and maintains the per-shard epoch dirt,
-// the unresolved gauge, and the watcher flag. Caller holds a's home
-// shard write lock (enforced at commit by commitCtx's dirty check).
+// setStatus flips a's resolution and maintains the per-shard epoch dirt
+// and the watcher flag. Caller holds a's home shard write lock
+// (enforced at commit by commitCtx's dirty check).
 func (t *Tracker) setStatus(a *aidState, st Resolution, ctx *opCtx) {
-	idx := t.aidIdx(a.id)
-	if a.status == Unresolved && st != Unresolved {
-		t.shards[idx].unresolved--
-	}
 	a.status = st
-	ctx.dirty |= bit(idx)
+	ctx.dirty |= bit(t.aidIdx(a.id))
 	ctx.resolved = true
 	// Terminal transitions are reported to the verdict sink from finish,
 	// outside every shard lock. setStatus is the single chokepoint for
@@ -875,7 +824,6 @@ func (t *Tracker) aid(x ids.AID) *aidState {
 	if !ok {
 		a = &aidState{id: x, status: Unresolved}
 		s.aids[x] = a
-		s.unresolved++
 	}
 	return a
 }

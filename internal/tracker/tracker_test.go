@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"hope/internal/ids"
+	"hope/internal/obs"
 )
 
 // recorder counts rollback notifications; targets are read from the
@@ -124,6 +125,8 @@ func TestDenyRequestsRollback(t *testing.T) {
 
 func TestGuessShortCircuitsOnResolved(t *testing.T) {
 	tr, ps, _ := setup(t, 2)
+	o := obs.New(obs.WithEventCapacity(0))
+	tr.SetObserver(o)
 	x, y := tr.NewAID(), tr.NewAID()
 	if err := tr.Affirm(ps[1], x); err != nil {
 		t.Fatal(err)
@@ -137,8 +140,8 @@ func TestGuessShortCircuitsOnResolved(t *testing.T) {
 	if out := mustGuess(t, tr, ps[0], y, 1); out.Result || out.Interval.Valid() {
 		t.Fatalf("guess denied = %+v, want false no interval", out)
 	}
-	if s := tr.Stats(); s.ShortGuesses != 2 || s.Guesses != 0 {
-		t.Fatalf("stats = %+v", s)
+	if m := o.Metrics().Snapshot(); m.ShortGuesses != 2 || m.GuessesOpened != 0 {
+		t.Fatalf("short guesses = %d, opened = %d", m.ShortGuesses, m.GuessesOpened)
 	}
 }
 
@@ -578,6 +581,8 @@ func TestConcurrentGuessAffirmStress(t *testing.T) {
 	// Many goroutines guessing and resolving distinct AIDs: exercises
 	// lock discipline under the race detector.
 	tr := New()
+	o := obs.New(obs.WithEventCapacity(0))
+	tr.SetObserver(o)
 	const workers = 8
 	recs := make([]*recorder, workers)
 	procs := make([]ids.Proc, workers)
@@ -615,12 +620,12 @@ func TestConcurrentGuessAffirmStress(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	s := tr.Stats()
-	if s.Guesses != workers*200 {
-		t.Fatalf("guesses = %d, want %d", s.Guesses, workers*200)
+	m := o.Metrics().Snapshot()
+	if m.GuessesOpened != workers*200 {
+		t.Fatalf("guesses = %d, want %d", m.GuessesOpened, workers*200)
 	}
-	if s.Finalized+s.RolledBack != workers*200 {
-		t.Fatalf("settled = %d, want %d", s.Finalized+s.RolledBack, workers*200)
+	if m.Committed+m.RolledBack != workers*200 {
+		t.Fatalf("settled = %d, want %d", m.Committed+m.RolledBack, workers*200)
 	}
 }
 

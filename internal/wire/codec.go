@@ -96,9 +96,10 @@ type Hello struct {
 }
 
 // ClockEntry is one vector-clock component: the highest send sequence
-// observed from one node. The clock rides every Msg frame for
-// diagnostics and ordering audits; the speculation semantics themselves
-// need only the tag set (causality travels in AIDs).
+// observed from one node. A node sends Msg.VClock empty — the
+// speculation semantics need only the tag set (causality travels in
+// AIDs) — and the field stays in the frame format because
+// benchmark/probes.go builds a frame with a clock.
 type ClockEntry struct {
 	Node uint32
 	Seq  uint64
@@ -111,7 +112,7 @@ type Msg struct {
 	Seq uint64
 	// Tags is the sender's assumption set at send time (§3).
 	Tags []ids.AID
-	// VClock is the sender node's vector clock, sorted by Node.
+	// VClock is a vector clock sorted by Node; nodes send it empty.
 	VClock []ClockEntry
 	// Payload is the serialized application value: one self-contained
 	// segment of the payload codec (payload.go).

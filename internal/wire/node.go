@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -70,8 +69,7 @@ type Node struct {
 	seen       map[ids.AID]bool // verdicts applied or broadcast already
 	done       map[uint32]bool
 	doneClosed bool
-	conns      []net.Conn   // accepted inbound connections, for Close
-	clock      []ClockEntry // sorted by Node; always holds this node's entry
+	conns      []net.Conn // accepted inbound connections, for Close
 	errs       []error
 }
 
@@ -123,13 +121,6 @@ type peer struct {
 	free chan []byte // written frames' buffers, for the next frames to reuse
 	slot int         // obs metrics slot for the outbound link
 	lost atomic.Bool
-
-	// mu makes "snapshot the clock, queue the frame" one step, so the
-	// clocks on a link only grow, and guards vc. It is held across the
-	// send on out: the writer never takes it, and a full queue should
-	// stall the link's other senders anyway.
-	mu sync.Mutex
-	vc []ClockEntry // scratch for the clock snapshot of the frame being built
 }
 
 // linkBuf sizes a link's write batch and its read buffer: room for
@@ -191,7 +182,6 @@ func NewNode(rt *engine.Runtime, cfg Config) (*Node, error) {
 		allDone: make(chan struct{}),
 		seen:    make(map[ids.AID]bool),
 		done:    make(map[uint32]bool),
-		clock:   []ClockEntry{{Node: cfg.ID}},
 		names:   make(map[string]string, len(cfg.Procs)),
 	}
 	for name := range cfg.Procs {
@@ -318,11 +308,8 @@ func (n *Node) route(m engine.WireMsg) error {
 	if p.lost.Load() {
 		return engine.ErrDelivery
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.vc = n.tick(p.vc[:0])
 	buf, err := appendMsgValue(p.frameBuf(), &Msg{
-		From: m.From, To: m.To, Seq: m.Seq, Tags: m.Tags, VClock: p.vc,
+		From: m.From, To: m.To, Seq: m.Seq, Tags: m.Tags,
 	}, m.Payload)
 	if err != nil {
 		return fmt.Errorf("wire: encode %s→%s: %w", m.From, m.To, err)
@@ -361,39 +348,6 @@ func (n *Node) onVerdict(x ids.AID, affirmed bool) {
 		}
 	}
 	n.cfg.Obs.WireVerdictBroadcast(fanout)
-}
-
-// tick advances this node's vector-clock component and appends a
-// snapshot of the clock — kept sorted by node, the canonical wire form —
-// to dst.
-func (n *Node) tick(dst []ClockEntry) []ClockEntry {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.clock[n.clockIndex(n.cfg.ID)].Seq++
-	return append(dst, n.clock...)
-}
-
-func (n *Node) mergeClock(vc []ClockEntry) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, c := range vc {
-		i := n.clockIndex(c.Node)
-		if i == len(n.clock) || n.clock[i].Node != c.Node {
-			n.clock = slices.Insert(n.clock, i, c)
-		} else if c.Seq > n.clock[i].Seq {
-			n.clock[i].Seq = c.Seq
-		}
-	}
-}
-
-// clockIndex returns where node's entry is, or belongs, in the sorted
-// clock. A linear scan: a clock has one entry per cluster node.
-func (n *Node) clockIndex(node uint32) int {
-	i := 0
-	for i < len(n.clock) && n.clock[i].Node < node {
-		i++
-	}
-	return i
 }
 
 // writeLoop is one link's single writer: FIFO, flush on idle. Each time
@@ -531,7 +485,6 @@ func (n *Node) readLoop(conn net.Conn) {
 		switch typ {
 		case FrameMsg:
 			m := &lr.msg
-			n.mergeClock(m.VClock)
 			if last, seen := lastSeq[m.From]; seen && m.Seq <= last {
 				n.cfg.Obs.WireRedelivery(slot)
 			} else {
