@@ -3,11 +3,13 @@
 # compile, gofmt, vet, check every process body against the replay
 # contract with hopevet, check that workloads are defined once and that
 # the engine logs and blocks in one place each, the tracker states each
-# resolution rule once, a message fault is decided once, a wire hop
-# allocates only what it hands over (including the alloc budgets, run
-# without the race detector, which skips them), payloads cross without
-# gob and each claim has one evidence path, then the race-enabled test
-# suite. Run from anywhere; it cds to the repo root.
+# resolution rule once, each runtime fact is counted once (obs is the
+# only counter registry; the wire keeps no vector clock), a message
+# fault is decided once, a wire hop allocates only what it hands over
+# (including the alloc budgets, run without the race detector, which
+# skips them), payloads cross without gob and each claim has one
+# evidence path, then the race-enabled test suite. Run from anywhere;
+# it cds to the repo root.
 #
 #   ./scripts/check.sh
 #
@@ -73,19 +75,32 @@ expect internal/engine 'entryTimeout|waitSettled|waitPred|waitAID|waitDeadline|a
 
 # internal/tracker states each rule of Section 5 once (DESIGN.md has the
 # equation ↔ function table): one definite affirm with one DOM drain
-# (affirmLocked), one definite deny (denyDefiniteLocked, the only caller
-# of rollbackDependentsLocked), no second system-verdict path, one
+# (affirmLocked, the one KAffirmed emit), one definite deny
+# (denyDefiniteLocked, the one KDenied emit and the only caller of
+# rollbackDependentsLocked), no second system-verdict path, one
 # assumption-record constructor. A second hit is a per-entry-point copy
 # coming back. Its dependency sets are slices held by value, IDOs
 # sorted: an import of internal/sets is a heap-held, linearly searched
 # set coming back (TestTrackerAllocBudget prices it).
 echo "== each equation once, dependency sets without maps"
-expect internal/tracker 'stats\.DefiniteDenies\+\+' 1
-expect internal/tracker 'stats\.DefiniteAffirms\+\+' 1
+expect internal/tracker 'obs\.KDenied,' 1
+expect internal/tracker 'obs\.KAffirmed,' 1
 expect internal/tracker 'rollbackDependentsLocked\(a' 2
 expect internal/tracker 'applyVerdictLocked' 0
 expect internal/tracker '&aidState\{' 1
 expect internal/tracker '"hope/internal/sets"' 0
+
+# Each runtime fact is recorded once (DESIGN.md, "One counter
+# registry"): obs.Metrics is the only counter registry, so a tracker
+# Stats, an escalation counter or a per-shard unresolved gauge — or an
+# engine or façade re-export of one — is a second count of an obs
+# number coming back. The wire keeps no vector clock: nothing reads one,
+# and a node sends Msg.VClock empty.
+echo "== each fact recorded once"
+expect internal/tracker 'type Stats|Stats\(\)|[Ee]scalations|(\bs|\])\.unresolved' 0
+expect internal/engine 'TrackerStats|ShardStats' 0
+expect . 'type Stats\b' 0
+expect internal/wire 'mergeClock|n\.clock|p\.vc|p\.mu\.|\.tick\(' 0
 
 # A message fault is decided in one place: the runtime's route draws
 # drop, delay and dup once per live send, before it splits local from
