@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hope/internal/ids"
+	"hope/internal/tracker"
 )
 
 // This file is the engine's distributed surface: the hooks internal/wire
@@ -88,6 +89,10 @@ func (r *Runtime) InjectRemote(m WireMsg) error {
 func (r *Runtime) ApplyVerdict(x ids.AID, affirmed bool) error {
 	return r.tr.ApplyVerdict(x, affirmed)
 }
+
+// Status reports x's resolution in the local tracker (an AID never seen
+// here is Unresolved).
+func (r *Runtime) Status(x ids.AID) tracker.Resolution { return r.tr.Status(x) }
 
 // SetVerdictSink installs fn to observe every terminal resolution
 // committed by this runtime's tracker (nil detaches). The wire layer

@@ -139,8 +139,8 @@ type Metrics struct {
 	ClassifyMisses atomic.Int64 // verdicts recomputed under the tracker lock
 
 	// Sharded-tracker gauges: one slot per shard, written by the tracker
-	// (assumption counts, resolution epochs) and the per-shard delivery
-	// schedulers (max heap depth). ShardContention counts settle or
+	// (live assumption records, resolution epochs) and the per-shard
+	// delivery schedulers (max heap depth). ShardContention counts settle or
 	// classify operations whose footprint escaped their home shards and
 	// escalated to an all-shard lock.
 	ShardAssumptions [MaxShards]atomic.Int64

@@ -227,8 +227,10 @@ func (o *Observer) SchedHeap(n int) {
 	atomicMax(&o.m.MaxSchedHeap, int64(n))
 }
 
-// ShardAssumptions records the number of assumption records homed on one
-// tracker shard (a gauge, overwritten on each report).
+// ShardAssumptions records the number of live assumption records homed
+// on one tracker shard — unresolved or spec-affirmed; a terminal one is
+// retired to its verdict bits and not counted (a gauge, overwritten on
+// each report).
 func (o *Observer) ShardAssumptions(shard, n int) {
 	if o == nil || shard < 0 || shard >= MaxShards {
 		return

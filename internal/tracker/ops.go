@@ -57,8 +57,9 @@ func (t *Tracker) Deliver(p ids.Proc, tags []ids.AID, logIndex int) (DeliverOutc
 // remain, one interval is opened on them. orphan reports a denied
 // dependency — guess(X) returns False, a message is discarded. An
 // explicit guess names one X and brings a never-seen X into existence,
-// unresolved; an implicit one reads an unknown tag as settled. The two
-// are observed under different names.
+// unresolved (a retired X it answers from its verdict bits); an implicit
+// one reads an unknown tag as settled. The two are observed under
+// different names.
 //
 // Home shards: the process's (new interval, live chain) and the tags';
 // the dependency walk escalates if their transitive expansion crosses
@@ -77,7 +78,7 @@ func (t *Tracker) open(p ids.Proc, tags []ids.AID, logIndex int, implicit bool) 
 		x := ids.NoAID // the one AID an explicit guess names
 		if !implicit {
 			x = tags[0]
-			t.aid(x)
+			t.live(x)
 		}
 		deps, orph, escaped := t.resolveDepsMasked(tags, locked, depBuf[:0])
 		if escaped {
@@ -202,9 +203,15 @@ func (t *Tracker) resolve(p ids.Proc, x ids.AID, v verdict) error {
 		if !f.resolveAID(x) {
 			return errEscape
 		}
-		a, v := t.aid(x), v // a copy: free_of rewrites it
 		if v == freeOf {
 			t.obs.Emit(obs.KFreeOf, p, x, ids.NoInterval, 0)
+		}
+		a, r := t.live(x)
+		if a == nil {
+			return r.resolve(v)
+		}
+		v := v // a copy: free_of rewrites it
+		if v == freeOf {
 			switch {
 			case a.status == Denied:
 				return nil // re-execution after the constraint violation was handled
@@ -371,21 +378,22 @@ func (t *Tracker) finalizeLocked(iv *intervalState, ctx *opCtx) {
 	removeInterval(sh.procs[iv.proc], iv)
 
 	for _, x := range iv.specAffirmed {
-		a := t.aid(x)
-		if a.status == SpecAffirmed && a.affirmer == iv.id {
+		a := t.record(x)
+		if a != nil && a.status == SpecAffirmed && a.affirmer == iv.id {
 			t.setStatus(a, Affirmed, ctx)
 		}
 	}
 	// Unreachable from here on (no shard map, no live chain), so finish
 	// reads iv.commits outside the locks.
-	ctx.addFinalized(iv)
+	ctx.fin.add(iv)
 	iv.aborts = nil
 	delete(sh.intervals, iv.id)
 
-	// Equation 22.
+	// Equation 22. A system verdict may have settled — and retired — a
+	// claimed X meanwhile.
 	for _, x := range iv.ihd {
-		a := t.aid(x)
-		if a.status == Denied || a.status == Affirmed {
+		a := t.record(x)
+		if a == nil || a.status.Terminal() {
 			continue
 		}
 		a.claimedBy = ids.NoInterval
@@ -436,15 +444,15 @@ func (t *Tracker) rollbackFromLocked(iv *intervalState, ctx *opCtx) {
 			ax.dom = withoutInterval(ax.dom, b)
 		}
 		for _, x := range b.specAffirmed {
-			ax := t.aid(x)
-			if ax.status == SpecAffirmed && ax.affirmer == b.id {
+			ax := t.record(x)
+			if ax != nil && ax.status == SpecAffirmed && ax.affirmer == b.id {
 				t.setStatus(ax, Denied, ctx)
 				ax.systemDenied = true
 			}
 		}
 		for _, x := range b.ihd {
-			ax := t.aid(x)
-			if ax.claimedBy == b.id {
+			ax := t.record(x)
+			if ax != nil && ax.claimedBy == b.id {
 				ax.claimed = false
 				ax.claimedBy = ids.NoInterval
 			}
@@ -487,7 +495,7 @@ func (t *Tracker) denySystem(x ids.AID, ctx *opCtx) bool {
 		if !f.resolveAID(x) {
 			return errEscape
 		}
-		a := t.aidShard(x).aids[x]
+		a := t.record(x)
 		if a == nil || a.status != Unresolved || a.claimed {
 			return nil // resolved by an earlier sweep's cascade
 		}

@@ -34,9 +34,19 @@ type shard struct {
 	// epoch, 0 is never a live value.
 	epoch atomic.Uint64
 
+	// aids holds the records of the assumptions homed here that are still
+	// live: unresolved or spec-affirmed. A settle that makes one terminal
+	// retires it into verdicts when it commits (commitCtx).
 	aids      map[ids.AID]*aidState
 	intervals map[ids.Interval]*intervalState
 	procs     map[ids.Proc]*procState
+	// verdicts holds each retired assumption's verdict, two bits indexed
+	// by AID >> log2(shards) (see retired). retiring lists the AIDs homed
+	// here that the current critical section made terminal, for
+	// commitCtx to retire; it keeps its capacity from one settle to the
+	// next.
+	verdicts pages
+	retiring []ids.AID
 	// finalized records the intervals of processes homed here that were
 	// made definite, for the engine's requeue-sanity assertion (a
 	// finalized receive must never be redelivered).
@@ -48,6 +58,35 @@ type shard struct {
 	// target, so PendingRollback — asked around every engine primitive,
 	// almost always answered "no" — can skip the lock when it reads zero.
 	pendingProcs atomic.Int32
+}
+
+// pages is a sparse array of 2-bit codes over dense identifiers, 4096
+// codes to a pointer-free 1 KiB page that is allocated on first write —
+// so the collector never scans it — and never freed. A code is written
+// once.
+type pages map[uint64]*page
+
+type page [4096 * 2 / 64]uint64
+
+// get returns the code at i (0 if never written).
+func (ps pages) get(i uint64) uint8 {
+	p := ps[i/4096]
+	if p == nil {
+		return 0
+	}
+	b := i % 4096 * 2
+	return uint8(p[b/64] >> (b % 64) & 3)
+}
+
+// set writes code c at i.
+func (ps pages) set(i uint64, c uint8) {
+	p := ps[i/4096]
+	if p == nil {
+		p = new(page)
+		ps[i/4096] = p
+	}
+	b := i % 4096 * 2
+	p[b/64] |= uint64(c) << (b % 64)
 }
 
 // Option configures a Tracker at construction.
@@ -77,8 +116,10 @@ func normalizeShards(n int) int {
 func bit(i uint64) uint64 { return 1 << i }
 
 // aidIdx and procIdx map identifiers to their home shard. Both id kinds
-// are dense counters, so masking the low bits spreads them round-robin.
+// are dense counters, so masking the low bits spreads them round-robin,
+// and aidSlot — the bits left — numbers a shard's own AIDs densely.
 func (t *Tracker) aidIdx(x ids.AID) uint64     { return uint64(x) & t.smask }
+func (t *Tracker) aidSlot(x ids.AID) uint64    { return uint64(x) >> t.sbits }
 func (t *Tracker) procIdx(p ids.Proc) uint64   { return uint64(p) & t.smask }
 func (t *Tracker) aidShard(x ids.AID) *shard   { return t.shards[t.aidIdx(x)] }
 func (t *Tracker) procShard(p ids.Proc) *shard { return t.shards[t.procIdx(p)] }
@@ -176,13 +217,14 @@ func (t *Tracker) settleCtx(ctx *opCtx, home uint64, op func(locked uint64) erro
 	return err
 }
 
-// commitCtx seals one critical section of a settle: each shard the
-// operation dirtied (resolved an assumption homed there) has its epoch
-// advanced while its write lock is still held, so a reader that
-// revalidates against the old epoch sum is guaranteed the mutation has
-// not happened yet from its lock-ordered point of view. The dirty set
-// must be inside the locked set — the panic is the runtime check that
-// footprint walks stay conservative.
+// commitCtx seals one critical section of a settle: each assumption the
+// section made terminal is retired, and each shard the operation dirtied
+// (resolved an assumption homed there) has its epoch advanced while its
+// write lock is still held, so a reader that revalidates against the old
+// epoch sum is guaranteed the mutation has not happened yet from its
+// lock-ordered point of view. The dirty set must be inside the locked
+// set — the panic is the runtime check that footprint walks stay
+// conservative.
 func (t *Tracker) commitCtx(ctx *opCtx, locked uint64) {
 	d := ctx.dirty
 	if d == 0 {
@@ -193,10 +235,38 @@ func (t *Tracker) commitCtx(ctx *opCtx, locked uint64) {
 	}
 	for m := d; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		t.obs.ShardEpoch(i, t.shards[i].epoch.Add(1))
+		s := t.shards[i]
+		for _, x := range s.retiring {
+			t.retire(s, x)
+		}
+		s.retiring = s.retiring[:0]
+		t.obs.ShardEpoch(i, s.epoch.Add(1))
+		t.obs.ShardAssumptions(i, len(s.aids))
 	}
 	t.settleSeq.Add(1)
 	ctx.dirty = 0
+}
+
+// retire replaces the record of an assumption this critical section made
+// terminal with two bits in its home shard's verdict pages. Equations
+// 9/14 drained its DOM for good, so all it has left to answer is its
+// verdict: Status, the dependency walk and resolve read the bits, and
+// no path rebuilds a record for it (see live). Moves no epoch — every
+// answer about X stays the same.
+func (t *Tracker) retire(s *shard, x ids.AID) {
+	a := s.aids[x]
+	if len(a.dom) != 0 {
+		return
+	}
+	code := retiredAffirmed
+	switch {
+	case a.systemDenied:
+		code = retiredSystemDenied
+	case a.status == Denied:
+		code = retiredDenied
+	}
+	s.verdicts.set(t.aidSlot(x), uint8(code))
+	delete(s.aids, x)
 }
 
 // footprint is the read-only conservative closure walk of the collect

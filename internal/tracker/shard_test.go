@@ -338,8 +338,9 @@ func TestClassifyCachedZeroLock(t *testing.T) {
 }
 
 // TestShardStats spreads sixteen assumptions over four shards and reads
-// the shards themselves: every AID has one home, no epoch is the reserved
-// zero, and the unaffirmed half is still Unresolved.
+// the shards themselves: every AID has one home — a live record or, once
+// resolved, retired verdict bits — no epoch is the reserved zero, and
+// exactly the unaffirmed half, still Unresolved, keeps records.
 func TestShardStats(t *testing.T) {
 	tr := New(WithShards(4))
 	p := tr.Register(noopHooks{})
@@ -359,27 +360,51 @@ func TestShardStats(t *testing.T) {
 	if len(tr.shards) != 4 {
 		t.Fatalf("got %d shards, want 4", len(tr.shards))
 	}
-	totalAIDs := 0
+	records, retiredAIDs := 0, 0
 	for i, s := range tr.shards {
 		s.mu.RLock()
 		if s.epoch.Load() == 0 {
 			t.Errorf("shard %d epoch is 0 (reserved)", i)
 		}
-		totalAIDs += len(s.aids)
+		records += len(s.aids)
+		retiredAIDs += retiredIn(s)
 		s.mu.RUnlock()
 	}
-	if totalAIDs != 16 {
-		t.Errorf("shard AIDs sum to %d, want 16", totalAIDs)
+	if records+retiredAIDs != 16 {
+		t.Errorf("shard records %d + retired verdicts %d sum to %d, want 16", records, retiredAIDs, records+retiredAIDs)
 	}
 	unresolved := 0
-	for _, x := range xs {
-		if tr.Status(x) == Unresolved {
+	for i, x := range xs {
+		st := tr.Status(x)
+		if st == Unresolved {
 			unresolved++
 		}
+		s := tr.aidShard(x)
+		s.mu.RLock()
+		_, kept := s.aids[x]
+		s.mu.RUnlock()
+		if kept != (i%2 == 1) || (st == Unresolved) != kept {
+			t.Errorf("%v (%v): record kept = %v", x, st, kept)
+		}
 	}
-	if unresolved != 8 {
-		t.Errorf("unresolved = %d, want 8", unresolved)
+	if unresolved != 8 || records != 8 {
+		t.Errorf("unresolved = %d, records = %d, want 8 and 8", unresolved, records)
 	}
+}
+
+// retiredIn counts the retired verdicts in s's pages; caller holds s.mu.
+func retiredIn(s *shard) int {
+	n := 0
+	for _, p := range s.verdicts {
+		for _, w := range p {
+			for ; w != 0; w >>= 2 {
+				if w&3 != 0 {
+					n++
+				}
+			}
+		}
+	}
+	return n
 }
 
 // BenchmarkContendedClassifyShards is the shard-count ablation of the

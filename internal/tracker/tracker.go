@@ -47,6 +47,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -246,6 +247,9 @@ type Tracker struct {
 	// allMask has one bit per shard (the all-shard lock set).
 	smask   uint64
 	allMask uint64
+	// sbits is log2 of the shard count: an AID's bits above it number it
+	// densely within its home shard (aidSlot).
+	sbits uint64
 
 	gen ids.Gen
 	// settleSeq is the global settle sequence number: it advances once
@@ -293,12 +297,14 @@ func New(opts ...Option) *Tracker {
 		shards:  make([]*shard, n),
 		smask:   uint64(n - 1),
 		allMask: (uint64(1) << n) - 1,
+		sbits:   uint64(bits.TrailingZeros(uint(n))),
 	}
 	for i := range t.shards {
 		s := &shard{
 			aids:      make(map[ids.AID]*aidState),
 			intervals: make(map[ids.Interval]*intervalState),
 			procs:     make(map[ids.Proc]*procState),
+			verdicts:  make(pages),
 			finalized: make(map[ids.Interval]struct{}),
 		}
 		// Epoch 0 is reserved as "never" so zero-valued caches are
@@ -355,24 +361,25 @@ func (t *Tracker) NewAID() ids.AID {
 }
 
 // Materialize ensures a record exists for every assumption identifier
-// in tags, creating missing ones Unresolved. Distributed runtimes call
-// it when a tagged message arrives over the wire: an AID minted in
-// another OS process is unknown here, and the classification walk
-// treats unknown AIDs as settled (locally minted records are never
-// deleted, so unknown could otherwise only mean "never existed").
-// Materializing before the message is enqueued makes the foreign tag
-// speculative until the minting node's terminal verdict arrives —
-// every terminal verdict is broadcast — so implicit guesses, orphan
-// discard, and RecvSettled behave exactly as if the guess were local.
-// Creation moves no epoch: a fresh AID cannot already appear in any tag
-// set or replacement set, and a tag set naming a foreign x is only ever
-// classified after the wire message carrying x was injected, so no
-// cached verdict can predate the record.
+// in tags that has none, creating missing ones Unresolved — unless the
+// identifier is retired: its verdict already arrived, and it never comes
+// again. Distributed runtimes call it when a tagged message arrives over
+// the wire: an AID minted in another OS process is unknown here, and the
+// classification walk treats unknown AIDs as settled (a retired AID is
+// not unknown — the walk reads its verdict — so unknown can otherwise
+// only mean "never existed"). Materializing before the message is
+// enqueued makes the foreign tag speculative until the minting node's
+// terminal verdict arrives — every terminal verdict is broadcast — so
+// implicit guesses, orphan discard, and RecvSettled behave exactly as if
+// the guess were local. Creation moves no epoch: a fresh AID cannot
+// already appear in any tag set or replacement set, and a tag set naming
+// a foreign x is only ever classified after the wire message carrying x
+// was injected, so no cached verdict can predate the record.
 func (t *Tracker) Materialize(tags []ids.AID) {
 	for _, x := range tags {
 		s := t.aidShard(x)
 		s.mu.Lock()
-		t.aid(x)
+		t.live(x)
 		n := len(s.aids)
 		s.mu.Unlock()
 		t.obs.ShardAssumptions(int(t.aidIdx(x)), n)
@@ -384,11 +391,10 @@ func (t *Tracker) Status(x ids.AID) Resolution {
 	s := t.aidShard(x)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	a, ok := s.aids[x]
-	if !ok {
-		return Unresolved
+	if a, ok := s.aids[x]; ok {
+		return a.status
 	}
-	return a.status
+	return t.retiredAt(s, x).status()
 }
 
 // Definite reports whether process p currently has no speculative
@@ -554,17 +560,14 @@ type opCtx struct {
 	// notify lists each process with a new rollback target once, in the
 	// order the cascade reached them.
 	notify []procHooks
-	// The nfin intervals this operation made definite, in cascade
-	// order; finish releases their commits in interval order. The first
-	// few sit in fin; past that, all of them move to finMore.
-	fin     [4]*intervalState
-	nfin    int
-	finMore []*intervalState
+	// fin lists the intervals this operation made definite, in cascade
+	// order; finish releases their commits in interval order.
+	fin spill[*intervalState]
 	// after holds the aborts of discarded intervals, in cascade order.
 	after []func()
 	// verdicts holds the terminal verdicts for the sink, in cascade
 	// order — as data, so a settle allocates no closure per verdict.
-	verdicts []verdictNote
+	verdicts spill[verdictNote]
 	// dirty is the set of shards whose assumptions changed resolution
 	// state in the current critical section; commitCtx bumps their
 	// epochs and clears it.
@@ -594,25 +597,33 @@ type verdictNote struct {
 	affirmed bool
 }
 
-// addFinalized records iv as made definite by this operation.
-func (ctx *opCtx) addFinalized(iv *intervalState) {
-	if ctx.nfin < len(ctx.fin) {
-		ctx.fin[ctx.nfin] = iv
-	} else {
-		if ctx.nfin == len(ctx.fin) {
-			ctx.finMore = append(ctx.finMore, ctx.fin[:]...)
-		}
-		ctx.finMore = append(ctx.finMore, iv)
-	}
-	ctx.nfin++
+// spill is a settle's list of what it made definite or terminal: the
+// first few members sit inline, on the settle's stack; past that, all of
+// them move to the heap. Most settles finalize one interval and
+// terminate one assumption.
+type spill[T any] struct {
+	inline [4]T
+	n      int
+	more   []T
 }
 
-// finalized lists the intervals this operation made definite.
-func (ctx *opCtx) finalized() []*intervalState {
-	if ctx.nfin > len(ctx.fin) {
-		return ctx.finMore
+func (l *spill[T]) add(v T) {
+	if l.n < len(l.inline) {
+		l.inline[l.n] = v
+	} else {
+		if l.n == len(l.inline) {
+			l.more = append(l.more, l.inline[:]...)
+		}
+		l.more = append(l.more, v)
 	}
-	return ctx.fin[:ctx.nfin]
+	l.n++
+}
+
+func (l *spill[T]) all() []T {
+	if l.n > len(l.inline) {
+		return l.more
+	}
+	return l.inline[:l.n]
 }
 
 func (ctx *opCtx) notifyProc(p ids.Proc, h Hooks) {
@@ -636,7 +647,7 @@ func (t *Tracker) finish(ctx *opCtx) {
 			n.h.NotifyRollback()
 		}
 	}
-	fin := ctx.finalized()
+	fin := ctx.fin.all()
 	if len(fin) > 1 {
 		slices.SortFunc(fin, func(a, b *intervalState) int { return cmp.Compare(a.id, b.id) })
 	}
@@ -648,8 +659,10 @@ func (t *Tracker) finish(ctx *opCtx) {
 	for _, f := range ctx.after {
 		f()
 	}
-	for _, v := range ctx.verdicts {
-		t.sink(v.x, v.affirmed)
+	if t.sink != nil {
+		for _, v := range ctx.verdicts.all() {
+			t.sink(v.x, v.affirmed)
+		}
 	}
 	if ctx.resolved && ctx.watcher != nil {
 		ctx.watcher()
@@ -663,12 +676,18 @@ func (t *Tracker) setStatus(a *aidState, st Resolution, ctx *opCtx) {
 	a.status = st
 	ctx.dirty |= bit(t.aidIdx(a.id))
 	ctx.resolved = true
-	// Terminal transitions are reported to the verdict sink from finish,
-	// outside every shard lock. setStatus is the single chokepoint for
-	// resolution-state changes, so no terminal verdict can slip past the
-	// wire broadcast regardless of which cascade produced it.
-	if t.sink != nil && (st == Affirmed || st == Denied) {
-		ctx.verdicts = append(ctx.verdicts, verdictNote{a.id, st == Affirmed})
+	// Terminal transitions are retired at commit and reported to the
+	// verdict sink from finish, outside every shard lock. setStatus is
+	// the single chokepoint for resolution-state changes, so no terminal
+	// verdict can slip past the retirement or the wire broadcast
+	// regardless of which cascade produced it.
+	if !st.Terminal() {
+		return
+	}
+	s := t.aidShard(a.id)
+	s.retiring = append(s.retiring, a.id)
+	if t.sink != nil {
+		ctx.verdicts.add(verdictNote{a.id, st == Affirmed})
 	}
 }
 
@@ -768,9 +787,12 @@ func (w *depWalk) visit(x ids.AID, deps []ids.AID) ([]ids.AID, bool) {
 		return deps, false
 	}
 	w.shards |= bit(idx)
-	a, ok := w.t.shards[idx].aids[x]
+	s := w.t.shards[idx]
+	a, ok := s.aids[x]
 	if !ok {
-		return deps, true
+		// Retired — its bits hold the verdict, and a denied one is still
+		// an orphan — or never seen here, which reads as settled.
+		return deps, w.t.retiredAt(s, x).status() != Denied
 	}
 	switch a.status {
 	case Unresolved:
@@ -817,7 +839,9 @@ func (t *Tracker) procAt(p ids.Proc) (*procState, error) {
 }
 
 // aid returns x's state, creating it Unresolved on first reference.
-// Caller holds x's home shard write lock.
+// Caller holds x's home shard write lock and knows x is not retired:
+// dependLocked only ever names unresolved assumptions. Everything that
+// can name a retired one goes through live or record.
 func (t *Tracker) aid(x ids.AID) *aidState {
 	s := t.aidShard(x)
 	a, ok := s.aids[x]
@@ -826,6 +850,65 @@ func (t *Tracker) aid(x ids.AID) *aidState {
 		s.aids[x] = a
 	}
 	return a
+}
+
+// live returns x's state like aid, except that a retired x keeps no
+// record and gets none: live returns nil and its verdict. Caller holds
+// x's home shard write lock.
+func (t *Tracker) live(x ids.AID) (*aidState, retired) {
+	s := t.aidShard(x)
+	if a, ok := s.aids[x]; ok {
+		return a, notRetired
+	}
+	if r := t.retiredAt(s, x); r != notRetired {
+		return nil, r
+	}
+	return t.aid(x), notRetired
+}
+
+// record returns x's state, or nil when x is retired. Caller holds x's
+// home shard lock.
+func (t *Tracker) record(x ids.AID) *aidState { return t.aidShard(x).aids[x] }
+
+// retired is a retired assumption's verdict: two bits in its home
+// shard's verdict pages. The zero value means not retired — X has a
+// record, or this tracker never saw it.
+type retired uint8
+
+const (
+	notRetired retired = iota
+	retiredAffirmed
+	retiredDenied
+	retiredSystemDenied // §5.6: a later affirm is stale, not a conflict
+)
+
+// retiredAt reads x's verdict bits; s is x's home shard, locked.
+func (t *Tracker) retiredAt(s *shard, x ids.AID) retired {
+	return retired(s.verdicts.get(t.aidSlot(x)))
+}
+
+// status is the resolution a retired verdict stands for (Unresolved for
+// notRetired: an AID never seen here).
+func (r retired) status() Resolution {
+	switch r {
+	case retiredAffirmed:
+		return Affirmed
+	case retiredDenied, retiredSystemDenied:
+		return Denied
+	}
+	return Unresolved
+}
+
+// resolve answers v asked of a retired X exactly as affirmLocked and
+// denyLocked answer a terminal record: a redundant verdict, a free_of
+// (X is in no IDO) and a stale affirm of a system-denied X are no-ops,
+// a contradicting one is the §5.2 conflict.
+func (r retired) resolve(v verdict) error {
+	switch {
+	case v == affirm && r == retiredDenied, v == deny && r == retiredAffirmed:
+		return ErrConflict
+	}
+	return nil
 }
 
 // openIntervalLocked creates a speculative interval for p (Equations 1–5;
@@ -903,10 +986,11 @@ func domIDs(dom []*intervalState) []ids.Interval {
 	return out
 }
 
-// DebugDump renders the full dependency state — every unresolved or
-// interesting assumption with its DOM, and every live interval with its
-// IDO — for diagnosing wedged systems. Diagnostic use only; takes an
-// all-shard read lock.
+// DebugDump renders the full dependency state — every assumption that
+// still has a record (unresolved or spec-affirmed; a terminal one is
+// retired to its verdict bits and not listed) with its DOM, and every
+// live interval with its IDO — for diagnosing wedged systems.
+// Diagnostic use only; takes an all-shard read lock.
 func (t *Tracker) DebugDump() string {
 	t.lockR(t.allMask)
 	defer t.unlockR(t.allMask)
@@ -921,9 +1005,6 @@ func (t *Tracker) DebugDump() string {
 	slices.Sort(aids)
 	for _, id := range aids {
 		a := t.aidShard(id).aids[id]
-		if a.status == Affirmed && len(a.dom) == 0 {
-			continue // committed and drained: boring
-		}
 		add(fmt.Sprintf("  %v: %v dom=%v", a.id, a.status, domIDs(a.dom)))
 		if a.status == SpecAffirmed {
 			add(fmt.Sprintf(" affirmer=%v repl=%v", a.affirmer, a.replacement))
@@ -959,7 +1040,8 @@ func (t *Tracker) DebugDump() string {
 //
 //   - Lemma 5.1 symmetry: X ∈ A.IDO ⟺ A ∈ X.DOM, both directions;
 //   - resolved assumptions have drained DOM sets (Equations 9/14 and
-//     rollback withdrawal);
+//     rollback withdrawal), and terminal ones keep no record — they are
+//     retired to their verdict bits, and a retired AID is never rebuilt;
 //   - every live interval is speculative with a non-empty IDO
 //     (Equation 20's contrapositive), held strictly ascending (the
 //     binary searches rely on it);
@@ -998,6 +1080,12 @@ func (t *Tracker) CheckInvariants() error {
 		for _, a := range s.aids {
 			if a.status != Unresolved && len(a.dom) != 0 {
 				return fmt.Errorf("resolved %v (%v) retains DOM %v", a.id, a.status, domIDs(a.dom))
+			}
+			if a.status.Terminal() {
+				return fmt.Errorf("terminal %v (%v) was not retired", a.id, a.status)
+			}
+			if r := t.retiredAt(s, a.id); r != notRetired {
+				return fmt.Errorf("retired %v (%v) has a record again", a.id, r.status())
 			}
 			for _, iv := range a.dom {
 				if t.procShard(iv.proc).intervals[iv.id] != iv {

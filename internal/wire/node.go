@@ -46,9 +46,13 @@ import (
 // broadcasts it; receivers apply it with Runtime.ApplyVerdict, rolling
 // back remote dependents through the ordinary machinery. Only
 // locally-originated verdicts are broadcast — remote ones are applied,
-// never forwarded — and a seen-set (marked before apply) makes the
-// exchange loop-free: cascade denials triggered by a remote verdict
-// count as locally originated and fan out in turn.
+// never forwarded: the node keeps the set of remote verdicts it is
+// applying right now, and the sink suppresses the echo of those.
+// Cascade denials triggered by a remote verdict count as locally
+// originated and fan out in turn. Nothing is remembered past the apply:
+// a duplicate or late verdict reaches the tracker, where it is an
+// idempotent no-op (and one contradicting a verdict already settled
+// here is dropped), so the exchange is loop-free.
 type Node struct {
 	cfg   Config
 	rt    *engine.Runtime
@@ -65,8 +69,10 @@ type Node struct {
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 
-	mu         sync.Mutex
-	seen       map[ids.AID]bool // verdicts applied or broadcast already
+	mu sync.Mutex
+	// applying holds the remote verdicts being applied right now, each
+	// from its frame's arrival until ApplyVerdict returns.
+	applying   map[ids.AID]struct{}
 	done       map[uint32]bool
 	doneClosed bool
 	conns      []net.Conn // accepted inbound connections, for Close
@@ -174,15 +180,15 @@ func NewNode(rt *engine.Runtime, cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("wire: node %d lists itself as a peer", cfg.ID)
 	}
 	n := &Node{
-		cfg:     cfg,
-		rt:      rt,
-		peers:   make(map[uint32]*peer, len(cfg.Peers)),
-		started: make(chan struct{}),
-		stopped: make(chan struct{}),
-		allDone: make(chan struct{}),
-		seen:    make(map[ids.AID]bool),
-		done:    make(map[uint32]bool),
-		names:   make(map[string]string, len(cfg.Procs)),
+		cfg:      cfg,
+		rt:       rt,
+		peers:    make(map[uint32]*peer, len(cfg.Peers)),
+		started:  make(chan struct{}),
+		stopped:  make(chan struct{}),
+		allDone:  make(chan struct{}),
+		applying: make(map[ids.AID]struct{}),
+		done:     make(map[uint32]bool),
+		names:    make(map[string]string, len(cfg.Procs)),
 	}
 	for name := range cfg.Procs {
 		n.names[name] = name
@@ -328,15 +334,15 @@ func (n *Node) enqueue(p *peer, f outFrame) error {
 }
 
 // onVerdict is the tracker's verdict sink: broadcast each
-// locally-originated terminal resolution to every peer. Remote verdicts
-// were marked seen before they were applied, so the sink firing during
-// that apply is suppressed here and nothing is forwarded.
+// locally-originated terminal resolution to every peer. The tracker
+// reports each AID's terminal verdict once; one that fires while a
+// remote verdict for the same AID is being applied is that verdict's
+// echo, suppressed here, so nothing is forwarded.
 func (n *Node) onVerdict(x ids.AID, affirmed bool) {
 	n.mu.Lock()
-	already := n.seen[x]
-	n.seen[x] = true
+	_, echo := n.applying[x]
 	n.mu.Unlock()
-	if already || len(n.plist) == 0 {
+	if echo || len(n.plist) == 0 {
 		return
 	}
 	v := Verdict{AID: x, Affirmed: affirmed, Origin: n.cfg.ID}
@@ -507,10 +513,7 @@ func (n *Node) readLoop(conn net.Conn) {
 			}
 		case FrameVerdict:
 			v := lr.verdict
-			if !n.markSeen(v.AID) {
-				continue
-			}
-			if err := n.rt.ApplyVerdict(v.AID, v.Affirmed); err != nil {
+			if err := n.apply(v); err != nil {
 				n.noteErr(fmt.Errorf("wire: verdict %v from node %d: %w", v.AID, v.Origin, err))
 			}
 		case FrameDone:
@@ -522,16 +525,28 @@ func (n *Node) readLoop(conn net.Conn) {
 	}
 }
 
-// markSeen records a verdict AID before it is applied or broadcast;
-// false means it was already handled.
-func (n *Node) markSeen(x ids.AID) bool {
+// apply applies a remote verdict, holding its AID in the applying set
+// meanwhile. The same AID already being applied from another link makes
+// this one a duplicate, dropped. A verdict that contradicts one already
+// settled here is dropped too: the first verdict to settle here stands.
+func (n *Node) apply(v Verdict) error {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.seen[x] {
-		return false
+	_, dup := n.applying[v.AID]
+	if !dup {
+		n.applying[v.AID] = struct{}{}
 	}
-	n.seen[x] = true
-	return true
+	n.mu.Unlock()
+	if dup {
+		return nil
+	}
+	err := n.rt.ApplyVerdict(v.AID, v.Affirmed)
+	n.mu.Lock()
+	delete(n.applying, v.AID)
+	n.mu.Unlock()
+	if errors.Is(err, engine.ErrConflict) && n.rt.Status(v.AID).Terminal() {
+		return nil
+	}
+	return err
 }
 
 func (n *Node) markDone(id uint32) {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -10,8 +11,10 @@ import (
 
 	"hope/internal/engine"
 	"hope/internal/fault"
+	"hope/internal/ids"
 	"hope/internal/obs"
 	"hope/internal/testutil"
+	"hope/internal/tracker"
 )
 
 // cluster is a test harness: N runtimes joined by loopback-TCP nodes
@@ -379,5 +382,126 @@ func TestWireMetrics(t *testing.T) {
 	}
 	if fanout := observers[0].Snapshot().Metrics.WireVerdictFanout; fanout != 1 {
 		t.Fatalf("verdict fanout = %d, want 1", fanout)
+	}
+}
+
+// TestDupVerdictsLeaveNoState: a node keeps no per-verdict state past
+// the apply. After a two-node storm quiesces — node 0's worker guesses
+// on AIDs it mints, node 1's judge settles each one, a quarter denied —
+// neither node is applying anything; node 1 broadcast one verdict per
+// job and node 0, which only applied them, broadcast none. Frames
+// replayed on a fresh link afterwards — each verdict again, and one
+// contradicting a verdict node 0 already settled — reach the tracker as
+// no-ops: no node error, no broadcast.
+func TestDupVerdictsLeaveNoState(t *testing.T) {
+	const jobs = 40
+	procs := map[string]uint32{"worker": 0, "judge": 1}
+	observers := make([]*obs.Observer, 2)
+	c := newCluster(t, 2, procs, nil, func(i int) *obs.Observer {
+		observers[i] = obs.New(obs.WithEventCapacity(0))
+		return observers[i]
+	})
+	if err := c.rts[0].Spawn("worker", func(p *engine.Proc) error {
+		for j := 0; j < jobs; j++ {
+			x := p.NewAID()
+			if err := p.Send("judge", x); err != nil {
+				return err
+			}
+			p.Guess(x)
+			if _, err := p.Recv(); err != nil { // the judge's ack
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	judged := make(chan engine.AID, jobs)
+	if err := c.rts[1].Spawn("judge", func(p *engine.Proc) error {
+		for j := 0; j < jobs; j++ {
+			m, err := p.Recv()
+			if err != nil {
+				return err
+			}
+			x := m.Payload.(engine.AID)
+			if j%4 == 0 {
+				err = p.Deny(x)
+			} else {
+				err = p.Affirm(x)
+			}
+			if err != nil {
+				return err
+			}
+			judged <- x
+			if err := p.Send("worker", "ack"); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c.start(t)
+	c.wait(t)
+
+	applying := func(n *Node) int {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return len(n.applying)
+	}
+	fanout := func(i int) int64 { return observers[i].Snapshot().Metrics.WireVerdictFanout }
+	for i, n := range c.nodes {
+		if k := applying(n); k != 0 {
+			t.Fatalf("node %d still holds %d verdicts in flight after quiescing", i, k)
+		}
+	}
+	if f0, f1 := fanout(0), fanout(1); f0 != 0 || f1 != jobs {
+		t.Fatalf("verdict fanout: node 0 %d, node 1 %d; want 0 and %d", f0, f1, jobs)
+	}
+
+	conn, err := net.Dial("tcp", c.nodes[0].Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := WriteFrame(conn, Hello{Node: 1, Name: "replay"}); err != nil {
+		t.Fatal(err)
+	}
+	raw := func(x engine.AID) ids.AID {
+		b, _ := x.AppendBinary(nil)
+		return ids.AID(binary.BigEndian.Uint64(b))
+	}
+	for j := 0; j < jobs; j++ {
+		x := raw(<-judged)
+		frames := []Verdict{{AID: x, Affirmed: j%4 != 0, Origin: 1}}
+		if j < 2 {
+			frames = append(frames, Verdict{AID: x, Affirmed: j%4 == 0, Origin: 1})
+		}
+		for _, v := range frames {
+			if _, err := WriteFrame(conn, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// A link is read in order, so once a last, fresh verdict has landed,
+	// every replayed frame before it has been applied.
+	marker := ids.AID(1<<48 | 1<<40)
+	if _, err := WriteFrame(conn, Verdict{AID: marker, Affirmed: true, Origin: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); c.rts[0].Status(marker) != tracker.Affirmed; {
+		if time.Now().After(deadline) {
+			t.Fatal("the replayed verdicts were never applied")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := c.nodes[0].Err(); err != nil {
+		t.Fatalf("replayed verdicts raised a node error: %v", err)
+	}
+	if f := fanout(0); f != 0 {
+		t.Fatalf("node 0 re-broadcast %d replayed verdicts", f)
+	}
+	if k := applying(c.nodes[0]); k != 0 {
+		t.Fatalf("node 0 holds %d verdicts in flight after the replay", k)
 	}
 }

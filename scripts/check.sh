@@ -4,12 +4,14 @@
 # contract with hopevet, check that workloads are defined once and that
 # the engine logs and blocks in one place each, the tracker states each
 # resolution rule once, each runtime fact is counted once (obs is the
-# only counter registry; the wire keeps no vector clock), a message
-# fault is decided once, a wire hop allocates only what it hands over
-# (including the alloc budgets, run without the race detector, which
-# skips them), payloads cross without gob and each claim has one
-# evidence path, then the race-enabled test suite. Run from anywhere;
-# it cds to the repo root.
+# only counter registry; the wire keeps no vector clock), settled state
+# retires (a terminal assumption keeps verdict bits, not a record; the
+# wire forgets a verdict once applied), a message fault is decided
+# once, a wire hop allocates only what it hands over (including the
+# alloc budgets, run without the race detector, which skips them),
+# payloads cross without gob and each claim has one evidence path, then
+# the race-enabled test suite. Run from anywhere; it cds to the repo
+# root.
 #
 #   ./scripts/check.sh
 #
@@ -101,6 +103,16 @@ expect internal/tracker 'type Stats|Stats\(\)|[Ee]scalations|(\bs|\])\.unresolve
 expect internal/engine 'TrackerStats|ShardStats' 0
 expect . 'type Stats\b' 0
 expect internal/wire 'mergeClock|n\.clock|p\.vc|p\.mu\.|\.tick\(' 0
+
+# Settled assumptions cost bits, not records (DESIGN.md, "Retired
+# assumptions"): commitCtx retires each AID a settle made terminal — the
+# one delete from a shard's AID table — into verdict bits that nothing
+# rebuilds a record from (the one &aidState{ above). The wire keeps no
+# state per verdict past its apply: a seen-set is every verdict ever
+# broadcast coming back.
+echo "== settled state retires"
+expect internal/wire 'n\.seen|markSeen' 0
+expect internal/tracker 'delete\(s\.aids' 1
 
 # A message fault is decided in one place: the runtime's route draws
 # drop, delay and dup once per live send, before it splits local from
