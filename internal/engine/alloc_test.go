@@ -12,17 +12,20 @@ import (
 // attaches an effect and receives the ack; the judge receives the claim,
 // affirms X and acks; the sink takes the result with RecvSettled and
 // attaches an effect. The payloads and effects allocate nothing, so what
-// is counted is the runtime's own: three messages, X's record, the
-// interval, its IDO and X's DOM, about seven. A wake effect attached per
-// interval, a tag copied per send or a commit list allocated per interval
-// each put one more on every job.
+// is counted is the runtime's own: X's record, the interval, its IDO and
+// X's DOM, about four. The three messages allocate nothing: each is
+// carried by value and kept in its receiver's message store. A message
+// boxed on the heap again puts three more on every job; a wake effect
+// attached per interval, a tag copied per send or a commit list
+// allocated per interval each put one more.
 //
 // The bytes are budgeted too. The three bodies never compact, so their
-// replay logs grow for the whole run: six entries a job for the worker,
-// three for the judge and two for the sink. A log that doubles and
-// copies itself as it grows fails here.
+// replay logs and message stores grow for the whole run: six entries a
+// job for the worker, three for the judge and two for the sink, and one
+// message each. A log or store that doubles and copies itself as it
+// grows fails here.
 func TestEngineJobAllocBudget(t *testing.T) {
-	const warm, jobs, budget, byteBudget = 200, 2000, 7.5, 1600.0
+	const warm, jobs, budget, byteBudget = 200, 2000, 4.5, 1600.0
 	rt := New(WithOutput(io.Discard))
 	t.Cleanup(rt.Shutdown)
 	var committed, collected int
@@ -97,9 +100,9 @@ func TestEngineJobAllocBudget(t *testing.T) {
 		return
 	}
 	if perJob > budget {
-		t.Fatalf("%.2f allocations per job, budget %.1f: is a wake effect, a tag copy or a commit list back on the heap?", perJob, budget)
+		t.Fatalf("%.2f allocations per job, budget %.1f: is a message, a wake effect, a tag copy or a commit list back on the heap?", perJob, budget)
 	}
 	if bytesPerJob > byteBudget {
-		t.Fatalf("%.0f bytes per job, budget %.0f: is the replay log copying itself as it grows?", bytesPerJob, byteBudget)
+		t.Fatalf("%.0f bytes per job, budget %.0f: is the replay log or its message store copying itself as it grows?", bytesPerJob, byteBudget)
 	}
 }

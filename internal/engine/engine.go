@@ -342,7 +342,7 @@ func (r *Runtime) Spawn(name string, body func(*Proc) error) error {
 		return fmt.Errorf("%w: %q", ErrDuplicateProc, name)
 	}
 	p := &Proc{rt: r, name: name, body: body, state: stateRunning}
-	p.cond = sync.NewCond(&p.mu)
+	p.cond.L = &p.mu
 	p.id = r.tr.Register((*procHooks)(p))
 	r.obs.RegisterProc(p.id, name)
 	r.procs[name] = p
@@ -370,12 +370,12 @@ func (r *Runtime) bump() {
 
 // route delivers src's message — seq, payload and tags — to the named
 // destination, applying the latency model; it builds the engine's rmsg
-// only for a local destination. It is the one place a message fault is
-// decided: with a plan attached, each live send draws drop, delay and
-// dup once, before the destination is known to be local or remote, so a
-// message that crosses the wire is faulted exactly like one that does
-// not. A drop returns ErrDelivery; the caller logs it, so replay never
-// asks the plan again.
+// only for a local destination, and carries it by value. It is the one
+// place a message fault is decided: with a plan attached, each live
+// send draws drop, delay and dup once, before the destination is known
+// to be local or remote, so a message that crosses the wire is faulted
+// exactly like one that does not. A drop returns ErrDelivery; the
+// caller logs it, so replay never asks the plan again.
 //
 // Channels are FIFO per directed (from, to) link, as the paper's model
 // (and the replay log) requires: with a latency model installed, a
@@ -421,12 +421,12 @@ func (r *Runtime) route(src *Proc, to string, seq uint64, payload any, tags []id
 		_ = remote(m)
 		return nil
 	}
-	msg := &rmsg{seq: seq, from: from, payload: payload, tags: tags}
+	msg := rmsg{message: message{seq: seq, from: from, payload: payload, tags: tags}}
 	if r.latency == nil && r.faults == nil {
 		// Synchronous delivery in the sender's goroutine is trivially
 		// FIFO per link.
 		r.mu.Unlock()
-		dst.enqueue(msg)
+		dst.enqueue(&msg)
 		return nil
 	}
 	// With a fault plan attached every delivery goes through the
@@ -475,7 +475,7 @@ func (r *Runtime) schedFor(from string) *sched {
 // enqueue is visible, so the stability scan never observes "no inflight,
 // empty queue" for a message in this window.
 func (r *Runtime) deliverNow(d *delivery) {
-	d.dst.enqueue(d.msg)
+	d.dst.enqueue(&d.msg)
 	r.mu.Lock()
 	r.inflight--
 	r.cond.Broadcast()
@@ -677,7 +677,8 @@ func (r *Runtime) DebugString() string {
 		phase := p.state
 		qlen := p.queue.len()
 		settled, spec, orphan := 0, 0, 0
-		for _, m := range p.queue.live() {
+		for i := 0; i < qlen; i++ {
+			m := p.queue.at(i)
 			switch isSettled, isOrphan := r.tr.ClassifyCached(m.tags, &m.cls); {
 			case isOrphan:
 				orphan++

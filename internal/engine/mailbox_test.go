@@ -8,41 +8,65 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hope/internal/ids"
 	"hope/internal/obs"
+	"hope/internal/tracker"
 )
+
+// vacant reports whether a mailbox slot holds nothing: no payload, tags
+// or sender a vacated slot could keep alive.
+func vacant(m *rmsg) bool {
+	return m.seq == 0 && m.from == "" && m.payload == nil && m.tags == nil && !m.wire && m.cls == (tracker.TagClass{})
+}
+
+// checkVacated fails unless every slot of q's blocks outside the live
+// messages, and every slot of its spare, is vacant.
+func checkVacated(t *testing.T, q *mailbox, op string) {
+	t.Helper()
+	s := 0 // the slot's position over all blocks; live from head to head+n
+	for b, blk := range q.blocks {
+		for o := range blk {
+			if m := &blk[o]; (s < q.head || s >= q.head+q.n) && !vacant(m) {
+				t.Fatalf("after %s: empty slot %d of block %d still holds seq %d, payload %v", op, o, b, m.seq, m.payload)
+			}
+			s++
+		}
+	}
+	for o := range q.spare {
+		if m := &q.spare[o]; !vacant(m) {
+			t.Fatalf("after %s: slot %d of the spare still holds seq %d, payload %v", op, o, m.seq, m.payload)
+		}
+	}
+}
+
+// queued builds the value a test enqueues: seq n, a payload and a tag.
+func queued(n uint64) rmsg {
+	return rmsg{message: message{seq: n, from: "src", payload: new(int), tags: []ids.AID{ids.AID(n)}}}
+}
 
 // TestMailboxMatchesSliceModel drives the mailbox and a plain slice with
 // the same random operations and compares them after every one.
 func TestMailboxMatchesSliceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var q mailbox
-	var model []*rmsg
+	var model []rmsg
 	next := uint64(0)
-	fresh := func() *rmsg { next++; return &rmsg{seq: next} }
+	fresh := func() rmsg { next++; return queued(next) }
 	check := func(op string) {
 		t.Helper()
 		if q.len() != len(model) {
 			t.Fatalf("after %s: len %d, model %d", op, q.len(), len(model))
 		}
-		for i, m := range q.live() {
-			if m != model[i] {
+		for i := 0; i < q.len(); i++ {
+			if m := q.at(i); m.seq != model[i].seq || m.payload != model[i].payload {
 				t.Fatalf("after %s: slot %d holds seq %d, model %d", op, i, m.seq, model[i].seq)
 			}
 		}
-		for i, m := range q.buf[:q.head] {
-			if m != nil {
-				t.Fatalf("after %s: vacated slot %d still holds seq %d", op, i, m.seq)
-			}
-		}
-		for i, m := range q.buf[len(q.buf):cap(q.buf)] {
-			if m != nil {
-				t.Fatalf("after %s: slot %d past the end still holds seq %d", op, i, m.seq)
-			}
-		}
+		checkVacated(t, &q, op)
 	}
 	for step := 0; step < 10_000; step++ {
 		// Alternate growing and draining phases so the queue both builds a
-		// backlog and empties many times over.
+		// backlog of several blocks and empties many times over.
 		grow := 55
 		if (step/500)%2 == 1 {
 			grow = 25
@@ -50,11 +74,11 @@ func TestMailboxMatchesSliceModel(t *testing.T) {
 		switch r := rng.Intn(100); {
 		case r < grow:
 			m := fresh()
-			q.pushBack(m)
+			q.pushBack(&m)
 			model = append(model, m)
 			check("pushBack")
 		case r < grow+10:
-			ms := make([]*rmsg, rng.Intn(4))
+			ms := make([]rmsg, rng.Intn(4))
 			for i := range ms {
 				ms[i] = fresh()
 			}
@@ -66,7 +90,7 @@ func TestMailboxMatchesSliceModel(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				i = rng.Intn(len(model))
 			}
-			if got := q.removeAt(i); got != model[i] {
+			if got := q.removeAt(i); got.seq != model[i].seq {
 				t.Fatalf("removeAt(%d) = seq %d, model %d", i, got.seq, model[i].seq)
 			}
 			model = append(model[:i:i], model[i+1:]...)
@@ -75,34 +99,77 @@ func TestMailboxMatchesSliceModel(t *testing.T) {
 	}
 }
 
-// TestMailboxReleasesBacklogArray: draining keeps a small array for reuse
-// and drops the one a backlog grew.
+// TestMailboxVacatedSlotsHoldNoPayload: the ways a slot is vacated —
+// removeAt at the head and past it, a block the head leaves (dropped, or
+// kept as the spare) and a drain that keeps its block — each leave the
+// slot zeroed, so a received message's payload is held only by the
+// receiver's log, not by its old queue slot.
+func TestMailboxVacatedSlotsHoldNoPayload(t *testing.T) {
+	var q mailbox
+	total := mailboxFirst + mailboxBlock + 2 // three blocks
+	for n := 1; n <= total; n++ {
+		m := queued(uint64(n))
+		q.pushBack(&m)
+	}
+	if len(q.blocks) != 3 {
+		t.Fatalf("%d messages in %d blocks, want 3", total, len(q.blocks))
+	}
+	q.removeAt(0) // the head
+	q.removeAt(1) // past it: seq 2 shifts up over the vacated slot
+	checkVacated(t, &q, "removeAt")
+	for q.len() > total-mailboxFirst {
+		q.removeAt(0)
+	}
+	if len(q.blocks) != 2 || q.spare != nil {
+		t.Fatalf("after the first block: %d blocks, spare %v; want it dropped, not kept", len(q.blocks), q.spare != nil)
+	}
+	checkVacated(t, &q, "first block left")
+	for q.len() > 2 {
+		q.removeAt(0)
+	}
+	if len(q.blocks) != 1 || len(q.spare) != mailboxBlock {
+		t.Fatalf("after the second block: %d blocks, spare of %d; want one block and a full spare", len(q.blocks), len(q.spare))
+	}
+	checkVacated(t, &q, "block kept as the spare")
+	for q.len() > 0 {
+		q.removeAt(0)
+	}
+	if len(q.blocks) != 1 || q.head != 0 || q.spare != nil {
+		t.Fatalf("drained: %d blocks, head %d, spare %v; want its one block at head 0 and no spare", len(q.blocks), q.head, q.spare != nil)
+	}
+	checkVacated(t, &q, "drain")
+}
+
+// TestMailboxReleasesBacklogArray: a drained mailbox keeps one block for
+// reuse and drops the others a backlog grew, and the spare.
 func TestMailboxReleasesBacklogArray(t *testing.T) {
 	var q mailbox
-	for i := 0; i < 8; i++ {
-		q.pushBack(&rmsg{})
+	var m rmsg
+	for i := 0; i < mailboxFirst; i++ {
+		q.pushBack(&m)
 	}
 	for q.len() > 0 {
 		q.removeAt(0)
 	}
-	if cap(q.buf) == 0 || q.head != 0 {
-		t.Fatalf("small drained mailbox: cap %d head %d, want its array kept at head 0", cap(q.buf), q.head)
+	if len(q.blocks) != 1 || q.head != 0 {
+		t.Fatalf("small drained mailbox: %d blocks, head %d; want its block kept at head 0", len(q.blocks), q.head)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		q.pushBack(&rmsg{})
+		q.pushBack(&m)
 		q.removeAt(0)
 	})
-	if allocs > 1 { // the rmsg itself
-		t.Fatalf("push/pop on a drained mailbox allocates %.0f times, want only the message", allocs)
+	if allocs > 0 {
+		t.Fatalf("push/pop on a drained mailbox allocates %.0f times, want none: the message is held by value", allocs)
 	}
-	for i := 0; i < mailboxKeep+1; i++ {
-		q.pushBack(&rmsg{})
+	const backlog = 10 * mailboxBlock
+	for i := 0; i < backlog; i++ {
+		q.pushBack(&m)
 	}
 	for q.len() > 0 {
 		q.removeAt(0)
 	}
-	if q.buf != nil {
-		t.Fatalf("drained backlog of %d left a %d-slot array behind", mailboxKeep+1, cap(q.buf))
+	if len(q.blocks) != 1 || len(q.blocks[0]) != mailboxBlock || q.spare != nil {
+		t.Fatalf("drained backlog of %d left %d blocks and a spare of %d, want one block and none", backlog, len(q.blocks), len(q.spare))
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -31,8 +32,9 @@ type Msg struct {
 	Payload any
 }
 
-// rmsg is the internal form of a message.
-type rmsg struct {
+// message is the internal form of a message, as the receiver's replay
+// log keeps it once a receive consumed it (msgStore).
+type message struct {
 	seq     uint64
 	from    string
 	payload any
@@ -42,11 +44,18 @@ type rmsg struct {
 	// even when the receiving runtime has no local fault plan, because
 	// duplication may have been injected at the sender's wire.
 	wire bool
+}
+
+// rmsg is a message on its way to a receiver: routed, scheduled or
+// queued, always by value.
+type rmsg struct {
+	message
 	// cls memoizes the tag set's classification verdict (guarded by the
 	// owning receiver's mu, like the queue itself): repeated queue scans
 	// revalidate it with one atomic epoch load instead of a locked
 	// dependency walk. Refreshed by scanQueueLocked as it reaches the
-	// message; never read without that revalidation.
+	// message; never read without that revalidation. The log does not
+	// keep it: a requeued message classifies afresh.
 	cls tracker.TagClass
 }
 
@@ -110,12 +119,12 @@ type entry struct {
 	ok   bool   // guess result; resolution or send success; entryRecv: got msg (false = timed out); entryOutcome: resolved
 	aff  bool   // entryOutcome: affirmed
 	x    uint64 // the AID of a guess, resolution, outcome or NewAID; entryRecv: the implicit interval; entryRand: the value
-	ref  any    // entryRecv: the *rmsg; entryCheckpoint: the captured user state
+	ref  any    // entryRecv: the *message in the log's store; entryCheckpoint: the captured user state
 }
 
 func (e *entry) aid() ids.AID     { return ids.AID(e.x) }
 func (e *entry) iv() ids.Interval { return ids.Interval(e.x) }
-func (e *entry) msg() *rmsg       { m, _ := e.ref.(*rmsg); return m }
+func (e *entry) msg() *message    { m, _ := e.ref.(*message); return m }
 
 // logSegment is the length of every replay-log segment after the first:
 // 512 entries, 16 KB. DESIGN.md ("Logged decisions") records why not 256.
@@ -126,9 +135,11 @@ const logSegment = 512
 // then further segments allocated at their full length. No segment is
 // ever copied once full, so a pointer into one stays valid until the
 // next cut; only a push that grows the first segment moves its entries.
+// The messages its receives consumed live beside it, in msgs.
 type replayLog struct {
 	segs [][]entry // segs[0] may be short; every later segment has logSegment entries
 	n    int       // entries in use
+	msgs msgStore  // one message per entry that holds one, in log order
 }
 
 func (l *replayLog) len() int { return l.n }
@@ -136,8 +147,13 @@ func (l *replayLog) len() int { return l.n }
 // at returns entry i (0 <= i < len) in place.
 func (l *replayLog) at(i int) *entry { return &l.segs[i/logSegment][i%logSegment] }
 
-// push appends e and returns the stored entry.
-func (l *replayLog) push(e entry) *entry {
+// push appends e and returns the stored entry. A receive passes the
+// message it consumed as m (nil for every other entry): it is copied into
+// the message store and e.ref points at the copy.
+func (l *replayLog) push(e entry, m *message) *entry {
+	if m != nil {
+		e.ref = l.msgs.push(m)
+	}
 	s, o := l.n/logSegment, l.n%logSegment
 	if s == len(l.segs) || o == len(l.segs[s]) {
 		l.grow()
@@ -166,17 +182,88 @@ func (l *replayLog) grow() {
 	}
 }
 
-// cut truncates the log to its first k entries. It zeroes the entries it
-// drops, so their messages and checkpoint states become garbage now, not
+// cut truncates the log to its first k entries, and the message store to
+// the messages those entries hold. It zeroes the entries and messages it
+// drops, so their payloads and checkpoint states become garbage now, not
 // when a later push overwrites them, and keeps every segment for reuse.
 func (l *replayLog) cut(k int) {
+	dropped := 0
 	for i := k; i < l.n; {
 		s, o := i/logSegment, i%logSegment
 		end := min(len(l.segs[s]), o+l.n-i)
+		for j := o; j < end; j++ {
+			if l.segs[s][j].msg() != nil {
+				dropped++
+			}
+		}
 		clear(l.segs[s][o:end])
 		i += end - o
 	}
+	l.msgs.cut(l.msgs.n - dropped)
 	l.n = k
+}
+
+// msgSegment is the length of every message-store segment after the
+// four growing ones, which hold 4, 8, 16 and 32 messages: 60 in all.
+const msgSegment = 64
+
+// msgStore holds, by value, the messages a process's receives consumed:
+// the receiver owns them, and no delivery allocates an object of its own.
+// Its segments are allocated at their full length and never copied, so
+// an entry's pointer into one stays valid until a cut drops the message;
+// the growing lengths keep a short log's store small. Written only by
+// replayLog.push and truncated only with the log.
+type msgStore struct {
+	segs [][]message
+	n    int
+}
+
+// msgSlot locates message i: segment s, offset o.
+func msgSlot(i int) (s, o int) {
+	if i < msgSegment-4 {
+		j := i + 4 // segment s holds j in [4<<s, 8<<s)
+		s = bits.Len(uint(j)) - 3
+		return s, j - 4<<s
+	}
+	i -= msgSegment - 4
+	return 4 + i/msgSegment, i % msgSegment
+}
+
+// push copies *m into the next slot and returns the slot.
+func (st *msgStore) push(m *message) *message {
+	s, o := msgSlot(st.n)
+	if s == len(st.segs) {
+		st.grow()
+	}
+	slot := &st.segs[s][o]
+	*slot = *m
+	st.n++
+	return slot
+}
+
+// grow adds the next segment, off push's common path. The first one
+// comes with room for eight segment headers, so a store of up to 316
+// messages grows its list of segments once.
+//
+//go:noinline
+func (st *msgStore) grow() {
+	s, n := len(st.segs), msgSegment
+	if s < 4 {
+		n = 4 << s
+	}
+	if s == 0 {
+		st.segs = make([][]message, 0, 8)
+	}
+	st.segs = append(st.segs, make([]message, n))
+}
+
+// cut truncates the store to its first k messages, zeroing the rest.
+func (st *msgStore) cut(k int) {
+	for i := k; i < st.n; i++ {
+		s, o := msgSlot(i)
+		st.segs[s][o] = message{}
+	}
+	st.n = k
 }
 
 // Proc is the handle a process body uses for every interaction with the
@@ -188,7 +275,7 @@ type Proc struct {
 	body func(*Proc) error
 
 	mu     sync.Mutex
-	cond   *sync.Cond
+	cond   sync.Cond // on mu, held by value: a spawn allocates no Cond
 	queue  mailbox
 	closed bool
 	err    error
@@ -353,7 +440,8 @@ func (p *Proc) scanQueueLocked(mode scanMode, pred func(any) bool) (deliver, dro
 	deliver, drop = -1, -1
 	tr := p.rt.tr
 	examined, stale := 0, 0
-	for i, m := range p.queue.live() {
+	for i := 0; i < p.queue.len(); i++ {
+		m := p.queue.at(i) // classified in place: the memo lives in the slot
 		if pred != nil && !pred(m.payload) {
 			continue
 		}
@@ -423,9 +511,9 @@ func (p *Proc) hasWork() bool {
 	return p.readyLocked(&p.wait, mode)
 }
 
-// enqueue appends a message and wakes the process. Appends happen under
-// rt.mu so the Quiesce scan cannot miss a message enqueued to an
-// already-scanned process (see setPhase).
+// enqueue copies m to the back of the queue and wakes the process.
+// Appends happen under rt.mu so the Quiesce scan cannot miss a message
+// enqueued to an already-scanned process (see setPhase).
 func (p *Proc) enqueue(m *rmsg) {
 	p.rt.mu.Lock()
 	p.mu.Lock()
@@ -508,20 +596,19 @@ func (p *Proc) attempt() (restart bool) {
 // replaying only the suffix after it — or from the top of the retained
 // log when none does.
 func (p *Proc) applyPending() {
-	tgtp := p.rt.tr.TakePending(p.id)
+	tgt, ok := p.rt.tr.TakePending(p.id)
 	crashed := p.crashed
 	p.crashed = false
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.restoredState, p.hasRestored = nil, false
-	if tgtp == nil {
+	if !ok {
 		// No rollback target: the first attempt, or an injected crash.
 		// A crash truncates nothing — the whole retained log replays,
 		// short-circuited by the newest checkpoint if one exists.
 		p.resumeLocked(crashed)
 		return
 	}
-	tgt := *tgtp
 	p.rt.obs.Emit(obs.KRollbackStarted, p.id, ids.NoAID, ids.NoInterval, int64(tgt.LogIndex))
 	rel := tgt.LogIndex - p.logBase
 	if rel < 0 || rel >= p.log.len() {
@@ -536,13 +623,14 @@ func (p *Proc) applyPending() {
 		p.log.at(rel).ok = false // guess(x) returns False on resumption (§3, Eq. 24)
 		cut = rel + 1
 	}
-	var requeue []*rmsg
+	// The messages are copied out of the store before the cut zeroes them.
+	var requeue []rmsg
 	for i := cut; i < p.log.len(); i++ {
 		if e := p.log.at(i); e.kind == entryRecv && e.ok { // a logged timeout consumed nothing
 			if e.iv().Valid() && p.rt.tr.WasFinalized(p.id, e.iv()) {
 				panic(fmt.Sprintf("hope: requeueing finalized receive %v (log target %d)", e.iv(), tgt.LogIndex))
 			}
-			requeue = append(requeue, e.msg())
+			requeue = append(requeue, rmsg{message: *e.msg()})
 		}
 	}
 	p.log.cut(cut)
@@ -669,9 +757,10 @@ func (p *Proc) replayed(kind entryKind, aid ids.AID) *entry {
 
 // logged is the exit edge: it appends a live decision and keeps the
 // replay cursor caught up, so replaying() is true only while re-consuming
-// a truncated prefix.
-func (p *Proc) logged(e entry) *entry {
-	stored := p.log.push(e)
+// a truncated prefix. A receive hands over the message it consumed as m,
+// which the log stores by value; every other decision passes nil.
+func (p *Proc) logged(e entry, m *message) *entry {
+	stored := p.log.push(e, m)
 	p.replay = p.log.len()
 	p.checkPending()
 	return stored
@@ -696,7 +785,7 @@ func (p *Proc) trackerErr(err error) {
 func (p *Proc) NewAID() AID {
 	e := p.replayed(entryNewAID, ids.NoAID)
 	if e == nil {
-		e = p.logged(entry{kind: entryNewAID, x: uint64(p.rt.tr.NewAID())})
+		e = p.logged(entry{kind: entryNewAID, x: uint64(p.rt.tr.NewAID())}, nil)
 	}
 	return AID{id: e.aid()}
 }
@@ -734,7 +823,7 @@ func (p *Proc) Guess(a AID) bool {
 				// speculative one — but no interval references this log
 				// index, so the entry can never be a rollback target.
 				p.rt.obs.SiteVerdict(site, verdict)
-				return p.logged(entry{kind: entryGuess, x: uint64(a.id), ok: verdict}).ok
+				return p.logged(entry{kind: entryGuess, x: uint64(a.id), ok: verdict}, nil).ok
 			}
 			p.rt.obs.SiteWaitTimeout(site)
 			p.rt.obs.Emit(obs.KPolicyWaitTimeout, p.id, a.id, ids.NoInterval, int64(site))
@@ -756,7 +845,7 @@ func (p *Proc) Guess(a AID) bool {
 		// now — credit the estimator directly.
 		p.rt.obs.SiteVerdict(site, out.Result)
 	}
-	return p.logged(entry{kind: entryGuess, x: uint64(a.id), ok: out.Result}).ok
+	return p.logged(entry{kind: entryGuess, x: uint64(a.id), ok: out.Result}, nil).ok
 }
 
 // awaitVerdict blocks until assumption a resolves terminally, returning
@@ -804,7 +893,7 @@ func (p *Proc) resolve(kind entryKind, a AID, op func(ids.Proc, ids.AID) error) 
 		if err != nil && err != tracker.ErrConflict {
 			p.trackerErr(err)
 		}
-		e = p.logged(entry{kind: kind, x: uint64(a.id), ok: err == nil})
+		e = p.logged(entry{kind: kind, x: uint64(a.id), ok: err == nil}, nil)
 	}
 	if !e.ok {
 		return ErrConflict
@@ -823,7 +912,7 @@ func (p *Proc) resolve(kind entryKind, a AID, op func(ids.Proc, ids.AID) error) 
 func (p *Proc) Send(to string, payload any) error {
 	e := p.replayed(entrySend, ids.NoAID)
 	if e == nil {
-		e = p.logged(entry{kind: entrySend, ok: p.send(to, payload)})
+		e = p.logged(entry{kind: entrySend, ok: p.send(to, payload)}, nil)
 	}
 	if !e.ok {
 		return ErrDelivery
@@ -948,12 +1037,12 @@ func (p *Proc) receive(w wait) (Msg, error) {
 			p.rt.bump()
 			continue
 		}
-		var m *rmsg
+		var m rmsg
 		if deliver >= 0 {
 			m = p.queue.removeAt(deliver)
 		}
 		p.mu.Unlock()
-		if m != nil {
+		if deliver >= 0 {
 			// For settled tags Deliver is a no-op on the dependency state
 			// but is kept for accounting symmetry.
 			out, err := p.rt.tr.Deliver(p.id, m.tags, p.logBase+p.log.len())
@@ -972,12 +1061,12 @@ func (p *Proc) receive(w wait) (Msg, error) {
 				p.rt.bump()
 				continue
 			}
-			p.logged(entry{kind: entryRecv, ok: true, x: uint64(out.Interval), ref: m})
+			p.logged(entry{kind: entryRecv, ok: true, x: uint64(out.Interval)}, &m.message)
 			return Msg{From: m.from, Payload: m.payload}, nil
 		}
 		if w.expired() {
 			// The timeout is itself a logged nondeterministic event.
-			p.logged(entry{kind: entryRecv})
+			p.logged(entry{kind: entryRecv}, nil)
 			return Msg{}, ErrTimeout
 		}
 		// Nothing deliverable: block until something arrives, settles,
@@ -1019,7 +1108,7 @@ func (p *Proc) Outcome(a AID) (resolved, affirmed bool) {
 	e := p.replayed(entryOutcome, a.id)
 	if e == nil {
 		st := p.rt.tr.Status(a.id)
-		e = p.logged(entry{kind: entryOutcome, x: uint64(a.id), ok: st.Terminal(), aff: st == tracker.Affirmed})
+		e = p.logged(entry{kind: entryOutcome, x: uint64(a.id), ok: st.Terminal(), aff: st == tracker.Affirmed}, nil)
 	}
 	return e.ok, e.aff
 }
@@ -1035,7 +1124,7 @@ func (p *Proc) Effect(commit, abort func()) {
 	if err := p.rt.tr.AttachEffect(p.id, commit, abort); err != nil {
 		p.trackerErr(err)
 	}
-	p.logged(entry{kind: entryEffect})
+	p.logged(entry{kind: entryEffect}, nil)
 }
 
 // Printf formats to the runtime's output as a buffered effect: the text
@@ -1052,7 +1141,7 @@ func (p *Proc) Rand() int64 {
 		if p.rng == nil {
 			p.rng = rand.New(rand.NewSource(int64(p.id)))
 		}
-		e = p.logged(entry{kind: entryRand, x: uint64(p.rng.Int63())})
+		e = p.logged(entry{kind: entryRand, x: uint64(p.rng.Int63())}, nil)
 	}
 	return int64(e.x)
 }
@@ -1084,7 +1173,7 @@ func (p *Proc) Checkpoint(state any) {
 	// the argument is discarded.
 	if p.replayed(entryCheckpoint, ids.NoAID) == nil {
 		p.rt.obs.Emit(obs.KCheckpoint, p.id, ids.NoAID, ids.NoInterval, checkpointSize(p.rt.obs, state))
-		p.logged(entry{kind: entryCheckpoint, ref: state})
+		p.logged(entry{kind: entryCheckpoint, ref: state}, nil)
 	}
 	p.lastCp = p.replay
 }

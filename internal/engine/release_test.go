@@ -72,3 +72,76 @@ func TestCompactionReleasesDroppedCheckpoint(t *testing.T) {
 		t.Fatal("the checkpoint state dropped by compaction is still reachable")
 	}
 }
+
+// TestRollbackReleasesDroppedMessage checks that a rollback's cut drops
+// the message a cut receive consumed from the log's message store, not
+// only the entry that pointed at it. The sender guesses X and sends a
+// payload held only through a weak pointer; the receiver consumes it
+// (an implicit guess of X) and the sender denies X. The receiver rolls
+// back to that receive: the message goes back to its queue an orphan,
+// the re-executed receive drops it and blocks. Once the runtime is quiet
+// and a collection has run, the payload must be gone.
+func TestRollbackReleasesDroppedMessage(t *testing.T) {
+	rt, _ := newRT(t)
+	var payload weak.Pointer[[1024]byte]
+	consumed := make(chan struct{})
+	spawn(t, rt, "rx", func(p *Proc) error {
+		if _, err := p.Recv(); err != nil {
+			return err
+		}
+		close(consumed) // only the first attempt gets here
+		_, err := p.Recv()
+		return err
+	})
+	spawn(t, rt, "tx", func(p *Proc) error {
+		x := p.NewAID()
+		if p.Guess(x) {
+			pl := new([1024]byte)
+			payload = weak.Make(pl)
+			if err := p.Send("rx", pl); err != nil {
+				return err
+			}
+			<-consumed
+			return p.Deny(x)
+		}
+		return nil
+	})
+	rt.Quiesce()
+	if rt.procs["rx"].Restarts() == 0 {
+		t.Fatal("rx was never rolled back: the test did not exercise the cut")
+	}
+	runtime.GC()
+	if payload.Value() != nil {
+		t.Fatal("the payload of the message cut by the rollback is still reachable")
+	}
+}
+
+// TestCompactionReleasesDroppedMessage is the same check for Loop's
+// compaction: the first step receives a settled message whose payload
+// is held only through a weak pointer, the step boundary compacts the
+// log (the process is definite) and the second step blocks in Recv.
+func TestCompactionReleasesDroppedMessage(t *testing.T) {
+	rt, _ := newRT(t)
+	var payload weak.Pointer[[1024]byte]
+	err := Loop(rt, "acc",
+		func() *int { return new(int) },
+		func(s *int) *int { c := *s; return &c },
+		func(p *Proc, s *int) error {
+			*s++
+			_, err := p.Recv()
+			return err
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spawn(t, rt, "tx", func(p *Proc) error {
+		pl := new([1024]byte)
+		payload = weak.Make(pl)
+		return p.Send("acc", pl)
+	})
+	rt.Quiesce()
+	runtime.GC()
+	if payload.Value() != nil {
+		t.Fatal("the payload of the message dropped by compaction is still reachable")
+	}
+}

@@ -77,7 +77,8 @@ func (r *Runtime) InjectRemote(m WireMsg) error {
 	// flight. Materialized records resolve when the verdict broadcast
 	// arrives (tracker.Materialize).
 	r.tr.Materialize(m.Tags)
-	dst.enqueue(&rmsg{seq: m.Seq, from: m.From, payload: m.Payload, tags: m.Tags, wire: true})
+	msg := rmsg{message: message{seq: m.Seq, from: m.From, payload: m.Payload, tags: m.Tags, wire: true}}
+	dst.enqueue(&msg)
 	return nil
 }
 

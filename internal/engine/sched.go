@@ -10,7 +10,7 @@ import (
 type delivery struct {
 	due time.Time
 	key linkKey
-	msg *rmsg
+	msg rmsg
 	dst *Proc
 }
 

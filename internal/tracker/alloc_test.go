@@ -9,7 +9,9 @@ import "testing"
 // context. One storm job — a definite process mints X, guesses it and
 // attaches an effect, a definite judge affirms it — allocates X's record,
 // the interval, its IDO and X's DOM: 4, where the set-and-map layout
-// allocated 22. A deny adds a rollback notification and target: 6 (25).
+// allocated 22. A deny costs the same 4 (25): the rollback target is held
+// by value and the notification list's first entries sit inline in the
+// settle's context, so a rollback allocates nothing in the tracker.
 // The deep case is the 65th guess of a process 64 guesses deep, denied at
 // once: it copies 64 dependencies and walks a 65-interval chain, yet
 // costs what the shallow deny does (50), because the 64 DOM appends and
@@ -23,8 +25,8 @@ func TestTrackerAllocBudget(t *testing.T) {
 		budget float64
 	}{
 		{"affirm", 0, false, 4},
-		{"deny", 0, true, 6},
-		{"deep deny", 64, true, 6},
+		{"deny", 0, true, 4},
+		{"deep deny", 64, true, 4},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -47,7 +49,7 @@ func TestTrackerAllocBudget(t *testing.T) {
 					if err := tr.Deny(judge, x); err != nil {
 						t.Fatal(err)
 					}
-					if tr.TakePending(p) == nil {
+					if _, ok := tr.TakePending(p); !ok {
 						t.Fatal("deny left no rollback target")
 					}
 				} else if err := tr.Affirm(judge, x); err != nil {
@@ -57,7 +59,7 @@ func TestTrackerAllocBudget(t *testing.T) {
 			got := testing.AllocsPerRun(500, job)
 			t.Logf("%.1f allocations per job", got)
 			if !raceEnabled && got > c.budget {
-				t.Fatalf("%.1f allocations per job, budget %.0f: is a dependency set, the footprint, the commit list or the finalized list back on the heap?", got, c.budget)
+				t.Fatalf("%.1f allocations per job, budget %.0f: is a dependency set, the footprint, the commit list, the finalized list, the notification list or the rollback target back on the heap?", got, c.budget)
 			}
 			if err := tr.CheckInvariants(); err != nil {
 				t.Fatal(err)

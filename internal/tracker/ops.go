@@ -72,7 +72,7 @@ func (t *Tracker) open(p ids.Proc, tags []ids.AID, logIndex int, implicit bool) 
 		if err != nil {
 			return err
 		}
-		if ps.pending != nil {
+		if ps.hasPending {
 			return ErrRolledBack
 		}
 		x := ids.NoAID // the one AID an explicit guess names
@@ -192,7 +192,7 @@ func (t *Tracker) resolve(p ids.Proc, x ids.AID, v verdict) error {
 			if err != nil {
 				return err
 			}
-			if ps.pending != nil {
+			if ps.hasPending {
 				return ErrRolledBack
 			}
 			if !f.visitProc(p) {
@@ -335,7 +335,7 @@ func (t *Tracker) AttachEffect(p ids.Proc, commit, abort func()) error {
 		s.mu.Unlock()
 		return ErrUnknownProc
 	}
-	if ps.pending != nil {
+	if ps.hasPending {
 		s.mu.Unlock()
 		return ErrRolledBack
 	}
@@ -465,12 +465,11 @@ func (t *Tracker) rollbackFromLocked(iv *intervalState, ctx *opCtx) {
 	// critical section that discarded the intervals: delivery can never
 	// race a later, deeper rollback out of order.
 	tgt := RollbackTarget{LogIndex: iv.logIndex, Implicit: iv.implicit}
-	if ps.pending == nil || tgt.LogIndex < ps.pending.LogIndex {
-		if ps.pending == nil {
+	if !ps.hasPending || tgt.LogIndex < ps.pending.LogIndex {
+		if !ps.hasPending {
 			sh.pendingProcs.Add(1)
 		}
-		cp := tgt
-		ps.pending = &cp
+		ps.pending, ps.hasPending = tgt, true
 	}
 	ctx.notifyProc(iv.proc, ps.hooks)
 }

@@ -53,7 +53,7 @@ type shard struct {
 	finalized map[ids.Interval]struct{}
 
 	// pendingProcs counts the processes homed here with an unapplied
-	// rollback target (procState.pending != nil). It changes only under mu
+	// rollback target (procState.hasPending). It changes only under mu
 	// held for writing, in the critical sections that install or take a
 	// target, so PendingRollback — asked around every engine primitive,
 	// almost always answered "no" — can skip the lock when it reads zero.

@@ -228,8 +228,10 @@ type procState struct {
 	// process. It is merged under the process's shard lock — inside the
 	// same critical section that discards the intervals — so targets can
 	// never be observed out of order with the interval state they
-	// describe (Theorem 5.1 makes the minimum the correct merge).
-	pending *RollbackTarget
+	// describe (Theorem 5.1 makes the minimum the correct merge). It is
+	// held by value: hasPending says whether it is set.
+	pending    RollbackTarget
+	hasPending bool
 }
 
 func (p *procState) current() *intervalState {
@@ -421,7 +423,7 @@ func (t *Tracker) Tag(p ids.Proc) ([]ids.AID, error) {
 	if !ok {
 		return nil, ErrUnknownProc
 	}
-	if ps.pending != nil {
+	if ps.hasPending {
 		return nil, ErrRolledBack
 	}
 	if cur := ps.current(); cur != nil {
@@ -559,7 +561,7 @@ func (t *Tracker) SetResolutionWatcher(fn func()) {
 type opCtx struct {
 	// notify lists each process with a new rollback target once, in the
 	// order the cascade reached them.
-	notify []procHooks
+	notify spill[procHooks]
 	// fin lists the intervals this operation made definite, in cascade
 	// order; finish releases their commits in interval order.
 	fin spill[*intervalState]
@@ -597,10 +599,11 @@ type verdictNote struct {
 	affirmed bool
 }
 
-// spill is a settle's list of what it made definite or terminal: the
-// first few members sit inline, on the settle's stack; past that, all of
-// them move to the heap. Most settles finalize one interval and
-// terminate one assumption.
+// spill is a settle's list of what it made definite or terminal, or
+// sent back: the first few members sit inline, on the settle's stack;
+// past that, all of them move to the heap. Most settles finalize one
+// interval and terminate one assumption, and a deny rolls back a few
+// processes.
 type spill[T any] struct {
 	inline [4]T
 	n      int
@@ -627,12 +630,12 @@ func (l *spill[T]) all() []T {
 }
 
 func (ctx *opCtx) notifyProc(p ids.Proc, h Hooks) {
-	for _, n := range ctx.notify {
+	for _, n := range ctx.notify.all() {
 		if n.p == p {
 			return
 		}
 	}
-	ctx.notify = append(ctx.notify, procHooks{p, h})
+	ctx.notify.add(procHooks{p, h})
 }
 
 // finish delivers rollback notifications and runs queued effects, outside
@@ -642,7 +645,7 @@ func (ctx *opCtx) notifyProc(p ids.Proc, h Hooks) {
 // into other DOM sets in whatever order it meets them — and two effects
 // of one process are not independent steps.
 func (t *Tracker) finish(ctx *opCtx) {
-	for _, n := range ctx.notify {
+	for _, n := range ctx.notify.all() {
 		if n.h != nil {
 			n.h.NotifyRollback()
 		}
@@ -703,22 +706,23 @@ func (t *Tracker) PendingRollback(p ids.Proc) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	ps, ok := s.procs[p]
-	return ok && ps.pending != nil
+	return ok && ps.hasPending
 }
 
-// TakePending pops and returns p's pending rollback target, or nil.
-func (t *Tracker) TakePending(p ids.Proc) *RollbackTarget {
+// TakePending pops and returns p's pending rollback target; ok is false
+// when none is pending.
+func (t *Tracker) TakePending(p ids.Proc) (tgt RollbackTarget, ok bool) {
 	s := t.procShard(p)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ps, ok := s.procs[p]
-	if !ok || ps.pending == nil {
-		return nil
+	ps, found := s.procs[p]
+	if !found || !ps.hasPending {
+		return RollbackTarget{}, false
 	}
-	tgt := ps.pending
-	ps.pending = nil
+	tgt = ps.pending
+	ps.pending, ps.hasPending = RollbackTarget{}, false
 	s.pendingProcs.Add(-1)
-	return tgt
+	return tgt, true
 }
 
 // visited is the seen-set of a walk, held by value on the walker's

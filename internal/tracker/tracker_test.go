@@ -33,8 +33,8 @@ func (r *recorder) count() int {
 
 // take pops the pending target for p, returning LogIndex -1 when none.
 func take(tr *Tracker, p ids.Proc) RollbackTarget {
-	if tgt := tr.TakePending(p); tgt != nil {
-		return *tgt
+	if tgt, ok := tr.TakePending(p); ok {
+		return tgt
 	}
 	return RollbackTarget{LogIndex: -1}
 }

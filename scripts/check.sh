@@ -7,8 +7,9 @@
 # only counter registry; the wire keeps no vector clock), settled state
 # retires (a terminal assumption keeps verdict bits, not a record; the
 # wire forgets a verdict once applied), a message fault is decided
-# once, a wire hop allocates only what it hands over (including the
-# alloc budgets, run without the race detector, which skips them),
+# once, a delivered message is stored once (by value, in its receiver's
+# replay log), a wire hop allocates only what it hands over (including
+# the alloc budgets, run without the race detector, which skips them),
 # payloads cross without gob and each claim has one evidence path, then
 # the race-enabled test suite. Run from anywhere; it cds to the repo
 # root.
@@ -122,6 +123,17 @@ expect internal/tracker 'delete\(s\.aids' 1
 echo "== one fault decision per message"
 expect internal/engine 'DropNow|DupNow|DelayNow' 3
 expect internal/wire '"hope/internal/fault"' 0
+
+# A delivered message is stored once, by value, in storage its receiver
+# owns (DESIGN.md, "Logged decisions"): route, the delivery scheduler
+# and InjectRemote carry an rmsg by value, the mailbox holds values, and
+# the replay log's message store is written by replayLog.push alone. A
+# boxed message, or a second store push, is the heap object per message
+# coming back (TestEngineJobAllocBudget prices it at three allocations
+# a job; the release tests check that a cut or a compaction frees it).
+echo "== a message is stored once"
+expect internal/engine '&rmsg\{' 0
+expect internal/engine 'msgs\.push\(' 1
 
 # A wire hop allocates only what the receiver keeps (DESIGN.md, "Buffer
 # ownership"): frames are built in recycled per-link buffers by the
