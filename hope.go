@@ -79,7 +79,8 @@
 //
 // The runtime keeps one counter registry, the Observer: attach one with
 // Policy.Observer and read its Snapshot for guesses, resolutions,
-// committed and rolled-back intervals, replay and delivery counts.
+// committed and rolled-back intervals, replay and delivery counts, and
+// its SiteStats for per-site admissions and verdicts.
 //
 // # Example
 //
@@ -178,7 +179,8 @@ type Policy struct {
 	Faults *FaultPlan
 	// Observer attaches an observability sink. Observation is strictly
 	// runtime-side and cannot perturb replay; nil keeps the built-in
-	// no-op sink.
+	// no-op sink. The runtime builds none of its own, and the
+	// speculation policy learns without one.
 	Observer *Observer
 	// CheckpointEvery arms automatic checkpointing for Loop processes:
 	// once k logged events accumulate past a process's last checkpoint
@@ -310,16 +312,6 @@ func (s SpeculationPolicy) controller() *policy.Controller {
 	}
 }
 
-// WithSpeculation selects the runtime's speculation policy directly —
-// shorthand for WithPolicy(Policy{Speculation: s}).
-func WithSpeculation(s SpeculationPolicy) Option {
-	return func(r *Runtime) {
-		if c := s.controller(); c != nil {
-			engine.WithSpeculation(c)(r)
-		}
-	}
-}
-
 // SiteStat is one Guess call site's row in the observer's per-site
 // registry: guess/admission counts, verdict tallies, and the admission
 // controller's state and accuracy estimate (see Observer.SiteStats).
@@ -331,9 +323,9 @@ var ErrStopLoop = engine.ErrStopLoop
 
 // Loop spawns a long-running process with bounded replay-log memory: the
 // body is structured as repeated steps over explicit state, and whenever
-// the process is definite at a step boundary the engine snapshots the
-// state and discards the settled log prefix, so rollback replays only the
-// speculation window since the last snapshot. With Policy.CheckpointEvery,
+// the process is definite at a step boundary the engine replaces the
+// settled log with one checkpoint of the state, so rollback replays only
+// the speculation window since that boundary. With Policy.CheckpointEvery,
 // long speculation windows are additionally checkpointed on a cadence,
 // bounding recovery cost in the window length too. init builds the
 // initial state, clone must deep-copy it, and step follows the usual

@@ -184,9 +184,9 @@ type Runtime struct {
 
 	// spec is the speculation admission controller (nil = always-on;
 	// see WithSpeculation). When armed, the engine owns the tracker's
-	// verdict sink — crediting per-site estimators through the obs
-	// registry — and userSink holds the chained SetVerdictSink consumer
-	// (the wire layer's broadcast).
+	// verdict sink — crediting each guess site's verdict (creditSite) —
+	// and userSink holds the chained SetVerdictSink consumer (the wire
+	// layer's broadcast).
 	spec     *policy.Controller
 	userSink atomic.Pointer[func(ids.AID, bool)]
 	// pcSites caches Guess-caller program counters → canonical site
@@ -226,21 +226,13 @@ func New(opts ...Option) *Runtime {
 	}
 	r.schedMask = uint64(len(r.scheds) - 1)
 	if r.spec != nil {
-		// The controller's estimator learns from per-site verdicts, which
-		// flow through the obs site registry; an admission-controlled
-		// runtime therefore always has an observer, private (no event
-		// ring) if the caller didn't attach one.
-		if r.obs == nil {
-			r.obs = obs.New(obs.WithEventCapacity(0))
-		}
-		r.obs.SetSiteSink(r.spec.Observe)
 		// The engine owns the tracker's verdict sink: attribute each
 		// terminal resolution back to the guess sites that speculated on
 		// it, then forward to the chained consumer (the wire layer's
 		// broadcast, installed via SetVerdictSink).
 		r.tr.SetVerdictSink(func(x ids.AID, affirmed bool) {
 			for _, h := range r.spec.TakeGuessed(x) {
-				r.obs.SiteVerdict(h, affirmed)
+				r.creditSite(h, affirmed)
 			}
 			if fn := r.userSink.Load(); fn != nil {
 				(*fn)(x, affirmed)
@@ -293,6 +285,14 @@ func New(opts ...Option) *Runtime {
 	return r
 }
 
+// creditSite credits one verdict to guess site h: the controller's
+// estimator learns it, and the observer (if any) counts it. Every
+// per-site verdict passes through here.
+func (r *Runtime) creditSite(h uint64, affirmed bool) {
+	r.spec.Observe(h, affirmed)
+	r.obs.SiteVerdict(h, affirmed)
+}
+
 // siteID is one resolved Guess call site, cached per program counter.
 type siteID struct {
 	h   uint64
@@ -326,7 +326,8 @@ func (r *Runtime) guessSite() (uint64, string) {
 // Shards reports the tracker/scheduler shard count in effect.
 func (r *Runtime) Shards() int { return r.tr.Shards() }
 
-// Observer returns the attached observability sink (nil when none).
+// Observer returns the sink attached with WithObserver, nil when none:
+// the runtime never builds one of its own.
 func (r *Runtime) Observer() *obs.Observer { return r.obs }
 
 // Spawn starts a named process executing body in its own goroutine. The

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -145,6 +146,86 @@ func TestLoopRollbackReplaysFromSnapshot(t *testing.T) {
 	waitClean(t, rt)
 	if final.Load() != 3 {
 		t.Fatalf("final = %d, want 3 (1 definite + 2 pessimistic)", final.Load())
+	}
+}
+
+func TestLoopSettledStateLivesInLog(t *testing.T) {
+	// A settled boundary leaves exactly one entry, the checkpoint of the
+	// state, and a rollback past it restores from log[0]: a restart (the
+	// whole retained log replays), not a resume.
+	rt, _ := newRT(t)
+	aidCh := make(chan AID, 1)
+	consumed := make(chan struct{}, 1)
+	var (
+		acc   atomic.Pointer[Proc]
+		final atomic.Int64
+		mu    sync.Mutex
+		lens  []int // LogLen at the top of each live step
+	)
+	err := Loop(rt, "acc",
+		func() *counterState { return &counterState{} },
+		cloneCounter,
+		func(p *Proc, s *counterState) error {
+			acc.Store(p)
+			mu.Lock()
+			lens = append(lens, p.LogLen())
+			mu.Unlock()
+			m, err := p.Recv()
+			if err != nil {
+				return err
+			}
+			v := m.Payload.(int)
+			switch {
+			case v < 0:
+				final.Store(int64(s.n))
+				return ErrStopLoop
+			case v == 100:
+				select {
+				case consumed <- struct{}{}:
+				default:
+				}
+			}
+			s.n += v
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spawn(t, rt, "src", func(p *Proc) error {
+		if err := p.Send("acc", 1); err != nil { // definite: a settled boundary
+			return err
+		}
+		x := p.NewAID()
+		select {
+		case aidCh <- x:
+		default:
+		}
+		v := 2
+		if p.Guess(x) {
+			v = 100 // consumed speculatively, then rolled back
+		}
+		if err := p.Send("acc", v); err != nil {
+			return err
+		}
+		return p.Send("acc", -1)
+	})
+	spawn(t, rt, "verifier", func(p *Proc) error {
+		x := <-aidCh
+		<-consumed
+		return p.Deny(x)
+	})
+	waitClean(t, rt)
+	if final.Load() != 3 {
+		t.Fatalf("final = %d, want 3 (1 settled + 2 pessimistic)", final.Load())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(lens) < 2 || lens[1] != 1 {
+		t.Fatalf("LogLen at the top of each step = %v, want 1 after the first compaction", lens)
+	}
+	if p := acc.Load(); p.Restarts() != 1 || p.Resumes() != 0 {
+		t.Fatalf("restarts=%d resumes=%d, want 1/0 (a restore from log[0] replays the whole log)",
+			p.Restarts(), p.Resumes())
 	}
 }
 

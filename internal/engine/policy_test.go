@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hope/internal/ids"
+	"hope/internal/obs"
 	"hope/internal/policy"
 )
 
@@ -15,6 +17,7 @@ import (
 // replay safety, and the verdict-sink chain. The policy package's own
 // tests cover the estimator and state machine; these cover the engine's
 // side of the contract — every admission decision is a replay-log entry.
+// Tests that read counts attach an observer: the runtime builds none.
 
 // alwaysOff builds an AlwaysOff controller with the given wait budget.
 func alwaysOff(budget time.Duration) *policy.Controller {
@@ -25,7 +28,7 @@ func TestPessimisticGuessReturnsRealVerdict(t *testing.T) {
 	for _, affirm := range []bool{true, false} {
 		name := map[bool]string{true: "affirm", false: "deny"}[affirm]
 		t.Run(name, func(t *testing.T) {
-			rt, buf := newRT(t, WithSpeculation(alwaysOff(5*time.Second)))
+			rt, buf := newRT(t, WithObserver(obs.New()), WithSpeculation(alwaysOff(5*time.Second)))
 			aidCh := make(chan AID, 1)
 
 			spawn(t, rt, "worker", func(p *Proc) error {
@@ -67,7 +70,7 @@ func TestPessimisticGuessReturnsRealVerdict(t *testing.T) {
 }
 
 func TestPessimisticWaitBudgetFallsBackToSpeculation(t *testing.T) {
-	rt, buf := newRT(t, WithSpeculation(alwaysOff(time.Millisecond)))
+	rt, buf := newRT(t, WithObserver(obs.New()), WithSpeculation(alwaysOff(time.Millisecond)))
 
 	spawn(t, rt, "worker", func(p *Proc) error {
 		x := p.NewAID()
@@ -102,7 +105,7 @@ func TestPessimisticEntryReplaysWithoutController(t *testing.T) {
 	// A pessimistic verdict logged before a rollback target must replay
 	// from the log — the controller is never consulted again, and the
 	// committed output is identical to what always-on would produce.
-	rt, buf := newRT(t, WithSpeculation(alwaysOff(200*time.Millisecond)))
+	rt, buf := newRT(t, WithObserver(obs.New()), WithSpeculation(alwaysOff(200*time.Millisecond)))
 	aidCh := make(chan AID, 1)
 	specCh := make(chan struct{}, 1)
 	denyCh := make(chan AID, 1)
@@ -206,7 +209,7 @@ func TestAdaptiveControllerThrottlesInaccurateSite(t *testing.T) {
 		MinSamples: 2,
 		WaitBudget: 5 * time.Second,
 	})
-	rt, buf := newRT(t, WithSpeculation(ctl))
+	rt, buf := newRT(t, WithObserver(obs.New()), WithSpeculation(ctl))
 	const rounds = 8
 
 	// AIDs travel as engine messages: sends are replay-logged and
@@ -285,5 +288,76 @@ func TestNilControllerPreservesAlwaysOnPath(t *testing.T) {
 	}
 	if rt.Observer() != nil && len(rt.Observer().SiteStats()) != 0 {
 		t.Fatal("site stats recorded without a controller")
+	}
+}
+
+func TestAdmissionLearnsWithoutObserver(t *testing.T) {
+	// The estimator learns from the engine, not from obs: with no
+	// observer attached, a site whose every assumption is denied still
+	// throttles and then switches off, after which its guesses wait for
+	// their verdicts instead of speculating — the worker's rollbacks stop
+	// growing. ProbeEvery is out of reach so an off site never probes.
+	ctl := policy.NewAdaptive(policy.Config{
+		Window:     8,
+		MinSamples: 2,
+		ProbeEvery: 1 << 30,
+		WaitBudget: 5 * time.Second,
+	})
+	rt, buf := newRT(t, WithSpeculation(ctl))
+	const rounds = 16
+
+	// rollbacksBefore[i] is the worker's rollback count when the judge
+	// denies round i: the rollbacks rounds 0..i-1 caused.
+	var (
+		worker          atomic.Pointer[Proc]
+		rollbacksBefore [rounds]int
+	)
+	spawn(t, rt, "judge", func(p *Proc) error {
+		for i := 0; i < rounds; i++ {
+			m, err := p.Recv()
+			if err != nil {
+				return err
+			}
+			w := worker.Load() // stored before the worker's first send
+			rollbacksBefore[i] = w.Restarts() + w.Resumes()
+			if err := p.Deny(m.Payload.(AID)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	spawn(t, rt, "worker", func(p *Proc) error {
+		worker.Store(p)
+		for i := 0; i < rounds; i++ {
+			x := p.NewAID()
+			if err := p.Send("judge", x); err != nil {
+				return err
+			}
+			if p.Guess(x) {
+				p.Printf("opt %d\n", i)
+			} else {
+				p.Printf("pess %d\n", i)
+			}
+		}
+		return nil
+	})
+	waitClean(t, rt)
+	var want strings.Builder
+	for i := 0; i < rounds; i++ {
+		fmt.Fprintf(&want, "pess %d\n", i)
+	}
+	if buf.String() != want.String() {
+		t.Fatalf("output = %q, want %q", buf.String(), want.String())
+	}
+	if o := rt.Observer(); o != nil {
+		t.Fatalf("Observer() = %p with none attached, want nil", o)
+	}
+	w := worker.Load()
+	total := w.Restarts() + w.Resumes()
+	if total == 0 || total >= rounds/2 {
+		t.Fatalf("worker rolled back %d times in %d denied rounds, want between 1 and %d", total, rounds, rounds/2-1)
+	}
+	if mid := rollbacksBefore[rounds/2]; mid != total {
+		t.Fatalf("rollbacks grew from %d before round %d to %d: the site kept speculating", mid, rounds/2, total)
 	}
 }

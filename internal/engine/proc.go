@@ -300,8 +300,8 @@ type Proc struct {
 	// after a checkpoint restore it is the entry after the checkpoint, so
 	// KReplayed reports only the suffix actually re-consumed.
 	replayStart int
-	// lastCp is the log index just past the most recent checkpoint (or 0
-	// after compaction): the cadence origin for checkpointDue.
+	// lastCp is the log index just past the most recent checkpoint: the
+	// cadence origin for checkpointDue.
 	lastCp int
 	// crashed marks that the previous attempt ended in an injected crash
 	// (read and cleared by applyPending on the next attempt).
@@ -319,8 +319,8 @@ type Proc struct {
 func (p *Proc) Name() string { return p.name }
 
 // Restarts reports how many times the body has been re-executed from
-// scratch — a rollback or crash recovery with no surviving checkpoint,
-// replaying the whole retained log.
+// scratch — a rollback or crash recovery with no surviving checkpoint
+// past the log's first entry, replaying the whole retained log.
 func (p *Proc) Restarts() int { return int(p.restarts.Load()) }
 
 // Resumes reports how many times a rollback or crash recovery restored
@@ -657,9 +657,11 @@ func (p *Proc) resumeLocked(counted bool) {
 	p.lastCp = k + 1
 	if k >= 0 {
 		p.restoredState, p.hasRestored = p.log.at(k).ref, true
-		if counted {
-			p.resumes.Add(1)
-		}
+	}
+	// A restore from log[0] (a Loop's settled state, see compact) still
+	// replays the whole retained log: a restart, not a resume.
+	if counted && k > 0 {
+		p.resumes.Add(1)
 		p.rt.obs.Emit(obs.KRestored, p.id, ids.NoAID, ids.NoInterval, int64(k+1))
 	} else if counted {
 		p.restarts.Add(1)
@@ -822,7 +824,7 @@ func (p *Proc) Guess(a AID) bool {
 				// The pessimistic result is logged exactly like a
 				// speculative one — but no interval references this log
 				// index, so the entry can never be a rollback target.
-				p.rt.obs.SiteVerdict(site, verdict)
+				p.rt.creditSite(site, verdict)
 				return p.logged(entry{kind: entryGuess, x: uint64(a.id), ok: verdict}, nil).ok
 			}
 			p.rt.obs.SiteWaitTimeout(site)
@@ -843,7 +845,7 @@ func (p *Proc) Guess(a AID) bool {
 	default:
 		// Short-circuit on an already-resolved AID: the verdict is known
 		// now — credit the estimator directly.
-		p.rt.obs.SiteVerdict(site, out.Result)
+		p.rt.creditSite(site, out.Result)
 	}
 	return p.logged(entry{kind: entryGuess, x: uint64(a.id), ok: out.Result}, nil).ok
 }
@@ -1215,19 +1217,19 @@ func (p *Proc) checkpointDue() bool {
 	return p.rt.cpEvery > 0 && p.log.len()-p.lastCp >= p.rt.cpEvery
 }
 
-// compact discards the settled replay-log prefix. Preconditions (enforced
-// by Loop, the only caller): the process is definite — no live intervals,
-// so no rollback can target the discarded history — and the caller is the
-// process goroutine itself at a point where it can re-derive its state
-// without replay (Loop snapshots user state first).
-func (p *Proc) compact() {
+// compact replaces the settled replay log with one checkpoint of state,
+// so log[0] holds the state every later rollback or crash restores from
+// (resumeLocked) unless a newer checkpoint survives. Preconditions
+// (enforced by Loop, the only caller): the process is definite — no live
+// intervals, so no rollback can target the discarded history — and state
+// is the caller's own deep copy of everything the body needs to go on.
+func (p *Proc) compact(state any) {
 	p.mu.Lock()
 	p.logBase += p.log.len()
 	p.log.cut(0)
-	p.replay = 0
-	p.replayStart = 0
-	p.lastCp = 0
 	p.mu.Unlock()
+	p.logged(entry{kind: entryCheckpoint, ref: state}, nil)
+	p.lastCp = p.replay
 }
 
 // Compactable reports whether the process may compact right now: it is

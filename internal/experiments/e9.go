@@ -13,7 +13,7 @@ import (
 // §7 "optimize checkpointing" future work): a long-running accumulator
 // process consumes a definite message stream as (a) a plain Spawn body,
 // whose replay log grows with every message, and (b) a Loop, which
-// snapshots at settled boundaries and keeps the log constant. The table
+// replaces its log with one checkpoint at each settled boundary. The table
 // reports the peak replay-log length and the wall time for the stream.
 func E9LoopCompaction(w io.Writer) error {
 	t := newTable("E9 (ablation): replay-log growth, plain Spawn vs Loop",

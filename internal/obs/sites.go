@@ -8,14 +8,11 @@ import (
 
 // Per-site speculation metrics: one row per Guess call site, keyed by
 // the shared internal/site hash. The engine's admission layer reports
-// every live guess (admitted or not) and every per-site verdict here;
-// the registry both feeds the hopetop -sites table and — through the
-// site sink — the adaptive-optimism controller's accuracy estimator.
-//
-// The sink is the one sanctioned read path out of the otherwise
-// write-only observability layer: the controller's decisions are
-// replay-logged by the engine, so state flowing obs → policy cannot
-// perturb piecewise-deterministic replay (see internal/policy).
+// every live guess (admitted or not) and every per-site verdict here,
+// for the hopetop -sites table. Like every other counter, the table is
+// written by the runtime and read only by whoever attached the
+// observer: the admission controller learns from the engine directly
+// (see internal/policy), never from here.
 
 // SiteStat is one Guess site's accumulated registry row.
 type SiteStat struct {
@@ -28,8 +25,8 @@ type SiteStat struct {
 	Guesses  int64 `json:"guesses"`
 	Admitted int64 `json:"admitted"`
 	Denied   int64 `json:"denied"`
-	// Affirms/Refutes count per-site terminal verdicts — the raw
-	// affirm/deny feed the estimator decays.
+	// Affirms/Refutes count per-site terminal verdicts — the same
+	// verdicts the admission controller's estimator decays.
 	Affirms int64 `json:"affirms"`
 	Refutes int64 `json:"refutes"`
 	// WaitTimeouts counts pessimistic waits that hit their budget and
@@ -46,9 +43,8 @@ type SiteStat struct {
 // touched once per live guess and once per verdict, far off the
 // per-message hot paths the atomic registry serves.
 type siteTable struct {
-	mu   sync.Mutex
-	tab  map[uint64]*SiteStat
-	sink func(h uint64, affirmed bool)
+	mu  sync.Mutex
+	tab map[uint64]*SiteStat
 }
 
 // site returns the row for h, creating it. Caller holds t.mu.
@@ -65,18 +61,6 @@ func (t *siteTable) site(h uint64, key string) *SiteStat {
 		s.Key = key
 	}
 	return s
-}
-
-// SetSiteSink installs fn to receive every per-site verdict recorded by
-// SiteVerdict — the feed the admission controller's estimator consumes.
-// Install before the runtime sees traffic.
-func (o *Observer) SetSiteSink(fn func(h uint64, affirmed bool)) {
-	if o == nil {
-		return
-	}
-	o.sites.mu.Lock()
-	o.sites.sink = fn
-	o.sites.mu.Unlock()
 }
 
 // SiteGuess records one live guess at site h: its admission verdict and
@@ -100,10 +84,9 @@ func (o *Observer) SiteGuess(h uint64, key string, admitted bool, state string, 
 	t.mu.Unlock()
 }
 
-// SiteVerdict records one terminal verdict attributed to site h and
-// forwards it to the site sink. Every estimator observation flows
-// through here — interval resolutions, short-circuited guesses, and
-// pessimistic-wait results alike.
+// SiteVerdict records one terminal verdict attributed to site h —
+// interval resolutions, short-circuited guesses, and pessimistic-wait
+// results alike.
 func (o *Observer) SiteVerdict(h uint64, affirmed bool) {
 	if o == nil {
 		return
@@ -116,11 +99,7 @@ func (o *Observer) SiteVerdict(h uint64, affirmed bool) {
 	} else {
 		s.Refutes++
 	}
-	sink := t.sink
 	t.mu.Unlock()
-	if sink != nil {
-		sink(h, affirmed)
-	}
 }
 
 // SiteWaitTimeout records a pessimistic wait at h that exhausted its

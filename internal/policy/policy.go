@@ -1,14 +1,13 @@
 // Package policy is the adaptive-optimism admission controller: the
-// runtime half of the loop the ROADMAP calls "close the loop from obs
-// metrics to guess policy".
+// runtime half of the loop from observed guess accuracy to guess policy.
 //
 // E3 measures speculation's crossover: below roughly 75% guess accuracy
 // an optimistic call stream is slower than a synchronous one, because
 // every misprediction discards the speculative tail and replays it.
 // HOPE's primitives express optimism but nothing in the runtime reacts
 // when optimism stops paying. This package reacts: a per-site online
-// accuracy estimator (exponentially decayed affirm/deny window, fed from
-// the obs metrics registry's per-site verdict stream) drives a
+// accuracy estimator (exponentially decayed affirm/deny window, fed by
+// the engine with each verdict a guess site earns) drives a
 // three-state admission controller — on / throttled / off — that decides
 // per Guess whether speculating is worth it. Sites are keyed by the same
 // internal/site hash `hopevet -inventory` emits, so the static features
@@ -28,15 +27,15 @@
 // Flückiger et al. correctness argument for dynamic deoptimization:
 // disabling speculation must be invisible up to timing).
 //
-// The controller itself is allowed to read obs state — the one
-// sanctioned reader of the otherwise write-only observability layer —
-// precisely because every decision it influences is logged.
+// The controller holds decision state only — the estimator, the
+// admission state and its cadence, pins and guess attribution. What
+// happened at a site (guesses, admissions, verdicts) is counted by
+// internal/obs, which the controller never reads.
 package policy
 
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -147,8 +146,6 @@ type siteState struct {
 	// function resolves the AID itself, so a pessimistic wait could
 	// never be released by another process.
 	pinned bool
-
-	admits, denies, probes int64
 }
 
 // Controller decides, per Guess site, whether to admit speculation.
@@ -187,8 +184,9 @@ func NewAdaptive(cfg Config) *Controller {
 
 // AlwaysOff builds the static pessimistic policy: every admission is
 // denied, so each guess first waits (up to WaitBudget) for its real
-// verdict. Estimator state is still maintained — hopetop's -sites table
-// works — but never changes admissions.
+// verdict. The estimator still learns — the accuracy each admission
+// reports (and hopetop's -sites table shows) stays live — but never
+// changes admissions.
 func AlwaysOff(cfg Config) *Controller {
 	c := NewAdaptive(cfg)
 	c.mode = modeOff
@@ -243,14 +241,6 @@ func (c *Controller) Admit(h uint64) Verdict {
 			v.Probe = v.Admit
 		}
 	}
-	if v.Admit {
-		s.admits++
-	} else {
-		s.denies++
-	}
-	if v.Probe {
-		s.probes++
-	}
 	return v
 }
 
@@ -296,7 +286,7 @@ func (c *Controller) site(h uint64) *siteState {
 
 // NoteGuess registers that an admitted guess at site h opened an
 // interval on x: when x terminally resolves, the verdict credits h's
-// estimator (see Observe, fed through the obs site-verdict stream).
+// estimator (see Observe).
 func (c *Controller) NoteGuess(h uint64, x ids.AID) {
 	c.mu.Lock()
 	c.guessed[x] = append(c.guessed[x], h)
@@ -315,11 +305,10 @@ func (c *Controller) TakeGuessed(x ids.AID) []uint64 {
 	return hs
 }
 
-// Observe feeds one verdict into site h's estimator. It is registered
-// as the obs per-site verdict sink, closing the metrics→policy loop:
-// every observation arrives through the obs registry, whether the guess
-// speculated (interval verdict), short-circuited (already-resolved
-// AID), or waited pessimistically.
+// Observe feeds one verdict into site h's estimator. The engine calls it
+// for every verdict a guess at h earns, whether the guess speculated
+// (interval verdict), short-circuited (already-resolved AID), or waited
+// pessimistically.
 func (c *Controller) Observe(h uint64, affirmed bool) {
 	gamma := 1 - 1/float64(c.cfg.Window)
 	c.mu.Lock()
@@ -331,37 +320,6 @@ func (c *Controller) Observe(h uint64, affirmed bool) {
 		s.a = s.a * gamma
 	}
 	c.mu.Unlock()
-}
-
-// SiteEstimate is one site's controller-side snapshot.
-type SiteEstimate struct {
-	Hash     uint64  `json:"site_hash"`
-	State    string  `json:"state"`
-	Estimate float64 `json:"estimate"`
-	Weight   float64 `json:"weight"`
-	Pinned   bool    `json:"pinned,omitempty"`
-	Admits   int64   `json:"admits"`
-	Denies   int64   `json:"denies"`
-	Probes   int64   `json:"probes"`
-}
-
-// Sites snapshots every tracked site, ordered by hash.
-func (c *Controller) Sites() []SiteEstimate {
-	c.mu.Lock()
-	out := make([]SiteEstimate, 0, len(c.sites))
-	for h, s := range c.sites {
-		est := 1.0
-		if s.w > 0 {
-			est = s.a / s.w
-		}
-		out = append(out, SiteEstimate{
-			Hash: h, State: s.state.String(), Estimate: est, Weight: s.w,
-			Pinned: s.pinned, Admits: s.admits, Denies: s.denies, Probes: s.probes,
-		})
-	}
-	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Hash < out[j].Hash })
-	return out
 }
 
 // inventoryDoc mirrors the fields of vet's hope.siteinventory/v1 JSON

@@ -93,25 +93,7 @@ func Serve(rt *engine.Runtime, name string, h Handler) error {
 // factory runs at the start of every body attempt, so replay rebuilds the
 // state deterministically by re-applying the surviving request prefix.
 func ServeStateful(rt *engine.Runtime, name string, factory func() Handler) error {
-	return rt.Spawn(name, func(p *engine.Proc) error {
-		h := factory()
-		for {
-			m, err := p.Recv()
-			if err != nil {
-				if errors.Is(err, engine.ErrShutdown) {
-					return nil
-				}
-				return err
-			}
-			req, ok := m.Payload.(Request)
-			if !ok {
-				return fmt.Errorf("rpc server %q: unexpected message %T", name, m.Payload)
-			}
-			if err := p.Send(req.ReplyTo, Reply{CallID: req.CallID, Payload: h(req.Payload)}); err != nil {
-				return err
-			}
-		}
-	})
+	return serve(rt, name, factory, (*engine.Proc).Recv)
 }
 
 // ServeOrderedStateful spawns a pessimistic server: it consumes requests
@@ -128,10 +110,16 @@ func ServeStateful(rt *engine.Runtime, name string, factory func() Handler) erro
 // cascade on mispredictions; ordered servers settle in n RTTs but degrade
 // gracefully. Experiment E3 quantifies the crossover.
 func ServeOrderedStateful(rt *engine.Runtime, name string, factory func() Handler) error {
+	return serve(rt, name, factory, (*engine.Proc).RecvSettled)
+}
+
+// serve is the one server loop: it answers each Request that recv
+// returns until the runtime shuts down.
+func serve(rt *engine.Runtime, name string, factory func() Handler, recv func(*engine.Proc) (engine.Msg, error)) error {
 	return rt.Spawn(name, func(p *engine.Proc) error {
 		h := factory()
 		for {
-			m, err := p.RecvSettled()
+			m, err := recv(p)
 			if err != nil {
 				if errors.Is(err, engine.ErrShutdown) {
 					return nil

@@ -1,32 +1,29 @@
-// Package trace records committed application events with vector-clock
-// causality, for demo output and for validating that the HOPE runtime
-// releases effects in a causally consistent order. Examples attach
-// Record calls as commit effects, so the trace contains exactly the
-// definite history — speculative events that roll back never appear.
+// Package trace records committed application events in commit order,
+// for demo output and for validating that the HOPE runtime releases
+// effects in a causally consistent order. Examples attach Record calls
+// as commit effects, so the trace contains exactly the definite history
+// — speculative events that roll back never appear.
 package trace
 
 import (
 	"fmt"
 	"strings"
 	"sync"
-
-	"hope/internal/vclock"
 )
 
 // Event is one committed application event.
 type Event struct {
-	Seq    int
+	Seq    int // commit index: the order events were recorded in
 	Proc   string
 	Kind   string
 	Detail string
 	// Token names the message a send or recv event carries ("" otherwise).
 	Token string
-	Clock vclock.VC
 }
 
 // String renders the event for demo output.
 func (e Event) String() string {
-	return fmt.Sprintf("#%03d %-12s %-8s %s %s", e.Seq, e.Proc, e.Kind, e.Detail, e.Clock)
+	return fmt.Sprintf("#%03d %-12s %-8s %s", e.Seq, e.Proc, e.Kind, e.Detail)
 }
 
 // Recorder accumulates events. Safe for concurrent use (commit effects
@@ -34,68 +31,35 @@ func (e Event) String() string {
 type Recorder struct {
 	mu     sync.Mutex
 	events []Event
-	clocks map[string]vclock.VC
-	// sendClocks remembers the clock attached to each sent token so the
-	// matching receive can merge it.
-	sendClocks map[string]vclock.VC
+	// sendSeq holds the Seq of each token's latest recorded send.
+	sendSeq map[string]int
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{
-		clocks:     make(map[string]vclock.VC),
-		sendClocks: make(map[string]vclock.VC),
-	}
-}
-
-func (r *Recorder) tickLocked(proc string) vclock.VC {
-	c, ok := r.clocks[proc]
-	if !ok {
-		c = vclock.New()
-	}
-	c.Tick(proc)
-	r.clocks[proc] = c
-	return c.Clone()
+	return &Recorder{sendSeq: make(map[string]int)}
 }
 
 // Record logs a local event at proc.
 func (r *Recorder) Record(proc, kind, detail string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.events = append(r.events, Event{
-		Seq: len(r.events), Proc: proc, Kind: kind, Detail: detail,
-		Clock: r.tickLocked(proc),
-	})
+	r.events = append(r.events, Event{Seq: len(r.events), Proc: proc, Kind: kind, Detail: detail})
 }
 
-// RecordSend logs a send of token from proc, remembering its clock for
-// the matching RecordRecv.
+// RecordSend logs a send of token from proc.
 func (r *Recorder) RecordSend(proc, token, detail string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := r.tickLocked(proc)
-	r.sendClocks[token] = c
-	r.events = append(r.events, Event{
-		Seq: len(r.events), Proc: proc, Kind: "send", Detail: detail, Token: token, Clock: c,
-	})
+	r.sendSeq[token] = len(r.events)
+	r.events = append(r.events, Event{Seq: len(r.events), Proc: proc, Kind: "send", Detail: detail, Token: token})
 }
 
-// RecordRecv logs a receive of token at proc, merging the sender's clock.
+// RecordRecv logs a receive of token at proc.
 func (r *Recorder) RecordRecv(proc, token, detail string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.clocks[proc]
-	if !ok {
-		c = vclock.New()
-	}
-	if sc, ok := r.sendClocks[token]; ok {
-		c.Merge(sc)
-	}
-	c.Tick(proc)
-	r.clocks[proc] = c
-	r.events = append(r.events, Event{
-		Seq: len(r.events), Proc: proc, Kind: "recv", Detail: detail, Token: token, Clock: c.Clone(),
-	})
+	r.events = append(r.events, Event{Seq: len(r.events), Proc: proc, Kind: "recv", Detail: detail, Token: token})
 }
 
 // Events returns a copy of the committed events in commit order.
@@ -108,12 +72,10 @@ func (r *Recorder) Events() []Event {
 }
 
 // CheckCausality verifies that every receive whose token has a recorded
-// send is strictly after that send in vector time, returning the first
-// violation found. RecordRecv merges the send's clock only if the send
-// was committed first, so a receive released ahead of its send fails
-// here. A receive of a token never sent is tolerated. (Per-process
-// monotonicity is not checked: the recorder only ever ticks or merges a
-// process's clock, so it holds by construction.)
+// send was committed after that send — the send's Seq is below the
+// receive's — returning the first violation found. A receive committed
+// ahead of its send fails here; a receive of a token never sent is
+// tolerated.
 func (r *Recorder) CheckCausality() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -121,9 +83,9 @@ func (r *Recorder) CheckCausality() error {
 		if e.Kind != "recv" {
 			continue
 		}
-		if sc, ok := r.sendClocks[e.Token]; ok && !sc.Before(e.Clock) {
-			return fmt.Errorf("causality violation: %s recv #%d of %q clock %v is not after its send's clock %v",
-				e.Proc, e.Seq, e.Token, e.Clock, sc)
+		if s, ok := r.sendSeq[e.Token]; ok && s >= e.Seq {
+			return fmt.Errorf("causality violation: %s recv #%d of %q is not after its send #%d",
+				e.Proc, e.Seq, e.Token, s)
 		}
 	}
 	return nil

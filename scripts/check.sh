@@ -3,8 +3,10 @@
 # compile, gofmt, vet, check every process body against the replay
 # contract with hopevet, check that workloads are defined once and that
 # the engine logs and blocks in one place each, the tracker states each
-# resolution rule once, each runtime fact is counted once (obs is the
-# only counter registry; the wire keeps no vector clock), settled state
+# resolution rule once, each runtime fact is recorded once (obs is the
+# only counter registry and nothing reads it back; the admission
+# controller keeps decision state only; a Loop's settled state lives in
+# its log; nothing keeps a vector clock), settled state
 # retires (a terminal assumption keeps verdict bits, not a record; the
 # wire forgets a verdict once applied), a message fault is decided
 # once, a delivered message is stored once (by value, in its receiver's
@@ -63,8 +65,10 @@ fi
 # accessors (at, len): an index into it is a flat slice coming back. The
 # other names are the fields and helpers the one wait value replaced.
 echo "== one logged decision, one blocking wait"
-expect() { # expect <package dir> <regexp> <occurrences in its non-test files>
-	n=$(grep -ohE "$2" $(ls "$1"/*.go | grep -v '_test\.go$') | wc -l | tr -d ' ')
+expect() { # expect <package dir or file> <regexp> <occurrences in its non-test files>
+	files=$1
+	[ -d "$1" ] && files=$(ls "$1"/*.go | grep -v '_test\.go$')
+	n=$(grep -ohE "$2" $files | wc -l | tr -d ' ')
 	if [ "$n" != "$3" ]; then
 		echo "$1: /$2/ occurs $n times, want $3" >&2
 		exit 1
@@ -97,13 +101,25 @@ expect internal/tracker '"hope/internal/sets"' 0
 # registry"): obs.Metrics is the only counter registry, so a tracker
 # Stats, an escalation counter or a per-shard unresolved gauge — or an
 # engine or façade re-export of one — is a second count of an obs
-# number coming back. The wire keeps no vector clock: nothing reads one,
-# and a node sends Msg.VClock empty.
+# number coming back. The admission controller keeps decision state
+# only: a per-site admit/deny/probe counter or a snapshot of them is
+# obs's site table kept twice. Nothing reads obs back: a site sink is
+# the estimator learning through obs again, and an observer built in
+# internal/engine is a private one that sink needed. A Loop's settled
+# state is the checkpoint at log[0]: a state copy Loop holds beside
+# the log is a second restore path. Nothing keeps a vector clock: the
+# wire's nobody read (a node sends Msg.VClock empty), and the trace
+# orders events by commit index.
 echo "== each fact recorded once"
 expect internal/tracker 'type Stats|Stats\(\)|[Ee]scalations|(\bs|\])\.unresolved' 0
 expect internal/engine 'TrackerStats|ShardStats' 0
 expect . 'type Stats\b' 0
 expect internal/wire 'mergeClock|n\.clock|p\.vc|p\.mu\.|\.tick\(' 0
+expect internal/policy '\.(admits|denies|probes)\b|SiteEstimate|\) Sites\(' 0
+expect internal/obs 'SetSiteSink|\.sink\b' 0
+expect internal/engine 'obs\.New\(' 0
+expect internal/engine/loop.go 'snapshot|sync\.' 0
+expect internal/trace '"hope/internal/vclock"' 0
 
 # Settled assumptions cost bits, not records (DESIGN.md, "Retired
 # assumptions"): commitCtx retires each AID a settle made terminal — the
