@@ -330,8 +330,9 @@ func (r *Runtime) Shards() int { return r.tr.Shards() }
 // the runtime never builds one of its own.
 func (r *Runtime) Observer() *obs.Observer { return r.obs }
 
-// Spawn starts a named process executing body in its own goroutine. The
-// body must follow the package's piecewise-determinism contract.
+// Spawn starts a named process executing body in a goroutine of its own
+// (see runProc). The body must follow the package's piecewise-determinism
+// contract.
 func (r *Runtime) Spawn(name string, body func(*Proc) error) error {
 	r.mu.Lock()
 	if r.closed {
@@ -350,8 +351,43 @@ func (r *Runtime) Spawn(name string, body func(*Proc) error) error {
 	r.byID[p.id] = p
 	r.mu.Unlock()
 
-	go p.loop()
+	runProc(p.loop)
 	return nil
+}
+
+// Process goroutines are reused. A goroutine whose process has finished
+// waits for the next Spawn, of any runtime, instead of exiting, so a new
+// process starts on a stack already grown through the engine's call
+// depth: a Spawn allocates, copies and faults in no stack. At most
+// maxIdleProcs goroutines wait. A waiting goroutine holds nothing of the
+// process it ran (TestFinishedRuntimeReleased).
+const maxIdleProcs = 64
+
+var (
+	procWork  = make(chan func()) // unbuffered: a send lands only on a waiting goroutine
+	idleProcs atomic.Int32
+)
+
+// runProc runs f on a waiting process goroutine, or on a new one.
+func runProc(f func()) {
+	select {
+	case procWork <- f:
+	default:
+		go procWorker(f)
+	}
+}
+
+// procWorker runs f, then each process handed to it while it waits.
+func procWorker(f func()) {
+	for {
+		f()
+		if idleProcs.Add(1) > maxIdleProcs {
+			idleProcs.Add(-1)
+			return
+		}
+		f = <-procWork
+		idleProcs.Add(-1)
+	}
 }
 
 // procHooks adapts *Proc to tracker.Hooks without exporting the method on

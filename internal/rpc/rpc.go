@@ -148,7 +148,10 @@ type Client struct {
 	rt        *engine.Runtime
 	owner     string
 	verifiers int
-	equal     func(predicted, got any) bool
+	// names[i] is the pool worker handling calls with id ≡ i (mod pool),
+	// built once so a call formats nothing.
+	names []string
+	equal func(predicted, got any) bool
 }
 
 // ClientOption configures a Client.
@@ -186,17 +189,14 @@ func NewClient(rt *engine.Runtime, owner string, opts ...ClientOption) (*Client,
 	for _, o := range opts {
 		o(c)
 	}
-	for i := 0; i < c.verifiers; i++ {
-		if err := rt.Spawn(c.verifierName(i), c.worrywart); err != nil {
+	c.names = make([]string, c.verifiers)
+	for i := range c.names {
+		c.names[i] = fmt.Sprintf("%s#ww%d", owner, i)
+		if err := rt.Spawn(c.names[i], c.worrywart); err != nil {
 			return nil, fmt.Errorf("spawn worrywart %d: %w", i, err)
 		}
 	}
 	return c, nil
-}
-
-// verifierName is the pool worker handling calls with id ≡ i (mod pool).
-func (c *Client) verifierName(i int) string {
-	return fmt.Sprintf("%s#ww%d", c.owner, i)
 }
 
 // worrywart is one verification worker (the paper's WorryWart process):
@@ -307,7 +307,7 @@ func (s *Session) StreamCall(server string, req, predicted any) (result any, acc
 	id := s.next
 	x := s.p.NewAID()
 	job := streamJob{CallID: id, Server: server, Req: req, Predicted: predicted, Assumption: x}
-	if err := s.p.Send(s.c.verifierName((id-1)%s.c.verifiers), job); err != nil {
+	if err := s.p.Send(s.c.names[(id-1)%len(s.c.names)], job); err != nil {
 		return nil, false, err
 	}
 	if s.p.Guess(x) {

@@ -63,7 +63,9 @@ func (t *Tracker) Deliver(p ids.Proc, tags []ids.AID, logIndex int) (DeliverOutc
 //
 // Home shards: the process's (new interval, live chain) and the tags';
 // the dependency walk escalates if their transitive expansion crosses
-// out. Opening resolves nothing, so the settle has nothing to finish.
+// out. The assumptions the interval inherits are not written, so their
+// homes need no lock. Opening resolves nothing, so the settle has
+// nothing to finish.
 func (t *Tracker) open(p ids.Proc, tags []ids.AID, logIndex int, implicit bool) (iv ids.Interval, orphan bool, err error) {
 	var ctx opCtx
 	var depBuf [4]ids.AID // the unresolved dependencies, usually one
@@ -93,17 +95,8 @@ func (t *Tracker) open(p ids.Proc, tags []ids.AID, logIndex int, implicit bool) 
 		case len(deps) == 0 && !implicit:
 			t.obs.Emit(obs.KGuessShort, p, x, ids.NoInterval, 1)
 		case len(deps) > 0:
-			// Opening the interval records it in the DOM of every dep (all
-			// inside locked — the walk found them there) and of every
-			// assumption inherited from the enclosing interval; those
-			// inherited homes must be locked too.
-			if cur := ps.current(); cur != nil {
-				for _, y := range cur.ido {
-					if locked&bit(t.aidIdx(y)) == 0 {
-						return errEscape
-					}
-				}
-			}
+			// Opening the interval records it in the DOM of each dep new
+			// to p's chain, all inside locked: the walk found them there.
 			iv = t.openIntervalLocked(ps, logIndex, implicit, deps).id
 			if implicit {
 				t.obs.Emit(obs.KMsgTainted, p, x, iv, int64(len(deps)))
@@ -234,8 +227,9 @@ func (t *Tracker) resolve(p ids.Proc, x ids.AID, v verdict) error {
 // affirms X outright; a speculative one first trades X for its own
 // dependencies — X becomes SpecAffirmed with cur.IDO−{X} as replacement,
 // which every dependent of X inherits. Either way X then leaves the IDO
-// of every interval in X.DOM, and an interval left depending on nothing
-// is finalized.
+// of every interval that depends on it — each DOM entry's and the later
+// ones of its process — and an interval left depending on nothing is
+// finalized.
 func (t *Tracker) affirmLocked(p ids.Proc, cur *intervalState, a *aidState, ctx *opCtx) error {
 	switch {
 	case a.status == Affirmed || a.status == SpecAffirmed:
@@ -273,11 +267,17 @@ func (t *Tracker) affirmLocked(p ids.Proc, cur *intervalState, a *aidState, ctx 
 			continue
 		}
 		for _, y := range a.replacement {
-			t.dependLocked(b, y)
+			t.spreadLocked(b, y)
 		}
-		dropDep(b, x)
-		if len(b.ido) == 0 {
-			t.finalizeLocked(b, ctx)
+		for c := b; c != nil; c = c.next {
+			dropDep(c, x)
+		}
+		// The chain stays nested, so the intervals left depending on
+		// nothing are a prefix of it; a finalize's IHD cascade may discard
+		// the rest.
+		ps := t.procShard(b.proc).procs[b.proc]
+		for ps.first != nil && len(ps.first.ido) == 0 {
+			t.finalizeLocked(ps.first, ctx)
 		}
 	}
 	return nil
@@ -375,7 +375,7 @@ func (t *Tracker) finalizeLocked(iv *intervalState, ctx *opCtx) {
 	if n := len(iv.commits); n > 0 {
 		t.obs.Emit(obs.KEffectReleased, iv.proc, ids.NoAID, iv.id, int64(n))
 	}
-	removeInterval(sh.procs[iv.proc], iv)
+	sh.procs[iv.proc].unlink(iv)
 
 	for _, x := range iv.specAffirmed {
 		a := t.record(x)
@@ -401,9 +401,10 @@ func (t *Tracker) finalizeLocked(iv *intervalState, ctx *opCtx) {
 	}
 }
 
-// rollbackDependentsLocked discards every interval in X.DOM, which X —
-// denied — keeps no more. Discarding one member's chain suffix can
-// discard a later member, hence the status check.
+// rollbackDependentsLocked discards every interval that depends on X —
+// each DOM entry and the rest of its process's chain — which X, denied,
+// keeps no more. A cascade can discard a later member first, hence the
+// status check.
 func (t *Tracker) rollbackDependentsLocked(a *aidState, ctx *opCtx) {
 	dom := a.dom
 	a.dom = nil
@@ -417,31 +418,43 @@ func (t *Tracker) rollbackDependentsLocked(a *aidState, ctx *opCtx) {
 // rollbackFromLocked discards iv and every later speculative interval of
 // its process (Equation 24 + Theorem 5.1), recording the restart target.
 func (t *Tracker) rollbackFromLocked(iv *intervalState, ctx *opCtx) {
-	sh := t.procShard(iv.proc)
-	ps := sh.procs[iv.proc]
-	pos := -1
-	for i, b := range ps.live {
-		if b == iv {
-			pos = i
-			break
-		}
-	}
-	if pos < 0 {
+	if iv.status != speculative {
 		return // already discarded by an earlier cascade
 	}
-	suffix := ps.live[pos:]
-	ps.live = ps.live[:pos]
-	for i := len(suffix) - 1; i >= 0; i-- {
-		b := suffix[i]
+	sh := t.procShard(iv.proc)
+	ps := sh.procs[iv.proc]
+	last := ps.last
+	// The suffix's newest interval holds every AID the suffix depends on,
+	// and the interval before the suffix a subset of them (Theorem 5.1):
+	// an AID that subset lacks has its process's DOM entry inside the
+	// suffix, and that entry goes. Both IDOs are sorted, so one merge
+	// pass finds them.
+	var kept []ids.AID
+	if iv.prev != nil {
+		kept = iv.prev.ido
+		iv.prev.next = nil
+	} else {
+		ps.first = nil
+	}
+	ps.last = iv.prev
+	iv.prev = nil
+	for _, x := range last.ido {
+		if len(kept) > 0 && kept[0] == x {
+			kept = kept[1:]
+			continue
+		}
+		ax := t.aid(x)
+		if i := domIndex(ax.dom, iv.proc); i >= 0 {
+			ax.dom = slices.Delete(ax.dom, i, i+1)
+		}
+	}
+	for b := last; b != nil; b = b.prev {
+		ps.n--
 		b.status = rolledBack
 		ctx.resolved = true
 		t.obs.Emit(obs.KRolledBack, b.proc, ids.NoAID, b.id, t.lifetime(b))
 		if n := len(b.aborts); n > 0 {
 			t.obs.Emit(obs.KEffectAborted, b.proc, ids.NoAID, b.id, int64(n))
-		}
-		for _, x := range b.ido {
-			ax := t.aid(x)
-			ax.dom = withoutInterval(ax.dom, b)
 		}
 		for _, x := range b.specAffirmed {
 			ax := t.record(x)
@@ -472,15 +485,6 @@ func (t *Tracker) rollbackFromLocked(iv *intervalState, ctx *opCtx) {
 		ps.pending, ps.hasPending = tgt, true
 	}
 	ctx.notifyProc(iv.proc, ps.hooks)
-}
-
-func removeInterval(ps *procState, iv *intervalState) {
-	for i, b := range ps.live {
-		if b == iv {
-			ps.live = append(ps.live[:i], ps.live[i+1:]...)
-			return
-		}
-	}
 }
 
 // denySystem definitively denies x on the system's behalf (§5.6) if it
@@ -516,10 +520,10 @@ func (t *Tracker) forceDiscard(p ids.Proc, ctx *opCtx) bool {
 			return errEscape
 		}
 		ps := t.procShard(p).procs[p]
-		if ps == nil || len(ps.live) == 0 {
+		if ps == nil || ps.first == nil {
 			return nil
 		}
-		t.rollbackFromLocked(ps.live[0], ctx)
+		t.rollbackFromLocked(ps.first, ctx)
 		acted = true
 		return nil
 	})
@@ -573,7 +577,7 @@ func (t *Tracker) DenyAllUnresolved() int {
 		// intervals alive: discard them directly, releasing their claims.
 		procs := sweepOrder(t.shards, func(s *shard, out []ids.Proc) []ids.Proc {
 			for id, ps := range s.procs {
-				if len(ps.live) > 0 {
+				if ps.first != nil {
 					out = append(out, id)
 				}
 			}
@@ -616,7 +620,7 @@ func (t *Tracker) LiveIntervals(p ids.Proc) int {
 	if !ok {
 		return 0
 	}
-	return len(ps.live)
+	return ps.n
 }
 
 // CurrentInterval returns p's current interval, or NoInterval.

@@ -332,7 +332,8 @@ func (f *footprint) resolveAID(x ids.AID) bool {
 // chain. The whole chain is visited (a rollback discards an arbitrary
 // suffix), and each interval's assumption sets are admitted: IDO and
 // spec-affirmed members may have bookkeeping written; IHD members may
-// be definitively denied at finalize, cascading.
+// be definitively denied at finalize, cascading. The current interval's
+// IDO holds every earlier one's (Theorem 5.1), so it is admitted once.
 func (f *footprint) visitProc(p ids.Proc) bool {
 	if !f.procs.add(p) {
 		return true
@@ -345,8 +346,11 @@ func (f *footprint) visitProc(p ids.Proc) bool {
 	if !ok {
 		return true
 	}
-	for _, iv := range ps.live {
-		if !f.touchAIDs(iv.ido) || !f.touchAIDs(iv.specAffirmed) {
+	if cur := ps.current(); cur != nil && !f.touchAIDs(cur.ido) {
+		return false
+	}
+	for iv := ps.first; iv != nil; iv = iv.next {
+		if !f.touchAIDs(iv.specAffirmed) {
 			return false
 		}
 		for _, x := range iv.ihd {

@@ -141,16 +141,26 @@ type Hooks interface {
 // chain that must not cost a linear scan per member. IHD and the
 // spec-affirmed list only grow (a resolution adds each member once) and
 // keep the order of the resolutions that filled them.
+//
+// A DOM stores each process once. Equation 3 makes every interval
+// inherit its enclosing interval's IDO, so one process's live IDOs are
+// nested (Theorem 5.1) and the intervals of a process that depend on X
+// are a suffix of its chain. X.DOM holds the first of that suffix only:
+// the later ones follow from the chain. So opening an interval writes
+// the DOM of the assumptions it adds, not of those it inherits, and
+// discarding a chain suffix removes only the entries that point into it
+// — neither grows with the depth of the chain.
 
 type aidState struct {
 	id ids.AID
-	// dom holds the dependent intervals directly (not by id): an
-	// interval lives in its process's shard, and cross-shard cascades
-	// must not need a foreign shard's interval map to find it. It is in
-	// the order the intervals came to depend on X, so cascade order is
-	// deterministic for a given operation history regardless of shard
-	// count. A resolution drains it for good: no interval depends on a
-	// resolved assumption.
+	// dom holds, for each process depending on X, the earliest of its
+	// live intervals that does — at most one entry per process. It holds
+	// them directly (not by id): an interval lives in its process's
+	// shard, and cross-shard cascades must not need a foreign shard's
+	// interval map to find it. It is in the order the processes came to
+	// depend on X, so cascade order is deterministic for a given
+	// operation history regardless of shard count. A resolution drains
+	// it for good: no interval depends on a resolved assumption.
 	dom          []*intervalState
 	status       Resolution
 	affirmer     ids.Interval
@@ -182,6 +192,8 @@ type intervalState struct {
 	commits     []func()
 	firstCommit [1]func()
 	aborts      []func()
+	// prev and next link the process's live chain, oldest first.
+	prev, next *intervalState
 }
 
 // hasAID reports whether the sorted set s holds x.
@@ -198,16 +210,16 @@ func withoutAID(s []ids.AID, x ids.AID) []ids.AID {
 	return s
 }
 
-// withoutInterval removes iv from a DOM. The search runs from the end:
-// a rollback discards a chain newest-first, and the newest dependents
-// are the last ones appended.
-func withoutInterval(dom []*intervalState, iv *intervalState) []*intervalState {
+// domIndex returns the position of p's entry in a DOM, or -1. The
+// search runs from the end: the processes that came to depend on X
+// last are the likeliest to be discarded or re-homed first.
+func domIndex(dom []*intervalState, p ids.Proc) int {
 	for i := len(dom) - 1; i >= 0; i-- {
-		if dom[i] == iv {
-			return slices.Delete(dom, i, i+1)
+		if dom[i].proc == p {
+			return i
 		}
 	}
-	return dom
+	return -1
 }
 
 type status int
@@ -221,9 +233,13 @@ const (
 type procState struct {
 	id    ids.Proc
 	hooks Hooks
-	// live is the chain of speculative intervals in creation order; the
-	// last element is the current interval (the I control variable).
-	live []*intervalState
+	// first and last end the chain of live (speculative) intervals, in
+	// creation order and linked through prev/next: last is the current
+	// interval (the I control variable). n counts them. A link, not a
+	// slice: opening, finalizing the oldest and discarding a suffix
+	// touch only the intervals concerned, whatever the depth.
+	first, last *intervalState
+	n           int
 	// pending is the earliest unapplied rollback target for this
 	// process. It is merged under the process's shard lock — inside the
 	// same critical section that discards the intervals — so targets can
@@ -234,11 +250,34 @@ type procState struct {
 	hasPending bool
 }
 
-func (p *procState) current() *intervalState {
-	if len(p.live) == 0 {
-		return nil
+func (p *procState) current() *intervalState { return p.last }
+
+// push appends iv to the chain as the current interval.
+func (p *procState) push(iv *intervalState) {
+	iv.prev = p.last
+	if p.last != nil {
+		p.last.next = iv
+	} else {
+		p.first = iv
 	}
-	return p.live[len(p.live)-1]
+	p.last = iv
+	p.n++
+}
+
+// unlink takes the live interval iv out of the chain.
+func (p *procState) unlink(iv *intervalState) {
+	if iv.prev != nil {
+		iv.prev.next = iv.next
+	} else {
+		p.first = iv.next
+	}
+	if iv.next != nil {
+		iv.next.prev = iv.prev
+	} else {
+		p.last = iv.prev
+	}
+	iv.prev, iv.next = nil, nil
+	p.n--
 }
 
 // Tracker is the shared dependency-tracking state for one Runtime.
@@ -406,7 +445,7 @@ func (t *Tracker) Definite(p ids.Proc) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	ps, ok := s.procs[p]
-	return ok && len(ps.live) == 0
+	return ok && ps.first == nil
 }
 
 // Tag returns the sending process's current dependency set — the message
@@ -917,8 +956,9 @@ func (r retired) resolve(v verdict) error {
 
 // openIntervalLocked creates a speculative interval for p (Equations 1–5;
 // the PS checkpoint is the runtime's logIndex). Caller holds the write
-// locks of ps's shard and of every dep's and inherited dependency's
-// home shard (established by the settle footprint checks).
+// locks of ps's shard and of every dep's home shard (established by the
+// settle footprint checks). An inherited dependency's DOM already holds
+// an earlier interval of p, so its home is not written.
 func (t *Tracker) openIntervalLocked(ps *procState, logIndex int, implicit bool, deps []ids.AID) *intervalState {
 	iv := &intervalState{
 		id:       t.gen.NextInterval(),
@@ -937,30 +977,60 @@ func (t *Tracker) openIntervalLocked(ps *procState, logIndex int, implicit bool,
 	if cur := ps.current(); cur != nil {
 		inherited = cur.ido
 	}
-	iv.ido = make([]ids.AID, 0, len(inherited)+len(deps))
-	for _, x := range inherited {
-		t.dependLocked(iv, x)
-	}
+	iv.ido = append(make([]ids.AID, 0, len(inherited)+len(deps)), inherited...)
 	for _, x := range deps {
-		t.dependLocked(iv, x)
+		if addDep(iv, x) {
+			t.dependLocked(iv, x)
+		}
 	}
-	ps.live = append(ps.live, iv)
+	ps.push(iv)
 	return iv
 }
 
-// dependLocked maintains the Lemma 5.1 symmetry (Equations 3 and 4): X
-// missing from iv.IDO means iv is missing from X.DOM. A shared IDO is
-// clipped first, so the insert copies it rather than shift the tags
-// that share it.
+// addDep inserts x into iv.IDO, reporting whether it was missing. A
+// shared IDO is clipped first, so the insert copies it rather than shift
+// the tags that share it.
+func addDep(iv *intervalState, x ids.AID) bool {
+	i, ok := slices.BinarySearch(iv.ido, x)
+	if ok {
+		return false
+	}
+	if iv.idoShared.Load() {
+		iv.ido = slices.Clip(iv.ido)
+		iv.idoShared.Store(false)
+	}
+	iv.ido = slices.Insert(iv.ido, i, x)
+	return true
+}
+
+// dependLocked maintains the Lemma 5.1 symmetry (Equations 3 and 4) for
+// an X new to iv's process: iv, the first of the process's intervals to
+// depend on X, enters X.DOM, and stands there for every later one.
 func (t *Tracker) dependLocked(iv *intervalState, x ids.AID) {
-	if i, ok := slices.BinarySearch(iv.ido, x); !ok {
-		if iv.idoShared.Load() {
-			iv.ido = slices.Clip(iv.ido)
-			iv.idoShared.Store(false)
-		}
-		iv.ido = slices.Insert(iv.ido, i, x)
-		a := t.aid(x)
-		a.dom = append(a.dom, iv)
+	a := t.aid(x)
+	a.dom = append(a.dom, iv)
+}
+
+// spreadLocked makes b and every later interval of its chain depend on
+// y, a member of a speculative affirm's replacement (Equations 10–14).
+// The intervals that already do are a suffix of the chain (Theorem 5.1):
+// the ones before it gain y, and y's DOM entry for the process moves to
+// b, the new first of the suffix.
+func (t *Tracker) spreadLocked(b *intervalState, y ids.AID) {
+	if b.prev != nil && hasAID(b.prev.ido, y) {
+		return // the process's entry is earlier still
+	}
+	c := b
+	for c != nil && addDep(c, y) {
+		c = c.next
+	}
+	switch {
+	case c == b: // b is the entry already
+	case c != nil:
+		a := t.aid(y)
+		a.dom[domIndex(a.dom, c.proc)] = b
+	default:
+		t.dependLocked(b, y)
 	}
 }
 
@@ -1027,11 +1097,11 @@ func (t *Tracker) DebugDump() string {
 	slices.Sort(procs)
 	for _, id := range procs {
 		ps := t.procShard(id).procs[id]
-		if len(ps.live) == 0 {
+		if ps.first == nil {
 			continue
 		}
 		add(fmt.Sprintf("  %v live:", id))
-		for _, iv := range ps.live {
+		for iv := ps.first; iv != nil; iv = iv.next {
 			add(fmt.Sprintf(" %v@log%d(ido=%v ihd=%v)", iv.id, iv.logIndex, iv.ido, iv.ihd))
 		}
 		add("\n")
@@ -1042,17 +1112,21 @@ func (t *Tracker) DebugDump() string {
 // CheckInvariants verifies the tracker's internal consistency — the
 // runtime-layer form of the paper's structural invariants:
 //
-//   - Lemma 5.1 symmetry: X ∈ A.IDO ⟺ A ∈ X.DOM, both directions;
+//   - per-process live chains have subset-ordered IDO sets (the heart of
+//     Theorem 5.1), so the intervals of a process that depend on X are a
+//     suffix of its chain;
+//   - Lemma 5.1 symmetry, stored once per process: X ∈ B.IDO ⟺ X.DOM
+//     holds the earliest live interval of B's process whose IDO holds X,
+//     and X.DOM holds at most one interval per process;
 //   - resolved assumptions have drained DOM sets (Equations 9/14 and
 //     rollback withdrawal), and terminal ones keep no record — they are
 //     retired to their verdict bits, and a retired AID is never rebuilt;
 //   - every live interval is speculative with a non-empty IDO
 //     (Equation 20's contrapositive), held strictly ascending (the
 //     binary searches rely on it);
-//   - per-process live chains have subset-ordered IDO sets (the heart of
-//     Theorem 5.1);
 //   - sharding integrity: every interval is stored in its process's
-//     shard, and every DOM entry points at a registered interval.
+//     shard, every DOM entry and every chain link points at a
+//     registered interval, and each chain's links and count agree.
 //
 // Intended for tests and diagnostics; takes an all-shard read lock.
 func (t *Tracker) CheckInvariants() error {
@@ -1075,10 +1149,45 @@ func (t *Tracker) CheckInvariants() error {
 				if i > 0 && iv.ido[i-1] >= x {
 					return fmt.Errorf("%v.IDO %v is not strictly ascending", iv.id, iv.ido)
 				}
-				a, ok := t.aidShard(x).aids[x]
-				if !ok || !slices.Contains(a.dom, iv) {
-					return fmt.Errorf("lemma 5.1: %v ∈ %v.IDO but %v ∉ %v.DOM", x, iv.id, iv.id, x)
+			}
+		}
+		for _, ps := range s.procs {
+			n := 0
+			for b := ps.first; b != nil; b = b.next {
+				n++
+				if b.next == nil && b != ps.last || b.next != nil && b.next.prev != b {
+					return fmt.Errorf("%v's chain is broken at %v", ps.id, b.id)
 				}
+				if s.intervals[b.id] != b {
+					return fmt.Errorf("%v's chain holds unregistered interval %v", ps.id, b.id)
+				}
+				var prev []ids.AID
+				if b.prev != nil {
+					prev = b.prev.ido
+				}
+				for _, x := range prev {
+					if !hasAID(b.ido, x) {
+						return fmt.Errorf("theorem 5.1: %v.IDO ⊄ %v.IDO in %v", b.prev.id, b.id, ps.id)
+					}
+				}
+				// b is the earliest interval of ps depending on x exactly
+				// when its predecessor does not.
+				for _, x := range b.ido {
+					a, ok := t.aidShard(x).aids[x]
+					if !ok {
+						return fmt.Errorf("lemma 5.1: %v ∈ %v.IDO has no record", x, b.id)
+					}
+					first, in := !hasAID(prev, x), slices.Contains(a.dom, b)
+					switch {
+					case first && !in:
+						return fmt.Errorf("lemma 5.1: %v ∈ %v.IDO but %v.DOM lacks %v, the earliest such interval of %v", x, b.id, x, b.id, ps.id)
+					case !first && in:
+						return fmt.Errorf("lemma 5.1: %v.DOM holds %v, not the earliest interval of %v depending on %v", x, b.id, ps.id, x)
+					}
+				}
+			}
+			if n != ps.n || ps.first == nil && ps.last != nil {
+				return fmt.Errorf("%v's chain holds %d intervals, counted %d", ps.id, n, ps.n)
 			}
 		}
 		for _, a := range s.aids {
@@ -1091,22 +1200,15 @@ func (t *Tracker) CheckInvariants() error {
 			if r := t.retiredAt(s, a.id); r != notRetired {
 				return fmt.Errorf("retired %v (%v) has a record again", a.id, r.status())
 			}
-			for _, iv := range a.dom {
+			for i, iv := range a.dom {
 				if t.procShard(iv.proc).intervals[iv.id] != iv {
 					return fmt.Errorf("%v.DOM references unregistered interval %v", a.id, iv.id)
 				}
 				if !hasAID(iv.ido, a.id) {
 					return fmt.Errorf("lemma 5.1: %v ∈ %v.DOM but %v ∉ %v.IDO", iv.id, a.id, a.id, iv.id)
 				}
-			}
-		}
-		for _, ps := range s.procs {
-			for i := 1; i < len(ps.live); i++ {
-				prev, cur := ps.live[i-1], ps.live[i]
-				for _, x := range prev.ido {
-					if !hasAID(cur.ido, x) {
-						return fmt.Errorf("theorem 5.1: %v.IDO ⊄ %v.IDO in %v", prev.id, cur.id, ps.id)
-					}
+				if domIndex(a.dom[:i], iv.proc) >= 0 {
+					return fmt.Errorf("%v.DOM %v holds two intervals of %v", a.id, domIDs(a.dom), iv.proc)
 				}
 			}
 		}

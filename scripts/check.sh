@@ -3,10 +3,11 @@
 # compile, gofmt, vet, check every process body against the replay
 # contract with hopevet, check that workloads are defined once and that
 # the engine logs and blocks in one place each, the tracker states each
-# resolution rule once, each runtime fact is recorded once (obs is the
-# only counter registry and nothing reads it back; the admission
-# controller keeps decision state only; a Loop's settled state lives in
-# its log; nothing keeps a vector clock), settled state
+# resolution rule once and records each dependency once per process,
+# each runtime fact is recorded once (obs is the only counter registry
+# and nothing reads it back; the admission controller keeps decision
+# state only; a Loop's settled state lives in its log; nothing keeps a
+# vector clock), settled state
 # retires (a terminal assumption keeps verdict bits, not a record; the
 # wire forgets a verdict once applied), a message fault is decided
 # once, a delivered message is stored once (by value, in its receiver's
@@ -88,7 +89,12 @@ expect internal/engine 'entryTimeout|waitSettled|waitPred|waitAID|waitDeadline|a
 # assumption-record constructor. A second hit is a per-entry-point copy
 # coming back. Its dependency sets are slices held by value, IDOs
 # sorted: an import of internal/sets is a heap-held, linearly searched
-# set coming back (TestTrackerAllocBudget prices it).
+# set coming back (TestTrackerAllocBudget prices it). A DOM keeps one
+# interval per process, the earliest that depends on the assumption:
+# dependLocked is its one insert, and opening an interval neither writes
+# nor locks the home of an assumption it inherits. A second insert site,
+# or open ranging over the enclosing interval's IDO, is the
+# per-interval DOM coming back (TestDeepChainAllocBudget prices it).
 echo "== each equation once, dependency sets without maps"
 expect internal/tracker 'obs\.KDenied,' 1
 expect internal/tracker 'obs\.KAffirmed,' 1
@@ -96,6 +102,8 @@ expect internal/tracker 'rollbackDependentsLocked\(a' 2
 expect internal/tracker 'applyVerdictLocked' 0
 expect internal/tracker '&aidState\{' 1
 expect internal/tracker '"hope/internal/sets"' 0
+expect internal/tracker '\.dom = append\(' 1
+expect internal/tracker 'range (cur\.ido|inherited)' 0
 
 # Each runtime fact is recorded once (DESIGN.md, "One counter
 # registry"): obs.Metrics is the only counter registry, so a tracker
