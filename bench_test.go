@@ -60,14 +60,14 @@ func BenchmarkE1_CallStreaming(b *testing.B) {
 func BenchmarkE2_Netsim(b *testing.B) {
 	b.Run("sync-rpc", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := netsim.NewSim(1)
+			s := netsim.NewSim()
 			d := netsim.NewDuplex(s, 15*time.Millisecond, 100_000_000)
 			netsim.SyncRPC(s, d, 100, 100, 100)
 		}
 	})
 	b.Run("stream", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := netsim.NewSim(1)
+			s := netsim.NewSim()
 			l := netsim.NewLink(s, 15*time.Millisecond, 100_000_000)
 			netsim.Stream(s, l, 100, 10_000)
 		}
@@ -147,7 +147,7 @@ func BenchmarkE7_Replication(b *testing.B) {
 								return err
 							}
 						} else {
-							if _, err := s.WriteOptimistic("k", i); err != nil {
+							if _, err := s.Update("k", func(any) any { return i }); err != nil {
 								return err
 							}
 						}

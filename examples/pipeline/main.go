@@ -5,7 +5,7 @@
 // starts immediately, and lets HOPE verify the chain; mispredictions roll
 // back exactly the dependent suffix.
 //
-// The demo also traces committed events with vector clocks and verifies
+// The demo also traces committed events in commit order and verifies
 // causal consistency of the released effects.
 //
 //	go run ./examples/pipeline -stages 5 -latency 3ms -mispredict 2

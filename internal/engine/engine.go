@@ -97,11 +97,10 @@ func WithObserver(o *obs.Observer) Option { return func(r *Runtime) { r.obs = o 
 
 // WithShards sets the shard count of the dependency tracker and the
 // delivery-scheduler pool. Values are rounded up to a power of two and
-// clamped to [1, tracker.MaxShards]; n <= 0 (the default) selects
-// tracker.DefaultShards — the next power of two >= GOMAXPROCS. One
-// shard reproduces the old single-lock, single-scheduler configuration;
-// the differential tests pin it to check that shard count never changes
-// observable behavior.
+// clamped to [1, tracker.MaxShards]; n <= 0 (the default) selects the
+// next power of two >= GOMAXPROCS. One shard reproduces the old
+// single-lock, single-scheduler configuration; the differential tests
+// pin it to check that shard count never changes observable behavior.
 func WithShards(n int) Option { return func(r *Runtime) { r.shardCfg = n } }
 
 // WithSpeculation attaches a speculation admission controller

@@ -29,11 +29,11 @@ func E2LatencyArithmetic(w io.Writer) error {
 		30 * time.Millisecond, // the paper's transcontinental case
 		60 * time.Millisecond,
 	} {
-		s1 := netsim.NewSim(1)
+		s1 := netsim.NewSim()
 		d := netsim.NewDuplex(s1, rtt/2, bw)
 		sync := netsim.SyncRPC(s1, d, pkt, pkt, 200)
 
-		s2 := netsim.NewSim(1)
+		s2 := netsim.NewSim()
 		l := netsim.NewLink(s2, rtt/2, bw)
 		stream := netsim.Stream(s2, l, pkt, 100_000)
 
@@ -48,10 +48,10 @@ func E2LatencyArithmetic(w io.Writer) error {
 	t2 := newTable("E2b: pipelined vs synchronous request/response at 30 ms RTT",
 		"calls", "sync", "pipelined", "speedup")
 	for _, n := range []int{10, 100, 1000} {
-		s1 := netsim.NewSim(1)
+		s1 := netsim.NewSim()
 		d1 := netsim.NewDuplex(s1, 15*time.Millisecond, bw)
 		sync := netsim.SyncRPC(s1, d1, pkt, pkt, n)
-		s2 := netsim.NewSim(1)
+		s2 := netsim.NewSim()
 		d2 := netsim.NewDuplex(s2, 15*time.Millisecond, bw)
 		piped := netsim.PipelinedRPC(s2, d2, pkt, pkt, n)
 		t2.AddRow(n, sync.Elapsed.Round(time.Millisecond), piped.Elapsed.Round(time.Millisecond),

@@ -66,13 +66,13 @@ func TestE1ShapeMispredictionsDegradeGracefully(t *testing.T) {
 func TestE2ShapeMatchesPaperArithmetic(t *testing.T) {
 	// §3.1: ~30 calls/s synchronous, ~100k packets/s streamed at 30 ms
 	// RTT on 100 Mb/s. Deterministic (virtual time).
-	s1 := netsim.NewSim(1)
+	s1 := netsim.NewSim()
 	d := netsim.NewDuplex(s1, 15*time.Millisecond, 100_000_000)
 	sync := netsim.SyncRPC(s1, d, 100, 100, 100)
 	if sync.CallsPerSec < 25 || sync.CallsPerSec > 40 {
 		t.Fatalf("sync calls/s = %.1f, want ≈30", sync.CallsPerSec)
 	}
-	s2 := netsim.NewSim(1)
+	s2 := netsim.NewSim()
 	l := netsim.NewLink(s2, 15*time.Millisecond, 100_000_000)
 	stream := netsim.Stream(s2, l, 100, 50_000)
 	if stream.PacketsPerSec < 100_000 {

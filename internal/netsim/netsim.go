@@ -13,7 +13,6 @@ package netsim
 
 import (
 	"container/heap"
-	"math/rand"
 	"time"
 )
 
@@ -23,20 +22,13 @@ type Sim struct {
 	now    time.Duration
 	events eventHeap
 	seq    uint64
-	rng    *rand.Rand
 }
 
-// NewSim creates a simulator whose random draws derive from seed.
-func NewSim(seed int64) *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(seed))}
-}
+// NewSim creates a simulator at virtual time zero.
+func NewSim() *Sim { return &Sim{} }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Duration { return s.now }
-
-// Rng exposes the simulator's deterministic random source for jitter
-// models.
-func (s *Sim) Rng() *rand.Rand { return s.rng }
 
 // At schedules fn at absolute virtual time t (clamped to now).
 func (s *Sim) At(t time.Duration, fn func()) {
@@ -47,9 +39,6 @@ func (s *Sim) At(t time.Duration, fn func()) {
 	heap.Push(&s.events, &event{at: t, seq: s.seq, fn: fn})
 }
 
-// After schedules fn d after the current virtual time.
-func (s *Sim) After(d time.Duration, fn func()) { s.At(s.now+d, fn) }
-
 // Run processes events until none remain, returning the final virtual
 // time.
 func (s *Sim) Run() time.Duration {
@@ -59,19 +48,6 @@ func (s *Sim) Run() time.Duration {
 		ev.fn()
 	}
 	return s.now
-}
-
-// RunUntil processes events with timestamps ≤ deadline, advancing the
-// clock to exactly deadline.
-func (s *Sim) RunUntil(deadline time.Duration) {
-	for len(s.events) > 0 && s.events[0].at <= deadline {
-		ev := heap.Pop(&s.events).(*event)
-		s.now = ev.at
-		ev.fn()
-	}
-	if s.now < deadline {
-		s.now = deadline
-	}
 }
 
 type event struct {
@@ -102,15 +78,10 @@ type Link struct {
 	// PropDelay is the one-way propagation delay (e.g. 15 ms for a
 	// transcontinental hop).
 	PropDelay time.Duration
-	// Jitter, if non-zero, adds a uniform random extra delay in
-	// [0, Jitter) per packet, drawn deterministically from the sim.
-	Jitter time.Duration
 	// BitsPerSecond is the serialization rate (0 = infinite bandwidth).
 	BitsPerSecond int64
 
 	busyUntil time.Duration
-	sent      int64
-	bytesSent int64
 }
 
 // NewLink attaches a link to sim.
@@ -132,22 +103,11 @@ func (l *Link) Send(size int, deliver func()) time.Duration {
 	}
 	l.busyUntil = depart + tx
 	arrival := depart + tx + l.PropDelay
-	if l.Jitter > 0 {
-		arrival += time.Duration(l.sim.rng.Int63n(int64(l.Jitter)))
-	}
-	l.sent++
-	l.bytesSent += int64(size)
 	if deliver != nil {
 		l.sim.At(arrival, deliver)
 	}
 	return arrival
 }
-
-// Sent reports the number of packets transmitted.
-func (l *Link) Sent() int64 { return l.sent }
-
-// BytesSent reports the number of bytes transmitted.
-func (l *Link) BytesSent() int64 { return l.bytesSent }
 
 // Duplex couples two directed links into a bidirectional channel.
 type Duplex struct {
@@ -163,6 +123,3 @@ func NewDuplex(sim *Sim, propDelay time.Duration, bitsPerSecond int64) *Duplex {
 		BtoA: NewLink(sim, propDelay, bitsPerSecond),
 	}
 }
-
-// RTT returns the round-trip propagation time of the duplex channel.
-func (d *Duplex) RTT() time.Duration { return d.AtoB.PropDelay + d.BtoA.PropDelay }

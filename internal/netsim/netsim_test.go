@@ -7,11 +7,11 @@ import (
 )
 
 func TestEventOrdering(t *testing.T) {
-	s := NewSim(1)
+	s := NewSim()
 	var order []int
-	s.After(30*time.Millisecond, func() { order = append(order, 3) })
-	s.After(10*time.Millisecond, func() { order = append(order, 1) })
-	s.After(20*time.Millisecond, func() { order = append(order, 2) })
+	s.At(s.Now()+30*time.Millisecond, func() { order = append(order, 3) })
+	s.At(s.Now()+10*time.Millisecond, func() { order = append(order, 1) })
+	s.At(s.Now()+20*time.Millisecond, func() { order = append(order, 2) })
 	end := s.Run()
 	if end != 30*time.Millisecond {
 		t.Fatalf("end = %v", end)
@@ -22,11 +22,11 @@ func TestEventOrdering(t *testing.T) {
 }
 
 func TestSimultaneousEventsFIFO(t *testing.T) {
-	s := NewSim(1)
+	s := NewSim()
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		s.After(time.Millisecond, func() { order = append(order, i) })
+		s.At(s.Now()+time.Millisecond, func() { order = append(order, i) })
 	}
 	s.Run()
 	for i, got := range order {
@@ -37,11 +37,11 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 }
 
 func TestNestedScheduling(t *testing.T) {
-	s := NewSim(1)
+	s := NewSim()
 	var times []time.Duration
-	s.After(time.Millisecond, func() {
+	s.At(s.Now()+time.Millisecond, func() {
 		times = append(times, s.Now())
-		s.After(2*time.Millisecond, func() {
+		s.At(s.Now()+2*time.Millisecond, func() {
 			times = append(times, s.Now())
 		})
 	})
@@ -51,26 +51,8 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	s := NewSim(1)
-	fired := 0
-	s.After(time.Millisecond, func() { fired++ })
-	s.After(5*time.Millisecond, func() { fired++ })
-	s.RunUntil(2 * time.Millisecond)
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
-	}
-	if s.Now() != 2*time.Millisecond {
-		t.Fatalf("now = %v", s.Now())
-	}
-	s.Run()
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2", fired)
-	}
-}
-
 func TestLinkPropagationAndSerialization(t *testing.T) {
-	s := NewSim(1)
+	s := NewSim()
 	// 8 Mb/s → 1 byte per microsecond.
 	l := NewLink(s, 10*time.Millisecond, 8_000_000)
 	var arrivals []time.Duration
@@ -82,39 +64,16 @@ func TestLinkPropagationAndSerialization(t *testing.T) {
 	if arrivals[0] != want0 || arrivals[1] != want1 {
 		t.Fatalf("arrivals = %v, want [%v %v]", arrivals, want0, want1)
 	}
-	if l.Sent() != 2 || l.BytesSent() != 2000 {
-		t.Fatalf("counters: sent=%d bytes=%d", l.Sent(), l.BytesSent())
-	}
 }
 
 func TestInfiniteBandwidth(t *testing.T) {
-	s := NewSim(1)
+	s := NewSim()
 	l := NewLink(s, 5*time.Millisecond, 0)
 	var arr time.Duration
 	l.Send(1<<20, func() { arr = s.Now() })
 	s.Run()
 	if arr != 5*time.Millisecond {
 		t.Fatalf("arrival = %v, want pure propagation", arr)
-	}
-}
-
-func TestJitterDeterministic(t *testing.T) {
-	run := func() []time.Duration {
-		s := NewSim(42)
-		l := NewLink(s, time.Millisecond, 0)
-		l.Jitter = time.Millisecond
-		var out []time.Duration
-		for i := 0; i < 10; i++ {
-			l.Send(100, func() { out = append(out, s.Now()) })
-		}
-		s.Run()
-		return out
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("jitter not deterministic: %v vs %v", a, b)
-		}
 	}
 }
 
@@ -128,7 +87,7 @@ func TestSection31Arithmetic(t *testing.T) {
 		pkt    = 100
 	)
 
-	s1 := NewSim(1)
+	s1 := NewSim()
 	d := NewDuplex(s1, oneWay, bw)
 	sync := SyncRPC(s1, d, pkt, pkt, 100)
 	// Each call ≈ RTT (30 ms) + 2 × 8 µs serialization ⇒ ~33 calls/s.
@@ -136,7 +95,7 @@ func TestSection31Arithmetic(t *testing.T) {
 		t.Fatalf("sync calls/sec = %.1f, want ≈30 (paper §3.1)", sync.CallsPerSec)
 	}
 
-	s2 := NewSim(1)
+	s2 := NewSim()
 	l := NewLink(s2, oneWay, bw)
 	stream := Stream(s2, l, pkt, 100_000)
 	// 100 Mb/s ÷ 800 bits ⇒ 125,000 packets/s serialization-bound.
@@ -155,7 +114,7 @@ func TestSection31Arithmetic(t *testing.T) {
 func TestPipelinedRPCBeatsSync(t *testing.T) {
 	const oneWay = 5 * time.Millisecond
 	mk := func() (*Sim, *Duplex) {
-		s := NewSim(1)
+		s := NewSim()
 		return s, NewDuplex(s, oneWay, 100_000_000)
 	}
 	s1, d1 := mk()
@@ -173,7 +132,7 @@ func TestPipelinedRPCBeatsSync(t *testing.T) {
 
 func TestSyncRPCMeanCallTimeTracksRTT(t *testing.T) {
 	for _, rtt := range []time.Duration{2 * time.Millisecond, 20 * time.Millisecond} {
-		s := NewSim(1)
+		s := NewSim()
 		d := NewDuplex(s, rtt/2, 0)
 		res := SyncRPC(s, d, 100, 100, 10)
 		if diff := math.Abs(float64(res.MeanCallTime - rtt)); diff > float64(rtt)/100 {

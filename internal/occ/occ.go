@@ -26,6 +26,7 @@ package occ
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"hope/internal/engine"
 )
@@ -139,10 +140,6 @@ func ServePrimary(rt *engine.Runtime, name string, initial map[string]any) error
 				if err := p.Send(req.ReplyTo, casResp{ID: req.ID, OK: false, Cur: cur}); err != nil {
 					return err
 				}
-			case txnReq:
-				if err := txnCase(p, data, req); err != nil {
-					return err
-				}
 			default:
 				return fmt.Errorf("occ primary %q: unexpected message %T", name, m.Payload)
 			}
@@ -207,55 +204,6 @@ func (s *Session) fetch(key string) (Versioned, error) {
 	got := m.Payload.(getResp).Versioned
 	s.cache[key] = got
 	return got, nil
-}
-
-// WriteOptimistic applies val locally at once under the assumption that
-// the cached version of key is still current, validating with the primary
-// in parallel. It returns true if the optimistic path stood, false if a
-// conflict forced the pessimistic path (in which case the cache holds the
-// reconciled state and the write has been re-applied synchronously).
-func (s *Session) WriteOptimistic(key string, val any) (bool, error) {
-	base, ok := s.cache[key]
-	if !ok {
-		var err error
-		base, err = s.fetch(key)
-		if err != nil {
-			return false, err
-		}
-	}
-	s.next++
-	id := s.next
-	x := s.p.NewAID()
-	req := casReq{ID: id, Key: key, Val: val, Base: base.Ver, ReplyTo: s.p.Name(), Assumption: x}
-	if err := s.p.Send(s.primary, req); err != nil {
-		return false, err
-	}
-	if s.p.Guess(x) {
-		// Speculative local apply: consistent with the primary iff the
-		// assumption holds.
-		s.cache[key] = Versioned{Val: val, Ver: base.Ver + 1}
-		s.OptimisticCommits++
-		return true, nil
-	}
-	// Pessimistic path: the primary pushed the current state with our
-	// call ID (on conflict, or after a stale affirm).
-	m, err := s.p.RecvMatch(func(v any) bool {
-		r, ok := v.(casResp)
-		return ok && r.ID == id
-	})
-	if err != nil {
-		return false, err
-	}
-	resp := m.Payload.(casResp)
-	s.cache[key] = resp.Cur
-	if resp.OK {
-		// The write actually landed (stale affirm): nothing to redo.
-		return false, nil
-	}
-	s.Conflicts++
-	// Reconcile: blind-write semantics — re-apply the same value against
-	// the fresh version (use Update for read-modify-write semantics).
-	return false, s.casLoop(key, func(any) any { return val }, resp.Cur)
 }
 
 // Update performs a read-modify-write: f maps the current value to the
@@ -343,4 +291,14 @@ func (s *Session) casLoop(key string, compute func(cur any) any, base Versioned)
 		}
 		base = resp.Cur
 	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	//hopevet:ignore nondeterminism -- this is the "sort the keys first" idiom itself
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -73,7 +73,7 @@ func TestOptimisticWriteNoConflict(t *testing.T) {
 		if _, err := s.Read("k"); err != nil {
 			return err
 		}
-		ok, err := s.WriteOptimistic("k", 2)
+		ok, err := s.Update("k", func(any) any { return 2 })
 		if err != nil {
 			return err
 		}
@@ -107,7 +107,7 @@ func TestOptimisticWriteChainCommits(t *testing.T) {
 	if err := rt.Spawn("client", func(p *engine.Proc) error {
 		s := NewSession(p, "primary")
 		for i := 1; i <= 10; i++ {
-			ok, err := s.WriteOptimistic("k", i)
+			ok, err := s.Update("k", func(any) any { return i })
 			if err != nil {
 				return err
 			}
@@ -160,7 +160,7 @@ func TestConflictForcesPessimisticPath(t *testing.T) {
 		bOnce.Do(func() { close(bStarted) })
 		//hopevet:ignore nondeterminism -- close-only test barrier; a re-receive never blocks
 		<-aDone // now the cache is stale
-		ok, err := s.WriteOptimistic("k", 200)
+		ok, err := s.Update("k", func(any) any { return 200 })
 		if err != nil {
 			return err
 		}
@@ -216,7 +216,7 @@ func TestSpeculativeReadOfOptimisticWriteRollsBack(t *testing.T) {
 		}
 		//hopevet:ignore nondeterminism -- close-only test barrier; a re-receive never blocks
 		<-ready // primary now at version 2
-		if _, err := s.WriteOptimistic("k", 9); err != nil {
+		if _, err := s.Update("k", func(any) any { return 9 }); err != nil {
 			return err
 		}
 		v, err := s.Read("k")
@@ -302,7 +302,7 @@ func TestOptimisticFasterThanSyncUnderLatency(t *testing.T) {
 			}
 			for i := 0; i < writes; i++ {
 				if optimistic {
-					if _, err := s.WriteOptimistic("k", i); err != nil {
+					if _, err := s.Update("k", func(any) any { return i }); err != nil {
 						return err
 					}
 				} else {

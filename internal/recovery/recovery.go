@@ -92,9 +92,9 @@ type Result struct {
 	Recoveries []int
 	// Restarts counts engine-level body restarts, per worker.
 	Restarts []int
-	// Trace records the committed ring sends/receives with vector
-	// clocks; CausalErr is non-nil if the committed history violates
-	// causality (it never should — recovery must preserve it).
+	// Trace records the committed ring sends/receives in commit order;
+	// CausalErr is non-nil if the committed history violates causality
+	// (it never should — recovery must preserve it).
 	Trace     *trace.Recorder
 	CausalErr error
 }

@@ -151,16 +151,10 @@ type Client struct {
 	// names[i] is the pool worker handling calls with id ≡ i (mod pool),
 	// built once so a call formats nothing.
 	names []string
-	equal func(predicted, got any) bool
 }
 
 // ClientOption configures a Client.
 type ClientOption func(*Client)
-
-// WithComparator replaces reflect.DeepEqual as the prediction matcher.
-func WithComparator(eq func(predicted, got any) bool) ClientOption {
-	return func(c *Client) { c.equal = eq }
-}
 
 // WithVerifiers sets the WorryWart pool size (default 8). Pool size
 // bounds how many calls verify concurrently; each verifier handles the
@@ -185,7 +179,7 @@ func WithVerifiers(n int) ClientOption {
 // only on calls before k, and Lemma 6.1 commits accurate prefixes in
 // order while denials roll back exactly the dependent suffix.
 func NewClient(rt *engine.Runtime, owner string, opts ...ClientOption) (*Client, error) {
-	c := &Client{rt: rt, owner: owner, verifiers: 8, equal: reflect.DeepEqual}
+	c := &Client{rt: rt, owner: owner, verifiers: 8}
 	for _, o := range opts {
 		o(c)
 	}
@@ -236,7 +230,7 @@ func (c *Client) worrywart(p *engine.Proc) error {
 		got := rm.Payload.(Reply).Payload
 
 		push := false
-		if c.equal(job.Predicted, got) {
+		if reflect.DeepEqual(job.Predicted, got) {
 			switch err := p.Affirm(job.Assumption); {
 			case errors.Is(err, engine.ErrConflict):
 				push = true // already denied elsewhere

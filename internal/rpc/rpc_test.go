@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"fmt"
 	"io"
 	"sync/atomic"
 	"testing"
@@ -348,96 +347,5 @@ func BenchmarkSyncVsStream(b *testing.B) {
 				rt.Wait()
 			}
 		})
-	}
-}
-
-func TestLastReplyPredictor(t *testing.T) {
-	rt := engine.New(engine.WithOutput(io.Discard))
-	// A server whose reply changes rarely: the LastReply predictor is
-	// wrong once per change, right otherwise. Ordered serving keeps the
-	// misprediction's resolution cycle-free.
-	if err := ServeOrderedStateful(rt, "cfg", func() Handler {
-		calls := 0
-		return func(req any) any {
-			calls++
-			if calls > 5 {
-				return "v2"
-			}
-			return "v1"
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewClient(rt, "caller")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var accurateCount, total atomic.Int64
-	runOwner(t, rt, "caller", func(p *engine.Proc) error {
-		s := c.Session(p)
-		pr := NewLastReply("v1") // predictor state local to the body
-		acc, n := 0, 0
-		for i := 0; i < 10; i++ {
-			v, accurate, err := s.StreamCallP(pr, "cfg", i)
-			if err != nil {
-				return err
-			}
-			want := "v1"
-			if i >= 5 {
-				want = "v2"
-			}
-			if v.(string) != want {
-				return fmt.Errorf("call %d: got %v, want %s", i, v, want)
-			}
-			if accurate {
-				acc++
-			}
-			n++
-		}
-		accurateCount.Store(int64(acc))
-		total.Store(int64(n))
-		return nil
-	})
-	if total.Load() != 10 {
-		t.Fatalf("total = %d", total.Load())
-	}
-	// Only the transition call (i=5) should mispredict... but HOPE may
-	// conservatively re-execute calls after the rollback point, so allow
-	// a margin while requiring that most calls were accurate.
-	if accurateCount.Load() < 5 {
-		t.Fatalf("accurate = %d, want ≥5", accurateCount.Load())
-	}
-}
-
-func TestFuncPredictor(t *testing.T) {
-	rt := engine.New(engine.WithOutput(io.Discard))
-	if err := Serve(rt, "double", func(req any) any { return req.(int) * 2 }); err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewClient(rt, "caller")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var allAccurate atomic.Bool
-	allAccurate.Store(true)
-	runOwner(t, rt, "caller", func(p *engine.Proc) error {
-		s := c.Session(p)
-		pr := FuncPredictor(func(server string, req any) any { return req.(int) * 2 })
-		for i := 0; i < 8; i++ {
-			v, accurate, err := s.StreamCallP(pr, "double", i)
-			if err != nil {
-				return err
-			}
-			if v.(int) != i*2 {
-				return fmt.Errorf("call %d: got %v", i, v)
-			}
-			if !accurate {
-				allAccurate.Store(false)
-			}
-		}
-		return nil
-	})
-	if !allAccurate.Load() {
-		t.Fatal("an exact model predictor should always be accurate")
 	}
 }

@@ -81,11 +81,6 @@ func (s *Set[K]) Remove(e K) bool {
 	return true
 }
 
-// RemoveAll deletes every element of other from s.
-func (s *Set[K]) RemoveAll(other *Set[K]) {
-	other.Range(func(e K) bool { s.Remove(e); return true })
-}
-
 // Clear removes all elements.
 func (s *Set[K]) Clear() {
 	if s != nil {
@@ -129,37 +124,6 @@ func (s *Set[K]) Union(other *Set[K]) *Set[K] {
 	out := s.Clone()
 	out.AddAll(other)
 	return out
-}
-
-// Minus returns a new set with the elements of s not in other.
-func (s *Set[K]) Minus(other *Set[K]) *Set[K] {
-	return s.filter(func(e K) bool { return !other.Has(e) })
-}
-
-// Intersect returns a new set with the elements common to s and other.
-func (s *Set[K]) Intersect(other *Set[K]) *Set[K] {
-	return s.filter(other.Has)
-}
-
-func (s *Set[K]) filter(keep func(K) bool) *Set[K] {
-	out := &Set[K]{}
-	s.Range(func(e K) bool {
-		if keep(e) {
-			out.order = append(out.order, e)
-		}
-		return true
-	})
-	return out
-}
-
-// SubsetOf reports whether every element of s is in other.
-func (s *Set[K]) SubsetOf(other *Set[K]) bool {
-	return s.Len() <= other.Len() && s.Range(other.Has)
-}
-
-// Equal reports whether s and other contain exactly the same elements.
-func (s *Set[K]) Equal(other *Set[K]) bool {
-	return s.Len() == other.Len() && s.SubsetOf(other)
 }
 
 // String renders the set as {a, b, c} with elements sorted by their

@@ -96,42 +96,15 @@ func TestCompaction(t *testing.T) {
 	}
 }
 
-func TestUnionMinusIntersect(t *testing.T) {
+func TestUnion(t *testing.T) {
 	a := New(1, 2, 3)
 	b := New(3, 4)
 	if got := a.Union(b).Elems(); !reflect.DeepEqual(got, []int{1, 2, 3, 4}) {
 		t.Fatalf("Union = %v", got)
 	}
-	if got := a.Minus(b).Elems(); !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Fatalf("Minus = %v", got)
-	}
-	if got := a.Intersect(b).Elems(); !reflect.DeepEqual(got, []int{3}) {
-		t.Fatalf("Intersect = %v", got)
-	}
 	// Operands must be unchanged.
-	if !a.Equal(New(1, 2, 3)) || !b.Equal(New(3, 4)) {
-		t.Fatal("set operations mutated operands")
-	}
-}
-
-func TestSubsetEqual(t *testing.T) {
-	a := New(1, 2)
-	b := New(1, 2, 3)
-	if !a.SubsetOf(b) {
-		t.Fatal("a should be subset of b")
-	}
-	if b.SubsetOf(a) {
-		t.Fatal("b should not be subset of a")
-	}
-	if !a.SubsetOf(a.Clone()) || !a.Equal(a.Clone()) {
-		t.Fatal("set should equal its clone")
-	}
-	if a.Equal(b) {
-		t.Fatal("different sets reported equal")
-	}
-	var empty *Set[int]
-	if !empty.SubsetOf(a) {
-		t.Fatal("empty is subset of everything")
+	if !reflect.DeepEqual(a.Elems(), []int{1, 2, 3}) || !reflect.DeepEqual(b.Elems(), []int{3, 4}) {
+		t.Fatal("Union mutated its operands")
 	}
 }
 
@@ -158,27 +131,22 @@ func TestElemsSafeDuringMutation(t *testing.T) {
 	}
 }
 
-func TestAddAllRemoveAllClear(t *testing.T) {
+func TestAddAllClear(t *testing.T) {
 	a := New(1)
 	a.AddAll(New(2, 3))
-	if !a.Equal(New(1, 2, 3)) {
-		t.Fatalf("AddAll = %v", a)
-	}
-	a.RemoveAll(New(1, 3))
-	if !a.Equal(New(2)) {
-		t.Fatalf("RemoveAll = %v", a)
+	if got := a.Elems(); !reflect.DeepEqual(got, []int{1, 2, 3}) {
+		t.Fatalf("AddAll = %v", got)
 	}
 	a.AddAll(nil)
-	a.RemoveAll(nil)
-	if !a.Equal(New(2)) {
-		t.Fatalf("nil AddAll/RemoveAll changed set: %v", a)
+	if got := a.Elems(); !reflect.DeepEqual(got, []int{1, 2, 3}) {
+		t.Fatalf("nil AddAll changed set: %v", got)
 	}
 	a.Clear()
 	if !a.Empty() {
 		t.Fatal("Clear left elements")
 	}
 	a.Add(7)
-	if !a.Equal(New(7)) {
+	if got := a.Elems(); !reflect.DeepEqual(got, []int{7}) {
 		t.Fatal("set unusable after Clear")
 	}
 }
@@ -237,22 +205,14 @@ func TestQuickAgainstReferenceModel(t *testing.T) {
 	}
 }
 
-// Property: Union and Minus satisfy (a ∪ b) \ b ⊆ a and a ⊆ (a ∪ b).
+// Property: a ∪ b holds every element of a and of b, and nothing else.
 func TestQuickAlgebraLaws(t *testing.T) {
 	mk := func(xs []uint8) *Set[uint8] { return New(xs...) }
 	f := func(xs, ys []uint8) bool {
 		a, b := mk(xs), mk(ys)
 		u := a.Union(b)
-		if !a.SubsetOf(u) || !b.SubsetOf(u) {
-			return false
-		}
-		if !u.Minus(b).SubsetOf(a) {
-			return false
-		}
-		if !a.Intersect(b).SubsetOf(a) || !a.Intersect(b).SubsetOf(b) {
-			return false
-		}
-		return true
+		return a.Range(u.Has) && b.Range(u.Has) &&
+			u.Range(func(e uint8) bool { return a.Has(e) || b.Has(e) })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

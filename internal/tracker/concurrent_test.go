@@ -107,10 +107,13 @@ func TestConcurrentClassificationCoherence(t *testing.T) {
 						caches[idx] = c
 					}
 					wasSettled := tr.ClassCurrent(c) && c.Settled
-					e1 := tr.Epoch()
+					// The summed shard epochs are monotone and move on exactly
+					// the settle commits that resolve something, so an unchanged
+					// sum brackets both classifications in one resolution state.
+					e1 := tr.epochSum(tr.allMask)
 					s, o := tr.ClassifyCached(tags, c)
 					sf, of := tr.Settled(tags)
-					e2 := tr.Epoch()
+					e2 := tr.epochSum(tr.allMask)
 					if e1 == e2 && (s != sf || o != of) {
 						t.Errorf("cached verdict (settled=%v orphan=%v) disagrees with fresh (settled=%v orphan=%v) at stable epoch %d",
 							s, o, sf, of, e1)

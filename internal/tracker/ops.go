@@ -622,18 +622,3 @@ func (t *Tracker) LiveIntervals(p ids.Proc) int {
 	}
 	return ps.n
 }
-
-// CurrentInterval returns p's current interval, or NoInterval.
-func (t *Tracker) CurrentInterval(p ids.Proc) ids.Interval {
-	s := t.procShard(p)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ps, ok := s.procs[p]
-	if !ok {
-		return ids.NoInterval
-	}
-	if cur := ps.current(); cur != nil {
-		return cur.id
-	}
-	return ids.NoInterval
-}

@@ -95,12 +95,9 @@ type Option func(*config)
 type config struct{ shards int }
 
 // WithShards sets the shard count. Values are rounded up to a power of
-// two and clamped to [1, MaxShards]; n <= 0 selects DefaultShards.
+// two and clamped to [1, MaxShards]; n <= 0 selects the next power of
+// two >= GOMAXPROCS.
 func WithShards(n int) Option { return func(c *config) { c.shards = n } }
-
-// DefaultShards is the shard count used when none is configured: the
-// next power of two >= GOMAXPROCS, capped at MaxShards.
-func DefaultShards() int { return normalizeShards(runtime.GOMAXPROCS(0)) }
 
 func normalizeShards(n int) int {
 	if n <= 0 {
@@ -243,7 +240,6 @@ func (t *Tracker) commitCtx(ctx *opCtx, locked uint64) {
 		t.obs.ShardEpoch(i, s.epoch.Add(1))
 		t.obs.ShardAssumptions(i, len(s.aids))
 	}
-	t.settleSeq.Add(1)
 	ctx.dirty = 0
 }
 

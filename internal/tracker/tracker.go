@@ -293,12 +293,6 @@ type Tracker struct {
 	sbits uint64
 
 	gen ids.Gen
-	// settleSeq is the global settle sequence number: it advances once
-	// per settle commit that resolved anything, preserving the old
-	// single-epoch Epoch() as a monotonic "something settled" counter
-	// for diagnostics and tests. Classification validity uses the
-	// per-shard epochs, not this.
-	settleSeq atomic.Uint64
 	// watcher holds the resolution watcher as a watcherBox (atomic so
 	// opCtx can capture it without any shard lock).
 	watcher atomic.Value
@@ -325,9 +319,10 @@ type Tracker struct {
 
 type watcherBox struct{ fn func() }
 
-// New returns an empty tracker. With no options the shard count is
-// DefaultShards; WithShards overrides it (tests pin 1 shard to compare
-// against the sharded configuration).
+// New returns an empty tracker. With no options the shard count is the
+// next power of two >= GOMAXPROCS, capped at MaxShards; WithShards
+// overrides it (tests pin 1 shard to compare against the sharded
+// configuration).
 func New(opts ...Option) *Tracker {
 	var cfg config
 	for _, o := range opts {
@@ -353,7 +348,6 @@ func New(opts ...Option) *Tracker {
 		s.epoch.Store(1)
 		t.shards[i] = s
 	}
-	t.settleSeq.Store(1)
 	return t
 }
 
@@ -479,12 +473,6 @@ func (t *Tracker) Settled(tags []ids.AID) (settled, orphan bool) {
 	cls := t.classify(tags)
 	return cls.Settled, cls.Orphan
 }
-
-// Epoch returns the global settle sequence number: it advances whenever
-// any settle commit resolves an assumption anywhere. Diagnostics and
-// coarse "did anything settle" checks use it; classification-cache
-// validity uses the per-shard epochs via ClassCurrent instead.
-func (t *Tracker) Epoch() uint64 { return t.settleSeq.Load() }
 
 // TagClass is a memoized classification verdict for one tag set: the
 // (settled, orphan) answer of Settled plus the validity stamp that lets

@@ -1,19 +1,11 @@
-// Package vclock implements vector clocks: the causal-ordering metadata
-// used by the optimistic message-logging recovery substrate
-// (internal/recovery) and by trace validation.
+// Package vclock implements vector clocks, the causal-ordering metadata
+// of optimistic recovery [Strom & Yemini 1985] whose transitive-dependency
+// vectors the paper's dependency tracking generalizes.
 //
-// The paper's dependency tracking generalizes the transitive-dependency
-// vectors of optimistic recovery [Strom & Yemini 1985]; this package
-// provides the classic form so the recovery substrate can be expressed in
-// the terms that literature uses, and so traces can be checked for causal
-// consistency independently of the HOPE tracker.
+// Nothing in the runtime uses it: recovery and internal/trace order
+// committed events by commit index, and the wire sends no clock. Its one
+// importer is the benchmark's vclock.merge probe.
 package vclock
-
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
 
 // VC is a vector clock: a map from process name to the count of events of
 // that process known to have causally preceded the carrier. The zero
@@ -34,9 +26,6 @@ func (v VC) Clone() VC {
 	}
 	return out
 }
-
-// Get returns the component for proc (0 if absent).
-func (v VC) Get(proc string) uint64 { return v.counts[proc] }
 
 // Tick increments proc's component, returning the updated clock. The
 // receiver is mutated (allocating if needed) and returned for chaining.
@@ -59,40 +48,4 @@ func (v *VC) Merge(other VC) VC {
 		}
 	}
 	return *v
-}
-
-// LEQ reports v ≤ other: every component of v is ≤ the corresponding
-// component of other. This is the "happened-before-or-equal" test.
-func (v VC) LEQ(other VC) bool {
-	for k, c := range v.counts {
-		if c > other.counts[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// Before reports v < other: v ≤ other and they differ.
-func (v VC) Before(other VC) bool { return v.LEQ(other) && !other.LEQ(v) }
-
-// Concurrent reports that neither clock happened before the other.
-func (v VC) Concurrent(other VC) bool { return !v.LEQ(other) && !other.LEQ(v) }
-
-// Equal reports component-wise equality (absent components are zero).
-func (v VC) Equal(other VC) bool { return v.LEQ(other) && other.LEQ(v) }
-
-// String renders the clock deterministically, e.g. {P1:3, P2:1}.
-func (v VC) String() string {
-	keys := make([]string, 0, len(v.counts))
-	for k, c := range v.counts {
-		if c > 0 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s:%d", k, v.counts[k]))
-	}
-	return "{" + strings.Join(parts, ", ") + "}"
 }
