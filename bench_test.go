@@ -1,5 +1,6 @@
-// Benchmarks: one per hopebench experiment table in EXPERIMENTS.md.
-// They measure the same code paths the tables report, scaled to
+// Benchmarks: one per hopebench experiment table in EXPERIMENTS.md that
+// runs the runtime or a substrate (E2 is closed-form arithmetic, with
+// nothing to time). They measure the same code paths the tables report, scaled to
 // testing.B iterations with short latencies so `go test -bench=.` stays
 // fast; run `go run ./cmd/hopebench` for the full tables. The guarded
 // numbers are the repo's benchmark (go run ./benchmark).
@@ -14,7 +15,6 @@ import (
 
 	"hope"
 	"hope/internal/check"
-	"hope/internal/netsim"
 	"hope/internal/occ"
 	"hope/internal/recovery"
 	"hope/internal/scenario"
@@ -52,26 +52,6 @@ func BenchmarkE1_CallStreaming(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkE2_Netsim regenerates the §3.1 table's two regimes on the
-// virtual-time simulator (no wall-clock latency: these measure simulator
-// throughput).
-func BenchmarkE2_Netsim(b *testing.B) {
-	b.Run("sync-rpc", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := netsim.NewSim()
-			d := netsim.NewDuplex(s, 15*time.Millisecond, 100_000_000)
-			netsim.SyncRPC(s, d, 100, 100, 100)
-		}
-	})
-	b.Run("stream", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := netsim.NewSim()
-			l := netsim.NewLink(s, 15*time.Millisecond, 100_000_000)
-			netsim.Stream(s, l, 100, 10_000)
-		}
-	})
 }
 
 // benchEcho issues b.N streamed echo calls at the optimistic server,

@@ -9,8 +9,9 @@
 // by hopecheck). E3 and E6–E10 compare the substrates the paper
 // motivates with their pessimistic baselines. The runners define no RPC
 // or wire workload of their own: E1, E3 and E10 sweep internal/scenario's
-// print and echo workloads; the rest build their subject directly —
-// netsim (E2), timewarp (E6), occ (E7), recovery (E8), Loop (E9).
+// print and echo workloads; E2 is link arithmetic in closed form; the
+// rest build their subject directly — timewarp (E6), occ (E7), recovery
+// (E8), Loop (E9).
 //
 // A table guards nothing. Each claim has one oracle, named in the ledger
 // at the top of EXPERIMENTS.md; the shape tests among them live in this
@@ -31,7 +32,7 @@ type Experiment struct {
 func All() []Experiment {
 	return []Experiment{
 		{ID: "E1", Title: "Call Streaming vs synchronous RPC (Figures 1–2, §7 claim)", Run: E1CallStreaming},
-		{ID: "E2", Title: "§3.1 latency arithmetic (virtual-time network)", Run: E2LatencyArithmetic},
+		{ID: "E2", Title: "§3.1 latency arithmetic (closed form)", Run: E2LatencyArithmetic},
 		{ID: "E3", Title: "Guess-accuracy sweep and optimism crossover", Run: E3AccuracySweep},
 		{ID: "E6", Title: "Time Warp on HOPE (related-work claim)", Run: E6TimeWarp},
 		{ID: "E7", Title: "Optimistic replicated data (§7 future work)", Run: E7Replication},

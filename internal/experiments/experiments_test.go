@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"strings"
 	"testing"
 	"time"
 	"unicode/utf8"
 
-	"hope/internal/netsim"
 	"hope/internal/scenario"
 )
 
@@ -65,20 +65,47 @@ func TestE1ShapeMispredictionsDegradeGracefully(t *testing.T) {
 
 func TestE2ShapeMatchesPaperArithmetic(t *testing.T) {
 	// §3.1: ~30 calls/s synchronous, ~100k packets/s streamed at 30 ms
-	// RTT on 100 Mb/s. Deterministic (virtual time).
-	s1 := netsim.NewSim()
-	d := netsim.NewDuplex(s1, 15*time.Millisecond, 100_000_000)
-	sync := netsim.SyncRPC(s1, d, 100, 100, 100)
-	if sync.CallsPerSec < 25 || sync.CallsPerSec > 40 {
-		t.Fatalf("sync calls/s = %.1f, want ≈30", sync.CallsPerSec)
+	// RTT on 100 Mb/s. Deterministic (closed form).
+	l := link{prop: 15 * time.Millisecond, bps: 100_000_000}
+	sync := perSecond(100, l.syncRPC(100, 100))
+	if sync < 25 || sync > 40 {
+		t.Fatalf("sync calls/s = %.1f, want ≈30", sync)
 	}
-	s2 := netsim.NewSim()
-	l := netsim.NewLink(s2, 15*time.Millisecond, 100_000_000)
-	stream := netsim.Stream(s2, l, 100, 50_000)
-	if stream.PacketsPerSec < 100_000 {
-		t.Fatalf("streamed packets/s = %.0f, want ≥100k", stream.PacketsPerSec)
+	stream := perSecond(50_000, l.stream(100, 50_000))
+	if stream < 100_000 {
+		t.Fatalf("streamed packets/s = %.0f, want ≥100k", stream)
 	}
-	t.Logf("sync %.1f calls/s, streamed %.0f packets/s", sync.CallsPerSec, stream.PacketsPerSec)
+	t.Logf("sync %.1f calls/s, streamed %.0f packets/s", sync, stream)
+}
+
+// TestE2LinkArithmetic pins the closed-form link model E2 renders:
+// serialization queues back-to-back packets, a synchronous call costs
+// one RTT plus two serializations, and pipelining overlaps the waits.
+func TestE2LinkArithmetic(t *testing.T) {
+	// 1000 bytes at 8 Mb/s serialize in 1 ms; the second packet waits
+	// for the first.
+	slow := link{prop: 10 * time.Millisecond, bps: 8_000_000}
+	if one, two := slow.stream(1000, 1), slow.stream(1000, 2); one != 11*time.Millisecond || two != 12*time.Millisecond {
+		t.Fatalf("arrivals = [%v %v], want [11ms 12ms]", one, two)
+	}
+	// §3.1 at 30 ms RTT: serialization-bound streaming (125,000 pkts/s
+	// minus one propagation delay) beats synchronous calls by three to
+	// four orders of magnitude.
+	l := link{prop: 15 * time.Millisecond, bps: 100_000_000}
+	sync, stream := perSecond(100, l.syncRPC(100, 100)), perSecond(100_000, l.stream(100, 100_000))
+	if stream < 100_000 || stream > 130_000 || stream/sync < 1000 {
+		t.Fatalf("streamed %.0f pkts/s vs sync %.1f calls/s, want ≈100,000+ and ≥1000x", stream, sync)
+	}
+	for _, rtt := range []time.Duration{2 * time.Millisecond, 20 * time.Millisecond} {
+		l := link{prop: rtt / 2, bps: 100_000_000}
+		if mean := l.syncRPC(100, 10) / 10; math.Abs(float64(mean-rtt)) > float64(rtt)/100 {
+			t.Errorf("rtt=%v: mean sync call %v, want within 1%%", rtt, mean)
+		}
+	}
+	l = link{prop: 5 * time.Millisecond, bps: 100_000_000}
+	if sync, piped := l.syncRPC(100, 50), l.pipelinedRPC(100, 50); sync.Seconds()/piped.Seconds() < 10 {
+		t.Fatalf("pipelined %v vs sync %v, want ≥10x", piped, sync)
+	}
 }
 
 func TestE3ShapeCrossover(t *testing.T) {

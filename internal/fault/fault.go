@@ -155,7 +155,6 @@ type Plan struct {
 	counters map[string]uint64
 	crashes  map[string]int
 	trace    []Injection
-	counts   [Stall + 1]int64
 }
 
 // New builds a Plan from cfg.
@@ -205,7 +204,6 @@ func (p *Plan) next(site string) uint64 {
 // record appends one injection to the trace.
 func (p *Plan) record(inj Injection) {
 	p.trace = append(p.trace, inj)
-	p.counts[inj.Kind]++
 }
 
 // decide evaluates one rate-gated decision at site, recording an
@@ -330,10 +328,8 @@ func (p *Plan) Counts() map[Kind]int64 {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for k := Crash; k <= Stall; k++ {
-		if p.counts[k] > 0 {
-			out[k] = p.counts[k]
-		}
+	for _, inj := range p.trace {
+		out[inj.Kind]++
 	}
 	return out
 }

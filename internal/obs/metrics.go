@@ -253,7 +253,7 @@ type MetricsSnapshot struct {
 }
 
 // shardSlice copies a per-shard gauge array, trimmed to the highest
-// shard that ever recorded a nonzero value (nil when none did).
+// shard whose gauge is nonzero now (nil when none is).
 func shardSlice(a *[MaxShards]atomic.Int64) []int64 {
 	n := MaxShards
 	for n > 0 && a[n-1].Load() == 0 {

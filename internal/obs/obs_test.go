@@ -211,3 +211,43 @@ func TestDumpMentionsActivity(t *testing.T) {
 		t.Error("event dump missing guess-opened")
 	}
 }
+
+// TestDumpCountsShardsWithNoLiveAssumptions pins the shard count to the
+// longest per-shard gauge: the assumption gauge trims to nil once every
+// assumption has settled, and the shards still exist.
+func TestDumpCountsShardsWithNoLiveAssumptions(t *testing.T) {
+	o := New()
+	for shard := 0; shard < 2; shard++ {
+		o.ShardAssumptions(shard, 3)
+		o.ShardEpoch(shard, uint64(5+shard))
+		o.ShardHeap(shard, 1)
+		o.ShardAssumptions(shard, 0)
+	}
+	got := o.Dump()
+	for _, want := range []string{"n=2 assumptions=0", "assumptions=[0 0] epochs=[5 6] sched-heaps(max)=[1 1]"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("dump missing %q:\n%s", want, got)
+		}
+	}
+}
+
+// TestDumpRowPerWireLink checks that Dump's wire section has one row per
+// registered link under its own name, beside the totals.
+func TestDumpRowPerWireLink(t *testing.T) {
+	o := New()
+	out := o.RegisterWirePeer("node0→node1")
+	in := o.RegisterWirePeer("node0←node1")
+	o.WireFrameOut(out, 40)
+	o.WireFrameIn(in, 30)
+	o.WireRedelivery(in)
+	got := o.Dump()
+	for _, want := range []string{
+		"peers=2 frames=1/1 bytes=40/30 (out/in) redeliveries=1",
+		"node0←node1      frames=0/1 bytes=0/30 redeliveries=1\n",
+		"node0→node1      frames=1/0 bytes=40/0 redeliveries=0\n",
+	} {
+		if strings.Count(got, want) != 1 {
+			t.Errorf("dump has %q %d times, want once:\n%s", want, strings.Count(got, want), got)
+		}
+	}
+}

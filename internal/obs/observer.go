@@ -347,7 +347,10 @@ func (o *Observer) Dump() string {
 	}
 	fmt.Fprintf(&b, "  classify:    hits=%d misses=%d (%.1f%% cached)\n",
 		m.ClassifyHits, m.ClassifyMisses, hitPct)
-	if n := len(m.ShardAssumptions); n > 0 || m.ShardContention > 0 {
+	// The shard count is the longest gauge: the assumption gauge is
+	// trimmed to nil once no assumption is live on any shard.
+	n := max(len(m.ShardAssumptions), len(m.ShardEpochs), len(m.ShardHeapDepth))
+	if n > 0 || m.ShardContention > 0 {
 		maxA, sumA := int64(0), int64(0)
 		for _, v := range m.ShardAssumptions {
 			sumA += v
@@ -361,8 +364,10 @@ func (o *Observer) Dump() string {
 		}
 		fmt.Fprintf(&b, "  shards:      n=%d assumptions=%d imbalance=%.2fx escalations=%d\n",
 			n, sumA, imbalance, m.ShardContention)
-		if len(m.ShardHeapDepth) > 0 {
-			fmt.Fprintf(&b, "               sched-heaps(max)=%v\n", m.ShardHeapDepth)
+		if n > 0 {
+			pad := func(g []int64) []int64 { return append(g, make([]int64, n-len(g))...) }
+			fmt.Fprintf(&b, "               per shard: assumptions=%v epochs=%v sched-heaps(max)=%v\n",
+				pad(m.ShardAssumptions), pad(m.ShardEpochs), pad(m.ShardHeapDepth))
 		}
 	}
 	b.WriteString(o.dumpWire())

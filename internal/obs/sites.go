@@ -9,7 +9,7 @@ import (
 // Per-site speculation metrics: one row per Guess call site, keyed by
 // the shared internal/site hash. The engine's admission layer reports
 // every live guess (admitted or not) and every per-site verdict here,
-// for the hopetop -sites table. Like every other counter, the table is
+// for the sites section of Dump. Like every other counter, the table is
 // written by the runtime and read only by whoever attached the
 // observer: the admission controller learns from the engine directly
 // (see internal/policy), never from here.

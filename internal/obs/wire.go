@@ -1,15 +1,19 @@
 package obs
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // This file is the transport-side observability surface: per-peer
 // counters for internal/wire. Like every other hook it is nil-safe, so
 // the wire layer calls unconditionally.
 
 // RegisterWirePeer allocates a metrics slot for one directed peer link
-// (named e.g. "→node1" / "←node1") and returns its index, or -1 when
-// the observer is nil or the MaxPeers slots are exhausted — callers
-// pass the slot back to the Wire* hooks, and every hook tolerates -1.
+// (named from the local node, e.g. "node0→node1" / "node1←node0") and
+// returns its index, or -1 when the observer is nil or the MaxPeers
+// slots are exhausted — callers pass the slot back to the Wire* hooks,
+// and every hook tolerates -1.
 func (o *Observer) RegisterWirePeer(name string) int {
 	if o == nil {
 		return -1
@@ -92,20 +96,25 @@ func (o *Observer) WirePeers() []WirePeerStat {
 	return out
 }
 
-// dumpWire renders the per-peer table for Dump (empty without peers).
+// dumpWire renders Dump's wire section: the totals, then one row per
+// link in name order (empty without peers).
 func (o *Observer) dumpWire() string {
 	peers := o.WirePeers()
 	if len(peers) == 0 {
 		return ""
 	}
+	sort.Slice(peers, func(i, j int) bool { return peers[i].Peer < peers[j].Peer })
 	var in, out, bin, bout, redel int64
+	var rows []byte
 	for _, p := range peers {
 		in += p.FramesIn
 		out += p.FramesOut
 		bin += p.BytesIn
 		bout += p.BytesOut
 		redel += p.Redeliveries
+		rows = fmt.Appendf(rows, "    %-16s frames=%d/%d bytes=%d/%d redeliveries=%d\n",
+			p.Peer, p.FramesOut, p.FramesIn, p.BytesOut, p.BytesIn, p.Redeliveries)
 	}
 	return fmt.Sprintf("  wire:        peers=%d frames=%d/%d bytes=%d/%d (out/in) redeliveries=%d verdict-fanout=%d\n",
-		len(peers), out, in, bout, bin, redel, o.m.WireVerdictFanout.Load())
+		len(peers), out, in, bout, bin, redel, o.m.WireVerdictFanout.Load()) + string(rows)
 }

@@ -185,7 +185,7 @@ func NewAdaptive(cfg Config) *Controller {
 // AlwaysOff builds the static pessimistic policy: every admission is
 // denied, so each guess first waits (up to WaitBudget) for its real
 // verdict. The estimator still learns — the accuracy each admission
-// reports (and hopetop's -sites table shows) stays live — but never
+// reports (and hopetop's per-site rows show) stays live — but never
 // changes admissions.
 func AlwaysOff(cfg Config) *Controller {
 	c := NewAdaptive(cfg)

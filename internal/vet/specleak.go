@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -451,8 +452,14 @@ func (s *specPass) emitSites() {
 		site := s.sites[pos]
 		p := s.a.loader.Fset.Position(pos)
 		key := sitepkg.Key(p.Filename, p.Line)
+		// The inventory names files from the module root, as the site
+		// key does, so it reads the same from any checkout.
+		file := p.Filename
+		if rel, err := filepath.Rel(s.a.loader.Root, file); err == nil {
+			file = filepath.ToSlash(rel)
+		}
 		entry := Site{
-			File:                  p.Filename,
+			File:                  file,
 			Line:                  p.Line,
 			Col:                   p.Column,
 			Package:               s.f.pkg.Path,

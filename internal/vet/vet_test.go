@@ -351,6 +351,22 @@ func TestSiteInventory(t *testing.T) {
 	}
 }
 
+// TestInventoryFilesModuleRelative checks that each inventory entry
+// names its file from the module root, not from wherever the module is
+// checked out, and that the file is the one its site key names.
+func TestInventoryFilesModuleRelative(t *testing.T) {
+	_, _, res := loadFixture(t, "leakdrop", false)
+	for _, s := range res.Sites {
+		keyFile, _, _ := strings.Cut(s.SiteKey, ":")
+		if strings.HasPrefix(s.File, "/") || !strings.HasSuffix(s.File, keyFile) {
+			t.Errorf("site %s: file %q, want module-relative and ending in %q", s.SiteKey, s.File, keyFile)
+		}
+	}
+	if len(res.Sites) == 0 {
+		t.Fatal("fixture has no sites")
+	}
+}
+
 func TestWriteInventory(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteInventory(&buf, "hope", nil); err != nil {

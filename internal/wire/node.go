@@ -204,7 +204,7 @@ func NewNode(rt *engine.Runtime, cfg Config) (*Node, error) {
 			out:  make(chan outFrame, 64),
 			free: make(chan []byte, freeFrames),
 		}
-		p.slot = cfg.Obs.RegisterWirePeer("→" + p.name)
+		p.slot = cfg.Obs.RegisterWirePeer(cfg.Name + "→" + p.name)
 		n.peers[id] = p
 		n.plist = append(n.plist, p)
 	}
@@ -473,7 +473,7 @@ func (n *Node) readLoop(conn net.Conn) {
 		n.noteErr(fmt.Errorf("wire: inbound %s opened with a %s frame, want Hello", conn.RemoteAddr(), typ))
 		return
 	}
-	slot := n.cfg.Obs.RegisterWirePeer("←" + hello.Name)
+	slot := n.cfg.Obs.RegisterWirePeer(n.cfg.Name + "←" + hello.Name)
 	n.cfg.Obs.WireFrameIn(slot, sz)
 	lastSeq := make(map[string]uint64) // per-sender redelivery accounting
 	sawDone := false

@@ -370,8 +370,8 @@ func TestWireMetrics(t *testing.T) {
 		1 + 10 + 1 + 1, // hello, 10 msgs, 1 verdict, done
 		1 + 1,          // hello, done
 	} {
-		out := linkStat(t, observers[i], fmt.Sprintf("→node%d", 1-i))
-		in := linkStat(t, observers[1-i], fmt.Sprintf("←node%d", i))
+		out := linkStat(t, observers[i], fmt.Sprintf("node%d→node%d", i, 1-i))
+		in := linkStat(t, observers[1-i], fmt.Sprintf("node%d←node%d", 1-i, i))
 		if out.FramesOut != frames {
 			t.Errorf("node %d frames out = %d, want %d", i, out.FramesOut, frames)
 		}

@@ -140,7 +140,7 @@ func TestStreamDupOnFirstUseOfType(t *testing.T) {
 	c.start(t)
 	c.wait(t)
 	c.noErrs(t)
-	if in := linkStat(t, observers[1], "←node0"); in.Redeliveries != msgs+1 {
+	if in := linkStat(t, observers[1], "node1←node0"); in.Redeliveries != msgs+1 {
 		t.Fatalf("receiver saw %d redeliveries, want %d (every message duplicated on the wire)", in.Redeliveries, msgs+1)
 	}
 }
@@ -324,7 +324,7 @@ func TestDelayKeepsOrderAndBarrierFlushes(t *testing.T) {
 	if err := c.nodes[0].Barrier(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if out := linkStat(t, observers[0], "→node1"); out.FramesOut != msgs+2 {
+	if out := linkStat(t, observers[0], "node0→node1"); out.FramesOut != msgs+2 {
 		t.Fatalf("Barrier returned with %d frames written, want %d (hello, %d msgs, done)", out.FramesOut, msgs+2, msgs)
 	}
 	if errs := waitRuntime(t, c.rts[1]); len(errs) > 0 {

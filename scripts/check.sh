@@ -13,9 +13,10 @@
 # once, a delivered message is stored once (by value, in its receiver's
 # replay log), a wire hop allocates only what it hands over (including
 # the alloc budgets, run without the race detector, which skips them),
-# payloads cross without gob, each claim has one evidence path and
-# nothing is kept alive by its own tests, then the race-enabled test
-# suite. Run from anywhere; it cds to the repo
+# payloads cross without gob, each claim has one evidence path,
+# nothing is kept alive by its own tests and each job is done once (no
+# second event loop beside the runtime, no hopetop table beside
+# obs.Dump), then the race-enabled test suite. Run from anywhere; it cds to the repo
 # root.
 #
 #   ./scripts/check.sh
@@ -216,18 +217,29 @@ fi
 # the names deleted on that rule: occ's transactions and constant-value
 # optimistic write (Update is the one optimistic write), rpc's
 # predictor types and comparator knob (the WorryWart matches with
-# reflect.DeepEqual), netsim's jitter knob and the accessors only its
-# tests read, the tracker's second settle count beside its shard epochs
-# and its unused interval and shard-count accessors, and the set and
-# clock algebra that neither the semantics machine nor the benchmark
+# reflect.DeepEqual), the tracker's second settle count beside its shard
+# epochs and its unused interval and shard-count accessors, and the set
+# and clock algebra that neither the semantics machine nor the benchmark
 # probes call. A hit is one of them coming back.
 echo "== nothing kept alive by its own tests"
 expect internal/occ 'func \(s \*Session\) (Txn|WriteOptimistic)|txnReq|type Tx\b' 0
 expect internal/rpc 'StreamCallP|Predictor|WithComparator|c\.equal' 0
-expect internal/netsim 'Jitter|RunUntil|\) (After|Rng|Sent|BytesSent|RTT)\(' 0
 expect internal/tracker 'settleSeq|\) Epoch\(|CurrentInterval|DefaultShards' 0
 expect internal/sets '\) (Minus|Intersect|filter|SubsetOf|Equal|RemoveAll)\(' 0
 expect internal/vclock '\) (Get|LEQ|Before|Concurrent|Equal|String)\(' 0
+
+# Each job is done once. §3.1's numbers are link arithmetic, computed in
+# closed form by E2: a second discrete-event loop beside the runtime
+# (internal/netsim, or an import of it) is a second simulator coming
+# back. obs.Dump is hopetop's one renderer: a per-shard, per-link or
+# per-site table, or a fault line from the plan's own counts, printed
+# beside the dump is the same numbers rendered twice.
+echo "== each job done once: one event loop, one renderer"
+if [ -e internal/netsim ] || grep -rlF '"hope/internal/netsim"' --include='*.go' . ; then
+	echo "internal/netsim is back, or imported (E2 computes §3.1 in closed form)" >&2
+	exit 1
+fi
+expect cmd/hopetop 'shardTable|peersTable|sitesTable|Counts\(' 0
 
 echo "== go test -race ./..."
 go test -race ./...
