@@ -78,33 +78,60 @@ func TestE2ShapeMatchesPaperArithmetic(t *testing.T) {
 	t.Logf("sync %.1f calls/s, streamed %.0f packets/s", sync, stream)
 }
 
-// TestE2LinkArithmetic pins the closed-form link model E2 renders:
+// The four tests below pin the closed-form link model E2 renders:
 // serialization queues back-to-back packets, a synchronous call costs
 // one RTT plus two serializations, and pipelining overlaps the waits.
-func TestE2LinkArithmetic(t *testing.T) {
+
+func TestE2LinkPropagationAndSerialization(t *testing.T) {
 	// 1000 bytes at 8 Mb/s serialize in 1 ms; the second packet waits
 	// for the first.
-	slow := link{prop: 10 * time.Millisecond, bps: 8_000_000}
-	if one, two := slow.stream(1000, 1), slow.stream(1000, 2); one != 11*time.Millisecond || two != 12*time.Millisecond {
+	l := link{prop: 10 * time.Millisecond, bps: 8_000_000}
+	if one, two := l.stream(1000, 1), l.stream(1000, 2); one != 11*time.Millisecond || two != 12*time.Millisecond {
 		t.Fatalf("arrivals = [%v %v], want [11ms 12ms]", one, two)
 	}
-	// §3.1 at 30 ms RTT: serialization-bound streaming (125,000 pkts/s
-	// minus one propagation delay) beats synchronous calls by three to
-	// four orders of magnitude.
+}
+
+// TestE2Section31Arithmetic regenerates the paper's §3.1 numbers: a
+// transcontinental 100 Mb/s channel moves 100-byte packets at
+// ~100,000/s streamed, but only ~30/s when each waits for a reply.
+func TestE2Section31Arithmetic(t *testing.T) {
 	l := link{prop: 15 * time.Millisecond, bps: 100_000_000}
-	sync, stream := perSecond(100, l.syncRPC(100, 100)), perSecond(100_000, l.stream(100, 100_000))
-	if stream < 100_000 || stream > 130_000 || stream/sync < 1000 {
-		t.Fatalf("streamed %.0f pkts/s vs sync %.1f calls/s, want ≈100,000+ and ≥1000x", stream, sync)
+	// Each call ≈ RTT (30 ms) + 2 × 8 µs serialization ⇒ ~33 calls/s.
+	sync := perSecond(100, l.syncRPC(100, 100))
+	if sync < 25 || sync > 40 {
+		t.Fatalf("sync calls/s = %.1f, want ≈30 (paper §3.1)", sync)
 	}
+	// 100 Mb/s ÷ 800 bits ⇒ 125,000 packets/s serialization-bound,
+	// minus one propagation delay.
+	stream := perSecond(100_000, l.stream(100, 100_000))
+	if stream < 100_000 || stream > 130_000 {
+		t.Fatalf("streamed packets/s = %.0f, want ≈100,000+ (paper §3.1)", stream)
+	}
+	// Streaming beats synchronous calls by three to four orders of
+	// magnitude at transcontinental latency.
+	if stream/sync < 1000 {
+		t.Fatalf("stream/sync ratio = %.0f, want ≥1000", stream/sync)
+	}
+}
+
+func TestE2PipelinedRPCBeatsSync(t *testing.T) {
+	l := link{prop: 5 * time.Millisecond, bps: 100_000_000}
+	sync, piped := l.syncRPC(100, 50), l.pipelinedRPC(100, 50)
+	if piped >= sync {
+		t.Fatalf("pipelined %v not faster than sync %v", piped, sync)
+	}
+	// Pipelined: ~1 RTT + n×tx. Sync: ~n×RTT.
+	if got := sync.Seconds() / piped.Seconds(); got < 10 {
+		t.Fatalf("speedup = %.1fx, want ≥10x at this latency", got)
+	}
+}
+
+func TestE2SyncRPCMeanCallTimeTracksRTT(t *testing.T) {
 	for _, rtt := range []time.Duration{2 * time.Millisecond, 20 * time.Millisecond} {
 		l := link{prop: rtt / 2, bps: 100_000_000}
 		if mean := l.syncRPC(100, 10) / 10; math.Abs(float64(mean-rtt)) > float64(rtt)/100 {
 			t.Errorf("rtt=%v: mean sync call %v, want within 1%%", rtt, mean)
 		}
-	}
-	l = link{prop: 5 * time.Millisecond, bps: 100_000_000}
-	if sync, piped := l.syncRPC(100, 50), l.pipelinedRPC(100, 50); sync.Seconds()/piped.Seconds() < 10 {
-		t.Fatalf("pipelined %v vs sync %v, want ≥10x", piped, sync)
 	}
 }
 
