@@ -306,10 +306,15 @@ type Proc struct {
 	// crashed marks that the previous attempt ended in an injected crash
 	// (read and cleared by applyPending on the next attempt).
 	crashed bool
-	// restoredState/hasRestored hand the newest surviving checkpoint's
-	// state to the next attempt; Restored consumes them.
-	restoredState any
+	// hasRestored/restoredState hand the newest surviving checkpoint's
+	// state to the next attempt; Restored consumes them. The flag shares
+	// crashed's word, which keeps a Proc in the 416-byte size class.
 	hasRestored   bool
+	restoredState any
+	// unminted collects, during a rollback cut, the AIDs of the NewAID
+	// entries the cut drops, for the tracker to deny (applyPending). It
+	// keeps its capacity from one rollback to the next.
+	unminted []ids.AID
 
 	restarts atomic.Int32
 	resumes  atomic.Int32
@@ -591,22 +596,26 @@ func (p *Proc) attempt() (restart bool) {
 // an explicit guess entry is kept and rewritten to return false; an
 // implicit (receive) entry is dropped so the receive re-executes.
 // Messages consumed in the discarded suffix return to the front of the
-// queue; orphans among them are filtered at the next delivery. The next
+// queue; orphans among them are filtered at the next delivery. The AIDs
+// the suffix minted are denied once p.mu is released: replay mints
+// fresh ones, and nothing live can name the old (DenyUnminted). The next
 // attempt then resumes from the newest checkpoint surviving the cut —
 // replaying only the suffix after it — or from the top of the retained
-// log when none does.
+// log when none does. Only this cut denies: compaction drops a settled
+// prefix, whose AIDs may be live anywhere, and crash recovery cuts
+// nothing.
 func (p *Proc) applyPending() {
 	tgt, ok := p.rt.tr.TakePending(p.id)
 	crashed := p.crashed
 	p.crashed = false
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.restoredState, p.hasRestored = nil, false
 	if !ok {
 		// No rollback target: the first attempt, or an injected crash.
 		// A crash truncates nothing — the whole retained log replays,
 		// short-circuited by the newest checkpoint if one exists.
 		p.resumeLocked(crashed)
+		p.mu.Unlock()
 		return
 	}
 	p.rt.obs.Emit(obs.KRollbackStarted, p.id, ids.NoAID, ids.NoInterval, int64(tgt.LogIndex))
@@ -625,17 +634,23 @@ func (p *Proc) applyPending() {
 	}
 	// The messages are copied out of the store before the cut zeroes them.
 	var requeue []rmsg
+	p.unminted = p.unminted[:0]
 	for i := cut; i < p.log.len(); i++ {
-		if e := p.log.at(i); e.kind == entryRecv && e.ok { // a logged timeout consumed nothing
+		switch e := p.log.at(i); {
+		case e.kind == entryRecv && e.ok: // a logged timeout consumed nothing
 			if e.iv().Valid() && p.rt.tr.WasFinalized(p.id, e.iv()) {
 				panic(fmt.Sprintf("hope: requeueing finalized receive %v (log target %d)", e.iv(), tgt.LogIndex))
 			}
 			requeue = append(requeue, rmsg{message: *e.msg()})
+		case e.kind == entryNewAID:
+			p.unminted = append(p.unminted, e.aid())
 		}
 	}
 	p.log.cut(cut)
 	p.queue.pushFront(requeue...)
 	p.resumeLocked(true)
+	p.mu.Unlock()
+	p.rt.tr.DenyUnminted(p.unminted)
 }
 
 // resumeLocked positions the replay cursor for the next attempt: just

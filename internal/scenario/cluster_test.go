@@ -299,3 +299,55 @@ func TestStormMultiProcessSoak(t *testing.T) {
 	}
 	t.Logf("%d seeds × 3 OS processes, %d faults injected, output stable", seeds, injected.Load())
 }
+
+// TestLoopbackRetiresUnmintedOnPeer carries an un-minted AID across the
+// wire. Node 0's worker guesses X and, in the guessed branch, mints and
+// guesses Y, sends node 1's echo a message tagged {X, Y} — node 1
+// materializes both — and denies X once the echo's reply shows the tag
+// arrived. The rollback's cut un-mints Y; its deny reaches node 1 like
+// any verdict, so after the barrier neither tracker holds a record.
+func TestLoopbackRetiresUnmintedOnPeer(t *testing.T) {
+	procs := map[string]uint32{"worker": 0, "echo": 1}
+	rts := make([]*engine.Runtime, 2)
+	_, err := Loopback(2, func(mesh NodeConfig) (time.Duration, error) {
+		mesh.Procs = procs
+		return RunNode(mesh, func(rt *engine.Runtime) error {
+			rts[mesh.Node] = rt
+			if mesh.Node == 1 {
+				return rt.Spawn("echo", func(p *engine.Proc) error {
+					for {
+						m, err := p.Recv()
+						if err != nil || m.Payload == "done" {
+							return err
+						}
+						if err := p.Send("worker", "ack"); err != nil {
+							return err
+						}
+					}
+				})
+			}
+			return rt.Spawn("worker", func(p *engine.Proc) error {
+				x := p.NewAID()
+				if p.Guess(x) {
+					p.Guess(p.NewAID())
+					if err := p.Send("echo", "tagged"); err != nil {
+						return err
+					}
+					if _, err := p.Recv(); err != nil {
+						return err
+					}
+					return p.Deny(x)
+				}
+				return p.Send("echo", "done")
+			})
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rt := range rts {
+		if dump := rt.DebugTracker(); dump != "" {
+			t.Errorf("node %d holds speculative state after the barrier:\n%s", i, dump)
+		}
+	}
+}

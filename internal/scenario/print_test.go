@@ -46,3 +46,21 @@ func TestPrintStreamMatchesSync(t *testing.T) {
 		}
 	}
 }
+
+// TestPrintRetiresOrphanedAssumptions runs Figure 2's quadratic case: a
+// misprediction rolls the worker back past every later StreamCall, whose
+// AIDs replay mints afresh, so the AIDs each rollback abandons grow with
+// the square of the stream length. Settle's quiescence oracle fails any
+// size that leaves an assumption record or a live interval.
+func TestPrintRetiresOrphanedAssumptions(t *testing.T) {
+	for _, n := range []int{25, 50, 100, 200} {
+		res, err := Print(PrintJobs(n, PageSize, 0.25, 1), 200*time.Microsecond, Ordered)
+		if err != nil {
+			t.Fatalf("%d jobs: %v", n, err)
+		}
+		var calls, wrong int
+		if _, err := fmt.Sscanf(res.Note, "%d print calls, %d mispredicted", &calls, &wrong); err != nil || wrong == 0 {
+			t.Fatalf("%d jobs: %q mispredicted nothing, so nothing rolled back", n, res.Note)
+		}
+	}
+}

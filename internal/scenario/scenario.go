@@ -110,17 +110,24 @@ func Find(name string) (Spec, bool) {
 // Settle is the tail every single-runtime workload ends with: wait for
 // the runtime to quiesce, stamp the makespan since start (settlement
 // included — all assumptions verified, all effects released), shut
-// down, and report the first process error.
+// down, and report the first process error. It is also the quiescence
+// oracle: a quiet runtime holds nothing speculative — no assumption
+// record and no live interval — so a non-empty tracker dump fails the
+// run, with that dump and every process's state.
 func Settle(rt *engine.Runtime, start time.Time) (time.Duration, error) {
 	rt.Quiesce()
 	elapsed := time.Since(start)
+	var held error
+	if dump := rt.DebugTracker(); dump != "" {
+		held = fmt.Errorf("scenario: quiesced runtime holds speculative state:\n%s%s", dump, rt.DebugString())
+	}
 	rt.Shutdown()
 	for _, err := range rt.Wait() {
 		if err != nil {
 			return elapsed, err
 		}
 	}
-	return elapsed, nil
+	return elapsed, held
 }
 
 // Fanout broadcasts rounds of messages from one sender to 16 receivers

@@ -510,6 +510,26 @@ func (t *Tracker) denySystem(x ids.AID, ctx *opCtx) bool {
 	return acted
 }
 
+// DenyUnminted system-denies (§5.6) every AID in xs that is still
+// unresolved and unclaimed: the AIDs whose minting a rollback cut just
+// dropped from its process's replay log. By Equation 3 and Theorem 5.1
+// only values the discarded suffix produced can name such an AID, and
+// every message that suffix sent carries a denied dependency in its tag,
+// so it is an orphan wherever it lands: nothing live can depend on the
+// AID or resolve it, and the deny is unobservable. It retires the record
+// to its verdict bits, and the verdict sink carries the deny to every
+// peer that materialized it. One settle context covers the whole batch.
+func (t *Tracker) DenyUnminted(xs []ids.AID) {
+	if len(xs) == 0 {
+		return
+	}
+	ctx := t.newOpCtx()
+	for _, x := range xs {
+		t.denySystem(x, ctx)
+	}
+	t.finish(ctx)
+}
+
 // forceDiscard rolls back p's whole live chain if it still has one when
 // its shard lock is taken. Returns whether it acted.
 func (t *Tracker) forceDiscard(p ids.Proc, ctx *opCtx) bool {
@@ -550,7 +570,10 @@ func (t *Tracker) forceDiscard(p ids.Proc, ctx *opCtx) bool {
 // half-done in a way that matters, and the rollback notifications and
 // effects run once at the end. Returns the number of drain actions taken (assumptions denied
 // plus interval chains force-discarded); zero means the tracker was
-// already fully settled and no rollback was issued.
+// already fully settled and no rollback was issued. On an ordered-server
+// program it finds nothing at shutdown: the assumptions a
+// misprediction's replay abandons are denied at its rollback cut
+// (DenyUnminted).
 func (t *Tracker) DenyAllUnresolved() int {
 	ctx := t.newOpCtx()
 	denied := 0

@@ -16,8 +16,9 @@
 # payloads cross without gob, each claim has one evidence path,
 # nothing is kept alive by its own tests and each job is done once (no
 # second event loop beside the runtime, no hopetop table beside
-# obs.Dump), then the race-enabled test suite. Run from anywhere; it cds to the repo
-# root.
+# obs.Dump), a quiet runtime holds nothing speculative (a rollback
+# denies the assumptions it un-mints), then the race-enabled test
+# suite. Run from anywhere; it cds to the repo root.
 #
 #   ./scripts/check.sh
 #
@@ -240,6 +241,17 @@ if [ -e internal/netsim ] || grep -rlF '"hope/internal/netsim"' --include='*.go'
 	exit 1
 fi
 expect cmd/hopetop 'shardTable|peersTable|sitesTable|Counts\(' 0
+
+# A quiet runtime holds nothing speculative (DESIGN.md, "Assumptions a
+# rollback un-mints"): a rollback's cut denies the AIDs whose NewAID
+# entries it drops, in the one DenyUnminted call, and no other cut
+# does (compaction and crash replay keep their AIDs live).
+# scenario.Settle fails a run that quiesces holding an assumption
+# record or a live interval. The boundary tests, the quadratic print
+# case and the wire peer's run go three times under the race detector.
+echo "== a quiet runtime holds nothing speculative"
+expect internal/engine 'DenyUnminted\(' 1
+go test -race -count=3 -run 'Unminted|RetiresOrphaned|SettleRejects' ./internal/engine ./internal/scenario
 
 echo "== go test -race ./..."
 go test -race ./...
