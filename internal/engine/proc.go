@@ -866,9 +866,10 @@ func (p *Proc) Guess(a AID) bool {
 }
 
 // awaitVerdict blocks until assumption a resolves terminally, returning
-// its verdict with decided=true. decided=false means the caller should
-// fall back to speculating, as always-on would: the wait budget expired
-// (budget >= 0) or the runtime shut down mid-wait. It logs nothing itself.
+// its verdict with decided=true. decided=false means the wait budget
+// expired (budget >= 0; a negative budget waits without bound) or the
+// runtime shut down mid-wait: a denied admission then speculates, as
+// always-on would. It logs nothing itself.
 func (p *Proc) awaitVerdict(a AID, budget time.Duration) (verdict, decided bool) {
 	st := p.rt.tr.Status(a.id)
 	if !st.Terminal() {
@@ -881,6 +882,24 @@ func (p *Proc) awaitVerdict(a AID, budget time.Duration) (verdict, decided bool)
 		st = p.rt.tr.Status(a.id)
 	}
 	return st == tracker.Affirmed, st.Terminal()
+}
+
+// AwaitTerminal blocks p until assumption a is affirmed or denied, and
+// logs nothing: the body never sees the verdict, so there is no outcome
+// for replay to reproduce. While replaying it returns at once — the live
+// run got past this point only once a was terminal, and terminal is
+// permanent. A rollback that lands during the wait unwinds to its target
+// through checkPending; after Shutdown it returns ErrShutdown. It is a
+// function, not a method, so that the façade's Proc does not gain it:
+// its one caller is rpc.Session's speculation horizon.
+func AwaitTerminal(p *Proc, a AID) error {
+	if p.replaying() {
+		return nil
+	}
+	if _, decided := p.awaitVerdict(a, -1); !decided {
+		return ErrShutdown
+	}
+	return nil
 }
 
 // Affirm asserts that assumption a is correct (Section 5.2). It returns

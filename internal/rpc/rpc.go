@@ -26,6 +26,12 @@
 //     cascaded rollback), it pushes the actual reply so the caller's
 //     pessimistic path cannot starve.
 //
+// The verifier pool also bounds how far a caller runs ahead unverified:
+// a StreamCall first waits for the verdict of the call its verifier is
+// still checking, so at most one pool's worth of calls is outstanding,
+// and a misprediction re-runs live only the calls issued after it
+// (DESIGN.md, "Speculation horizon = verifier pool").
+//
 // # Choosing a server discipline
 //
 // Serve/ServeStateful process requests optimistically: fastest settlement
@@ -158,7 +164,10 @@ type ClientOption func(*Client)
 
 // WithVerifiers sets the WorryWart pool size (default 8). Pool size
 // bounds how many calls verify concurrently; each verifier handles the
-// calls assigned to it strictly in order.
+// calls assigned to it strictly in order. It is also the caller's
+// speculation horizon: a StreamCall first waits for the verdict of the
+// call pool-size calls back, so a misprediction re-runs live at most
+// pool-size − 1 later calls.
 func WithVerifiers(n int) ClientOption {
 	return func(c *Client) {
 		if n > 0 {
@@ -259,17 +268,20 @@ func (c *Client) worrywart(p *engine.Proc) error {
 }
 
 // Session binds a Client to one invocation of the owner's body. Create it
-// at the top of the body function — its call counter is rebuilt
-// deterministically on replay.
+// at the top of the body function — its call counter and horizon ring are
+// rebuilt deterministically on replay.
 type Session struct {
 	c    *Client
 	p    *engine.Proc
 	next int
+	// ring[i] is the assumption of the last streamed call handed to
+	// verifier names[i]: the call the next one it gets queues behind.
+	ring []engine.AID
 }
 
 // Session creates the per-body-invocation session.
 func (c *Client) Session(p *engine.Proc) *Session {
-	return &Session{c: c, p: p}
+	return &Session{c: c, p: p, ring: make([]engine.AID, len(c.names))}
 }
 
 // Call performs a synchronous RPC: a full round trip, the Figure 1
@@ -296,12 +308,30 @@ func (s *Session) Call(server string, req any) (any, error) {
 // StreamCall returns the actual reply with accurate=false. Everything the
 // caller did with the wrong value — including messages to other processes
 // — is undone by HOPE's dependency tracking.
+//
+// The caller runs at most one pool's worth of calls ahead of its
+// verdicts: call id first waits until the assumption of call id−verifiers
+// is affirmed or denied. That is the call its verifier is still checking,
+// which the new job would only queue behind. It bounds what a
+// misprediction re-runs live past its replayed prefix to the calls
+// issued since. The wait logs nothing and is skipped on replay
+// (engine.AwaitTerminal). Its cost is the new job's hop to a verifier
+// that is already free: hidden behind an ordered server, which
+// serializes verification anyway, but on the critical path when the
+// verifiers are the bottleneck.
 func (s *Session) StreamCall(server string, req, predicted any) (result any, accurate bool, err error) {
 	s.next++
 	id := s.next
+	v := (id - 1) % len(s.ring)
+	if prev := s.ring[v]; prev.Valid() {
+		if err := engine.AwaitTerminal(s.p, prev); err != nil {
+			return nil, false, err
+		}
+	}
 	x := s.p.NewAID()
+	s.ring[v] = x
 	job := streamJob{CallID: id, Server: server, Req: req, Predicted: predicted, Assumption: x}
-	if err := s.p.Send(s.c.names[(id-1)%len(s.c.names)], job); err != nil {
+	if err := s.p.Send(s.c.names[v], job); err != nil {
 		return nil, false, err
 	}
 	if s.p.Guess(x) {

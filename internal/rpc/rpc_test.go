@@ -1,7 +1,11 @@
 package rpc
 
 import (
+	"errors"
+	"fmt"
 	"io"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -25,6 +29,12 @@ func runOwner(t *testing.T, rt *engine.Runtime, name string, body func(*engine.P
 	if err := rt.Spawn(name, body); err != nil {
 		t.Fatalf("Spawn(%s): %v", name, err)
 	}
+	settle(t, rt)
+}
+
+// settle waits for quiescence, shuts down and reports process errors.
+func settle(t *testing.T, rt *engine.Runtime) {
+	t.Helper()
 	done := make(chan struct{})
 	go func() { rt.Quiesce(); rt.Shutdown(); close(done) }()
 	select {
@@ -83,9 +93,32 @@ func TestStreamCallAccuratePrediction(t *testing.T) {
 	}
 }
 
+// awaitCallerBlocked polls until the process named caller is blocked
+// waiting for an assumption's verdict — the horizon's wait.
+func awaitCallerBlocked(t *testing.T, rt *engine.Runtime) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		for _, line := range strings.Split(rt.DebugString(), "\n") {
+			if f := strings.Fields(line); len(f) > 1 && f[0] == "caller" && f[1] == "blocked" && strings.Contains(line, "wait=aid") {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("caller never blocked on a verdict\n%s", rt.DebugString())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestStreamCallMispredictionRollsBack(t *testing.T) {
 	rt := engine.New(engine.WithOutput(io.Discard))
-	serveFunc(t, rt, "svc", func(req any) any { return req.(int) * 2 })
+	// The reply waits until the caller has guessed: a deny that landed
+	// first would short-circuit the guess, and the speculative path the
+	// test looks for would never run.
+	guessed := make(chan struct{})
+	var once sync.Once
+	serveFunc(t, rt, "svc", func(req any) any { <-guessed; return req.(int) * 2 })
 	c, err := NewClient(rt, "caller")
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +134,7 @@ func TestStreamCallMispredictionRollsBack(t *testing.T) {
 		}
 		if accurate {
 			speculativeSeen.Store(int64(v.(int))) // overwritten state is fine: atomic survives replay, shows speculation ran
-			_ = v
+			once.Do(func() { close(guessed) })
 		} else {
 			final.Store(int64(v.(int)))
 			acc.Store(false)
@@ -214,6 +247,88 @@ func TestManyStreamCallsMixedAccuracy(t *testing.T) {
 	if sum.Load() != want {
 		t.Fatalf("sum = %d, want %d", sum.Load(), want)
 	}
+}
+
+// TestStreamCallHorizonIsVerifierPool: with every reply held, the caller
+// issues one call per verifier and enters the next, which waits for the
+// verdict of the first call its verifier is checking. Once the replies
+// go out, every call commits.
+func TestStreamCallHorizonIsVerifierPool(t *testing.T) {
+	const verifiers = 3
+	buf := &testutil.SyncBuffer{}
+	rt := engine.New(engine.WithOutput(buf))
+	release := make(chan struct{})
+	serveFunc(t, rt, "svc", func(req any) any { <-release; return req })
+	c, err := NewClient(rt, "caller", WithVerifiers(verifiers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entered atomic.Int64
+	if err := rt.Spawn("caller", func(p *engine.Proc) error {
+		s := c.Session(p)
+		for i := 0; i < 3*verifiers; i++ {
+			if n := int64(i + 1); n > entered.Load() {
+				entered.Store(n)
+			}
+			v, _, err := s.StreamCall("svc", i, i)
+			if err != nil {
+				return err
+			}
+			p.Printf("%d\n", v)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	awaitCallerBlocked(t, rt)
+	if n := entered.Load(); n != verifiers+1 {
+		t.Errorf("caller entered %d calls before the first reply, want %d", n, verifiers+1)
+	}
+	close(release)
+	settle(t, rt)
+	var want strings.Builder
+	for i := 0; i < 3*verifiers; i++ {
+		fmt.Fprintf(&want, "%d\n", i)
+	}
+	if got := buf.String(); got != want.String() {
+		t.Fatalf("committed %q, want every call's reply %q", got, want.String())
+	}
+}
+
+// TestStreamCallHorizonShutdown: a call waiting at the horizon returns
+// ErrShutdown when the runtime shuts down.
+func TestStreamCallHorizonShutdown(t *testing.T) {
+	rt := engine.New(engine.WithOutput(io.Discard))
+	release := make(chan struct{})
+	serveFunc(t, rt, "svc", func(req any) any { <-release; return req })
+	c, err := NewClient(rt, "caller", WithVerifiers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 1)
+	if err := rt.Spawn("caller", func(p *engine.Proc) error {
+		s := c.Session(p)
+		if _, _, err := s.StreamCall("svc", 1, 1); err != nil {
+			return err
+		}
+		_, _, err := s.StreamCall("svc", 2, 2)
+		errs <- err
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	awaitCallerBlocked(t, rt)
+	rt.Shutdown()
+	select {
+	case err := <-errs:
+		if !errors.Is(err, engine.ErrShutdown) {
+			t.Fatalf("StreamCall at the horizon returned %v, want ErrShutdown", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown did not release the waiting StreamCall")
+	}
+	close(release)
+	rt.Wait()
 }
 
 func TestStreamedFasterThanSyncUnderLatency(t *testing.T) {

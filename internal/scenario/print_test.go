@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hope/internal/engine"
+	"hope/internal/obs"
 	"hope/internal/testutil"
 )
 
@@ -61,6 +62,35 @@ func TestPrintRetiresOrphanedAssumptions(t *testing.T) {
 		var calls, wrong int
 		if _, err := fmt.Sscanf(res.Note, "%d print calls, %d mispredicted", &calls, &wrong); err != nil || wrong == 0 {
 			t.Fatalf("%d jobs: %q mispredicted nothing, so nothing rolled back", n, res.Note)
+		}
+	}
+}
+
+// TestPrintHorizonBoundsLiveReruns: a streamed call waits for the verdict
+// of the call its verifier is still checking, so a misprediction re-runs
+// live — beyond the prefix it replays — only the calls issued since,
+// fewer than one pool's worth, at any stream length. Without the horizon
+// the worker runs ahead to the end of the stream, and each misprediction
+// re-runs the rest of it: 20.7, 53.9, 86.3 and 199.9 calls at 25, 50,
+// 100 and 200 jobs. The worker is the only process that guesses, and
+// each live StreamCall guesses once.
+func TestPrintHorizonBoundsLiveReruns(t *testing.T) {
+	const verifiers = 8 // rpc.NewClient's default pool, which Print uses
+	for _, n := range []int{25, 50, 100, 200} {
+		o := obs.New(obs.WithEventCapacity(0))
+		res, err := Print(PrintJobs(n, PageSize, 0.25, 1), 200*time.Microsecond, Ordered, engine.WithObserver(o))
+		if err != nil {
+			t.Fatalf("%d jobs: %v", n, err)
+		}
+		var calls, wrong int
+		if _, err := fmt.Sscanf(res.Note, "%d print calls, %d mispredicted", &calls, &wrong); err != nil || wrong == 0 {
+			t.Fatalf("%d jobs: %q mispredicted nothing, so nothing rolled back", n, res.Note)
+		}
+		m := o.Metrics().Snapshot()
+		reruns := float64(m.GuessesOpened+m.ShortGuesses-int64(calls)) / float64(wrong)
+		t.Logf("%d jobs: %d calls, %d mispredicted, %.2f live re-runs per misprediction", n, calls, wrong, reruns)
+		if reruns > verifiers {
+			t.Errorf("%d jobs: a misprediction re-ran %.2f calls live, want at most the pool's %d", n, reruns, verifiers)
 		}
 	}
 }

@@ -24,6 +24,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -113,7 +114,9 @@ func Find(name string) (Spec, bool) {
 // down, and report the first process error. It is also the quiescence
 // oracle: a quiet runtime holds nothing speculative — no assumption
 // record and no live interval — so a non-empty tracker dump fails the
-// run, with that dump and every process's state.
+// run, with that dump and every process's state. The dump comes first:
+// a process still waiting on the held speculation fails at the shutdown,
+// and its error is the symptom.
 func Settle(rt *engine.Runtime, start time.Time) (time.Duration, error) {
 	rt.Quiesce()
 	elapsed := time.Since(start)
@@ -122,12 +125,16 @@ func Settle(rt *engine.Runtime, start time.Time) (time.Duration, error) {
 		held = fmt.Errorf("scenario: quiesced runtime holds speculative state:\n%s%s", dump, rt.DebugString())
 	}
 	rt.Shutdown()
-	for _, err := range rt.Wait() {
+	errs := rt.Wait()
+	if held != nil {
+		return elapsed, errors.Join(append([]error{held}, errs...)...)
+	}
+	for _, err := range errs {
 		if err != nil {
 			return elapsed, err
 		}
 	}
-	return elapsed, held
+	return elapsed, nil
 }
 
 // Fanout broadcasts rounds of messages from one sender to 16 receivers

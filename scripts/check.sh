@@ -17,7 +17,8 @@
 # nothing is kept alive by its own tests and each job is done once (no
 # second event loop beside the runtime, no hopetop table beside
 # obs.Dump), a quiet runtime holds nothing speculative (a rollback
-# denies the assumptions it un-mints), then the race-enabled test
+# denies the assumptions it un-mints), a streamed caller runs at most
+# one verifier pool ahead of its verdicts, then the race-enabled test
 # suite. Run from anywhere; it cds to the repo root.
 #
 #   ./scripts/check.sh
@@ -252,6 +253,19 @@ expect cmd/hopetop 'shardTable|peersTable|sitesTable|Counts\(' 0
 echo "== a quiet runtime holds nothing speculative"
 expect internal/engine 'DenyUnminted\(' 1
 go test -race -count=3 -run 'Unminted|RetiresOrphaned|SettleRejects' ./internal/engine ./internal/scenario
+
+# A streamed caller runs at most one verifier pool ahead of its verdicts
+# (DESIGN.md, "Speculation horizon = verifier pool"): StreamCall waits
+# for the call its verifier is still checking, in the one unlogged
+# AwaitTerminal call, which reuses the one blocking wait above. It is a
+# package function the façade does not re-export, so hope.Proc's method
+# set does not grow. The wait's own tests, the horizon's depth and bound
+# and the held-reply misprediction test go three times under the race
+# detector.
+echo "== a streamed caller runs one verifier pool ahead"
+expect internal/rpc 'engine\.AwaitTerminal\(' 1
+expect hope.go 'AwaitTerminal' 0
+go test -race -count=3 -run 'AwaitTerminal|Horizon|TestStreamCallMispredictionRollsBack' ./internal/engine ./internal/rpc ./internal/scenario
 
 echo "== go test -race ./..."
 go test -race ./...
