@@ -41,8 +41,10 @@
 //     program bug (the paper's §5.2 user error).
 //   - ErrNondeterministic: the body diverged under replay, violating
 //     the piecewise-determinism contract — a program bug.
-//   - ErrDuplicateProc, ErrUnknownDest: configuration errors from
-//     Spawn/Send.
+//   - ErrDuplicateProc, ErrUnknownDest: configuration errors — a
+//     second Spawn of one name; a Send the wire placement cannot route,
+//     or Wait's report of a name that was sent to but never spawned. A
+//     Send to a name spawned later is not an error: it waits for Spawn.
 //
 // # Fault injection
 //
@@ -142,7 +144,9 @@ var (
 	ErrNondeterministic = engine.ErrNondeterministic
 	// ErrDuplicateProc reports a duplicate Spawn name.
 	ErrDuplicateProc = engine.ErrDuplicateProc
-	// ErrUnknownDest reports a Send to an unknown process.
+	// ErrUnknownDest reports a destination with no process: a Send the
+	// wire placement cannot route (no placement, or an unknown node),
+	// or, from Wait, a name that was sent to but never spawned.
 	ErrUnknownDest = engine.ErrUnknownDest
 	// ErrTimeout is returned by RecvTimeout when the deadline elapses
 	// before a deliverable message arrives. Retryable.

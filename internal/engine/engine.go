@@ -67,7 +67,10 @@ var ErrNondeterministic = errors.New("hope: process body is not deterministic un
 // ErrDuplicateProc reports a Spawn with an already-used name.
 var ErrDuplicateProc = errors.New("hope: duplicate process name")
 
-// ErrUnknownDest reports a Send to an unregistered process name.
+// ErrUnknownDest reports a destination with no process: Wait's report
+// of a name that was sent to but never spawned, and the wire layer's of
+// a name its placement cannot route. A send to a name with no process
+// waits in that name's mailbox until Spawn adopts it.
 var ErrUnknownDest = errors.New("hope: unknown destination process")
 
 // ErrConflict re-exports the tracker's §5.2 conflicting-resolution error.
@@ -176,8 +179,8 @@ type Runtime struct {
 	cpEvery int
 
 	// remote is the cross-process router consulted for destinations with
-	// no local process (nil = unknown names are fatal); aidBase is the
-	// node's AID namespace prefix. See remote.go.
+	// no local process (nil = such a name's messages wait for its Spawn);
+	// aidBase is the node's AID namespace prefix. See remote.go.
 	remote  RemoteRouter
 	aidBase uint64
 
@@ -331,27 +334,41 @@ func (r *Runtime) Observer() *obs.Observer { return r.obs }
 
 // Spawn starts a named process executing body in a goroutine of its own
 // (see runProc). The body must follow the package's piecewise-determinism
-// contract.
+// contract. Messages sent to the name before Spawn wait in its mailbox,
+// in arrival order.
 func (r *Runtime) Spawn(name string, body func(*Proc) error) error {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
 		return ErrShutdown
 	}
-	if _, dup := r.procs[name]; dup {
+	p, ok := r.procs[name]
+	if !ok {
+		p = r.addProcLocked(name)
+	} else if p.state != stateUnspawned {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrDuplicateProc, name)
 	}
-	p := &Proc{rt: r, name: name, body: body, state: stateRunning}
-	p.cond.L = &p.mu
+	p.mu.Lock()
+	p.body, p.err, p.state = body, nil, stateRunning
 	p.id = r.tr.Register((*procHooks)(p))
+	p.mu.Unlock()
 	r.obs.RegisterProc(p.id, name)
-	r.procs[name] = p
 	r.byID[p.id] = p
 	r.mu.Unlock()
 
 	runProc(p.loop)
 	return nil
+}
+
+// addProcLocked adds a not-yet-spawned entry for name: a mailbox that
+// holds what is sent to the name until Spawn adopts it, with no tracker
+// id and an error Wait reports unless Spawn comes. Caller holds r.mu.
+func (r *Runtime) addProcLocked(name string) *Proc {
+	p := &Proc{rt: r, name: name, err: ErrUnknownDest}
+	p.cond.L = &p.mu
+	r.procs[name] = p
+	return p
 }
 
 // Process goroutines are reused. A goroutine whose process has finished
@@ -438,24 +455,23 @@ func (r *Runtime) route(src *Proc, to string, seq uint64, payload any, tags []id
 	r.mu.Lock()
 	dst, ok := r.procs[to]
 	if !ok {
-		remote := r.remote
-		r.mu.Unlock()
-		if remote == nil {
-			return fmt.Errorf("%w: %q", ErrUnknownDest, to)
+		if remote := r.remote; remote != nil {
+			r.mu.Unlock()
+			// Cross-process destination: hand off to the wire layer, which
+			// holds the link for the injected delay. Its ErrDelivery (a lost
+			// peer) surfaces from Send like an injected drop.
+			m := WireMsg{From: from, To: to, Seq: seq, Tags: tags, Payload: payload, Delay: extra}
+			if err := remote(m); err != nil || !dup {
+				return err
+			}
+			// The copy shares the original's Seq, so the receiver's per-link
+			// filter suppresses it; like the local copy it adds no wait of
+			// its own. It is best effort: the original already left.
+			m.Delay = 0
+			_ = remote(m)
+			return nil
 		}
-		// Cross-process destination: hand off to the wire layer, which
-		// holds the link for the injected delay. Its ErrDelivery (a lost
-		// peer) surfaces from Send like an injected drop.
-		m := WireMsg{From: from, To: to, Seq: seq, Tags: tags, Payload: payload, Delay: extra}
-		if err := remote(m); err != nil || !dup {
-			return err
-		}
-		// The copy shares the original's Seq, so the receiver's per-link
-		// filter suppresses it; like the local copy it adds no wait of
-		// its own. It is best effort: the original already left.
-		m.Delay = 0
-		_ = remote(m)
-		return nil
+		dst = r.addProcLocked(to)
 	}
 	msg := rmsg{message: message{seq: seq, from: from, payload: payload, tags: tags}}
 	if r.latency == nil && r.faults == nil {
@@ -521,7 +537,8 @@ func (r *Runtime) deliverNow(d *delivery) {
 // Wait blocks until every spawned process has finished (body returned and
 // all of its speculation settled). It returns the processes' errors, if
 // any, sorted by process name so the same failure reads the same from
-// run to run. Programs whose processes never halt should use Quiesce
+// run to run; a name that was sent to but never spawned reports
+// ErrUnknownDest. Programs whose processes never halt should use Quiesce
 // instead.
 func (r *Runtime) Wait() []error {
 	r.mu.Lock()
@@ -529,7 +546,7 @@ func (r *Runtime) Wait() []error {
 	for {
 		alldone := true
 		for _, p := range r.procs {
-			if p.phase() != stateDone {
+			if s := p.phase(); s != stateDone && s != stateUnspawned {
 				alldone = false
 				break
 			}
@@ -584,8 +601,9 @@ func (r *Runtime) stableLocked() bool {
 	return true
 }
 
-// Shutdown stops the runtime: blocked receives return ErrShutdown and
-// parked processes exit. Safe to call more than once.
+// Shutdown stops the runtime: blocked receives return ErrShutdown,
+// parked processes exit, and the messages held for names never spawned
+// are dropped. Safe to call more than once.
 func (r *Runtime) Shutdown() {
 	r.mu.Lock()
 	if r.closed {
@@ -601,6 +619,9 @@ func (r *Runtime) Shutdown() {
 	for _, p := range procs {
 		p.mu.Lock()
 		p.closed = true
+		if p.state == stateUnspawned {
+			p.queue = mailbox{}
+		}
 		p.cond.Broadcast()
 		p.mu.Unlock()
 	}
@@ -675,7 +696,7 @@ func (r *Runtime) ShutdownDrain(policy DrainPolicy) {
 // Caller holds r.mu; lock order r.mu → tracker shard locks.
 func (r *Runtime) allDefiniteLocked() bool {
 	for _, p := range r.procs {
-		if !r.tr.Definite(p.id) {
+		if p.state != stateUnspawned && !r.tr.Definite(p.id) {
 			return false
 		}
 	}
@@ -710,7 +731,7 @@ func (r *Runtime) DebugString() string {
 	fmt.Fprintf(&b, "runtime: inflight=%d\n", inflight)
 	for i, p := range procs {
 		p.mu.Lock()
-		phase := p.state
+		phase, id := p.state, p.id
 		qlen := p.queue.len()
 		settled, spec, orphan := 0, 0, 0
 		for i := 0; i < qlen; i++ {
@@ -738,7 +759,7 @@ func (r *Runtime) DebugString() string {
 		p.mu.Unlock()
 		fmt.Fprintf(&b, "  %-14s %-8v queue=%d (settled=%d spec=%d orphan=%d) log=%s replay=%s restarts=%d resumes=%d wait=%s pending=%v live=%d\n",
 			names[i], phase, qlen, settled, spec, orphan, loglen, replay, p.Restarts(), p.Resumes(), waiting,
-			r.tr.PendingRollback(p.id), r.tr.LiveIntervals(p.id))
+			r.tr.PendingRollback(id), r.tr.LiveIntervals(id))
 	}
 	return b.String()
 }

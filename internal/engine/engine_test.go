@@ -169,7 +169,6 @@ func TestMessageCascade(t *testing.T) {
 			aidCh := make(chan AID, 1)
 			var final atomic.Int64
 
-			// Receiver first: see TestManyProcessesStress.
 			spawn(t, rt, "receiver", func(p *Proc) error {
 				m, err := p.Recv()
 				if err != nil {
@@ -218,7 +217,6 @@ func TestTransitiveCascade(t *testing.T) {
 	aidCh := make(chan AID, 1)
 	var final atomic.Int64
 
-	// Receivers first: see TestManyProcessesStress.
 	spawn(t, rt, "tail", func(p *Proc) error {
 		m, err := p.Recv()
 		if err != nil {
@@ -259,7 +257,6 @@ func TestAIDSharedThroughPayload(t *testing.T) {
 	rt, _ := newRT(t)
 	var final atomic.Int64
 
-	// Receiver first: see TestManyProcessesStress.
 	spawn(t, rt, "resolver", func(p *Proc) error {
 		m, err := p.Recv()
 		if err != nil {
@@ -341,7 +338,6 @@ func figure2(t *testing.T, total int, latency time.Duration) (lineno, newpage in
 	const pageSize = 50
 	var lineCount, newpages atomic.Int64
 
-	// Receivers first: see TestManyProcessesStress.
 	spawn(t, rt, "printer", func(p *Proc) error {
 		lines := 0
 		for i := 0; i < 2; i++ {
@@ -564,22 +560,24 @@ func TestSendUnknownDestFails(t *testing.T) {
 }
 
 // Wait reports errors sorted by process name, so a failure reads the
-// same from run to run instead of following map iteration order.
+// same from run to run instead of following map iteration order; a name
+// sent to but never spawned takes its place among them.
 func TestWaitErrorOrderIsStable(t *testing.T) {
 	for run := 0; run < 50; run++ {
 		rt, _ := newRT(t)
 		for _, name := range []string{"zed", "alpha", "mid"} {
 			spawn(t, rt, name, func(p *Proc) error {
 				if p.Name() == "mid" {
-					return nil
+					return p.Send("nobody", 1)
 				}
-				return p.Send("nobody", 1)
+				return fmt.Errorf("%s failed", p.Name())
 			})
 		}
 		errs := rt.Wait()
-		if len(errs) != 2 ||
-			!strings.HasPrefix(errs[0].Error(), "alpha: ") || !strings.HasPrefix(errs[1].Error(), "zed: ") {
-			t.Fatalf("run %d: errs = %v, want alpha's then zed's", run, errs)
+		if len(errs) != 3 || !strings.HasPrefix(errs[0].Error(), "alpha: ") ||
+			!strings.HasPrefix(errs[1].Error(), "nobody: ") || !errors.Is(errs[1], ErrUnknownDest) ||
+			!strings.HasPrefix(errs[2].Error(), "zed: ") {
+			t.Fatalf("run %d: errs = %v, want alpha's, nobody's, then zed's", run, errs)
 		}
 	}
 }
@@ -639,7 +637,6 @@ func TestDeterministicReplayViolationDetected(t *testing.T) {
 	var first atomic.Bool
 	first.Store(true)
 
-	// Receiver first: see TestManyProcessesStress.
 	spawn(t, rt, "p2", func(p *Proc) error {
 		_, err := p.Recv()
 		if errors.Is(err, ErrShutdown) {
@@ -696,9 +693,19 @@ func TestManyProcessesStress(t *testing.T) {
 		i := i
 		gname := fmt.Sprintf("guess-%d", i)
 		rname := fmt.Sprintf("resolve-%d", i)
-		// Receiver first: a send to a name not yet spawned fails with
-		// ErrUnknownDest (ROADMAP item 1(c)), which is not what this test is
-		// about.
+		// The guesser first: its sends wait for their resolver's Spawn.
+		spawn(t, rt, gname, func(p *Proc) error {
+			for r := 0; r < rounds; r++ {
+				x := p.NewAID()
+				if err := p.Send(rname, x); err != nil {
+					return err
+				}
+				if !p.Guess(x) {
+					p.Effect(func() { denials.Add(1) }, nil)
+				}
+			}
+			return nil
+		})
 		spawn(t, rt, rname, func(p *Proc) error {
 			for r := 0; r < rounds; r++ {
 				m, err := p.Recv()
@@ -714,18 +721,6 @@ func TestManyProcessesStress(t *testing.T) {
 					if err := p.Deny(x); err != nil {
 						return err
 					}
-				}
-			}
-			return nil
-		})
-		spawn(t, rt, gname, func(p *Proc) error {
-			for r := 0; r < rounds; r++ {
-				x := p.NewAID()
-				if err := p.Send(rname, x); err != nil {
-					return err
-				}
-				if !p.Guess(x) {
-					p.Effect(func() { denials.Add(1) }, nil)
 				}
 			}
 			return nil
@@ -747,7 +742,6 @@ func TestRecvSettledWaitsForCommitment(t *testing.T) {
 			aidCh := make(chan AID, 1)
 			var got atomic.Int64
 
-			// Receiver first: see TestManyProcessesStress.
 			spawn(t, rt, "sink", func(p *Proc) error {
 				m, err := p.RecvSettled()
 				if err != nil {
@@ -819,7 +813,6 @@ func TestRecvSettledOrdersBehindSpeculation(t *testing.T) {
 	step := make(chan struct{}, 1)
 	var got []int
 
-	// Receiver first: see TestManyProcessesStress.
 	spawn(t, rt, "sink", func(p *Proc) error {
 		recv := func() error {
 			m, err := p.RecvSettled()

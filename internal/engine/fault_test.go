@@ -17,7 +17,6 @@ func pipelineWorkload(t *testing.T, opts ...Option) (string, *Runtime) {
 	t.Helper()
 	rt, buf := newRT(t, opts...)
 	const n = 12
-	// Receivers first: see TestManyProcessesStress.
 	spawn(t, rt, "sink", func(p *Proc) error {
 		for i := 0; i < n; i++ {
 			m, err := p.RecvSettled()

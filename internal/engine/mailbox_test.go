@@ -378,8 +378,6 @@ func TestParkRaceLastRoundDenied(t *testing.T) {
 	for i := 0; i < pairs; i++ {
 		gname := fmt.Sprintf("guess-%d", i)
 		rname := fmt.Sprintf("resolve-%d", i)
-		// Receiver first: a send to an unspawned name is a different
-		// failure (ROADMAP item 1(c)).
 		spawn(t, rt, rname, func(p *Proc) error {
 			for r := 0; r < rounds; r++ {
 				m, err := p.Recv()

@@ -27,7 +27,6 @@ func TestObserverDuringRollbackStorm(t *testing.T) {
 	o := obs.New(obs.WithEventCapacity(256)) // small ring: force overflow
 	rt, _ := newRT(t, WithObserver(o))
 
-	// Receiver first: see TestManyProcessesStress.
 	spawn(t, rt, "judge", func(p *Proc) error {
 		i := 0
 		for {

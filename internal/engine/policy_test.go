@@ -216,7 +216,6 @@ func TestAdaptiveControllerThrottlesInaccurateSite(t *testing.T) {
 	// rollback-discarded copies orphan at the judge, so each assumption
 	// is delivered exactly once no matter how many times the worker
 	// replays — a raw Go channel would leak duplicates across rollbacks.
-	// (Receiver first: see TestManyProcessesStress.)
 	spawn(t, rt, "judge", func(p *Proc) error {
 		for i := 0; i < rounds; i++ {
 			m, err := p.Recv()

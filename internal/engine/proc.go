@@ -63,15 +63,18 @@ type rmsg struct {
 type procPhase int
 
 const (
-	stateRunning procPhase = iota + 1
-	stateBlocked           // waiting in Recv
-	stateParked            // body returned, speculation unsettled
-	stateDone              // body returned and all speculation settled
+	stateUnspawned procPhase = iota // sent to before its Spawn: a mailbox only
+	stateRunning
+	stateBlocked // waiting in Recv
+	stateParked  // body returned, speculation unsettled
+	stateDone    // body returned and all speculation settled
 )
 
 // String names the phase.
 func (s procPhase) String() string {
 	switch s {
+	case stateUnspawned:
+		return "unspawned"
 	case stateRunning:
 		return "running"
 	case stateBlocked:
@@ -279,8 +282,10 @@ type Proc struct {
 	queue  mailbox
 	closed bool
 	err    error
-	// state and wait are guarded by mu and written only by setPhase; wait
-	// is what a blocked process is waiting for (zero in any other phase).
+	// state and wait are guarded by mu and written only by setPhase
+	// (and by Spawn, leaving stateUnspawned), each time under rt.mu too;
+	// wait is what a blocked process is waiting for (zero in any other
+	// phase).
 	state procPhase
 	wait  wait
 	// lastSeq is the per-sender duplicate filter, active only under fault
@@ -528,9 +533,10 @@ func (p *Proc) enqueue(m *rmsg) {
 		// the link's high-water mark is an injected duplicate. Rollback
 		// requeues bypass enqueue, so a replayed message never trips it.
 		if last, seen := p.lastSeq[m.from]; seen && m.seq <= last {
+			id := p.id // Spawn may be giving the name its id
 			p.mu.Unlock()
 			p.rt.mu.Unlock()
-			p.rt.obs.Emit(obs.KDupSuppressed, p.id, ids.NoAID, ids.NoInterval, 0)
+			p.rt.obs.Emit(obs.KDupSuppressed, id, ids.NoAID, ids.NoInterval, 0)
 			return
 		}
 		if p.lastSeq == nil {

@@ -47,9 +47,9 @@ type WireMsg struct {
 type RemoteRouter func(WireMsg) error
 
 // SetRemoteRouter installs the remote router consulted when a Send names
-// no local process (nil detaches, restoring ErrUnknownDest for unknown
-// names). Call before the runtime sees traffic; the field is read under
-// the runtime lock on the send path.
+// no local process (nil detaches: such a name's messages then wait for
+// its Spawn). Call before the runtime sees traffic; the field is read
+// under the runtime lock on the send path.
 func (r *Runtime) SetRemoteRouter(fn RemoteRouter) {
 	r.mu.Lock()
 	r.remote = fn
@@ -63,14 +63,15 @@ func (r *Runtime) SetRemoteRouter(fn RemoteRouter) {
 // a guess made in one OS process taints a consumer in another. The
 // per-link duplicate filter is always armed for wire messages, so a
 // transport-duplicated frame is suppressed here even when the receiving
-// runtime itself has no fault plan attached.
-func (r *Runtime) InjectRemote(m WireMsg) error {
+// runtime itself has no fault plan attached. A destination not spawned
+// yet holds the message in its mailbox, as for a local Send.
+func (r *Runtime) InjectRemote(m WireMsg) {
 	r.mu.Lock()
 	dst, ok := r.procs[m.To]
-	r.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownDest, m.To)
+		dst = r.addProcLocked(m.To)
 	}
+	r.mu.Unlock()
 	// Foreign tags must exist in the local tracker before the receiver
 	// can classify the message: an unknown AID classifies as settled,
 	// which would commit a speculative payload whose deny is still in
@@ -79,7 +80,6 @@ func (r *Runtime) InjectRemote(m WireMsg) error {
 	r.tr.Materialize(m.Tags)
 	msg := rmsg{message: message{seq: m.Seq, from: m.From, payload: m.Payload, tags: m.Tags, wire: true}}
 	dst.enqueue(&msg)
-	return nil
 }
 
 // ApplyVerdict applies a terminal Affirm/Deny decided on another node to

@@ -35,7 +35,6 @@ func TestSoakMixedWorkload(t *testing.T) {
 		gname := fmt.Sprintf("g%d", i)
 		rname := fmt.Sprintf("r%d", i)
 		i := i
-		// Receiver first: see TestManyProcessesStress.
 		spawn(t, rt, rname, func(p *Proc) error {
 			for r := 0; r < rounds; r++ {
 				m, err := p.Recv()

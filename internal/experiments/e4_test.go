@@ -29,9 +29,9 @@ func cascade(depth, procs int, denyOutermost bool) (obs.MetricsSnapshot, error) 
 	aidCh := make(chan []engine.AID, 1)
 	relayName := func(i int) string { return fmt.Sprintf("relay%d", i) }
 
-	// Receivers before senders, down the chain: each forward must find
-	// its destination registered (ErrUnknownDest is not retried).
-	for i := procs - 1; i >= 0; i-- {
+	// Senders before receivers, up the chain: each forward waits in its
+	// destination's mailbox until that relay is spawned.
+	for i := 0; i < procs; i++ {
 		i := i
 		if err := rt.Spawn(relayName(i), func(p *engine.Proc) error {
 			m, err := p.Recv()

@@ -49,9 +49,6 @@ type ckptReq struct {
 // ckptAck answers a synchronous checkpoint.
 type ckptAck struct{ Epoch int }
 
-// ringStart tells a worker that every ring member is spawned.
-type ringStart struct{}
-
 // ringMsg is the application payload circulating between workers.
 type ringMsg struct {
 	Round int
@@ -188,20 +185,6 @@ func Run(cfg Config, opts ...engine.Option) (Result, error) {
 			return res, err
 		}
 	}
-	// A Send to a name not yet spawned fails with ErrUnknownDest, and a
-	// ring has no spawn order in which each worker's successor comes
-	// first. So workers wait for ringStart, sent once all are spawned.
-	if err := rt.Spawn("start", func(p *engine.Proc) error {
-		for i := 0; i < cfg.Workers; i++ {
-			if err := p.Send(workerName(i), ringStart{}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return res, err
-	}
-
 	rt.Quiesce()
 	rt.Shutdown()
 	for _, err := range rt.Wait() {
@@ -229,10 +212,6 @@ func workerBody(p *engine.Proc, cfg Config, self int, workerName func(int) strin
 	round := 0
 
 	isRing := func(v any) bool { _, ok := v.(ringMsg); return ok }
-
-	if _, err := p.RecvMatch(func(v any) bool { _, ok := v.(ringStart); return ok }); err != nil {
-		return err
-	}
 
 	for round < cfg.Rounds {
 		epoch++

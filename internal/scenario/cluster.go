@@ -193,8 +193,6 @@ func StormNode(mesh NodeConfig, nodes, jobs int, opts ...engine.Option) (Result,
 	wire.RegisterPayload(stormClaim{})
 
 	elapsed, err := RunNode(mesh, func(rt *engine.Runtime) error {
-		// Receivers before senders, so nothing a local worker sends can
-		// race a local spawn either.
 		if mesh.Procs["sink"] == me {
 			if err := spawnStormSink(rt, total); err != nil {
 				return err

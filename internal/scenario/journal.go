@@ -54,8 +54,6 @@ func Journal(windows int, opts ...engine.Option) (Result, error) {
 	rt := engine.New(append([]engine.Option{engine.WithOutput(io.Discard)}, opts...)...)
 	defer rt.Shutdown()
 
-	// The sink before the workers: a journal worker's first record must
-	// find it registered (ErrUnknownDest is not retried).
 	if err := rt.Spawn("sink", func(p *engine.Proc) error {
 		results := make([]string, 0, total)
 		for i := 0; i < total; i++ {

@@ -293,7 +293,9 @@ func (n *Node) connect(p *peer) error {
 // route is the engine's RemoteRouter: consult placement, build the frame
 // with the payload encoded in place, and hand it to the link writer. The
 // frame carries the message's injected delay to the writer. Parks until
-// the mesh is up so spawn-before-Start sends never race it.
+// the mesh is up so spawn-before-Start sends never race it. A name
+// placed on this node that has no process yet is handed straight to
+// the runtime, which holds it until the name is spawned.
 func (n *Node) route(m engine.WireMsg) error {
 	select {
 	case <-n.started:
@@ -305,7 +307,8 @@ func (n *Node) route(m engine.WireMsg) error {
 		return fmt.Errorf("%w: %q (no placement)", engine.ErrUnknownDest, m.To)
 	}
 	if owner == n.cfg.ID {
-		return fmt.Errorf("%w: %q placed here but not spawned", engine.ErrUnknownDest, m.To)
+		n.rt.InjectRemote(m)
+		return nil
 	}
 	p := n.peers[owner]
 	if p == nil {
@@ -506,10 +509,14 @@ func (n *Node) readLoop(conn net.Conn) {
 			}
 			// Duplicates are injected too: the engine's per-sender
 			// filter suppresses them, which is the machinery under test.
-			if err := n.rt.InjectRemote(engine.WireMsg{
-				From: m.From, To: m.To, Seq: m.Seq, Tags: m.Tags, Payload: payload,
-			}); err != nil {
-				n.noteErr(fmt.Errorf("wire: inject %s→%s: %w", m.From, m.To, err))
+			// A name placed elsewhere, or nowhere, is a stranger's
+			// misaddressed frame: one placed here parks until spawned.
+			if owner, ok := n.cfg.Procs[m.To]; !ok || owner != n.cfg.ID {
+				n.noteErr(fmt.Errorf("wire: inject %s→%s: %w: %q", m.From, m.To, engine.ErrUnknownDest, m.To))
+			} else {
+				n.rt.InjectRemote(engine.WireMsg{
+					From: m.From, To: m.To, Seq: m.Seq, Tags: m.Tags, Payload: payload,
+				})
 			}
 		case FrameVerdict:
 			v := lr.verdict

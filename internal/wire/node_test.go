@@ -26,10 +26,9 @@ type cluster struct {
 }
 
 // newCluster builds n runtimes with their wire nodes, placement, and
-// pre-bound loopback listeners, but does not Start the mesh — spawn
-// local procs first, then call start. faults(i), when given, is runtime
-// i's fault plan: it decides every message that runtime's processes
-// send, across the wire included.
+// pre-bound loopback listeners, but does not Start the mesh: call start.
+// faults(i), when given, is runtime i's fault plan: it decides every
+// message that runtime's processes send, across the wire included.
 func newCluster(t *testing.T, n int, procs map[string]uint32, faults func(i int) *fault.Plan, obsv func(i int) *obs.Observer) *cluster {
 	t.Helper()
 	c := &cluster{}
@@ -147,6 +146,48 @@ func TestCrossProcessAffirm(t *testing.T) {
 
 	if got := c.bufs[1].String(); got != "speculative hello\n" {
 		t.Fatalf("consumer output = %q", got)
+	}
+}
+
+// A name placed on a node exists before its Spawn there: a send from a
+// process on the same node, and one that crosses the wire, each wait in
+// the name's mailbox, and the process spawned under it after the mesh
+// is up receives them.
+func TestPlacedNameWaitsForSpawn(t *testing.T) {
+	procs := map[string]uint32{"sender": 0, "near": 0, "far": 1}
+	c := newCluster(t, 2, procs, nil, nil)
+	if err := c.rts[0].Spawn("sender", func(p *engine.Proc) error {
+		if err := p.Send("near", "to near"); err != nil {
+			return err
+		}
+		return p.Send("far", "to far")
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c.start(t)
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(c.rts[1].DebugString(), "unspawned queue=1"); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("far's message never arrived:\n%s", c.rts[1].DebugString())
+		}
+	}
+	for i, name := range []string{"near", "far"} {
+		if err := c.rts[i].Spawn(name, func(p *engine.Proc) error {
+			m, err := p.Recv()
+			if err != nil {
+				return err
+			}
+			p.Printf("%v\n", m.Payload)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.wait(t)
+	c.noErrs(t)
+	for i, want := range []string{"to near\n", "to far\n"} {
+		if got := c.bufs[i].String(); got != want {
+			t.Fatalf("node %d committed %q, want %q", i, got, want)
+		}
 	}
 }
 

@@ -18,8 +18,9 @@
 # second event loop beside the runtime, no hopetop table beside
 # obs.Dump), a quiet runtime holds nothing speculative (a rollback
 # denies the assumptions it un-mints), a streamed caller runs at most
-# one verifier pool ahead of its verdicts, then the race-enabled test
-# suite. Run from anywhere; it cds to the repo root.
+# one verifier pool ahead of its verdicts, a name exists before its
+# Spawn (a send to it waits in its mailbox, so no program orders its
+# spawns), then the race-enabled test suite. Run from anywhere; it cds to the repo root.
 #
 #   ./scripts/check.sh
 #
@@ -266,6 +267,28 @@ echo "== a streamed caller runs one verifier pool ahead"
 expect internal/rpc 'engine\.AwaitTerminal\(' 1
 expect hope.go 'AwaitTerminal' 0
 go test -race -count=3 -run 'AwaitTerminal|Horizon|TestStreamCallMispredictionRollsBack' ./internal/engine ./internal/rpc ./internal/scenario
+
+# A name exists before its Spawn (DESIGN.md, "A name exists before its
+# Spawn"): a send to a name with no process parks in that name's
+# mailbox, which Spawn adopts, so spawn order is no part of a program's
+# correctness. A start message sent once a ring is spawned, a wire error
+# for a name placed here, or a comment explaining why receivers are
+# spawned first is a spawn-order workaround coming back. The
+# before-Spawn tests and the tests whose spawn order was reversed go
+# three times under the race detector.
+echo "== a name exists before its Spawn"
+expect internal/recovery 'ringStart' 0
+expect internal/wire 'placed here but not spawned' 0
+order=$(grep -rnE 'Receivers? first|Receivers before|ErrUnknownDest is not retried|not yet spawned|unspawned name|judge before the worker|sink before the workers' --include='*.go' . |
+	grep -v '^\./benchmark/' || true)
+if [ -n "$order" ]; then
+	echo "spawn-order comments:" >&2
+	echo "$order" >&2
+	exit 1
+fi
+go test -race -count=3 -run 'BeforeSpawn|NeverSpawned|SendUnknownDest|WaitErrorOrder|ManyProcessesStress|PlacedNameWaitsForSpawn' ./internal/engine ./internal/wire
+go test -race -count=3 -run 'TestStorm(WireMatchesSingleProcess|FaultSoak|ShardDifferential)$|E4|SpeculationPoliciesAgree' ./internal/scenario ./internal/experiments .
+go test -race -count=3 ./internal/recovery
 
 echo "== go test -race ./..."
 go test -race ./...
