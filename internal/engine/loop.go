@@ -8,12 +8,12 @@ var ErrStopLoop = errors.New("hope: stop loop")
 
 // Loop spawns a long-running process with bounded replay-log memory — the
 // engine-level answer to the paper's §7 future work on cheaper
-// checkpointing. A plain Spawn body accumulates its replay log forever
-// (rollback re-executes the body from the top); Loop instead structures
-// the body as repeated steps over explicit state and, whenever the
-// process is definite at a step boundary, replaces the settled log with
-// one checkpoint of the state. Rollback restores it and replays only what
-// followed.
+// checkpointing. A plain Spawn body accumulates its replay log until it
+// finishes (rollback re-executes the body from the top); Loop instead
+// structures the body as repeated steps over explicit state and,
+// whenever the process is definite at a step boundary, replaces the
+// settled log with one checkpoint of the state. Rollback restores it and
+// replays only what followed.
 //
 // Contract: init produces the initial state; clone must deep-copy it
 // (checkpoints are replayed against, so shared mutable structure would

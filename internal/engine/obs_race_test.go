@@ -117,7 +117,8 @@ func TestObserverDuringRollbackStorm(t *testing.T) {
 // replay log. A running body writes its log and replay cursor without
 // p.mu, so DebugString prints them only for a process that is blocked,
 // parked or done; under -race, reading them for a running one is the
-// data race this test reports.
+// data race this test reports. The minter then blocks in Recv, where its
+// log is whole; released, it is done and its log is freed.
 func TestDebugStringDuringRun(t *testing.T) {
 	const mints = 20000
 	rt, _ := newRT(t)
@@ -125,7 +126,8 @@ func TestDebugStringDuringRun(t *testing.T) {
 		for i := 0; i < mints; i++ {
 			p.NewAID()
 		}
-		return nil
+		_, err := p.Recv()
+		return err
 	})
 	stop := make(chan struct{})
 	dumped := make(chan struct{})
@@ -140,10 +142,18 @@ func TestDebugStringDuringRun(t *testing.T) {
 			_ = rt.DebugString()
 		}
 	}()
-	waitClean(t, rt)
+	rt.Quiesce()
 	close(stop)
 	<-dumped
 	if dbg := rt.DebugString(); !strings.Contains(dbg, fmt.Sprintf("log=%d replay=%d", mints, mints)) {
-		t.Fatalf("a done process's log and cursor are missing:\n%s", dbg)
+		t.Fatalf("a blocked process's log and cursor are missing:\n%s", dbg)
+	}
+	spawn(t, rt, "release", func(p *Proc) error { return p.Send("minter", "go") })
+	waitClean(t, rt)
+	dbg := rt.DebugString()
+	for _, line := range strings.Split(dbg, "\n") {
+		if strings.Contains(line, "minter") && !strings.Contains(line, "log=0 replay=0") {
+			t.Fatalf("a done process still holds its log:\n%s", dbg)
+		}
 	}
 }

@@ -563,10 +563,16 @@ func (p *Proc) wake() {
 }
 
 // loop is the process goroutine: run the body, replaying after each
-// rollback, until it completes definitively (or fatally).
+// rollback, until it completes definitively (or fatally). Past that point
+// no rollback or crash can replay the body, so its log and the messages
+// it consumed are freed; DebugString reads them under p.mu.
 func (p *Proc) loop() {
 	for p.attempt() {
 	}
+	p.mu.Lock()
+	p.log, p.replay, p.replayStart, p.lastCp = replayLog{}, 0, 0, 0
+	p.restoredState, p.hasRestored = nil, false
+	p.mu.Unlock()
 	p.setPhase(stateDone, wait{})
 }
 

@@ -145,3 +145,28 @@ func TestCompactionReleasesDroppedMessage(t *testing.T) {
 		t.Fatal("the payload of the message dropped by compaction is still reachable")
 	}
 }
+
+// TestFinishedProcessReleasesLog checks that a process that is done
+// frees its replay log, and with it the messages its receives consumed,
+// without waiting for Shutdown. The receiver consumes a settled payload
+// held only through a weak pointer and returns definite; once both
+// processes are done and a collection has run, the payload must be gone
+// while the runtime is still up.
+func TestFinishedProcessReleasesLog(t *testing.T) {
+	rt, _ := newRT(t)
+	var payload weak.Pointer[[1024]byte]
+	spawn(t, rt, "rx", func(p *Proc) error {
+		_, err := p.Recv()
+		return err
+	})
+	spawn(t, rt, "tx", func(p *Proc) error {
+		pl := new([1024]byte)
+		payload = weak.Make(pl)
+		return p.Send("rx", pl)
+	})
+	waitClean(t, rt)
+	runtime.GC()
+	if payload.Value() != nil {
+		t.Fatalf("the payload a finished process consumed is still reachable\n%s", rt.DebugString())
+	}
+}

@@ -3,7 +3,8 @@
 // and 2 of the paper (after Bacon & Strom [1]): a synchronous RPC is
 // split into an asynchronous request plus an optimistic assumption about
 // its reply, so the caller proceeds immediately while a companion
-// "WorryWart" process verifies the assumption in parallel.
+// "WorryWart" process verifies the assumption in parallel. Each WorryWart
+// is an engine.Loop over one call counter, so it keeps one step's log.
 //
 // A synchronous call (Session.Call) blocks for a full round trip. A
 // streamed call (Session.StreamCall) returns the caller's predicted reply
@@ -195,76 +196,67 @@ func NewClient(rt *engine.Runtime, owner string, opts ...ClientOption) (*Client,
 	c.names = make([]string, c.verifiers)
 	for i := range c.names {
 		c.names[i] = fmt.Sprintf("%s#ww%d", owner, i)
-		if err := rt.Spawn(c.names[i], c.worrywart); err != nil {
+		err := engine.Loop(rt, c.names[i], func() *int { return new(int) },
+			func(n *int) *int { v := *n; return &v }, c.verify)
+		if err != nil {
 			return nil, fmt.Errorf("spawn worrywart %d: %w", i, err)
 		}
 	}
 	return c, nil
 }
 
-// worrywart is one verification worker (the paper's WorryWart process):
-// it performs each assigned streamed call synchronously — consuming the
-// next job only after resolving the previous one — and resolves the
-// call's assumption.
-func (c *Client) worrywart(p *engine.Proc) error {
-	nextID := 0
-	isJob := func(v any) bool { _, ok := v.(streamJob); return ok }
-	for {
-		m, err := p.RecvMatch(isJob)
-		if err != nil {
-			if errors.Is(err, engine.ErrShutdown) {
-				return nil
-			}
-			return err
-		}
-		job := m.Payload.(streamJob)
+// verify is one step of a verification worker (the paper's WorryWart
+// process): it performs the next assigned streamed call synchronously —
+// consuming the next job only after resolving the previous one — and
+// resolves the call's assumption. nextID numbers its calls to servers.
+func (c *Client) verify(p *engine.Proc, nextID *int) error {
+	m, err := p.RecvMatch(func(v any) bool { _, ok := v.(streamJob); return ok })
+	if err != nil {
+		return err
+	}
+	job := m.Payload.(streamJob)
 
-		// The real call (S1 of Figure 2), performed while the caller
-		// races ahead.
-		nextID++
-		id := nextID
-		if err := p.Send(job.Server, Request{CallID: id, ReplyTo: p.Name(), Payload: job.Req}); err != nil {
-			return err
-		}
-		rm, err := p.RecvMatch(func(v any) bool {
-			r, ok := v.(Reply)
-			return ok && r.CallID == id
-		})
-		if err != nil {
-			if errors.Is(err, engine.ErrShutdown) {
-				return nil
-			}
-			return err
-		}
-		got := rm.Payload.(Reply).Payload
+	// The real call (S1 of Figure 2), performed while the caller races
+	// ahead.
+	*nextID++
+	id := *nextID
+	if err := p.Send(job.Server, Request{CallID: id, ReplyTo: p.Name(), Payload: job.Req}); err != nil {
+		return err
+	}
+	rm, err := p.RecvMatch(func(v any) bool {
+		r, ok := v.(Reply)
+		return ok && r.CallID == id
+	})
+	if err != nil {
+		return err
+	}
+	got := rm.Payload.(Reply).Payload
 
-		push := false
-		if reflect.DeepEqual(job.Predicted, got) {
-			switch err := p.Affirm(job.Assumption); {
-			case errors.Is(err, engine.ErrConflict):
-				push = true // already denied elsewhere
-			case err != nil:
-				return fmt.Errorf("affirm %v: %w", job.Assumption, err)
-			}
-			// The affirm may have been stale (§5.6: a cascaded rollback
-			// already converted it to a deny). If the assumption stands
-			// denied, the caller is on its pessimistic path and needs
-			// the actual reply.
-			if resolved, affirmed := p.Outcome(job.Assumption); resolved && !affirmed {
-				push = true
-			}
-		} else {
-			if err := p.Deny(job.Assumption); err != nil && !errors.Is(err, engine.ErrConflict) {
-				return fmt.Errorf("deny %v: %w", job.Assumption, err)
-			}
+	push := false
+	if reflect.DeepEqual(job.Predicted, got) {
+		switch err := p.Affirm(job.Assumption); {
+		case errors.Is(err, engine.ErrConflict):
+			push = true // already denied elsewhere
+		case err != nil:
+			return fmt.Errorf("affirm %v: %w", job.Assumption, err)
+		}
+		// The affirm may have been stale (§5.6: a cascaded rollback
+		// already converted it to a deny). If the assumption stands
+		// denied, the caller is on its pessimistic path and needs the
+		// actual reply.
+		if resolved, affirmed := p.Outcome(job.Assumption); resolved && !affirmed {
 			push = true
 		}
-		if push {
-			if err := p.Send(c.owner, actual{CallID: job.CallID, Payload: got}); err != nil {
-				return err
-			}
+	} else {
+		if err := p.Deny(job.Assumption); err != nil && !errors.Is(err, engine.ErrConflict) {
+			return fmt.Errorf("deny %v: %w", job.Assumption, err)
 		}
+		push = true
 	}
+	if !push {
+		return nil
+	}
+	return p.Send(c.owner, actual{CallID: job.CallID, Payload: got})
 }
 
 // Session binds a Client to one invocation of the owner's body. Create it

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -246,6 +248,72 @@ func TestManyStreamCallsMixedAccuracy(t *testing.T) {
 	}
 	if sum.Load() != want {
 		t.Fatalf("sum = %d, want %d", sum.Load(), want)
+	}
+}
+
+// TestWorryWartLogBounded: a WorryWart keeps one step's replay log, not
+// its history. After 200 streamed echo calls over 4 verifiers, one in
+// four predicted wrong, every verifier is blocked waiting for its next
+// job with a log of at most 4 entries.
+func TestWorryWartLogBounded(t *testing.T) {
+	const verifiers, n = 4, 200
+	rt := engine.New(engine.WithOutput(io.Discard))
+	defer rt.Shutdown()
+	if err := ServeOrdered(rt, "svc", func(req any) any { return req }); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewClient(rt, "caller", WithVerifiers(verifiers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum atomic.Int64
+	if err := rt.Spawn("caller", func(p *engine.Proc) error {
+		s := c.Session(p)
+		total := 0
+		for i := 0; i < n; i++ {
+			predicted := i
+			if i%4 == 0 {
+				predicted = -1
+			}
+			v, _, err := s.StreamCall("svc", i, predicted)
+			if err != nil {
+				return err
+			}
+			total += v.(int)
+		}
+		sum.Store(int64(total))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	quiesced := make(chan struct{})
+	go func() { rt.Quiesce(); close(quiesced) }()
+	select {
+	case <-quiesced:
+	case <-time.After(15 * time.Second):
+		t.Fatalf("quiesce timed out\n%s", rt.DebugString())
+	}
+	if want := int64(n * (n - 1) / 2); sum.Load() != want {
+		t.Fatalf("sum = %d, want %d", sum.Load(), want)
+	}
+	dbg := rt.DebugString()
+	logLen := regexp.MustCompile(`log=(\d+)`)
+	seen := 0
+	for _, line := range strings.Split(dbg, "\n") {
+		if !strings.Contains(line, "caller#ww") {
+			continue
+		}
+		seen++
+		m := logLen.FindStringSubmatch(line)
+		if m == nil {
+			t.Fatalf("no log length in %q", line)
+		}
+		if l, _ := strconv.Atoi(m[1]); l > 4 {
+			t.Errorf("a WorryWart's log holds %d entries after %d calls:\n%s", l, n, line)
+		}
+	}
+	if seen != verifiers {
+		t.Fatalf("found %d WorryWarts, want %d:\n%s", seen, verifiers, dbg)
 	}
 }
 

@@ -20,7 +20,8 @@
 # denies the assumptions it un-mints), a streamed caller runs at most
 # one verifier pool ahead of its verdicts, a name exists before its
 # Spawn (a send to it waits in its mailbox, so no program orders its
-# spawns), then the race-enabled test suite. Run from anywhere; it cds to the repo root.
+# spawns), a finished process holds no replay log (and each WorryWart
+# is a compacting Loop), then the race-enabled test suite. Run from anywhere; it cds to the repo root.
 #
 #   ./scripts/check.sh
 #
@@ -289,6 +290,19 @@ fi
 go test -race -count=3 -run 'BeforeSpawn|NeverSpawned|SendUnknownDest|WaitErrorOrder|ManyProcessesStress|PlacedNameWaitsForSpawn' ./internal/engine ./internal/wire
 go test -race -count=3 -run 'TestStorm(WireMatchesSingleProcess|FaultSoak|ShardDifferential)$|E4|SpeculationPoliciesAgree' ./internal/scenario ./internal/experiments .
 go test -race -count=3 ./internal/recovery
+
+# A finished process holds no replay log (DESIGN.md, "Logged
+# decisions"): once a body has returned and its process is definite,
+# no rollback or crash can replay it, so Proc.loop frees the log and
+# the messages it consumed. A WorryWart keeps one counter, so it runs
+# as an engine.Loop whose log compacts at every settled step; a plain
+# Spawn of one is an ever-growing log coming back. The release test,
+# the bounded WorryWart log and the DebugString test that reads a
+# blocked then a done process's log go three times under the race
+# detector.
+echo "== a finished process holds no replay log"
+expect internal/rpc 'rt\.Spawn\(c\.names' 0
+go test -race -count=3 -run 'TestFinishedProcessReleasesLog|TestDebugStringDuringRun|TestWorryWartLogBounded' ./internal/engine ./internal/rpc
 
 echo "== go test -race ./..."
 go test -race ./...
